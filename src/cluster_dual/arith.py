@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import DivisionByZero, IndexOutOfRange, SingularPoint
 
@@ -307,10 +307,6 @@ class TrialConfig:
         if not is_probable_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
 
-    def rng_for_trial(self, trial: int) -> random.Random:
-        # independent stream per trial so trials may run in any order
-        return random.Random(f"{self.rng_seed}:{trial}")
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -331,9 +327,74 @@ def random_point_fp(dim: int, prime: int, rng: random.Random) -> tuple:
 
 
 def _values_equal(a, b) -> bool:
+    """Exact equality, structurally over tuples, lists and dicts."""
     if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
         return len(a) == len(b) and all(_values_equal(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_values_equal(a[k], b[k]) for k in a)
     return a == b
+
+
+# Draws per trial before a trial gives up as inconclusive.
+_REDRAW_BUDGET = 64
+
+
+class _Trial(NamedTuple):
+    """Outcome of one trial: "equal", "counterexample" (with the rational
+    point and both sides there) or "exhausted"; ``redraws`` counts the
+    draws that were singular or whose mod-p disagreement Q did not confirm."""
+
+    status: str
+    redraws: int
+    point: object = None
+    lhs: object = None
+    rhs: object = None
+
+
+def _lift_rational(point):
+    """The integer representatives of an F_p point (a tuple or a dict), as
+    rationals."""
+    lift = lambda x: Fraction(x.value) if isinstance(x, Fp) else x
+    if isinstance(point, dict):
+        return {ix: lift(x) for ix, x in point.items()}
+    return tuple(lift(x) for x in point)
+
+
+def _evaluate(f, g, point):
+    try:
+        return f(point), g(point)
+    except SingularPoint:
+        return None
+
+
+def _trials(draw: Callable[[random.Random], object], f: Callable, g: Callable,
+            equal: Callable[[object, object], bool], trials: int, stream: str):
+    """The randomized-trial engine: yield one ``_Trial`` per trial.
+
+    Trial t draws from its own stream ``f"{stream}:{t}"``.  A draw at which
+    either side raises SingularPoint is redrawn; so is a mod-p disagreement
+    that exact re-evaluation at the rational lift of the point does not
+    confirm (Schwartz-Zippel: the disagreement was an artifact of p).  A
+    trial still undecided after ``_REDRAW_BUDGET`` draws is "exhausted".
+    """
+    for trial in range(trials):
+        rng = random.Random(f"{stream}:{trial}")
+        for redraws in range(_REDRAW_BUDGET):
+            point = draw(rng)
+            values = _evaluate(f, g, point)
+            if values is None:
+                continue
+            if equal(*values):
+                yield _Trial("equal", redraws)
+                break
+            point = _lift_rational(point)
+            values = _evaluate(f, g, point)
+            if values is None or equal(*values):
+                continue
+            yield _Trial("counterexample", redraws, point, *values)
+            break
+        else:
+            yield _Trial("exhausted", _REDRAW_BUDGET)
 
 
 def maps_equal_probabilistic(
@@ -341,52 +402,21 @@ def maps_equal_probabilistic(
     g: Callable[[tuple], object],
     domain_dim: int,
     cfg: TrialConfig,
-    retry_budget: int = 64,
 ) -> Verdict:
     """Test f == g by evaluation at random prime-field points.
 
-    Singular points (either map raising SingularPoint) are skipped and the
-    trial is redrawn, up to ``retry_budget`` redraws per trial; exhausting
-    the budget yields an inconclusive verdict.  A disagreement is re-checked
-    in exact rational arithmetic at the lifted point before being reported,
-    so a counterexample verdict is never a mod-p artifact.
+    Singular points (either map raising SingularPoint) are redrawn; a trial
+    that exhausts its redraw budget yields an inconclusive verdict.  A
+    disagreement is re-checked in exact rational arithmetic at the lifted
+    point before being reported, so a counterexample verdict is never a
+    mod-p artifact.
     """
-    for trial in range(cfg.trials):
-        rng = cfg.rng_for_trial(trial)
-        for _ in range(retry_budget):
-            point = random_point_fp(domain_dim, cfg.prime, rng)
-            try:
-                fv = f(point)
-                gv = g(point)
-            except SingularPoint:
-                continue
-            if _values_equal(fv, gv):
-                break
-            lifted = tuple(Fraction(x.value) for x in point)
-            try:
-                if _values_equal(f(lifted), g(lifted)):
-                    # mod-p disagreement not confirmed over Q: treat as
-                    # singular-at-p artifact and redraw
-                    continue
-            except SingularPoint:
-                continue
-            return Verdict("counterexample", lifted)
-        else:
+    draw = lambda rng: random_point_fp(domain_dim, cfg.prime, rng)
+    for trial, outcome in enumerate(
+            _trials(draw, f, g, _values_equal, cfg.trials, str(cfg.rng_seed))):
+        if outcome.status == "counterexample":
+            return Verdict("counterexample", outcome.point)
+        if outcome.status == "exhausted":
             return Verdict("inconclusive",
                            detail=f"retry budget exhausted at trial {trial}")
     return Verdict("equal")
-
-
-def field_arithmetic(a, b, op: str):
-    """Convenience entry point for single field operations ('+','-','*','/')."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if not _is_nonzero(b):
-            raise DivisionByZero("division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")

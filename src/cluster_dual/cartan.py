@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import UnsupportedType
+from .errors import InvariantViolation, UnsupportedType
 
 _MOVE_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
 
@@ -39,18 +39,19 @@ class CartanData:
         prod = self.a[i - 1][j - 1] * self.a[j - 1][i - 1]
         return _MOVE_ORDER[prod]
 
-    def a_hat(self, i: int, j: int):
-        return self.d[i - 1] * self.a[i - 1][j - 1]
-
     def validate(self) -> None:
+        """Raise InvariantViolation unless ``a`` is a Cartan matrix
+        symmetrized by ``d``."""
         n = self.rank
         for i in range(n):
-            assert self.a[i][i] == 2
+            if self.a[i][i] != 2:
+                raise InvariantViolation(f"diagonal entry {i + 1} of {self.type_label} is not 2")
             for j in range(n):
-                if i != j:
-                    assert self.a[i][j] <= 0
-                    assert (self.a[i][j] == 0) == (self.a[j][i] == 0)
-                assert self.d[i] * self.a[i][j] == self.d[j] * self.a[j][i]
+                if i != j and (self.a[i][j] > 0 or (self.a[i][j] == 0) != (self.a[j][i] == 0)):
+                    raise InvariantViolation(
+                        f"off-diagonal entry {i + 1},{j + 1} of {self.type_label} is invalid")
+                if self.d[i] * self.a[i][j] != self.d[j] * self.a[j][i]:
+                    raise InvariantViolation(f"d does not symmetrize {self.type_label}")
 
 
 def _cartan_matrix(letter: str, n: int) -> tuple[list[list[int]], list[int]]:
@@ -282,7 +283,8 @@ def star_involution(cartan: CartanData) -> tuple[int, ...]:
     for i in range(1, n + 1):
         image = [-c for c in w0.act_on_root(tuple(1 if k == i - 1 else 0 for k in range(n)))]
         targets = [j for j in range(n) if image[j] != 0]
-        assert len(targets) == 1 and image[targets[0]] == 1, "-w0 must permute simple roots"
+        if not (len(targets) == 1 and image[targets[0]] == 1):
+            raise InvariantViolation("-w0 must permute simple roots")
         perm[i] = targets[0] + 1
     return tuple(perm)
 

@@ -46,6 +46,11 @@ class FrozenStructureViolation(ClusterDualError):
     """Tropical mutation requested at an unfrozen seed index."""
 
 
+class InvariantViolation(ClusterDualError):
+    """A structural invariant that the library's own constructions guarantee
+    fails (malformed Cartan or seed data, an inconsistent map pipeline)."""
+
+
 class SingularPoint(ClusterDualError, ArithmeticError):
     """Evaluation hit the exceptional locus (zero coordinate, 1+x = 0 with a
     nonzero exponent, vanishing Gauss minor, ...)."""

@@ -25,7 +25,6 @@ in exact rational arithmetic.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,10 +35,9 @@ from . import group as grp
 from . import maps as mapmod
 from . import seeds as seedmod
 from . import words as wordmod
-from .arith import Fp, TrialConfig
+from .arith import Fp, TrialConfig, _trials, _values_equal
 from .cartan import CartanData, WeylElement
-from .errors import (NoPath, PreconditionFailed, SingularPoint,
-                     UnsupportedForType)
+from .errors import PreconditionFailed, UnsupportedForType
 from .group import GroupMatrix
 from .maps import Assignment, RationalMap
 from .seeds import bracket_seed, seed_for_word
@@ -112,18 +110,12 @@ def make_context(w: DoubleWord, cdata: CartanData,
     against a factored word of their class through generalized d-moves and
     the restricted transport.
     """
-    decs = wordmod.trivial_decompositions(w, cdata, v)
-    if w1 is not None:
-        decs = [d for d in decs if d.w1 == w1]
-    if decs:
-        dec = decs[0]
-        return EvalContext(cdata, w, dec.v, dec.w1, dec.w2, dec.split, None)
-    found = wordmod.shuffle_class_decomposition(w, cdata, v, w1)
+    found = wordmod.canonical_class(w, cdata, v, w1)
     if found is None:
         raise PreconditionFailed(f"{w.to_string()} does not lie in the requested D(v)")
     dec, trivial = found
-    transport = mapmod.path_transform(w, trivial, cdata, wordmod.D_KINDS,
-                                      restricted=True)
+    transport = None if trivial == w else mapmod.path_transform(
+        w, trivial, cdata, wordmod.D_KINDS, restricted=True)
     return EvalContext(cdata, w, dec.v, dec.w1, dec.w2, dec.split, transport)
 
 
@@ -171,12 +163,6 @@ def ev_hat(ctx: EvalContext, values: Assignment) -> GroupMatrix:
     right = _ev_r_factored(cdata, word, ctx.cut, ctx.w2, values)
     w0rep = grp.weyl_representative(weyl.longest_element(cdata), like)
     return left * frozen_torus(word, cdata, values).inverse() * w0rep * right.inverse()
-
-
-def ev_hat_word(w: DoubleWord, cdata: CartanData, values: Assignment,
-                v: Optional[WeylElement] = None,
-                w1: Optional[WeylElement] = None) -> GroupMatrix:
-    return ev_hat(make_context(w, cdata, v, w1), values)
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +263,9 @@ CHECK_NAMES = (
 MATRIX_TYPES = ("A1", "A2")
 
 
-def _sample(word: DoubleWord, cdata: CartanData, rng: random.Random,
-            prime: Optional[int]) -> Assignment:
-    return mapmod.random_assignment(word, cdata, rng, prime)
-
-
-def _lift_rational(values: Assignment) -> Assignment:
-    return {ix: Fraction(v.value) if isinstance(v, Fp) else v
-            for ix, v in values.items()}
-
-
 class _CheckRunner:
-    """Shared trial loop: evaluate a projective matrix identity or a
-    coordinate identity at random points, skip singular draws, confirm any
-    failure over the rationals."""
+    """Runs one check's pointwise identities through the trial engine and
+    folds every trial into the report."""
 
     def __init__(self, check: IdentityCheck):
         self.check = check
@@ -299,50 +274,28 @@ class _CheckRunner:
                              check.trials)
 
     def run_pointwise(self, word: DoubleWord, lhs: Callable, rhs: Callable,
-                      compare: str = "projective", retry: int = 60) -> None:
-        self.report.words.append(word.to_string())
-        for trial in range(self.check.trials):
-            rng = random.Random(
-                f"{self.check.rng_seed}:{self.check.name}:{word.to_string()}:{trial}")
-            for _ in range(retry):
-                values = _sample(word, self.cdata, rng, self.check.prime)
-                try:
-                    a, b = lhs(values), rhs(values)
-                except (SingularPoint, NoPath):
-                    self.report.skipped += 1
-                    continue
-                if _compare(a, b, compare):
-                    break
-                lifted = _lift_rational(values)
-                try:
-                    a2, b2 = lhs(lifted), rhs(lifted)
-                    if _compare(a2, b2, compare):
-                        self.report.skipped += 1
-                        continue
-                except SingularPoint:
-                    self.report.skipped += 1
-                    continue
-                self.report.failures.append({
-                    "word": word.to_string(),
-                    "point": {f"{ix}": str(v) for ix, v in lifted.items()},
-                    "lhs": repr(a2), "rhs": repr(b2)})
-                break
-            else:
-                self.report.failures.append({
-                    "word": word.to_string(),
+                      equal: Optional[Callable] = None) -> None:
+        """Compare lhs and rhs at random points of the word's torus with
+        ``equal``, by default projective equality of matrices."""
+        check, report = self.check, self.report
+        text = word.to_string()
+        report.words.append(text)
+        # module functions are looked up per call, not bound at import, so
+        # that wrappers installed on them apply
+        draw = lambda rng: mapmod.random_assignment(word, self.cdata, rng, check.prime)
+        equal = equal or grp.projective_eq
+        for outcome in _trials(draw, lhs, rhs, equal, check.trials,
+                               f"{check.rng_seed}:{check.name}:{text}"):
+            report.skipped += outcome.redraws
+            if outcome.status == "counterexample":
+                report.failures.append({
+                    "word": text,
+                    "point": {f"{ix}": str(v) for ix, v in outcome.point.items()},
+                    "lhs": repr(outcome.lhs), "rhs": repr(outcome.rhs)})
+            elif outcome.status == "exhausted":
+                report.failures.append({
+                    "word": text,
                     "detail": "retry budget exhausted (degenerate domain)"})
-
-
-def _compare(a, b, mode: str) -> bool:
-    if mode == "projective":
-        return grp.projective_eq(a, b)
-    if mode == "exact_matrix":
-        return a == b
-    if mode == "values":
-        if isinstance(a, dict) and isinstance(b, dict):
-            return a.keys() == b.keys() and all(a[k] == b[k] for k in a)
-        return a == b
-    raise ValueError(mode)
 
 
 def check_identity(check: IdentityCheck) -> Report:
@@ -452,7 +405,6 @@ def _fg_mutation(runner: _CheckRunner) -> None:
 
 def _twist(runner: _CheckRunner) -> None:
     cdata = runner.cdata
-    rank = cdata.rank
     for s in _instance_words(cdata)["twist"]:
         w = DoubleWord.from_string(s)
         zeta = mapmod.zeta_map(w, cdata)
@@ -589,7 +541,7 @@ def _tau_product_check(runner: _CheckRunner) -> None:
             sw, sv = star_transport(lw, cdata, lv)
             return tau_product(sw, cdata, sv)
 
-        runner.run_pointwise(w, lhs, rhs, compare="exact_matrix")
+        runner.run_pointwise(w, lhs, rhs, equal=_values_equal)
 
 
 def _t_lemma(runner: _CheckRunner) -> None:
@@ -607,7 +559,7 @@ def _t_lemma(runner: _CheckRunner) -> None:
     inv = single.inverse()
     runner.run_pointwise(word,
                          lambda vals, a=single, b=inv: b.apply(a.apply(vals)),
-                         lambda vals: vals, compare="values")
+                         lambda vals: vals, equal=_values_equal)
     if cdata.rank >= 2:
         w0 = weyl.longest_element(cdata)
         alt_rest = next(rw for rw in weyl.reduced_words(w0) if rw != w0.reduced_word())
@@ -618,7 +570,7 @@ def _t_lemma(runner: _CheckRunner) -> None:
         runner.run_pointwise(word,
                              lambda vals, m=single: m.apply(vals),
                              lambda vals, m=other: m.apply(vals),
-                             compare="values")
+                             equal=_values_equal)
 
 
 def _tormut(runner: _CheckRunner) -> None:
@@ -635,7 +587,7 @@ def _tormut(runner: _CheckRunner) -> None:
             runner.run_pointwise(src,
                                  lambda vals, z=zs: z.apply(vals),
                                  lambda vals, z=zt: z.apply(vals),
-                                 compare="values")
+                                 equal=_values_equal)
             continue
         mu = mapmod.path_transform(src, tgt, cdata, wordmod.D_KINDS)
         mu_sq = mapmod.path_transform(zs.target_word, zt.target_word, cdata,
@@ -644,7 +596,7 @@ def _tormut(runner: _CheckRunner) -> None:
             src,
             lambda vals, z=zs, m=mu_sq: m.apply(z.apply(vals)),
             lambda vals, z=zt, m=mu: z.apply(m.apply(vals)),
-            compare="values")
+            equal=_values_equal)
 
 
 def _dckp_cluster(runner: _CheckRunner) -> None:
@@ -679,7 +631,7 @@ def _braid(runner: _CheckRunner) -> None:
         tinv = t.inverse()
         runner.run_pointwise(w,
                              lambda vals, a=t, b=tinv: b.apply(a.apply(vals)),
-                             lambda vals: vals, compare="values")
+                             lambda vals: vals, equal=_values_equal)
         return
     w = DoubleWord.from_string(inst["braid_word"])
     m = cdata.m_order(1, 2)
@@ -690,7 +642,7 @@ def _braid(runner: _CheckRunner) -> None:
     runner.run_pointwise(w,
                          lambda vals, m=lhs: m.apply(vals),
                          lambda vals, m=rhs: m.apply(vals),
-                         compare="values")
+                         equal=_values_equal)
 
 
 def _pgl2_table(runner: _CheckRunner) -> None:
@@ -716,7 +668,7 @@ def _pgl2_table(runner: _CheckRunner) -> None:
             g = ev_hat(ctx, vals)
             return tuple(expect(g) for _, _, expect in bracket_table_entries())
 
-        runner.run_pointwise(w, lhs, rhs, compare="values")
+        runner.run_pointwise(w, lhs, rhs, equal=_values_equal)
 
 
 def _sitrop(runner: _CheckRunner) -> None:
@@ -762,11 +714,8 @@ def _phi_rel(runner: _CheckRunner) -> None:
             out.append(grp.x_neg(rank, i, x))
         return tuple(out)
 
-    def cmp_all(vals):
-        return all(a == b for a, b in zip(lhs(vals), rhs(vals)))
-
     runner.run_pointwise(w, lambda vals: tuple(lhs(vals)),
-                         lambda vals: tuple(rhs(vals)), compare="values")
+                         lambda vals: tuple(rhs(vals)), equal=_values_equal)
     # the reflection identity on the rank-one slice
     def lhs2(vals):
         x = vals[(1, 0)]
@@ -810,7 +759,7 @@ def _evhat_poisson(runner: _CheckRunner) -> None:
             g = ev_hat(ctx, vals)
             return tuple(table[pair](g) for pair in pairs)
 
-        runner.run_pointwise(w, lhs, rhs, compare="values")
+        runner.run_pointwise(w, lhs, rhs, equal=_values_equal)
 
 
 _CHECK_IMPLS = {

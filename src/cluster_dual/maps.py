@@ -38,22 +38,11 @@ from . import words as wordmod
 from .arith import Fp, TrialConfig, Verdict, jet_lift, spow, _is_nonzero, maps_equal_probabilistic
 from .cartan import CartanData, WeylElement
 from .errors import (FrozenDirection, FrozenStructureViolation, InapplicableMove,
-                     NoPath, PreconditionFailed, SingularPoint)
+                     InvariantViolation, NoPath, PreconditionFailed, SingularPoint)
 from .seeds import Seed, bracket_seed, mutate_seed, seed_for_word, tropical_mutate_seed
 from .words import DoubleWord, Move, SeedIndex
 
 Assignment = dict[SeedIndex, object]
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """A point of the seed torus of a word: one nonzero value per index."""
-
-    word: DoubleWord
-    values: dict
-
-    def as_tuple(self, cdata: CartanData) -> tuple:
-        return tuple(self.values[ix] for ix in wordmod.seed_indices(self.word, cdata.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +72,8 @@ def mutate_point(seed: Seed, values: Assignment, k: SeedIndex,
         if e == 0:
             out[ix] = val
             continue
-        assert e.denominator == 1
+        if e.denominator != 1:
+            raise InvariantViolation(f"exchange exponent {e} at {ix}, {k} is not integral")
         e = int(e)
         if not _is_nonzero(one_plus):
             raise SingularPoint("1 + x_k vanishes with a nonzero exponent")
@@ -122,7 +112,6 @@ def amalgamate_points(w1: DoubleWord, v1: Assignment,
                       w2: DoubleWord, v2: Assignment) -> tuple[DoubleWord, Assignment]:
     """Glue two torus points: shifted slots from the right factor, glued
     slots multiplying."""
-    shift = {wire: w1.count(wire) for wire in set(abs(x) for x in w1.letters) | set(abs(x) for x in w2.letters)}
     out: Assignment = {}
     for (wire, k), val in v1.items():
         out[(wire, k)] = val
@@ -391,7 +380,7 @@ class XiCoreInverseStep(Step):
     monomials in each other times interior-driven scalars.  Hence, from the
     image one recovers the interiors through the inverse zeta, the block-top
     of the moved wire by solving a one-unknown monomial equation (its
-    exponent is +-1, asserted), and the glued boundary by dividing out the
+    exponent is +-1, checked), and the glued boundary by dividing out the
     bottom multipliers of a zeta run on the reconstructed block point.
     """
 
@@ -449,8 +438,8 @@ class XiCoreInverseStep(Step):
                                    if wire != k else _Tracked(one, 1))
         image = zmap.apply(x_p)
         tr = image[(ks, block.count(ks))]
-        assert isinstance(tr, _Tracked) and abs(tr.e) == 1, \
-            "starred block-top exponent must be +-1"
+        if not (isinstance(tr, _Tracked) and abs(tr.e) == 1):
+            raise InvariantViolation("starred block-top exponent must be +-1")
         x_ktop = _tracked_pow(gv[(ks, mid[ks])] / tr.coeff, tr.e)
         x_p[(k, block.count(k))] = x_ktop
         multipliers = zmap.apply(x_p)
@@ -493,8 +482,9 @@ class RationalMap:
         return self.apply(values)
 
     def then(self, other: "RationalMap") -> "RationalMap":
-        assert self.target_word == other.source_word, (
-            f"{self.target_word.to_string()} != {other.source_word.to_string()}")
+        if self.target_word != other.source_word:
+            raise PreconditionFailed(
+                f"{self.target_word.to_string()} != {other.source_word.to_string()}")
         return RationalMap(self.cdata, self.source_word, other.target_word,
                            self.steps + other.steps,
                            self.restricted and other.restricted)
@@ -587,11 +577,6 @@ def zeta_map(w: DoubleWord, cdata: CartanData, stages: Optional[int] = None) -> 
     return out
 
 
-def zeta_section_word(w: DoubleWord, cdata: CartanData, stages: int) -> DoubleWord:
-    """Target word of zeta_map(w, stages)."""
-    return zeta_map(w, cdata, stages).target_word
-
-
 # ---------------------------------------------------------------------------
 # Dual moves and saltations
 # ---------------------------------------------------------------------------
@@ -621,12 +606,16 @@ def dual_move_map(w: DoubleWord, cdata: CartanData) -> RationalMap:
             out = out.then(leg)
             cur = leg.target_word
         target = wordmod.apply_move(w, Move("dual", len(w) - 1 - L), cdata)
-        assert cur == target, (cur.to_string(), target.to_string())
+        if cur != target:
+            raise InvariantViolation(
+                f"dual move map ends at {cur.to_string()}, not {target.to_string()}")
         return out
     # shape B: ... k [negative w0 block]: inverse of the shape-A map at the image
     target = wordmod.apply_move(w, Move("dual", len(w) - 1 - L), cdata)
     fwd = dual_move_map(target, cdata)
-    assert fwd.target_word == w
+    if fwd.target_word != w:
+        raise InvariantViolation(
+            f"dual move at {target.to_string()} does not return to {w.to_string()}")
     return fwd.inverse()
 
 
@@ -669,15 +658,15 @@ def mu_hat(source: DoubleWord, target: DoubleWord, cdata: CartanData,
     are explored.
     """
     if w1_source is None:
-        dec = wordmod.canonical_class(source, cdata, v)
-        if dec is None:
+        found = wordmod.canonical_class(source, cdata, v)
+        if found is None:
             raise PreconditionFailed(f"{source.to_string()} not in D(v)")
-        w1_source = dec.w1
+        w1_source = found[0].w1
     if w1_target is None:
-        dec = wordmod.canonical_class(target, cdata, v)
-        if dec is None:
+        found = wordmod.canonical_class(target, cdata, v)
+        if found is None:
             raise PreconditionFailed(f"{target.to_string()} not in D(v)")
-        w1_target = dec.w1
+        w1_target = found[0].w1
     key = (source.letters, target.letters, cdata.type_label,
            v.root_matrix, w1_source.root_matrix, w1_target.root_matrix)
     cached = _MU_HAT_CACHE.get(key)
@@ -771,9 +760,10 @@ def artin_T(w: DoubleWord, j: int, cdata: CartanData,
     if j not in subset:
         raise PreconditionFailed(f"{j} is not in the subset")
     w0I = weyl.longest_element(cdata, subset)
-    dec = wordmod.canonical_class(w, cdata, w0I)
-    if dec is None:
+    found = wordmod.canonical_class(w, cdata, w0I)
+    if found is None:
         raise PreconditionFailed(f"{w.to_string()} is not in D(w0(I))")
+    dec = found[0]
     if base is None:
         base = _artin_base_word(cdata, j, subset)
     flipped = wordmod.l_move(base)  # starts with the positive letter j
@@ -782,7 +772,8 @@ def artin_T(w: DoubleWord, j: int, cdata: CartanData,
     leg_in = mu_hat(w, flipped, cdata, w0I,
                     w1_source=dec.w1, w1_target=flipped_w1)
     trop = MoveStep(cdata, flipped, Move("tau_left", 0), restricted=False)
-    assert trop.word_after == base
+    if trop.word_after != base:
+        raise InvariantViolation(f"bar flip of {flipped.to_string()} misses the base word")
     middle = RationalMap(cdata, flipped, base, (trop,), True)
     leg_out = mu_hat(base, w, cdata, w0I,
                      w1_source=base_w1, w1_target=dec.w1)

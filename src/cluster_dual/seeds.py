@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .cartan import CartanData
-from .errors import FrozenDirection, FrozenStructureViolation
+from .errors import (FrozenDirection, FrozenStructureViolation, InvariantViolation,
+                     PreconditionFailed)
 from .words import DoubleWord, SeedIndex
 
 
@@ -95,20 +96,27 @@ class Seed:
         v = self.eps(i, j)
         if i in frozen and j in frozen:
             return int(v * self.common_denominator())
-        assert v.denominator == 1
+        if v.denominator != 1:
+            raise InvariantViolation(f"exchange entry {v} at {i}, {j} is not integral")
         return int(v)
 
     def validate(self) -> None:
+        """Raise InvariantViolation unless eps vanishes on the diagonal,
+        eps_hat is skew-symmetric, entries off the frozen square are
+        integral and the frozen entries share one denominator."""
         frozen = self.frozen
         for i in self.indices:
-            assert self.eps(i, i) == 0
+            if self.eps(i, i) != 0:
+                raise InvariantViolation(f"nonzero diagonal entry at {i}")
             for j in self.indices:
-                assert self.eps_hat(i, j) == -self.eps_hat(j, i)
-                if not (i in frozen and j in frozen):
-                    assert self.eps(i, j).denominator == 1
+                if self.eps_hat(i, j) != -self.eps_hat(j, i):
+                    raise InvariantViolation(f"eps_hat not skew-symmetric at {i}, {j}")
+                if not (i in frozen and j in frozen) and self.eps(i, j).denominator != 1:
+                    raise InvariantViolation(f"non-integral exchange entry at {i}, {j}")
         dens = {self.eps(i, j).denominator
                 for i in frozen for j in frozen if self.eps(i, j) != 0}
-        assert len(dens - {1}) <= 1, "frozen entries must share one denominator"
+        if len(dens - {1}) > 1:
+            raise InvariantViolation("frozen entries must share one denominator")
 
     def matrix(self) -> list[list[Fraction]]:
         ix = self.indices
@@ -159,7 +167,8 @@ def elementary_seed(cdata: CartanData, letter: int) -> Seed:
 def amalgamate(s1: Seed, s2: Seed) -> Seed:
     """Amalgamated seed: shift the right factor's occurrence counters by the
     left factor's counts and add entries over the identified slots."""
-    assert s1.cartan == s2.cartan
+    if s1.cartan != s2.cartan:
+        raise PreconditionFailed("amalgamated seeds must share one Cartan type")
     cdata = s1.cartan
     shift = dict(s1.counts)
     eps: dict = {}

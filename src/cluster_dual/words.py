@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from . import cartan as weyl
 from .cartan import CartanData, WeylElement
@@ -89,12 +89,6 @@ class DoubleWord:
 
     def count(self, wire: int) -> int:
         return sum(1 for x in self.letters if abs(x) == wire)
-
-    def occurrence_counter(self, pos: int) -> int:
-        """Counter of the slot just after position ``pos``: the number of
-        earlier occurrences of the same wire, plus one."""
-        wire = abs(self.letters[pos])
-        return 1 + sum(1 for x in self.letters[:pos] if abs(x) == wire)
 
     def __repr__(self):
         return f"DoubleWord({self.to_string()!r})"
@@ -394,21 +388,43 @@ def trivial_vword(cdata: CartanData, w1: WeylElement, w2: WeylElement,
     if not weyl.right_weak_leq(w1, v):
         raise PreconditionFailed("w1 must be below v in the right weak order")
     w0 = weyl.longest_element(cdata)
-    n1 = weyl.star_element(w1).inverse().reduced_word()
-    p1 = (v * w1.inverse()).reduced_word()
-    n2 = w2.inverse().reduced_word()
-    p2 = (w0 * w2.inverse()).reduced_word()
-    return DoubleWord(tuple(-x for x in n1) + p1 + tuple(-x for x in n2) + p2)
+    return _bars_first(weyl.star_element(w1).inverse().reduced_word(),
+                       (v * w1.inverse()).reduced_word(),
+                       w2.inverse().reduced_word(),
+                       (w0 * w2.inverse()).reduced_word())
 
 
-def _splits(seq: Sequence[int], cdata: CartanData):
-    """All (prefix element, suffix element, cut) with both parts reduced."""
-    out = []
-    for cut in range(len(seq) + 1):
-        a, b = seq[:cut], seq[cut:]
-        if weyl.is_reduced(cdata, a) and weyl.is_reduced(cdata, b):
-            out.append((weyl.from_word(cdata, a), weyl.from_word(cdata, b), cut))
-    return out
+def _bars_first(n1, p1, n2, p2) -> DoubleWord:
+    return DoubleWord(tuple(-x for x in n1) + tuple(p1) + tuple(-x for x in n2) + tuple(p2))
+
+
+def _factor(cdata: CartanData, n1, p1, n2, p2,
+            v: Optional[WeylElement] = None, w1: Optional[WeylElement] = None):
+    """(w1, w2, v) when the cut subwords -- the barred and plain letters of
+    i1 (n1, p1) and of i2 (n2, p2) -- exhibit i1 i2 as a trivial
+    (w1,w2)_v-word, else None.  ``v`` and ``w1`` pin the class when given.
+
+    The conditions: all four subwords reduced; n1 spells (w1*)^{-1}, n2
+    spells w2^{-1}; p2 spells w0 w2^{-1} and p1 spells v w1^{-1}, both
+    length-additively; and w1 <= v in the right weak order.
+    """
+    if not all(weyl.is_reduced(cdata, s) for s in (n1, p1, n2, p2)):
+        return None
+    cand_w1 = weyl.star_element(weyl.from_word(cdata, n1).inverse())
+    if w1 is not None and cand_w1 != w1:
+        return None
+    w2 = weyl.from_word(cdata, n2).inverse()
+    w0 = weyl.longest_element(cdata)
+    if len(p2) != w0.length() - w2.length() or weyl.from_word(cdata, p2) != w0 * w2.inverse():
+        return None
+    cand_v = weyl.from_word(cdata, p1) * cand_w1
+    if v is not None and cand_v != v:
+        return None
+    if len(p1) != cand_v.length() - cand_w1.length():
+        return None
+    if not weyl.right_weak_leq(cand_w1, cand_v):
+        return None
+    return cand_w1, w2, cand_v
 
 
 def trivial_decompositions(w: DoubleWord, cdata: CartanData,
@@ -418,76 +434,38 @@ def trivial_decompositions(w: DoubleWord, cdata: CartanData,
     When ``v`` is given only decompositions for that v are returned; otherwise
     v is derived from the split (v = value(pos(i1)) * w1).
     """
-    w0 = weyl.longest_element(cdata)
     out = []
     for cut in range(len(w) + 1):
-        i1 = DoubleWord(w.letters[:cut])
-        i2 = DoubleWord(w.letters[cut:])
-        n1, p1 = i1.negative_subword, i1.positive_subword
-        n2, p2 = i2.negative_subword, i2.positive_subword
-        if not all(weyl.is_reduced(cdata, s) for s in (n1, p1, n2, p2)):
-            continue
-        w1 = weyl.star_element(weyl.from_word(cdata, n1).inverse())
-        w2 = weyl.from_word(cdata, n2).inverse()
-        if weyl.from_word(cdata, p2) != w0 * w2.inverse():
-            continue
-        if len(p2) != w0.length() - w2.length():
-            continue
-        cand_v = weyl.from_word(cdata, p1) * w1
-        if v is not None and cand_v != v:
-            continue
-        if len(p1) != cand_v.length() - w1.length():
-            continue
-        if not weyl.right_weak_leq(w1, cand_v):
-            continue
-        out.append(TrivialDecomposition(w1, w2, cand_v, cut))
+        i1, i2 = DoubleWord(w.letters[:cut]), DoubleWord(w.letters[cut:])
+        found = _factor(cdata, i1.negative_subword, i1.positive_subword,
+                        i2.negative_subword, i2.positive_subword, v)
+        if found is not None:
+            out.append(TrivialDecomposition(*found, cut))
     return out
 
 
+@functools.lru_cache(maxsize=200_000)
 def shuffle_class_decomposition(w: DoubleWord, cdata: CartanData,
                                 v: Optional[WeylElement] = None,
                                 w1: Optional[WeylElement] = None):
     """Witness that w lies in W(w1,w2)_v for some trivial word in its
     mixed-2-move class.  Returns (decomposition-of-trivial-word, trivial word)
     or None.  Mixed 2-moves preserve the one-sign subwords, so it is enough
-    to cut those subwords consistently.  Everything involved is immutable, so
-    results are cached globally (class searches revisit the same words a lot).
+    to cut those subwords consistently: a cut of the barred subword fixes the
+    length of p2.  Everything involved is immutable, so results are cached
+    globally (class searches revisit the same words a lot).
     """
-    return _shuffle_class_cached(w, cdata, v, w1)
-
-
-@functools.lru_cache(maxsize=200_000)
-def _shuffle_class_cached(w: DoubleWord, cdata: CartanData,
-                          v: Optional[WeylElement],
-                          w1: Optional[WeylElement]):
-    w0 = weyl.longest_element(cdata)
     neg, pos = w.negative_subword, w.positive_subword
+    w0_length = weyl.longest_element(cdata).length()
     for ncut in range(len(neg) + 1):
-        n1, n2 = neg[:ncut], neg[ncut:]
-        if not (weyl.is_reduced(cdata, n1) and weyl.is_reduced(cdata, n2)):
+        pcut = len(pos) - (w0_length - (len(neg) - ncut))
+        if not 0 <= pcut <= len(pos):
             continue
-        cand_w1 = weyl.star_element(weyl.from_word(cdata, n1).inverse())
-        cand_w2 = weyl.from_word(cdata, n2).inverse()
-        if w1 is not None and cand_w1 != w1:
-            continue
-        p2_len = w0.length() - cand_w2.length()
-        if p2_len < 0 or p2_len > len(pos):
-            continue
-        p1, p2 = pos[:len(pos) - p2_len], pos[len(pos) - p2_len:]
-        if not (weyl.is_reduced(cdata, p1) and weyl.is_reduced(cdata, p2)):
-            continue
-        if weyl.from_word(cdata, p2) != w0 * cand_w2.inverse():
-            continue
-        cand_v = weyl.from_word(cdata, p1) * cand_w1
-        if v is not None and cand_v != v:
-            continue
-        if len(p1) != cand_v.length() - cand_w1.length():
-            continue
-        if not weyl.right_weak_leq(cand_w1, cand_v):
-            continue
-        trivial = DoubleWord(tuple(-x for x in n1) + p1 + tuple(-x for x in n2) + p2)
-        return (TrivialDecomposition(cand_w1, cand_w2, cand_v,
-                                     ncut + len(p1)), trivial)
+        n1, p1, n2, p2 = neg[:ncut], pos[:pcut], neg[ncut:], pos[pcut:]
+        found = _factor(cdata, n1, p1, n2, p2, v, w1)
+        if found is not None:
+            return (TrivialDecomposition(*found, ncut + pcut),
+                    _bars_first(n1, p1, n2, p2))
     return None
 
 
@@ -498,44 +476,24 @@ def is_in_dv(w: DoubleWord, cdata: CartanData, v: WeylElement,
 
 def is_in_class(w: DoubleWord, cdata: CartanData, v: WeylElement,
                 w1: WeylElement, w2: WeylElement) -> bool:
-    """Membership in the single class W(w1,w2)_v."""
-    w0 = weyl.longest_element(cdata)
-    neg, pos = w.negative_subword, w.positive_subword
-    ncut = w1.length()
-    if not (weyl.is_reduced(cdata, neg[:ncut]) and weyl.is_reduced(cdata, neg[ncut:])):
-        return False
-    if weyl.from_word(cdata, neg[:ncut]) != weyl.star_element(w1).inverse():
-        return False
-    if weyl.from_word(cdata, neg[ncut:]) != w2.inverse():
-        return False
-    p2_len = w0.length() - w2.length()
-    if p2_len < 0 or p2_len > len(pos):
-        return False
-    p1, p2 = pos[:len(pos) - p2_len], pos[len(pos) - p2_len:]
-    if not (weyl.is_reduced(cdata, p1) and weyl.is_reduced(cdata, p2)):
-        return False
-    if weyl.from_word(cdata, p2) != w0 * w2.inverse():
-        return False
-    if weyl.from_word(cdata, p1) != v * w1.inverse():
-        return False
-    if len(p1) != v.length() - w1.length():
-        return False
-    return weyl.right_weak_leq(w1, v)
+    """Membership in the single class W(w1,w2)_v.  Pinning w1 fixes the cut
+    of the barred subword, so the class found is the only candidate."""
+    found = shuffle_class_decomposition(w, cdata, v, w1)
+    return found is not None and found[0].w2 == w2
 
 
 def canonical_class(w: DoubleWord, cdata: CartanData,
                     v: Optional[WeylElement] = None,
-                    w1: Optional[WeylElement] = None) -> Optional[TrivialDecomposition]:
-    """The factorization context a word is evaluated in by default: the
-    earliest valid cut when the word is factored, else the first class found
-    by cutting its one-sign subwords."""
-    decs = trivial_decompositions(w, cdata, v)
-    if w1 is not None:
-        decs = [d for d in decs if d.w1 == w1]
-    if decs:
-        return decs[0]
-    found = shuffle_class_decomposition(w, cdata, v, w1)
-    return None if found is None else found[0]
+                    w1: Optional[WeylElement] = None
+                    ) -> Optional[tuple[TrivialDecomposition, DoubleWord]]:
+    """The factorization context a word is evaluated in by default, with the
+    trivial word it is read on: the word itself at its earliest valid cut
+    when it is factored, else the first class found by cutting its one-sign
+    subwords, with that class's trivial word."""
+    for dec in trivial_decompositions(w, cdata, v):
+        if w1 is None or dec.w1 == w1:
+            return dec, w
+    return shuffle_class_decomposition(w, cdata, v, w1)
 
 
 def dual_move_classes(w: DoubleWord, cdata: CartanData

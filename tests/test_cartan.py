@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cluster_dual import cartan as weyl
-from cluster_dual.errors import UnsupportedType
+from cluster_dual.errors import InvariantViolation, UnsupportedType
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_build_cartan_examples():
@@ -17,6 +24,29 @@ def test_build_cartan_examples():
         weyl.build_cartan("H3")
     with pytest.raises(UnsupportedType):
         weyl.build_cartan("G5")
+
+
+def test_cartan_validate_rejects_bad_matrices():
+    for a, d in ((((2, -1), (-1, 3)), (1, 1)),    # diagonal entry 3
+                 (((2, 1), (1, 2)), (1, 1)),      # positive off-diagonal
+                 (((2, 0), (-1, 2)), (1, 1)),     # one-sided zero
+                 (((2, -1), (-2, 2)), (1, 1))):   # d does not symmetrize
+        with pytest.raises(InvariantViolation):
+            weyl.CartanData("X2", a, d).validate()
+
+
+def test_guards_survive_python_optimize():
+    # the first line would fail unless -O strips asserts
+    code = ("assert False, 'asserts are on'\n"
+            "from cluster_dual.cartan import CartanData\n"
+            "CartanData('X2', ((2, -1), (-1, 3)), (1, 1)).validate()\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1].startswith(
+        "cluster_dual.errors.InvariantViolation: diagonal entry 2")
 
 
 @pytest.mark.parametrize("label,n_roots", [("A1", 1), ("A2", 3), ("B2", 4),

@@ -1,0 +1,65 @@
+"""The randomized-trial engine behind ``maps_equal_probabilistic`` and
+``check_identity``: pinned report output and the two failure paths."""
+
+import hashlib
+import json
+from fractions import Fraction as F
+
+from cluster_dual import evals, group as grp
+from cluster_dual.arith import _REDRAW_BUDGET, TrialConfig, maps_equal_probabilistic
+from cluster_dual.errors import SingularPoint
+
+from conftest import W
+
+# sha256 of the reports of every matrix-level check on A1 and A2 at prime 97,
+# 3 trials, rng seed 5, with elapsed_ms removed.  At this small prime 11
+# draws are redrawn: singular draws, and one mod-p disagreement that the
+# rational re-evaluation does not confirm.
+MATRIX_REPORTS_SHA256 = "1a65b3cb9161b35f00fd31d12693d6857e534045b796bd97b576ae7e3e1aa6f0"
+
+
+def test_matrix_reports_pinned():
+    payload, skipped = [], 0
+    for label in evals.MATRIX_TYPES:
+        for name in evals.CHECK_NAMES:
+            if label != "A1" and name in ("PGL2_TABLE", "EVHAT_POISSON"):
+                continue
+            rep = evals.check_identity(
+                evals.IdentityCheck(name, label, trials=3, prime=97, rng_seed=5))
+            data = rep.to_json()
+            del data["elapsed_ms"]
+            payload.append(data)
+            skipped += rep.skipped
+    assert skipped == 11
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == MATRIX_REPORTS_SHA256
+
+
+def test_report_records_confirmed_failure():
+    runner = evals._CheckRunner(evals.IdentityCheck("PHI_REL", "A1", trials=2, prime=97))
+    runner.run_pointwise(W("1"),
+                         lambda vals: grp.x_pos(1, 1, vals[(1, 0)]),
+                         lambda vals: grp.identity(2, vals[(1, 0)]))
+    failures = runner.report.failures
+    assert len(failures) == 2
+    for fail in failures:
+        assert fail["word"] == "1"
+        point = {ix: F(value) for ix, value in fail["point"].items()}
+        assert set(point) == {"(1, 0)", "(1, 1)"}
+        x = point["(1, 0)"]
+        assert fail["lhs"] == repr(grp.x_pos(1, 1, x))
+        assert fail["rhs"] == repr(grp.identity(2, x))
+
+
+def test_always_singular_draw_exhausts_budget():
+    def singular(_):
+        raise SingularPoint("everywhere")
+
+    verdict = maps_equal_probabilistic(singular, singular, 2, TrialConfig(trials=3))
+    assert verdict.status == "inconclusive"
+    assert verdict.detail == "retry budget exhausted at trial 0"
+    runner = evals._CheckRunner(evals.IdentityCheck("PHI_REL", "A1", trials=3))
+    runner.run_pointwise(W("1"), singular, singular)
+    assert runner.report.failures == [
+        {"word": "1", "detail": "retry budget exhausted (degenerate domain)"}] * 3
+    assert runner.report.skipped == 3 * _REDRAW_BUDGET
