@@ -34,8 +34,9 @@ class Fp:
     """An element of the prime field F_p.
 
     Instances are immutable and interoperate with plain ints.  Division is
-    exact (Fermat inverse); dividing by zero raises DivisionByZero like the
-    rational backend does.
+    exact (modular inverse); dividing by zero raises DivisionByZero like the
+    rational backend does, and so does dividing by a residue that shares a
+    factor with a composite modulus.
     """
 
     __slots__ = ("value", "p")
@@ -82,9 +83,7 @@ class Fp:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.value == 0:
-            raise DivisionByZero("division by zero in F_p")
-        return Fp(self.value * pow(o.value, self.p - 2, self.p), self.p)
+        return Fp(self.value * _inverse_mod(o.value, self.p), self.p)
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -99,9 +98,7 @@ class Fp:
         return Fp(pow(self.value, n, self.p), self.p)
 
     def inverse(self) -> "Fp":
-        if self.value == 0:
-            raise DivisionByZero("inverting zero in F_p")
-        return Fp(pow(self.value, self.p - 2, self.p), self.p)
+        return Fp(_inverse_mod(self.value, self.p), self.p)
 
     def __eq__(self, other):
         if isinstance(other, Fp):
@@ -117,6 +114,13 @@ class Fp:
 
     def __bool__(self):
         return self.value != 0
+
+
+def _inverse_mod(value: int, p: int) -> int:
+    try:
+        return pow(value, -1, p)
+    except ValueError:
+        raise DivisionByZero(f"{value} is not invertible mod {p}") from None
 
 
 class Jet:

@@ -2,7 +2,9 @@
 
 A pipeline step knows the word it starts from and how to push a coordinate
 assignment forward; composites are built word-combinatorially once and then
-evaluated at many points (rationals, prime-field scalars or jets alike).
+evaluated at many points (rationals, prime-field scalars or jets alike).  A
+move step reads its seeds once, on its first evaluation, into a plan of
+integer exponents, so evaluating a point never builds a seed.
 Supported steps:
 
 - a word move (braid/commutation d-move, mixed 2-move, bar flip) carrying its
@@ -27,6 +29,7 @@ letters and counters shifted by the occurrences before the window:
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,63 +52,84 @@ Assignment = dict[SeedIndex, object]
 # Point-level elementary transformations
 # ---------------------------------------------------------------------------
 
+# A lowered mutation: (kind, k, exponents), kind "regular" or "tropical",
+# exponents a tuple of (index, e) pairs with e a nonzero integer.  Both kinds
+# invert x_k and keep the coordinates not listed; a regular mutation sends a
+# listed x_i to x_i x_k^{[e]_+} (1+x_k)^{-e}, a tropical one to x_i x_k^e.
+Mutation = tuple[str, SeedIndex, tuple[tuple[SeedIndex, int], ...]]
+
+
+def _regular_mutation(seed: Seed, k: SeedIndex,
+                      frozen_fixed: frozenset = frozenset()) -> Mutation:
+    """Lower a cluster mutation at k: the exponents are eps_ik, read off the
+    seed, except on ``frozen_fixed``."""
+    if k in seed.frozen:
+        raise FrozenDirection(f"{k} is frozen")
+    exponents = []
+    for ix in seed.indices:
+        e = seed.eps(ix, k)
+        if e == 0 or ix == k or ix in frozen_fixed:
+            continue
+        if e.denominator != 1:
+            raise InvariantViolation(f"exchange exponent {e} at {ix}, {k} is not integral")
+        exponents.append((ix, int(e)))
+    return ("regular", k, tuple(exponents))
+
+
+def _tropical_mutation(seed: Seed, k: SeedIndex,
+                       positive_letter: Optional[bool] = None) -> Mutation:
+    """Lower a tropical mutation at the frozen k: its cover mates m pick up
+    x_k^{-b_km} when the flip side matches the letter sign and x_k^{+b_km}
+    otherwise, the orientation that makes the map Poisson between the seed
+    and the flipped word's seed (the two chiralities are mutually inverse)."""
+    if k not in seed.frozen:
+        raise FrozenStructureViolation(f"{k} is not frozen")
+    sign = -1 if seedmod.flip_orientation(seed, k, positive_letter) else 1
+    mates = seed.cover_sets_of(k)
+    exponents = []
+    for ix in seed.indices:
+        if ix in mates and ix != k:
+            e = sign * seed.b_entry(k, ix)
+            if e:
+                exponents.append((ix, e))
+    return ("tropical", k, tuple(exponents))
+
+
+def _apply_mutation(values: Assignment, mutation: Mutation) -> Assignment:
+    kind, k, exponents = mutation
+    xk = values[k]
+    if not _is_nonzero(xk):
+        raise SingularPoint(f"zero coordinate at {kind} mutation index")
+    out = dict(values)
+    out[k] = 1 / xk
+    if kind == "tropical":
+        for ix, e in exponents:
+            out[ix] = values[ix] * spow(xk, e)
+    elif exponents:
+        one_plus = 1 + xk
+        if not _is_nonzero(one_plus):
+            raise SingularPoint("1 + x_k vanishes with a nonzero exponent")
+        for ix, e in exponents:
+            if e > 0:
+                out[ix] = values[ix] * spow(xk, e) * spow(one_plus, -e)
+            else:
+                out[ix] = values[ix] * spow(one_plus, -e)
+    return out
+
+
 def mutate_point(seed: Seed, values: Assignment, k: SeedIndex,
                  frozen_fixed: frozenset = frozenset()) -> Assignment:
     """Cluster mutation on coordinates: x_k inverts, x_i picks up
     x_k^{[eps_ik]_+} (1+x_k)^{-eps_ik}.  Indices in ``frozen_fixed`` keep
     their values (the bracket-torus restriction)."""
-    if k in seed.frozen:
-        raise FrozenDirection(f"{k} is frozen")
-    xk = values[k]
-    if not _is_nonzero(xk):
-        raise SingularPoint("zero coordinate at mutation index")
-    out: Assignment = {}
-    one_plus = 1 + xk
-    for ix, val in values.items():
-        if ix == k:
-            out[ix] = 1 / xk
-            continue
-        if ix in frozen_fixed:
-            out[ix] = val
-            continue
-        e = seed.eps(ix, k)
-        if e == 0:
-            out[ix] = val
-            continue
-        if e.denominator != 1:
-            raise InvariantViolation(f"exchange exponent {e} at {ix}, {k} is not integral")
-        e = int(e)
-        if not _is_nonzero(one_plus):
-            raise SingularPoint("1 + x_k vanishes with a nonzero exponent")
-        out[ix] = val * spow(xk, max(e, 0)) * spow(one_plus, -e)
-    return out
+    return _apply_mutation(values, _regular_mutation(seed, k, frozen_fixed))
 
 
 def tropical_mutate_point(seed: Seed, values: Assignment, k: SeedIndex,
                           positive_letter: Optional[bool] = None) -> Assignment:
     """Tropical mutation: x_k inverts and its cover mates pick up monomial
-    factors; subtraction-free, defined on the whole torus.
-
-    The mate exponent is -b_km when the flip side matches the letter sign
-    and +b_km otherwise, the orientation that makes the map Poisson between
-    the seed and the flipped word's seed (the two chiralities are mutually
-    inverse)."""
-    if k not in seed.frozen:
-        raise FrozenStructureViolation(f"{k} is not frozen")
-    xk = values[k]
-    if not _is_nonzero(xk):
-        raise SingularPoint("zero coordinate at tropical index")
-    sign = -1 if seedmod.flip_orientation(seed, k, positive_letter) else 1
-    mates = seed.cover_sets_of(k)
-    out: Assignment = {}
-    for ix, val in values.items():
-        if ix == k:
-            out[ix] = 1 / xk
-        elif ix in mates:
-            out[ix] = val * spow(xk, sign * seed.b_entry(k, ix))
-        else:
-            out[ix] = val
-    return out
+    factors; subtraction-free, defined on the whole torus."""
+    return _apply_mutation(values, _tropical_mutation(seed, k, positive_letter))
 
 
 def amalgamate_points(w1: DoubleWord, v1: Assignment,
@@ -188,6 +212,42 @@ def _move_mutations(w: DoubleWord, move: Move, cdata: CartanData) -> list[tuple[
     raise InapplicableMove(f"no mutation table for {move.kind}")
 
 
+# Bounded: the A2 artin-T maps of all 80 shuffle words and their inverses
+# lower 576 distinct (cdata, word, move, restricted) keys.
+@functools.lru_cache(maxsize=4096)
+def _move_plan(cdata: CartanData, w: DoubleWord, move: Move, restricted: bool
+               ) -> tuple[tuple[Mutation, ...], Optional[dict[SeedIndex, SeedIndex]]]:
+    """A move step lowered to its mutations, each with the exponents its seed
+    gives it, and its relabeling (None when empty).  The seeds are only
+    walked here, once per distinct step, never per point.  In restricted
+    mode the right-frozen coordinates are held fixed and a right bar flip is
+    the identity between the bracket tori."""
+    seed = seed_for_word(w, cdata)
+    fixed = seed.cover_right if restricted else frozenset()
+    if restricted and move.kind == "tau_right":
+        induced = []
+    else:
+        induced = _move_mutations(w, move, cdata)
+    positive_letter = None
+    if move.kind == "tau_left":
+        positive_letter = w.letters[0] > 0
+    elif move.kind == "tau_right":
+        positive_letter = w.letters[-1] > 0
+    mutations = []
+    for n, (ix, kind) in enumerate(induced):
+        last = n == len(induced) - 1
+        if kind == "regular":
+            mutations.append(_regular_mutation(seed, ix, fixed))
+            if not last:
+                seed = mutate_seed(seed, ix)
+        else:
+            mutations.append(_tropical_mutation(seed, ix, positive_letter))
+            if not last:
+                seed = tropical_mutate_seed(seed, ix, positive_letter)
+    sigma = wordmod.index_map(w, move, cdata)
+    return tuple(mutations), (sigma or None)
+
+
 class Step:
     word_before: DoubleWord
     word_after: DoubleWord
@@ -216,27 +276,10 @@ class MoveStep(Step):
         return wordmod.apply_move(self.word_before, self.move, self.cdata)
 
     def apply(self, values: Assignment) -> Assignment:
-        w = self.word_before
-        seed = seed_for_word(w, self.cdata)
-        fixed = seed.cover_right if self.restricted else frozenset()
-        if self.restricted and self.move.kind == "tau_right":
-            mutations = []  # identity between the bracket tori
-        else:
-            mutations = _move_mutations(w, self.move, self.cdata)
-        positive_letter = None
-        if self.move.kind == "tau_left":
-            positive_letter = w.letters[0] > 0
-        elif self.move.kind == "tau_right":
-            positive_letter = w.letters[-1] > 0
-        for ix, kind in mutations:
-            if kind == "regular":
-                values = mutate_point(seed, values, ix, fixed)
-                seed = mutate_seed(seed, ix)
-            else:
-                values = tropical_mutate_point(seed, values, ix, positive_letter)
-                seed = tropical_mutate_seed(seed, ix, positive_letter)
-        sigma = wordmod.index_map(w, self.move, self.cdata)
-        if sigma:
+        mutations, sigma = _move_plan(self.cdata, self.word_before, self.move, self.restricted)
+        for mutation in mutations:
+            values = _apply_mutation(values, mutation)
+        if sigma is not None:
             values = {sigma.get(ix, ix): val for ix, val in values.items()}
         return values
 
@@ -258,6 +301,23 @@ class MoveStep(Step):
                 "restricted": self.restricted}
 
 
+@functools.lru_cache(maxsize=256)
+def _core_shape(cdata: CartanData, w: DoubleWord
+                ) -> tuple[DoubleWord, DoubleWord, int, DoubleWord]:
+    """Split the saltation core's source word j' i+ kbar into (j', i+, k) and
+    add its target word j' square(i+) k*."""
+    L = wordmod.dual_block_length(cdata)
+    block = DoubleWord(w.letters[-L - 1:-1])
+    kbar = w.letters[-1]
+    if kbar > 0 or not wordmod.is_positive_reduced(block, cdata):
+        raise InapplicableMove("saltation core needs shape j' i+ kbar")
+    prefix = DoubleWord(w.letters[:-L - 1])
+    k = -kbar
+    target = prefix.concat(wordmod.square_word(block, cdata)).concat(
+        DoubleWord((weyl.star(cdata, k),)))
+    return prefix, block, k, target
+
+
 @dataclass(frozen=True)
 class XiCoreStep(Step):
     """Saltation core: source word j' i+ kbar (one-sign reduced block i+ of
@@ -273,30 +333,17 @@ class XiCoreStep(Step):
     cdata: CartanData
     word_before: DoubleWord
 
-    def _shape(self):
-        w = self.word_before
-        L = wordmod.dual_block_length(self.cdata)
-        block = DoubleWord(w.letters[-L - 1:-1])
-        kbar = w.letters[-1]
-        if kbar > 0 or not wordmod.is_positive_reduced(block, self.cdata):
-            raise InapplicableMove("saltation core needs shape j' i+ kbar")
-        prefix = DoubleWord(w.letters[:-L - 1])
-        return prefix, block, -kbar
-
     @property
     def word_after(self) -> DoubleWord:
-        prefix, block, k = self._shape()
-        ks = weyl.star(self.cdata, k)
-        return prefix.concat(wordmod.square_word(block, self.cdata)).concat(DoubleWord((ks,)))
+        return _core_shape(self.cdata, self.word_before)[3]
 
     def apply(self, values: Assignment) -> Assignment:
-        prefix, block, k = self._shape()
         cdata = self.cdata
         rank = cdata.rank
         w = self.word_before
+        prefix, block, k, target = _core_shape(cdata, w)
         ks = weyl.star(cdata, k)
-        target = self.word_after
-        zmap = zeta_map(block, cdata)
+        zmap, _ = _zeta_maps(cdata, block)
         (pl, lv), (rest, restv) = split_point(w, values, len(prefix), rank)
         (pmid, mv), _ = split_point(rest, restv, len(block), rank)
         y = zmap.apply(mv)
@@ -389,9 +436,8 @@ class XiCoreInverseStep(Step):
     word_after: DoubleWord   # = forward step's word_before
 
     def apply(self, values: Assignment) -> Assignment:
-        fwd = XiCoreStep(self.cdata, self.word_after)
-        prefix, block, k = fwd._shape()
         cdata = self.cdata
+        prefix, block, k, _ = _core_shape(cdata, self.word_after)
         rank = cdata.rank
         src = self.word_after          # word of the forward source
         ks = weyl.star(cdata, k)
@@ -412,7 +458,7 @@ class XiCoreInverseStep(Step):
             for c in range(top):
                 gv[(wire, c)] = values[(wire, c)]
         gv[(ks, mid[ks])] = values[(ks, mid[ks])] * k_top
-        zmap = zeta_map(block, cdata)
+        zmap, zmap_inverse = _zeta_maps(cdata, block)
         # interiors of the block preimage do not depend on bottoms or tops
         zvals: Assignment = {}
         for wire in range(1, rank + 1):
@@ -422,7 +468,7 @@ class XiCoreInverseStep(Step):
                 zvals[(wire, c)] = gv[(wire, prefix.count(wire) + c)]
             if nb:
                 zvals[(wire, nb)] = one
-        back = zmap.inverse().apply(zvals)
+        back = zmap_inverse.apply(zvals)
         # block point: bottoms pinned to 1 by the canonical split, interiors
         # recovered, tops from the preserved frozen slots except the moved
         # wire's, tracked as the unknown X and solved from the starred wire's
@@ -577,6 +623,14 @@ def zeta_map(w: DoubleWord, cdata: CartanData, stages: Optional[int] = None) -> 
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _zeta_maps(cdata: CartanData, block: DoubleWord) -> tuple[RationalMap, RationalMap]:
+    """The zeta map of a saltation block and its inverse, built once per
+    block rather than once per point."""
+    zmap = zeta_map(block, cdata)
+    return zmap, zmap.inverse()
+
+
 # ---------------------------------------------------------------------------
 # Dual moves and saltations
 # ---------------------------------------------------------------------------
@@ -598,6 +652,7 @@ def dual_move_map(w: DoubleWord, cdata: CartanData) -> RationalMap:
             out = out.then(leg)
             cur = leg.target_word
         core = XiCoreStep(cdata, cur)
+        _zeta_maps(cdata, _core_shape(cdata, cur)[1])  # built with the map, not per point
         out = out.then(RationalMap(cdata, cur, core.word_after, (core,), True))
         cur = core.word_after
         # migrate the new positive letter k* back to the block front

@@ -23,6 +23,27 @@ def test_prime_field_division():
         a / Fp(0, 7)
 
 
+def test_prime_field_inverse_matches_fermat(rng):
+    p = DEFAULT_PRIME
+    for _ in range(200):
+        x = rng.randrange(1, p)
+        fermat = pow(x, p - 2, p)
+        assert Fp(x, p).inverse().value == fermat
+        assert (Fp(1, p) / Fp(x, p)).value == fermat
+        assert (Fp(x, p) ** -3).value == pow(fermat, 3, p)
+
+
+def test_non_invertible_residue_raises():
+    # only a directly built Fp with a composite modulus has one; Fermat's
+    # x^(p-2) would return a wrong value here (6^13 = 6 mod 15)
+    six = Fp(6, 15)
+    for divide in (lambda: Fp(1, 15) / six, lambda: 1 / six,
+                   lambda: six.inverse(), lambda: six ** -1, lambda: Fp(0, 15).inverse()):
+        with pytest.raises(DivisionByZero):
+            divide()
+    assert Fp(1, 15) / Fp(7, 15) == Fp(13, 15)  # 7 is a unit mod 15
+
+
 def test_prime_field_mixed_arithmetic():
     a = Fp(3, 11)
     assert a + 1 == Fp(4, 11)

@@ -1,11 +1,13 @@
+import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from cluster_dual import cartan as weyl
 from cluster_dual import golden, maps, seeds, words
-from cluster_dual.arith import TrialConfig
-from cluster_dual.errors import FrozenDirection, NoPath, SingularPoint
+from cluster_dual.arith import DEFAULT_PRIME, TrialConfig
+from cluster_dual.errors import FrozenDirection, InvariantViolation, NoPath, SingularPoint
 from cluster_dual.words import Move
 
 from conftest import W, rational_point
@@ -254,3 +256,120 @@ def test_artin_generator_is_poisson():
     assert maps.is_poisson_map(t1, cfg).is_equal
     mu = maps.mu_hat(W("-1,1"), W("1,1"), A1, weyl.longest_element(A1))
     assert maps.is_poisson_map(mu, cfg).is_equal
+
+
+# ---------------------------------------------------------------------------
+# Lowered move steps against the seed-level chain they stand for
+# ---------------------------------------------------------------------------
+
+def _seed_level_step(step, values):
+    """What a MoveStep means: walk the word's seed alongside the point, one
+    induced mutation at a time, then relabel."""
+    w, mv, cdata = step.word_before, step.move, step.cdata
+    seed = seeds.seed_for_word(w, cdata)
+    fixed = seed.cover_right if step.restricted else frozenset()
+    positive = {"tau_left": w.letters[0] > 0, "tau_right": w.letters[-1] > 0}.get(mv.kind)
+    induced = [] if step.restricted and mv.kind == "tau_right" else \
+        maps._move_mutations(w, mv, cdata)
+    for ix, kind in induced:
+        if kind == "regular":
+            values = maps.mutate_point(seed, values, ix, fixed)
+            seed = seeds.mutate_seed(seed, ix)
+        else:
+            values = maps.tropical_mutate_point(seed, values, ix, positive)
+            seed = seeds.tropical_mutate_seed(seed, ix, positive)
+    sigma = words.index_map(w, mv, cdata)
+    return {sigma.get(ix, ix): val for ix, val in values.items()}
+
+
+def _outcome(fn, values):
+    try:
+        return list(fn(values).items())  # key order too
+    except SingularPoint:
+        return "singular"
+
+
+def _one_sign_blocks(cdata):
+    w0 = weyl.longest_element(cdata)
+    for letters in sorted(weyl.reduced_words(w0)):
+        for sign in (1, -1):
+            yield words.DoubleWord(tuple(sign * x for x in letters))
+
+
+def test_lowered_steps_match_seed_level_chain():
+    base = W("1,2,1,1,2,1")
+    composites = [maps.artin_T_word(base, letters, A2) for letters in ((1, 2, 1), (2, 1, 2))]
+    for label in ("A2", "B2", "G2"):
+        cdata = weyl.build_cartan(label)
+        blocks = list(_one_sign_blocks(cdata))
+        composites += [maps.zeta_map(block, cdata) for block in blocks]
+        # the braid moves between the blocks: 3-, 4- and 6-moves, several
+        # mutations each for the last two
+        composites += [maps.path_transform(a, b, cdata, words.D_KINDS, restricted)
+                       for a in blocks for b in blocks
+                       if a != b and (a[0] > 0) == (b[0] > 0)
+                       for restricted in (False, True)]
+    steps = {s for m in composites for s in m.steps if isinstance(s, maps.MoveStep)}
+    kinds = {(s.move.kind, s.restricted) for s in steps}
+    assert {("mixed2", True), ("tau_right", True), ("tau_left", False),
+            ("tau_right", False), ("mixed2", False)} <= kinds
+    assert {s.move.order for s in steps if s.move.kind.endswith("_d")} == {3, 4, 6}
+    rng = random.Random("lowered-steps")
+    singular = 0
+    for step in sorted(steps, key=lambda s: (s.cdata.type_label, s.word_before.letters,
+                                             s.move.kind, s.move.pos, s.restricted)):
+        for p in (DEFAULT_PRIME, None, DEFAULT_PRIME, None):
+            vals = maps.random_assignment(step.word_before, step.cdata, rng, p, bound=4)
+            want = _outcome(lambda v: _seed_level_step(step, v), vals)
+            assert _outcome(step.apply, vals) == want, step.describe()
+            singular += want == "singular"
+    assert singular  # small rationals reach 1 + x_k = 0
+
+
+def test_lowered_steps_keep_their_errors(monkeypatch):
+    # x_k = 0 and 1 + x_k = 0 at a regular mutation, x_k = 0 at a tropical one
+    step = maps.MoveStep(A1, W("-1,1"), Move("mixed2", 0, 2), False)
+    vals = {(1, 0): F(2), (1, 1): F(3), (1, 2): F(5)}
+    step.apply(vals)  # the plan exists from here on
+    for bad in (F(0), F(-1)):
+        with pytest.raises(SingularPoint):
+            step.apply({**vals, (1, 1): bad})
+    flip = maps.MoveStep(A1, W("1,1"), Move("tau_left", 0), False)
+    assert flip.apply(vals)[(1, 0)] == F(1, 2)
+    with pytest.raises(SingularPoint):
+        flip.apply({**vals, (1, 0): F(0)})
+    # a 3-move window running past the word mutates at a frozen slot
+    past_end = maps.MoveStep(A2, W("1,2"), Move("positive_d", 0, 3), False)
+    point = {(1, 0): F(2), (1, 1): F(3), (2, 0): F(5), (2, 1): F(7)}
+    for _ in range(2):
+        with pytest.raises(FrozenDirection):
+            past_end.apply(point)
+    # a non-integral exchange exponent is an invariant violation
+    good = seeds.seed_for_word(W("-1,1"), A1)
+    broken = dataclasses.replace(good, epsilon={**good.epsilon, ((1, 0), (1, 1)): F(1, 2)})
+    fresh = maps.MoveStep(A1, W("-1,1"), Move("mixed2", 0, 2), True)
+    monkeypatch.setattr(maps, "seed_for_word", lambda w, cdata: broken)
+    maps._move_plan.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation):
+            fresh.apply(vals)
+    finally:
+        monkeypatch.undo()
+        maps._move_plan.cache_clear()
+    assert fresh.apply(vals) == _seed_level_step(fresh, vals)
+
+
+def test_zeta_maps_built_with_the_map(rng, monkeypatch):
+    maps._zeta_maps.cache_clear()
+    w = W("-1,1,2,1")
+    xi = maps.xi_saltation(w, A2)
+    back = xi.inverse()
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("zeta map built during evaluation")
+
+    monkeypatch.setattr(maps, "zeta_map", no_build)
+    for _ in range(3):
+        vals = rational_point(w, A2, rng)
+        assert back.apply(xi.apply(vals)) == vals
+    assert maps._zeta_maps.cache_info().misses == 1
