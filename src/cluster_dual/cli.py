@@ -94,9 +94,6 @@ def cmd_verify(args) -> int:
     reports = []
     rng_seed = _rng_seed(args)
     for name in names:
-        if args.all and args.level == "matrix" \
-                and name in ("PGL2_TABLE", "EVHAT_POISSON") and args.type != "A1":
-            continue  # rank-one data only; skipped rather than failing --all
         check = evals.IdentityCheck(name, args.type, trials=args.trials,
                                     prime=args.prime, rng_seed=rng_seed,
                                     level=args.level)

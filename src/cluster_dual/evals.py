@@ -190,7 +190,7 @@ def star_transport(w: DoubleWord, cdata: CartanData,
 def tau_product(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMatrix:
     """Ordered product of negative root elements attached to a negative
     reduced word of the longest element, with parameters read through the
-    partial zeta transports.
+    partial zeta transports (one walk along the word's zeta map).
 
     Fed the starred transport of a split factor (whose boundary values are
     already negated inverses), the product with parameters equal to the
@@ -205,13 +205,18 @@ def tau_product(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMa
     if weyl.from_word(cdata, letters) != w0:
         raise PreconditionFailed("tau product needs a word of the longest element")
     like = next(iter(values.values()), Fraction(1))
+    # stage k of the zeta map opens with a left tau flip; the k-th parameter
+    # is read just before it, after the first k - 1 stages
+    params = []
+    for step in mapmod._zeta_maps(cdata, w)[0].steps:
+        if step.move.kind == "tau_left":
+            params.append(-values[(letters[len(params)], 0)])
+            if len(params) == len(letters):
+                break
+        values = step.apply(values)
     out = grp.identity(rank + 1, like)
-    n = len(letters)
-    for k in range(1, n + 1):
-        transported = mapmod.zeta_map(w, cdata, stages=k - 1).apply(values)
-        param = -transported[(letters[k - 1], 0)]
-        suffix = letters[k:]
-        rep = grp.word_representative(rank, suffix, like)
+    for k, param in enumerate(params, 1):
+        rep = grp.word_representative(rank, letters[k:], like)
         out = out * rep.inverse() * grp.x_neg(rank, letters[k - 1], param) * rep
     return out
 
@@ -311,8 +316,6 @@ def check_identity(check: IdentityCheck) -> Report:
                 f"no matrix-level desk instances for {check.cartan_type} "
                 f"(type-A group layer plus configured words needed); "
                 f"use --level seed for rank-2 shadows")
-        if check.name in ("PGL2_TABLE", "EVHAT_POISSON") and check.cartan_type != "A1":
-            raise UnsupportedForType(f"{check.name} runs on the rank-one data")
         _CHECK_IMPLS[check.name](runner)
     runner.report.elapsed_ms = int((time.monotonic() - start) * 1000)
     return runner.report
@@ -645,24 +648,24 @@ def _braid(runner: _CheckRunner) -> None:
                          equal=_values_equal)
 
 
-def _pgl2_table(runner: _CheckRunner) -> None:
+def _ev_hat_brackets(runner: _CheckRunner, words: tuple[str, ...]) -> None:
+    """The six dual-structure brackets of the 2x2 entries of ev_hat, pulled
+    back from the bracket seed of each rank-one word, against the golden
+    table; one jet ev_hat per point gives all of them."""
     from .golden import bracket_table_entries
+    if runner.check.cartan_type != "A1":
+        raise UnsupportedForType(f"{runner.check.name} runs on the rank-one data")
     cdata = runner.cdata
-    for s in ("-1,1", "1,1"):
+    for s in words:
         w = DoubleWord.from_string(s)
         ctx = make_context(w, cdata)
         eta = bracket_seed(seed_for_word(w, cdata))
 
         def lhs(vals, ctx=ctx, eta=eta):
-            out = []
-            for (r1, c1), (r2, c2), _ in bracket_table_entries():
-                br = mapmod.poisson_bracket_at(
-                    eta,
-                    lambda jets, r1=r1, c1=c1: ev_hat(ctx, jets)[r1][c1],
-                    lambda jets, r2=r2, c2=c2: ev_hat(ctx, jets)[r2][c2],
-                    vals)
-                out.append(br)
-            return tuple(out)
+            entries = lambda jets: [x for row in ev_hat(ctx, jets).rows for x in row]
+            br = mapmod.bracket_matrix_at(eta, entries, vals)
+            return tuple(br[2 * r1 + c1][2 * r2 + c2]
+                         for (r1, c1), (r2, c2), _ in bracket_table_entries())
 
         def rhs(vals, ctx=ctx):
             g = ev_hat(ctx, vals)
@@ -733,35 +736,6 @@ def _phi_rel(runner: _CheckRunner) -> None:
     runner.run_pointwise(w, lhs2, rhs2)
 
 
-def _evhat_poisson(runner: _CheckRunner) -> None:
-    from .golden import bracket_table_entries
-    cdata = runner.cdata
-    for s in ("-1,1", "1,1", "1"):
-        w = DoubleWord.from_string(s)
-        ctx = make_context(w, cdata)
-        eta = bracket_seed(seed_for_word(w, cdata))
-        pairs = [((0, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 0), (1, 1)),
-                 ((0, 1), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (1, 1))]
-        table = {((r1, c1), (r2, c2)): fn
-                 for (r1, c1), (r2, c2), fn in bracket_table_entries()}
-
-        def lhs(vals, ctx=ctx, eta=eta, pairs=pairs):
-            out = []
-            for (e1, e2) in pairs:
-                out.append(mapmod.poisson_bracket_at(
-                    eta,
-                    lambda jets, e1=e1: ev_hat(ctx, jets)[e1[0]][e1[1]],
-                    lambda jets, e2=e2: ev_hat(ctx, jets)[e2[0]][e2[1]],
-                    vals))
-            return tuple(out)
-
-        def rhs(vals, ctx=ctx, pairs=pairs, table=table):
-            g = ev_hat(ctx, vals)
-            return tuple(table[pair](g) for pair in pairs)
-
-        runner.run_pointwise(w, lhs, rhs, equal=_values_equal)
-
-
 _CHECK_IMPLS = {
     "FG_MUTATION": _fg_mutation,
     "TWIST": _twist,
@@ -775,8 +749,8 @@ _CHECK_IMPLS = {
     "TORMUT": _tormut,
     "DCKP_CLUSTER": _dckp_cluster,
     "BRAID": _braid,
-    "PGL2_TABLE": _pgl2_table,
+    "PGL2_TABLE": lambda runner: _ev_hat_brackets(runner, ("-1,1", "1,1")),
     "SITROP": _sitrop,
     "PHI_REL": _phi_rel,
-    "EVHAT_POISSON": _evhat_poisson,
+    "EVHAT_POISSON": lambda runner: _ev_hat_brackets(runner, ("-1,1", "1,1", "1")),
 }

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import cartan as weyl
 from . import seeds as seedmod
 from . import words as wordmod
-from .arith import Fp, TrialConfig, Verdict, jet_lift, spow, _is_nonzero, maps_equal_probabilistic
+from .arith import Fp, TrialConfig, Verdict, jet_point, spow, _is_nonzero, maps_equal_probabilistic
 from .cartan import CartanData, WeylElement
 from .errors import (FrozenDirection, FrozenStructureViolation, InapplicableMove,
                      InvariantViolation, NoPath, PreconditionFailed, SingularPoint)
@@ -581,15 +582,13 @@ def path_transform(source: DoubleWord, target: DoubleWord, cdata: CartanData,
 # Zeta maps (twist sections)
 # ---------------------------------------------------------------------------
 
-def zeta_map(w: DoubleWord, cdata: CartanData, stages: Optional[int] = None) -> RationalMap:
+def zeta_map(w: DoubleWord, cdata: CartanData) -> RationalMap:
     """The generalized cluster transformation from a one-sign reduced word to
     its square word, as a composition of tau flips and mixed 2-moves.
 
     For a positive word the letters are barred from the tail (each stage: a
     right tau flip, then the bar migrates left to the bar block); for a
-    negative word from the head (left tau flip, migration right).  ``stages``
-    truncates the composition (positive words count stages from the tail,
-    negative words from the head)."""
+    negative word from the head (left tau flip, migration right)."""
     n = len(w)
     if wordmod.is_positive_reduced(w, cdata):
         positive = True
@@ -597,11 +596,10 @@ def zeta_map(w: DoubleWord, cdata: CartanData, stages: Optional[int] = None) -> 
         positive = False
     else:
         raise PreconditionFailed("zeta needs a one-sign reduced word")
-    total = n if stages is None else stages
     out = identity_map(w, cdata)
     cur = w
     if positive:
-        for stage in range(total):
+        for stage in range(n):
             k = n - stage  # barring letter i_k, k = n..1
             leg = dmove_transform(cur, Move("tau_right", len(cur) - 1), cdata)
             out = out.then(leg)
@@ -611,7 +609,7 @@ def zeta_map(w: DoubleWord, cdata: CartanData, stages: Optional[int] = None) -> 
                 out = out.then(leg)
                 cur = leg.target_word
     else:
-        for stage in range(total):
+        for stage in range(n):
             k = stage + 1  # unbarring letter j_k, k = 1..n
             leg = dmove_transform(cur, Move("tau_left", 0), cdata)
             out = out.then(leg)
@@ -694,14 +692,14 @@ def _dhat_edge_map(w: DoubleWord, move: Move, cdata: CartanData) -> RationalMap:
     raise InapplicableMove(f"{move.kind} is not a dhat move")
 
 
-_MU_HAT_CACHE: dict = {}
+# States a mu_hat path search expands before it gives up.
+_MU_HAT_MAX_STATES = 200_000
 
 
 def mu_hat(source: DoubleWord, target: DoubleWord, cdata: CartanData,
            v: WeylElement,
            w1_source: Optional[WeylElement] = None,
-           w1_target: Optional[WeylElement] = None,
-           max_states: int = 200_000) -> RationalMap:
+           w1_target: Optional[WeylElement] = None) -> RationalMap:
     """The birational Poisson isomorphism between the bracket tori of two
     words of D(v): restricted cluster transformations along d-moves, the
     identity along right tau moves, saltations along dual moves.
@@ -722,12 +720,16 @@ def mu_hat(source: DoubleWord, target: DoubleWord, cdata: CartanData,
         if found is None:
             raise PreconditionFailed(f"{target.to_string()} not in D(v)")
         w1_target = found[0].w1
-    key = (source.letters, target.letters, cdata.type_label,
-           v.root_matrix, w1_source.root_matrix, w1_target.root_matrix)
-    cached = _MU_HAT_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _mu_hat(cdata, source, target, v, w1_source, w1_target)
 
+
+# Bounded: all 160 A2 artin-T maps and their inverses need 320 entries.
+@functools.lru_cache(maxsize=1024)
+def _mu_hat(cdata: CartanData, source: DoubleWord, target: DoubleWord,
+            v: WeylElement, w1_source: WeylElement, w1_target: WeylElement
+            ) -> RationalMap:
+    """mu_hat between resolved classes: a breadth-first search over
+    class-coherent dhat moves, then the composite along the path found."""
     memo: dict = {}
 
     def in_dv(word: DoubleWord, w1: WeylElement) -> bool:
@@ -741,7 +743,6 @@ def mu_hat(source: DoubleWord, target: DoubleWord, cdata: CartanData,
             f"{source.to_string()} is not a ({w1_source.reduced_word()},*) word of D(v)")
     start = (source, w1_source)
     goal = (target, w1_target)
-    from collections import deque
     seen = {start}
     queue = deque([(start, [])])
     path = None
@@ -751,8 +752,8 @@ def mu_hat(source: DoubleWord, target: DoubleWord, cdata: CartanData,
     while queue and path is None:
         (word, w1), trail = queue.popleft()
         expanded += 1
-        if expanded > max_states:
-            break
+        if expanded > _MU_HAT_MAX_STATES:
+            raise NoPath(f"search aborted after {_MU_HAT_MAX_STATES} states")
         for mv in wordmod.applicable_moves(word, cdata, wordmod.DHAT_KINDS):
             try:
                 nxt = wordmod.apply_move(word, mv, cdata)
@@ -780,7 +781,6 @@ def mu_hat(source: DoubleWord, target: DoubleWord, cdata: CartanData,
         leg = _dhat_edge_map(cur, mv, cdata)
         out = out.then(leg)
         cur = leg.target_word
-    _MU_HAT_CACHE[key] = out
     return out
 
 
@@ -848,35 +848,45 @@ def artin_T_word(w: DoubleWord, letters: Sequence[int], cdata: CartanData,
 # Poisson brackets
 # ---------------------------------------------------------------------------
 
+def bracket_matrix_at(seed: Seed, fn: Callable, values: Assignment) -> tuple:
+    """{f_a, f_b} at a point for every pair of the functions fn returns: the
+    pullback of the seed's log-canonical form,
+    sum over pairs of eps_hat_ij x_i x_j (d_i f_a)(d_j f_b).
+
+    fn takes a jet-valued assignment and returns a sequence of jets.  It runs
+    once, at the point lifted to jets; every bracket is read off the
+    partials of that one pass."""
+    ixs = sorted(values.keys())
+    point = [values[ix] for ix in ixs]
+    partials = [f.partials for f in fn(dict(zip(ixs, jet_point(point))))]
+    form = []
+    for s, i in enumerate(ixs):
+        for t, j in enumerate(ixs):
+            e = seed.eps_hat(i, j)
+            if e != 0:
+                form.append((s, t, e * values[i] * values[j]))
+    # the field's zero, for a seed without brackets
+    zero = None if form else spow(point[0], 0) - spow(point[0], 0)
+
+    def bracket(da, db):
+        terms = [c * da[s] * db[t] for s, t, c in form]
+        return sum(terms[1:], terms[0]) if terms else zero
+
+    return tuple(tuple(bracket(da, db) for db in partials) for da in partials)
+
+
 def poisson_bracket_at(seed: Seed, f: Callable, g: Callable, values: Assignment):
-    """{f, g} at a point for the log-canonical structure of the seed:
-    sum over pairs of eps_hat_ij x_i x_j (d_i f)(d_j g).
+    """{f, g} at a point: the two-function case of ``bracket_matrix_at``.
 
     f and g take a jet-valued assignment and return a jet; a SeedIndex is
     also accepted and means the corresponding coordinate function."""
-    ixs = sorted(values.keys())
-    pos = {ix: t for t, ix in enumerate(ixs)}
-    point = [values[ix] for ix in ixs]
-    jets = {ix: jet_lift(point, pos[ix]) for ix in ixs}
-
     def as_fun(h):
         if isinstance(h, tuple):
             return lambda a: a[h]
         return h
 
-    fj = as_fun(f)(jets)
-    gj = as_fun(g)(jets)
-    out = None
-    for i in ixs:
-        for j in ixs:
-            e = seed.eps_hat(i, j)
-            if e == 0:
-                continue
-            term = e * values[i] * values[j] * fj.partials[pos[i]] * gj.partials[pos[j]]
-            out = term if out is None else out + term
-    if out is None:
-        out = spow(point[0], 0) - spow(point[0], 0)
-    return out
+    f, g = as_fun(f), as_fun(g)
+    return bracket_matrix_at(seed, lambda jets: (f(jets), g(jets)), values)[0][1]
 
 
 def is_poisson_map(m: RationalMap, cfg: TrialConfig,
@@ -884,7 +894,7 @@ def is_poisson_map(m: RationalMap, cfg: TrialConfig,
                    target_bracket: Optional[Seed] = None) -> Verdict:
     """Check that m intertwines the log-canonical brackets: for all pairs,
     {m* x'_a, m* x'_b}_source = eps_hat'_ab (m* x'_a)(m* x'_b) at random
-    prime-field points."""
+    prime-field points.  One jet pass of m per point gives every bracket."""
     src = source_bracket
     if src is None:
         src = seed_for_word(m.source_word, m.cdata)
@@ -897,30 +907,20 @@ def is_poisson_map(m: RationalMap, cfg: TrialConfig,
             tgt = bracket_seed(tgt)
     src_ixs = wordmod.seed_indices(m.source_word, m.cdata.rank)
     tgt_ixs = wordmod.seed_indices(m.target_word, m.cdata.rank)
+    pairs = [(a, b) for a in range(len(tgt_ixs)) for b in range(a + 1, len(tgt_ixs))]
+
+    def pullbacks(values: Assignment) -> list:
+        image = m.apply(values)
+        return [image[ix] for ix in tgt_ixs]
 
     def lhs(point: tuple) -> tuple:
-        values = dict(zip(src_ixs, point))
-        out = []
-        for a in range(len(tgt_ixs)):
-            for b in range(a + 1, len(tgt_ixs)):
-                ia, ib = tgt_ixs[a], tgt_ixs[b]
-                br = poisson_bracket_at(
-                    src,
-                    lambda jets, ia=ia: m.apply(jets)[ia],
-                    lambda jets, ib=ib: m.apply(jets)[ib],
-                    values)
-                out.append(br)
-        return tuple(out)
+        brackets = bracket_matrix_at(src, pullbacks, dict(zip(src_ixs, point)))
+        return tuple(brackets[a][b] for a, b in pairs)
 
     def rhs(point: tuple) -> tuple:
-        values = dict(zip(src_ixs, point))
-        image = m.apply(values)
-        out = []
-        for a in range(len(tgt_ixs)):
-            for b in range(a + 1, len(tgt_ixs)):
-                ia, ib = tgt_ixs[a], tgt_ixs[b]
-                out.append(tgt.eps_hat(ia, ib) * image[ia] * image[ib])
-        return tuple(out)
+        image = pullbacks(dict(zip(src_ixs, point)))
+        return tuple(tgt.eps_hat(tgt_ixs[a], tgt_ixs[b]) * image[a] * image[b]
+                     for a, b in pairs)
 
     return maps_equal_probabilistic(lhs, rhs, len(src_ixs), cfg)
 

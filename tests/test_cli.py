@@ -1,6 +1,6 @@
 import json
 
-from cluster_dual import cli
+from cluster_dual import cli, evals
 
 
 def run(args, capsys):
@@ -26,6 +26,16 @@ def test_verify_config_errors(capsys):
     assert run(["verify", "BRAID", "--type", "G2", "--level", "matrix",
                 "--trials", "1"], capsys)[0] == 2
     assert run(["verify"], capsys)[0] == 2
+
+
+def test_verify_rank_one_tables(monkeypatch, capsys):
+    code, _, err = run(["verify", "PGL2_TABLE", "--type", "A2", "--trials", "1"], capsys)
+    assert code == 2 and "PGL2_TABLE runs on the rank-one data" in err
+    # under --all the rank-one tables are skipped on other types
+    monkeypatch.setattr(evals, "CHECK_NAMES", ("PGL2_TABLE", "PHI_REL", "EVHAT_POISSON"))
+    code, stdout, _ = run(["verify", "--all", "--type", "A2", "--trials", "1"], capsys)
+    assert code == 0
+    assert [r["name"] for r in json.loads(stdout)["reports"]] == ["PHI_REL"]
 
 
 def test_verify_small_prime_override(capsys):

@@ -122,6 +122,27 @@ def test_tau_product_reconstructs_lower_factor(rng):
             assert evals.tau_product(sw, cdata, sv) == n_minus
 
 
+def test_tau_product_builds_no_zeta_map_per_point(rng, monkeypatch):
+    maps._zeta_maps.cache_clear()
+    word = W("1,2,1,1,2,1")
+
+    def starred_left_factor():
+        (lw, lv), _ = maps.split_point(word, rational_point(word, A2, rng), 3, A2.rank)
+        return evals.star_transport(lw, A2, lv)
+
+    sw, sv = starred_left_factor()
+    evals.tau_product(sw, A2, sv)  # builds the word's zeta map, once
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("zeta map built during evaluation")
+
+    monkeypatch.setattr(maps, "zeta_map", no_build)
+    for _ in range(3):
+        sw, sv = starred_left_factor()
+        evals.tau_product(sw, A2, sv)
+    assert maps._zeta_maps.cache_info().misses == 1
+
+
 def test_dckp_examples(rng):
     word = W("1,1")
     ctx = evals.make_context(word, A1)

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from cluster_dual import cartan as weyl
-from cluster_dual import golden, maps, seeds, words
-from cluster_dual.arith import DEFAULT_PRIME, TrialConfig
+from cluster_dual import evals, golden, maps, seeds, words
+from cluster_dual.arith import DEFAULT_PRIME, Jet, TrialConfig
 from cluster_dual.errors import FrozenDirection, InvariantViolation, NoPath, SingularPoint
 from cluster_dual.words import Move
 
@@ -146,6 +146,17 @@ def test_mu_hat_identity_and_saltation_route():
     assert any("saltation" in kind for kind in kinds)
 
 
+def test_mu_hat_cache_bounded_and_search_abort(monkeypatch):
+    w0 = weyl.longest_element(A1)
+    assert maps._mu_hat.cache_info().maxsize == 1024
+    first = maps.mu_hat(W("-1,1"), W("1,1"), A1, w0)
+    assert maps.mu_hat(W("-1,1"), W("1,1"), A1, w0) is first
+    maps._mu_hat.cache_clear()
+    monkeypatch.setattr(maps, "_MU_HAT_MAX_STATES", 0)
+    with pytest.raises(NoPath, match="search aborted after 0 states"):
+        maps.mu_hat(W("-1,1"), W("1,1"), A1, w0)
+
+
 def test_artin_T_golden_forms():
     t1 = maps.artin_T(W("1,1"), 1, A1)
     vals = {(1, 0): F(2), (1, 1): F(3), (1, 2): F(5)}
@@ -208,6 +219,67 @@ def test_is_poisson_map_positive_and_negative():
 
     bad = Corrupted(mu.cdata, mu.source_word, mu.target_word, mu.steps, mu.restricted)
     assert maps.is_poisson_map(bad, cfg).status == "counterexample"
+
+
+def _matrix_matches_pairwise(seed, fn, word, cdata, rng, rounds):
+    """bracket_matrix_at against pairwise poisson_bracket_at for every pair
+    a < b of fn's outputs (the rest by antisymmetry), at ``rounds`` seeded
+    F_p and as many Q points; returns the points used."""
+    used = 0
+    for prime in (DEFAULT_PRIME, None) * rounds:
+        vals = maps.random_assignment(word, cdata, rng, prime)
+        try:
+            matrix = maps.bracket_matrix_at(seed, fn, vals)
+        except SingularPoint:
+            continue
+        n = len(matrix)
+        for a in range(n):
+            assert matrix[a][a] == 0
+            for b in range(a + 1, n):
+                pairwise = maps.poisson_bracket_at(
+                    seed, lambda jets: fn(jets)[a], lambda jets: fn(jets)[b], vals)
+                assert matrix[a][b] == pairwise == -matrix[b][a]
+                assert type(matrix[a][b]) is type(pairwise)
+        used += 1
+    return used
+
+
+def test_bracket_matrix_matches_pairwise_on_ev_hat_entries():
+    rng = random.Random("bracket-matrix:ev_hat")
+    for text in ("-1,1", "1,1", "1"):
+        word = W(text)
+        ctx = evals.make_context(word, A1)
+        eta = seeds.bracket_seed(seeds.seed_for_word(word, A1))
+        entries = lambda jets, ctx=ctx: [x for row in evals.ev_hat(ctx, jets).rows for x in row]
+        assert _matrix_matches_pairwise(eta, entries, word, A1, rng, rounds=1) == 2
+
+
+def test_bracket_matrix_matches_pairwise_on_map_targets():
+    rng = random.Random("bracket-matrix:maps")
+    mu = maps.dmove_transform(W("1,-2,1"), Move("mixed2", 1, 2), A2)
+    trop = maps.dmove_transform(W("1,1"), Move("tau_left", 0), A1)
+    trop_r = maps.dmove_transform(W("-1,1"), Move("tau_right", 1), A1)
+    for m in (mu, trop, trop_r):
+        src = seeds.seed_for_word(m.source_word, m.cdata)
+        tgt_ixs = words.seed_indices(m.target_word, m.cdata.rank)
+        images = lambda jets, m=m, ixs=tgt_ixs: [m.apply(jets)[ix] for ix in ixs]
+        assert _matrix_matches_pairwise(src, images, m.source_word, m.cdata, rng, rounds=3) >= 4
+
+
+def test_is_poisson_map_one_jet_pass_per_point():
+    class Counted(maps.RationalMap):
+        jet_passes = 0
+
+        def apply(self, values):
+            if isinstance(next(iter(values.values())), Jet):
+                Counted.jet_passes += 1
+            return super().apply(values)
+
+    mu = maps.dmove_transform(W("1,-2,1"), Move("mixed2", 1, 2), A2)
+    counted = Counted(mu.cdata, mu.source_word, mu.target_word, mu.steps, mu.restricted)
+    cfg = TrialConfig(trials=4, rng_seed=2)
+    assert maps.is_poisson_map(counted, cfg).is_equal
+    assert Counted.jet_passes == cfg.trials
 
 
 def test_saltation_is_poisson():
