@@ -219,6 +219,10 @@ def _zero_like(x):
     return _coerce_int(0, x) if not isinstance(x, int) else Fraction(0)
 
 
+def _one_like(x):
+    return _coerce_int(1, x) if not isinstance(x, int) else Fraction(1)
+
+
 def _is_nonzero(x) -> bool:
     if isinstance(x, Fp):
         return x.value != 0
@@ -230,10 +234,9 @@ def _is_nonzero(x) -> bool:
 def spow(x, n: int):
     """x**n for any scalar, with negative exponents meaning exact inversion."""
     if n == 0:
-        return _coerce_int(1, x) if not isinstance(x, int) else Fraction(1)
+        return _one_like(x)
     if n < 0:
-        one = _coerce_int(1, x) if not isinstance(x, int) else Fraction(1)
-        x = one / x
+        x = _one_like(x) / x
         n = -n
     out = x
     for _ in range(n - 1):

@@ -119,50 +119,48 @@ def make_context(w: DoubleWord, cdata: CartanData,
     return EvalContext(cdata, w, dec.v, dec.w1, dec.w2, dec.split, transport)
 
 
-def _ev_r_factored(cdata: CartanData, word: DoubleWord, cut: int, w2: WeylElement,
-                   values: Assignment) -> GroupMatrix:
+def _ev_factored(ctx: EvalContext, values: Assignment
+                 ) -> tuple[Assignment, GroupMatrix, GroupMatrix]:
+    """The point on the factored word i1 i2, ev(i1) and the right projection
+    P = gauss_leq0(ev_red(i2) rep(w2 w0)).  The one-sided evaluations are
+    R = ev(i1) P and L = ev(i1) theta(gauss_leq0(theta(P) rep(w0))): L's inner
+    right factor is P itself, because the split puts 1 in the glued slots of
+    i2."""
+    cdata = ctx.cdata
     rank = grp.require_type_a(cdata)
-    (lw, lv), (rw, rv) = mapmod.split_point(word, values, cut, rank)
+    if ctx.transport is not None:
+        values = ctx.transport.apply(values)
+    (lw, lv), (rw, rv) = mapmod.split_point(ctx.factored_word, values, ctx.cut, rank)
     like = next(iter(values.values()), Fraction(1))
-    w0 = weyl.longest_element(cdata)
-    rep = grp.weyl_representative(w2 * w0, like)
-    bracket = grp.gauss_leq0(ev_red(rw, cdata, rv) * rep)
-    return ev(lw, cdata, lv) * bracket
+    rep = grp.weyl_representative(ctx.w2 * weyl.longest_element(cdata), like)
+    return values, ev(lw, cdata, lv), grp.gauss_leq0(ev_red(rw, cdata, rv) * rep)
 
 
-def _ev_l_factored(cdata: CartanData, word: DoubleWord, cut: int, w2: WeylElement,
-                   values: Assignment) -> GroupMatrix:
-    rank = grp.require_type_a(cdata)
-    (lw, lv), (rw, rv) = mapmod.split_point(word, values, cut, rank)
+def _w0_representative(cdata: CartanData, values: Assignment) -> GroupMatrix:
     like = next(iter(values.values()), Fraction(1))
-    w0 = weyl.longest_element(cdata)
-    inner = _ev_r_factored(cdata, rw, 0, w2, rv)  # right factor as (empty, i2)
-    rep0 = grp.weyl_representative(w0, like)
-    bracket = grp.theta(grp.gauss_leq0(grp.theta(inner) * rep0))
-    return ev(lw, cdata, lv) * bracket
+    return grp.weyl_representative(weyl.longest_element(cdata), like)
+
+
+def _ev_left(first: GroupMatrix, proj: GroupMatrix, w0rep: GroupMatrix) -> GroupMatrix:
+    return first * grp.theta(grp.gauss_leq0(grp.theta(proj) * w0rep))
 
 
 def ev_LR(ctx: EvalContext, values: Assignment, side: str) -> GroupMatrix:
     """One-sided evaluations; ``side`` is "L" or "R"."""
-    if ctx.transport is not None:
-        values = ctx.transport.apply(values)
-    fn = _ev_l_factored if side == "L" else _ev_r_factored
-    return fn(ctx.cdata, ctx.factored_word, ctx.cut, ctx.w2, values)
+    values, first, proj = _ev_factored(ctx, values)
+    if side != "L":
+        return first * proj
+    return _ev_left(first, proj, _w0_representative(ctx.cdata, values))
 
 
 def ev_hat(ctx: EvalContext, values: Assignment) -> GroupMatrix:
     """The twisted evaluation of the context's word at a point of its
     bracket torus."""
-    cdata = ctx.cdata
-    rank = grp.require_type_a(cdata)
-    if ctx.transport is not None:
-        values = ctx.transport.apply(values)
-    word = ctx.factored_word
-    like = next(iter(values.values()), Fraction(1))
-    left = _ev_l_factored(cdata, word, ctx.cut, ctx.w2, values)
-    right = _ev_r_factored(cdata, word, ctx.cut, ctx.w2, values)
-    w0rep = grp.weyl_representative(weyl.longest_element(cdata), like)
-    return left * frozen_torus(word, cdata, values).inverse() * w0rep * right.inverse()
+    values, first, proj = _ev_factored(ctx, values)
+    w0rep = _w0_representative(ctx.cdata, values)
+    return (_ev_left(first, proj, w0rep)
+            * frozen_torus(ctx.factored_word, ctx.cdata, values).inverse()
+            * w0rep * (first * proj).inverse())
 
 
 # ---------------------------------------------------------------------------

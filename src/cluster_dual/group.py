@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import _coerce_int, _is_nonzero
+from .arith import _is_nonzero, _one_like, _zero_like
 from .cartan import CartanData, WeylElement
 from .errors import InvalidParameter, NotInBigCell, SingularPoint, UnsupportedForType
 
@@ -44,7 +44,7 @@ class GroupMatrix:
         a, b = self.rows, other.rows
         return GroupMatrix([
             [sum((a[i][k] * b[k][j] for k in range(n)),
-                 start=_zero_of(a[i][0])) for j in range(n)]
+                 start=_zero_like(a[i][0])) for j in range(n)]
             for i in range(n)
         ])
 
@@ -63,8 +63,8 @@ class GroupMatrix:
     def inverse(self) -> "GroupMatrix":
         """Exact Gauss-Jordan inverse; SingularPoint when not invertible."""
         n = self.n
-        one = _one_of(self.rows[0][0])
-        zero = _zero_of(self.rows[0][0])
+        one = _one_like(self.rows[0][0])
+        zero = _zero_like(self.rows[0][0])
         aug = [list(row) + [one if i == j else zero for j in range(n)]
                for i, row in enumerate(self.rows)]
         for col in range(n):
@@ -83,11 +83,11 @@ class GroupMatrix:
     def det(self):
         n = self.n
         mat = [list(row) for row in self.rows]
-        det = _one_of(self.rows[0][0])
+        det = _one_like(self.rows[0][0])
         for col in range(n):
             pivot = next((r for r in range(col, n) if _is_nonzero(mat[r][col])), None)
             if pivot is None:
-                return _zero_of(self.rows[0][0])
+                return _zero_like(self.rows[0][0])
             if pivot != col:
                 mat[col], mat[pivot] = mat[pivot], mat[col]
                 det = -det
@@ -100,17 +100,9 @@ class GroupMatrix:
         return det
 
 
-def _zero_of(x):
-    return _coerce_int(0, x) if not isinstance(x, int) else Fraction(0)
-
-
-def _one_of(x):
-    return _coerce_int(1, x) if not isinstance(x, int) else Fraction(1)
-
-
 def identity(n: int, like=Fraction(1)) -> GroupMatrix:
-    one = _one_of(like)
-    zero = _zero_of(like)
+    one = _one_like(like)
+    zero = _zero_like(like)
     return GroupMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
 
@@ -143,14 +135,14 @@ def _require_range(i: int, rank: int):
 def e_gen(rank: int, i: int, like=Fraction(1)) -> GroupMatrix:
     _require_range(i, rank)
     m = [list(row) for row in identity(rank + 1, like).rows]
-    m[i - 1][i] = _one_of(like)
+    m[i - 1][i] = _one_like(like)
     return GroupMatrix(m)
 
 
 def f_gen(rank: int, i: int, like=Fraction(1)) -> GroupMatrix:
     _require_range(i, rank)
     m = [list(row) for row in identity(rank + 1, like).rows]
-    m[i][i - 1] = _one_of(like)
+    m[i][i - 1] = _one_like(like)
     return GroupMatrix(m)
 
 
@@ -160,22 +152,22 @@ def h_gen(rank: int, i: int, x) -> GroupMatrix:
     _require_range(i, rank)
     if not _is_nonzero(x):
         raise InvalidParameter("torus parameter must be nonzero")
-    one = _one_of(x)
-    zero = _zero_of(x)
+    one = _one_like(x)
+    zero = _zero_like(x)
     return GroupMatrix([[(x if r < i else one) if r == c else zero
                          for c in range(rank + 1)] for r in range(rank + 1)])
 
 
 def x_pos(rank: int, i: int, t) -> GroupMatrix:
     _require_range(i, rank)
-    m = [list(row) for row in identity(rank + 1, _one_of(t)).rows]
+    m = [list(row) for row in identity(rank + 1, _one_like(t)).rows]
     m[i - 1][i] = t
     return GroupMatrix(m)
 
 
 def x_neg(rank: int, i: int, t) -> GroupMatrix:
     _require_range(i, rank)
-    m = [list(row) for row in identity(rank + 1, _one_of(t)).rows]
+    m = [list(row) for row in identity(rank + 1, _one_like(t)).rows]
     m[i][i - 1] = t
     return GroupMatrix(m)
 
@@ -183,10 +175,10 @@ def x_neg(rank: int, i: int, t) -> GroupMatrix:
 def s_hat(rank: int, i: int, like=Fraction(1)) -> GroupMatrix:
     """Representative of the simple reflection: 2x2 block [[0,-1],[1,0]]."""
     _require_range(i, rank)
-    one = _one_of(like)
+    one = _one_like(like)
     m = [list(row) for row in identity(rank + 1, like).rows]
-    m[i - 1][i - 1] = _zero_of(like)
-    m[i][i] = _zero_of(like)
+    m[i - 1][i - 1] = _zero_like(like)
+    m[i][i] = _zero_like(like)
     m[i - 1][i] = -one
     m[i][i - 1] = one
     return GroupMatrix(m)
@@ -229,8 +221,8 @@ def gauss(g: GroupMatrix) -> tuple[GroupMatrix, GroupMatrix, GroupMatrix]:
     factors; NotInBigCell(k) when the k-th leading principal minor vanishes.
     No row exchanges: pivots are exactly the ratios of leading minors."""
     n = g.n
-    one = _one_of(g[0][0])
-    zero = _zero_of(g[0][0])
+    one = _one_like(g[0][0])
+    zero = _zero_like(g[0][0])
     mat = [list(row) for row in g.rows]
     lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for col in range(n):

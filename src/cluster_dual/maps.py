@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -285,15 +284,11 @@ class MoveStep(Step):
         return values
 
     def inverse(self) -> "MoveStep":
-        target = self.word_after
-        mv = self.move
-        if mv.kind in ("mixed2", "positive_d", "negative_d", "tau_left", "tau_right"):
-            inv = Move(mv.kind, mv.pos, mv.order)
-            if mv.kind in ("positive_d", "negative_d"):
-                first = target[mv.pos]
-                inv = Move("positive_d" if first > 0 else "negative_d", mv.pos, mv.order)
-            return MoveStep(self.cdata, target, inv, self.restricted)
-        raise InapplicableMove(f"cannot invert {mv.kind} as a MoveStep")
+        """The same move at the target word: every move a MoveStep carries
+        is an involution on words.  A dual move's map is the saltation."""
+        if self.move.kind == "dual":
+            raise InapplicableMove("cannot invert dual as a MoveStep")
+        return MoveStep(self.cdata, self.word_after, self.move, self.restricted)
 
     def describe(self) -> dict:
         return {"step": "move", "move": self.move.describe(),
@@ -563,19 +558,21 @@ def dmove_transform(w: DoubleWord, move: Move, cdata: CartanData,
     return RationalMap(cdata, w, step.word_after, (step,), restricted)
 
 
+def _along(w: DoubleWord, moves: Iterable[Move], cdata: CartanData,
+           restricted: bool = False) -> RationalMap:
+    """Composite of the move transformations along a chain of moves from w,
+    first move first."""
+    out = identity_map(w, cdata, restricted)
+    for mv in moves:
+        out = out.then(dmove_transform(out.target_word, mv, cdata, restricted))
+    return out
+
+
 def path_transform(source: DoubleWord, target: DoubleWord, cdata: CartanData,
                    kinds: Iterable[str] = wordmod.D_KINDS,
-                   restricted: bool = False,
-                   neighbor_filter=None) -> RationalMap:
+                   restricted: bool = False) -> RationalMap:
     """Composite transformation along a shortest move path."""
-    path = wordmod.move_path(source, target, cdata, kinds, neighbor_filter=neighbor_filter)
-    out = identity_map(source, cdata, restricted)
-    cur = source
-    for mv in path:
-        leg = dmove_transform(cur, mv, cdata, restricted)
-        out = out.then(leg)
-        cur = leg.target_word
-    return out
+    return _along(source, wordmod.move_path(source, target, cdata, kinds), cdata, restricted)
 
 
 # ---------------------------------------------------------------------------
@@ -596,29 +593,16 @@ def zeta_map(w: DoubleWord, cdata: CartanData) -> RationalMap:
         positive = False
     else:
         raise PreconditionFailed("zeta needs a one-sign reduced word")
-    out = identity_map(w, cdata)
-    cur = w
+    moves = []
     if positive:
-        for stage in range(n):
-            k = n - stage  # barring letter i_k, k = n..1
-            leg = dmove_transform(cur, Move("tau_right", len(cur) - 1), cdata)
-            out = out.then(leg)
-            cur = leg.target_word
-            for p in range(n - 1, n - k, -1):
-                leg = dmove_transform(cur, Move("mixed2", p - 1, 2), cdata)
-                out = out.then(leg)
-                cur = leg.target_word
+        for k in range(n, 0, -1):  # barring letter i_k
+            moves.append(Move("tau_right", n - 1))
+            moves += [Move("mixed2", p, 2) for p in range(n - 2, n - k - 1, -1)]
     else:
-        for stage in range(n):
-            k = stage + 1  # unbarring letter j_k, k = 1..n
-            leg = dmove_transform(cur, Move("tau_left", 0), cdata)
-            out = out.then(leg)
-            cur = leg.target_word
-            for p in range(0, n - k):
-                leg = dmove_transform(cur, Move("mixed2", p, 2), cdata)
-                out = out.then(leg)
-                cur = leg.target_word
-    return out
+        for k in range(1, n + 1):  # unbarring letter j_k
+            moves.append(Move("tau_left", 0))
+            moves += [Move("mixed2", p, 2) for p in range(n - k)]
+    return _along(w, moves, cdata)
 
 
 @functools.lru_cache(maxsize=64)
@@ -640,36 +624,29 @@ def dual_move_map(w: DoubleWord, cdata: CartanData) -> RationalMap:
     L = wordmod.dual_block_length(cdata)
     if not wordmod._dual_ok(w, cdata):
         raise InapplicableMove(f"no dual move at {w.to_string()}")
-    block_positive = w.letters[-1] > 0
-    if block_positive:
-        # shape A: ... kbar [positive w0 block]; migrate kbar to the end
-        out = identity_map(w, cdata, restricted=True)
-        cur = w
-        for p in range(len(w) - L - 1, len(w) - 1):
-            leg = dmove_transform(cur, Move("mixed2", p, 2), cdata, restricted=True)
-            out = out.then(leg)
-            cur = leg.target_word
-        core = XiCoreStep(cdata, cur)
-        _zeta_maps(cdata, _core_shape(cdata, cur)[1])  # built with the map, not per point
-        out = out.then(RationalMap(cdata, cur, core.word_after, (core,), True))
-        cur = core.word_after
-        # migrate the new positive letter k* back to the block front
-        for p in range(len(w) - 2, len(w) - L - 2, -1):
-            leg = dmove_transform(cur, Move("mixed2", p, 2), cdata, restricted=True)
-            out = out.then(leg)
-            cur = leg.target_word
-        target = wordmod.apply_move(w, Move("dual", len(w) - 1 - L), cdata)
-        if cur != target:
+    n = len(w)
+    target = wordmod.apply_move(w, Move("dual", n - 1 - L), cdata)
+    if w.letters[-1] < 0:
+        # shape B: ... k [negative w0 block]: inverse of the shape-A map at the image
+        fwd = dual_move_map(target, cdata)
+        if fwd.target_word != w:
             raise InvariantViolation(
-                f"dual move map ends at {cur.to_string()}, not {target.to_string()}")
-        return out
-    # shape B: ... k [negative w0 block]: inverse of the shape-A map at the image
-    target = wordmod.apply_move(w, Move("dual", len(w) - 1 - L), cdata)
-    fwd = dual_move_map(target, cdata)
-    if fwd.target_word != w:
+                f"dual move at {target.to_string()} does not return to {w.to_string()}")
+        return fwd.inverse()
+    # shape A: ... kbar [positive w0 block]; migrate kbar to the end
+    to_end = _along(w, [Move("mixed2", p, 2) for p in range(n - L - 1, n - 1)],
+                    cdata, restricted=True)
+    core = XiCoreStep(cdata, to_end.target_word)
+    _zeta_maps(cdata, _core_shape(cdata, core.word_before)[1])  # built with the map, not per point
+    # migrate the new positive letter k* back to the block front
+    back = _along(core.word_after, [Move("mixed2", p, 2) for p in range(n - 2, n - L - 2, -1)],
+                  cdata, restricted=True)
+    out = to_end.then(RationalMap(cdata, core.word_before, core.word_after, (core,), True))
+    out = out.then(back)
+    if out.target_word != target:
         raise InvariantViolation(
-            f"dual move at {target.to_string()} does not return to {w.to_string()}")
-    return fwd.inverse()
+            f"dual move map ends at {out.target_word.to_string()}, not {target.to_string()}")
+    return out
 
 
 def xi_saltation(w: DoubleWord, cdata: CartanData) -> RationalMap:
@@ -680,21 +657,6 @@ def xi_saltation(w: DoubleWord, cdata: CartanData) -> RationalMap:
 # ---------------------------------------------------------------------------
 # The canonical isomorphisms between bracket tori over D(v)
 # ---------------------------------------------------------------------------
-
-def _dhat_edge_map(w: DoubleWord, move: Move, cdata: CartanData) -> RationalMap:
-    if move.kind == "dual":
-        return dual_move_map(w, cdata)
-    if move.kind == "tau_right":
-        step = MoveStep(cdata, w, move, restricted=True)
-        return RationalMap(cdata, w, step.word_after, (step,), True)
-    if move.kind in ("mixed2", "positive_d", "negative_d"):
-        return dmove_transform(w, move, cdata, restricted=True)
-    raise InapplicableMove(f"{move.kind} is not a dhat move")
-
-
-# States a mu_hat path search expands before it gives up.
-_MU_HAT_MAX_STATES = 200_000
-
 
 def mu_hat(source: DoubleWord, target: DoubleWord, cdata: CartanData,
            v: WeylElement,
@@ -732,56 +694,31 @@ def _mu_hat(cdata: CartanData, source: DoubleWord, target: DoubleWord,
     class-coherent dhat moves, then the composite along the path found."""
     memo: dict = {}
 
-    def in_dv(word: DoubleWord, w1: WeylElement) -> bool:
+    def in_dv(state: tuple[DoubleWord, WeylElement]) -> bool:
+        word, w1 = state
         k = (word.letters, w1.root_matrix)
         if k not in memo:
             memo[k] = wordmod.is_in_dv(word, cdata, v, w1)
         return memo[k]
 
-    if not in_dv(source, w1_source):
+    if not in_dv((source, w1_source)):
         raise PreconditionFailed(
             f"{source.to_string()} is not a ({w1_source.reduced_word()},*) word of D(v)")
-    start = (source, w1_source)
-    goal = (target, w1_target)
-    seen = {start}
-    queue = deque([(start, [])])
-    path = None
-    if start == goal:
-        path = []
-    expanded = 0
-    while queue and path is None:
-        (word, w1), trail = queue.popleft()
-        expanded += 1
-        if expanded > _MU_HAT_MAX_STATES:
-            raise NoPath(f"search aborted after {_MU_HAT_MAX_STATES} states")
+
+    def successors(state):
+        word, w1 = state
         for mv in wordmod.applicable_moves(word, cdata, wordmod.DHAT_KINDS):
-            try:
-                nxt = wordmod.apply_move(word, mv, cdata)
-            except InapplicableMove:
-                continue
+            out_w1 = w1
             if mv.kind == "dual":
                 req, out_w1 = wordmod.dual_move_classes(word, cdata)
                 if req != w1:
                     continue
-            else:
-                out_w1 = w1
-            state = (nxt, out_w1)
-            if state in seen or not in_dv(nxt, out_w1):
-                continue
-            if state == goal:
-                path = trail + [mv]
-                break
-            seen.add(state)
-            queue.append((state, trail + [mv]))
+            yield mv, (wordmod.apply_move(word, mv, cdata), out_w1)
+
+    path = wordmod._search((source, w1_source), (target, w1_target), successors, in_dv)
     if path is None:
         raise NoPath(f"no coherent dhat path {source.to_string()} -> {target.to_string()}")
-    out = identity_map(source, cdata, restricted=True)
-    cur = source
-    for mv in path:
-        leg = _dhat_edge_map(cur, mv, cdata)
-        out = out.then(leg)
-        cur = leg.target_word
-    return out
+    return _along(source, path, cdata, restricted=True)
 
 
 # ---------------------------------------------------------------------------

@@ -261,9 +261,12 @@ def tropical_mutate_seed(seed: Seed, k: SeedIndex,
     remaining entries pick up a monomial correction whose orientation depends
     on the flip (column-style eps_ij - eps_ik b_kj, or the transposed
     row-style); the orientation not written explicitly is completed by
-    skew-symmetry of eps_hat.  Either chirality applied twice at the same
-    direction with opposite letter signs is the identity, and along boundary
-    bar flips the rule carries the word's seed onto the flipped word's seed.
+    skew-symmetry of eps_hat.  At a boundary-anchored direction -- the left
+    frozen slot of the first letter's wire or the right frozen slot of the
+    last letter's, the only directions a tau move mutates -- either chirality
+    applied twice with opposite letter signs is the identity, and the rule
+    carries the word's seed onto the flipped word's seed.  At other frozen
+    directions a double flip is in general not the identity.
     """
     if k not in seed.frozen:
         raise FrozenStructureViolation(f"{k} is not frozen")

@@ -276,37 +276,49 @@ def index_map(w: DoubleWord, move: Move, cdata: CartanData) -> dict[SeedIndex, S
     return out
 
 
-def move_path(source: DoubleWord, target: DoubleWord, cdata: CartanData,
-              kinds: Iterable[str] = ALL_MOVE_KINDS,
-              max_states: int = 200_000,
-              neighbor_filter=None) -> list[Move]:
-    """Shortest chain of moves from source to target (BFS).  Raises NoPath
-    when the component is exhausted or ``max_states`` words were expanded."""
-    kinds = tuple(kinds)
-    if source == target:
+# States a breadth-first move search expands before it gives up.
+_MAX_STATES = 200_000
+
+
+def _search(start, goal, successors, admit=None) -> Optional[list]:
+    """Labels along a shortest path from start to goal (breadth-first), or
+    None when the component is exhausted.  ``successors(state)`` yields
+    (label, next state) pairs; ``admit(state)``, run only on states not seen
+    yet, can reject one.  Raises NoPath after ``_MAX_STATES`` expansions."""
+    if start == goal:
         return []
-    seen = {source}
-    queue = deque([(source, [])])
+    seen = {start}
+    queue = deque([(start, [])])
     expanded = 0
     while queue:
-        cur, path = queue.popleft()
+        state, path = queue.popleft()
         expanded += 1
-        if expanded > max_states:
-            raise NoPath(f"search aborted after {max_states} states")
-        for mv in applicable_moves(cur, cdata, kinds):
-            try:
-                nxt = apply_move(cur, mv, cdata)
-            except InapplicableMove:
+        if expanded > _MAX_STATES:
+            raise NoPath(f"search aborted after {_MAX_STATES} states")
+        for label, nxt in successors(state):
+            if nxt in seen or (admit is not None and not admit(nxt)):
                 continue
-            if nxt in seen:
-                continue
-            if neighbor_filter is not None and not neighbor_filter(nxt):
-                continue
-            if nxt == target:
-                return path + [mv]
+            if nxt == goal:
+                return path + [label]
             seen.add(nxt)
-            queue.append((nxt, path + [mv]))
-    raise NoPath(f"no {kinds} path {source.to_string()} -> {target.to_string()}")
+            queue.append((nxt, path + [label]))
+    return None
+
+
+def move_path(source: DoubleWord, target: DoubleWord, cdata: CartanData,
+              kinds: Iterable[str] = ALL_MOVE_KINDS) -> list[Move]:
+    """Shortest chain of moves from source to target.  Raises NoPath when
+    the component is exhausted or the search bound is reached."""
+    kinds = tuple(kinds)
+
+    def successors(w: DoubleWord):
+        for mv in applicable_moves(w, cdata, kinds):
+            yield mv, apply_move(w, mv, cdata)
+
+    path = _search(source, target, successors)
+    if path is None:
+        raise NoPath(f"no {kinds} path {source.to_string()} -> {target.to_string()}")
+    return path
 
 
 # ---------------------------------------------------------------------------

@@ -200,3 +200,26 @@ def test_ev_one_sided_factors_rank_one():
     assert left == GroupMatrix([[y0 * y1, y0 * y1], [y1, y1 + 1]])
     assert evals.frozen_torus(word, A1, vals) == GroupMatrix(
         [[t, F(0)], [F(0), F(1)]])
+
+
+def test_ev_hat_projects_the_right_factor_once(rng, monkeypatch):
+    calls = {"ev": 0, "ev_red": 0, "gauss_leq0": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(evals, "ev")
+    counted(evals, "ev_red")
+    counted(grp, "gauss_leq0")
+    for text in ("-1,1", "1,1", "1"):
+        ctx = evals.make_context(W(text), A1)
+        calls.update(dict.fromkeys(calls, 0))
+        evals.ev_hat(ctx, rational_point(W(text), A1, rng))
+        # ev(i1) once, and once more inside the one ev_red(i2)
+        assert calls == {"ev": 2, "ev_red": 1, "gauss_leq0": 2}, text

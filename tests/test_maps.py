@@ -7,7 +7,8 @@ import pytest
 from cluster_dual import cartan as weyl
 from cluster_dual import evals, golden, maps, seeds, words
 from cluster_dual.arith import DEFAULT_PRIME, Jet, TrialConfig
-from cluster_dual.errors import FrozenDirection, InvariantViolation, NoPath, SingularPoint
+from cluster_dual.errors import (FrozenDirection, InapplicableMove, InvariantViolation, NoPath,
+                                 SingularPoint)
 from cluster_dual.words import Move
 
 from conftest import W, rational_point
@@ -152,7 +153,7 @@ def test_mu_hat_cache_bounded_and_search_abort(monkeypatch):
     first = maps.mu_hat(W("-1,1"), W("1,1"), A1, w0)
     assert maps.mu_hat(W("-1,1"), W("1,1"), A1, w0) is first
     maps._mu_hat.cache_clear()
-    monkeypatch.setattr(maps, "_MU_HAT_MAX_STATES", 0)
+    monkeypatch.setattr(words, "_MAX_STATES", 0)
     with pytest.raises(NoPath, match="search aborted after 0 states"):
         maps.mu_hat(W("-1,1"), W("1,1"), A1, w0)
 
@@ -416,6 +417,9 @@ def test_lowered_steps_keep_their_errors(monkeypatch):
     for _ in range(2):
         with pytest.raises(FrozenDirection):
             past_end.apply(point)
+    # a dual move's map is the saltation, never a single move step
+    with pytest.raises(InapplicableMove, match="cannot invert dual"):
+        maps.MoveStep(A1, W("-1,1"), Move("dual", 0), False).inverse()
     # a non-integral exchange exponent is an invariant violation
     good = seeds.seed_for_word(W("-1,1"), A1)
     broken = dataclasses.replace(good, epsilon={**good.epsilon, ((1, 0), (1, 1)): F(1, 2)})

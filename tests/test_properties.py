@@ -1,6 +1,7 @@
 """Property tests over random double words in A1-A3, B2 and G2: mutation is
-an involution, every move step is undone by its inverse, and move pipelines
-agree between F_p and Q wherever both are defined."""
+an involution, so is tropical mutation at a boundary-anchored frozen
+direction, every move step is undone by its inverse, and move pipelines agree
+between F_p and Q wherever both are defined."""
 
 import random
 from fractions import Fraction
@@ -70,6 +71,21 @@ def test_mutation_is_an_involution(typed, seed):
         except SingularPoint:
             continue
         assert maps.mutate_point(seeds.mutate_seed(s, k), once, k) == x, (w, k)
+
+
+@PROPERTY_SETTINGS
+@given(typed_words(), st.booleans(), st.booleans())
+def test_tropical_mutation_is_an_involution_at_anchored_directions(typed, right, positive):
+    # the frozen slot of the first or last letter's wire, which a tau move flips;
+    # off the boundary a double flip is not the identity in general
+    cdata, w = typed
+    wire = abs(w[-1] if right else w[0])
+    k = (wire, w.count(wire) if right else 0)
+    s = seeds.seed_for_word(w, cdata)
+    once = seeds.tropical_mutate_seed(s, k, positive)
+    flip = words.Move("tau_right" if right else "tau_left")
+    assert once.word == words.apply_move(w, flip, cdata)
+    assert seeds.tropical_mutate_seed(once, k, not positive) == s, (w, k, positive)
 
 
 @PROPERTY_SETTINGS
