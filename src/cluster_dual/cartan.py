@@ -257,8 +257,15 @@ def reduced_words(w: WeylElement) -> set[tuple[int, ...]]:
 
 def longest_element(cartan: CartanData, subset: Optional[Sequence[int]] = None) -> WeylElement:
     """Longest element of the parabolic subgroup generated by ``subset``
-    (the full group when subset is None)."""
-    letters = tuple(subset) if subset is not None else tuple(range(1, cartan.rank + 1))
+    (the full group when subset is None).  Computed once per type and
+    subset: every spelling of one subset returns the same object."""
+    letters = range(1, cartan.rank + 1) if subset is None else subset
+    return _longest_element(cartan, tuple(sorted(set(letters))))
+
+
+# Bounded by the subsets of the simple letters of the types in use.
+@functools.lru_cache(maxsize=None)
+def _longest_element(cartan: CartanData, letters: tuple[int, ...]) -> WeylElement:
     w = identity_element(cartan)
     while True:
         for i in letters:

@@ -692,14 +692,8 @@ def _mu_hat(cdata: CartanData, source: DoubleWord, target: DoubleWord,
             ) -> RationalMap:
     """mu_hat between resolved classes: a breadth-first search over
     class-coherent dhat moves, then the composite along the path found."""
-    memo: dict = {}
-
     def in_dv(state: tuple[DoubleWord, WeylElement]) -> bool:
-        word, w1 = state
-        k = (word.letters, w1.root_matrix)
-        if k not in memo:
-            memo[k] = wordmod.is_in_dv(word, cdata, v, w1)
-        return memo[k]
+        return wordmod.is_in_dv(state[0], cdata, v, state[1])
 
     if not in_dv((source, w1_source)):
         raise PreconditionFailed(

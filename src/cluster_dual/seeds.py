@@ -189,16 +189,11 @@ def amalgamate(s1: Seed, s2: Seed) -> Seed:
     return Seed(cdata, counts, eps, d, cover_l, cover_r, word)
 
 
-@functools.lru_cache(maxsize=None)
-def _seed_for_letters(cdata: CartanData, letters: tuple[int, ...]) -> Seed:
+def seed_for_word(w: DoubleWord, cdata: CartanData) -> Seed:
     seed = elementary_seed(cdata, 0)
-    for letter in letters:
+    for letter in w.letters:
         seed = amalgamate(seed, elementary_seed(cdata, letter))
     return seed
-
-
-def seed_for_word(w: DoubleWord, cdata: CartanData) -> Seed:
-    return _seed_for_letters(cdata, w.letters)
 
 
 def bracket_seed(seed: Seed) -> Seed:

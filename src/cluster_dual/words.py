@@ -168,10 +168,8 @@ def _dual_ok(w: DoubleWord, cdata: CartanData) -> bool:
     moving = w.letters[-L - 1]
     if (moving > 0) == positive_block:
         return False
-    letters = tuple(abs(x) for x in block)
-    if not weyl.is_reduced(cdata, letters):
-        return False
-    return weyl.from_word(cdata, letters) == weyl.longest_element(cdata)
+    # L letters that spell w0 are a reduced word of it
+    return weyl.from_word(cdata, tuple(abs(x) for x in block)) == weyl.longest_element(cdata)
 
 
 def applicable_moves(w: DoubleWord, cdata: CartanData,
@@ -418,9 +416,11 @@ def _factor(cdata: CartanData, n1, p1, n2, p2,
 
     The conditions: all four subwords reduced; n1 spells (w1*)^{-1}, n2
     spells w2^{-1}; p2 spells w0 w2^{-1} and p1 spells v w1^{-1}, both
-    length-additively; and w1 <= v in the right weak order.
+    length-additively; and w1 <= v in the right weak order.  Only n1 and n2
+    need a reducedness test: l(w0 w2^{-1}) = l(w0) - l(w2), and w1 <= v gives
+    l(v w1^{-1}) = l(v) - l(w1), so the length equalities make p2 and p1 reduced.
     """
-    if not all(weyl.is_reduced(cdata, s) for s in (n1, p1, n2, p2)):
+    if not (weyl.is_reduced(cdata, n1) and weyl.is_reduced(cdata, n2)):
         return None
     cand_w1 = weyl.star_element(weyl.from_word(cdata, n1).inverse())
     if w1 is not None and cand_w1 != w1:

@@ -50,12 +50,25 @@ def test_guards_survive_python_optimize():
 
 
 @pytest.mark.parametrize("label,n_roots", [("A1", 1), ("A2", 3), ("B2", 4),
-                                           ("G2", 6), ("A3", 6)])
+                                           ("G2", 6), ("A3", 6), ("C3", 9),
+                                           ("D5", 20), ("F4", 24), ("E6", 36),
+                                           ("E7", 63), ("E8", 120)])
 def test_longest_element_length_is_root_count(label, n_roots):
     cdata = weyl.build_cartan(label)
     w0 = weyl.longest_element(cdata)
     assert w0.length() == n_roots
     assert len(weyl.positive_roots(cdata)) == n_roots
+
+
+def test_longest_element_is_computed_once_per_subset():
+    a3 = weyl.build_cartan("A3")
+    w0 = weyl.longest_element(a3)
+    assert weyl.longest_element(a3) is w0
+    assert weyl.longest_element(a3, (1, 2, 3)) is w0
+    assert weyl.longest_element(a3, [1, 2, 3]) is w0
+    w0_13 = weyl.longest_element(a3, (1, 3))
+    assert weyl.longest_element(a3, [1, 3]) is w0_13
+    assert weyl.longest_element(a3, (3, 1)) is w0_13
 
 
 def test_reduced_words_examples():
@@ -92,6 +105,8 @@ def test_star_involution():
     assert weyl.star(a2, 1) == 2 and weyl.star(a2, 2) == 1
     d4 = weyl.build_cartan("D4")
     assert all(weyl.star(d4, i) == i for i in range(1, 5))
+    assert weyl.star_involution(weyl.build_cartan("D5"))[1:] == (1, 2, 3, 5, 4)
+    assert weyl.star_involution(weyl.build_cartan("E6"))[1:] == (5, 4, 3, 2, 1, 6)
     for label in ("A2", "A3", "B2", "G2"):
         cdata = weyl.build_cartan(label)
         star = weyl.star_involution(cdata)
