@@ -42,8 +42,35 @@ MOVE_SETS = {
 }
 
 
+class _BadInput(Exception):
+    """Malformed command-line or environment input, found while parsing it."""
+
+
+def _parse_word(text: str, flag: str, rank: int) -> DoubleWord:
+    try:
+        word = DoubleWord.from_string(text)
+        if all(abs(x) <= rank for x in word):
+            return word
+    except ValueError:
+        pass
+    raise _BadInput(f"{flag} needs comma-separated letters in +-1..{rank}, got {text!r}")
+
+
 def _parse_point(text: str) -> list[Fraction]:
-    return [Fraction(tok) for tok in text.split(",")]
+    try:
+        return [Fraction(tok) for tok in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise _BadInput(f"--point needs comma-separated rationals, got {text!r}") from None
+
+
+def _parse_direction(text: str, ixs: list) -> tuple[int, int]:
+    try:
+        wire, counter = (int(t) for t in text.split(":"))
+    except ValueError:
+        raise _BadInput(f"--direction needs wire:counter, got {text!r}") from None
+    if (wire, counter) not in ixs:
+        raise _BadInput(f"--direction {text} is not a seed index of the word")
+    return wire, counter
 
 
 def _fail_config(msg: str) -> int:
@@ -75,9 +102,12 @@ def _render_text(payload) -> str:
 
 def _rng_seed(args) -> int:
     env = os.environ.get("CLUSTER_DUAL_SEED")
-    if env is not None:
+    if env is None:
+        return args.rng_seed
+    try:
         return int(env)
-    return args.rng_seed
+    except ValueError:
+        raise _BadInput(f"CLUSTER_DUAL_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_verify(args) -> int:
@@ -131,7 +161,7 @@ def _matrix_json(m) -> list:
 
 def cmd_compute(args) -> int:
     cdata = weyl.build_cartan(args.type)
-    word = DoubleWord.from_string(args.word)
+    word = _parse_word(args.word, "--word", cdata.rank)
     target = args.what
     if target == "seed":
         s = seeds.seed_for_word(word, cdata)
@@ -157,9 +187,9 @@ def cmd_compute(args) -> int:
         elif target == "mutate":
             if not args.direction:
                 return _fail_config("mutate needs --direction wire:counter")
-            wire, counter = (int(t) for t in args.direction.split(":"))
+            direction = _parse_direction(args.direction, ixs)
             s = seeds.seed_for_word(word, cdata)
-            out = maps.mutate_point(s, values, (wire, counter))
+            out = maps.mutate_point(s, values, direction)
             payload = {"point": [str(out[i]) for i in ixs]}
         elif target == "artin-T":
             tmap = maps.artin_T(word, args.j, cdata)
@@ -175,8 +205,8 @@ def cmd_compute(args) -> int:
 
 def cmd_words(args) -> int:
     cdata = weyl.build_cartan(args.type)
-    source = DoubleWord.from_string(args.src)
-    target = DoubleWord.from_string(args.dst)
+    source = _parse_word(args.src, "--from", cdata.rank)
+    target = _parse_word(args.dst, "--to", cdata.rank)
     kinds = MOVE_SETS.get(args.moves)
     if kinds is None:
         return _fail_config(f"unknown move set {args.moves!r}")
@@ -248,6 +278,8 @@ def main(argv=None) -> int:
         return _fail_config("name an identity or pass --all")
     try:
         return args.func(args)
+    except _BadInput as exc:
+        return _fail_config(str(exc))
     except ClusterDualError as exc:
         return _fail_config(f"{type(exc).__name__}: {exc}")
 

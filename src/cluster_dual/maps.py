@@ -740,6 +740,8 @@ def artin_T(w: DoubleWord, j: int, cdata: CartanData,
     does not depend on the admissible base word chosen.
     """
     subset = tuple(subset) if subset is not None else tuple(range(1, cdata.rank + 1))
+    if not all(1 <= i <= cdata.rank for i in subset):
+        raise PreconditionFailed(f"subset {subset} has letters outside 1..{cdata.rank}")
     star = weyl.star_involution(cdata)
     if sorted(star[i] for i in subset) != sorted(subset):
         raise PreconditionFailed("subset must be star-stable")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cluster_dual import cli, evals
 
 
@@ -144,3 +146,28 @@ def test_compute_mutate(capsys):
     code, _, _ = run(["compute", "mutate", "--word", "1,1", "--type", "A1",
                       "--point", "2,3,5"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "ev", "--word", "1,a", "--point", "1,2,3"],
+    ["compute", "ev", "--word", "1,0", "--point", "1,2,3"],
+    ["compute", "ev", "--word", "1,1", "--point", "1,x,3"],
+    ["compute", "ev", "--word", "1,1", "--point", "1,1/0,3"],
+    ["compute", "mutate", "--word", "1,1", "--point", "2,3,5", "--direction", "1-1"],
+    ["compute", "mutate", "--word", "1,1", "--point", "2,3,5", "--direction", "1:1:1"],
+    ["compute", "mutate", "--word", "1,1", "--point", "2,3,5", "--direction", "9:9"],
+    ["words", "path", "--from", "1,,1", "--to", "1,1"],
+    ["words", "path", "--from", "1,1", "--to", "0"],
+    ["words", "path", "--from", "1,2,1", "--to", "2,1,2"],
+])
+def test_malformed_input_is_a_config_error(args, capsys):
+    code, stdout, err = run(args + ["--type", "A1"], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_malformed_env_seed_is_a_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("CLUSTER_DUAL_SEED", "seven")
+    code, _, err = run(["verify", "PHI_REL", "--type", "A1", "--trials", "1"], capsys)
+    assert code == 2
+    assert err == "error: CLUSTER_DUAL_SEED must be an integer, got 'seven'\n"

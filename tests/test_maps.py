@@ -8,7 +8,7 @@ from cluster_dual import cartan as weyl
 from cluster_dual import evals, golden, maps, seeds, words
 from cluster_dual.arith import DEFAULT_PRIME, Jet, TrialConfig
 from cluster_dual.errors import (FrozenDirection, InapplicableMove, InvariantViolation, NoPath,
-                                 SingularPoint)
+                                 PreconditionFailed, SingularPoint)
 from cluster_dual.words import Move
 
 from conftest import W, rational_point
@@ -177,6 +177,14 @@ def test_artin_T_base_word_independence(rng):
     for _ in range(4):
         vals = rational_point(word, A2, rng)
         assert default.apply(vals) == other.apply(vals)
+
+
+def test_artin_T_rejects_subset_letters_outside_the_rank():
+    for subset in ((1, 5), (0, 1, 2)):
+        with pytest.raises(PreconditionFailed, match=r"outside 1\.\.2"):
+            maps.artin_T(W("1,2,1,1,2,1"), 1, A2, subset=subset)
+    with pytest.raises(PreconditionFailed, match="star-stable"):
+        maps.artin_T(W("1,2,1,1,2,1"), 1, A2, subset=(1,))
 
 
 def test_braid_relation_probabilistic():
