@@ -672,17 +672,15 @@ def mu_hat(source: DoubleWord, target: DoubleWord, cdata: CartanData,
     composite to intertwine the twisted evaluations, so only coherent edges
     are explored.
     """
-    if w1_source is None:
-        found = wordmod.canonical_class(source, cdata, v)
-        if found is None:
-            raise PreconditionFailed(f"{source.to_string()} not in D(v)")
-        w1_source = found[0].w1
-    if w1_target is None:
-        found = wordmod.canonical_class(target, cdata, v)
-        if found is None:
-            raise PreconditionFailed(f"{target.to_string()} not in D(v)")
-        w1_target = found[0].w1
-    return _mu_hat(cdata, source, target, v, w1_source, w1_target)
+    classes = []
+    for w, w1 in ((source, w1_source), (target, w1_target)):
+        if w1 is None:
+            found = wordmod.canonical_class(w, cdata, v)
+            if found is None:
+                raise PreconditionFailed(f"{w.to_string()} not in D(v)")
+            w1 = found[0].w1
+        classes.append(w1)
+    return _mu_hat(cdata, source, target, v, *classes)
 
 
 # Bounded: all 160 A2 artin-T maps and their inverses need 320 entries.

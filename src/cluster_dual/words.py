@@ -439,6 +439,30 @@ def _factor(cdata: CartanData, n1, p1, n2, p2,
     return cand_w1, w2, cand_v
 
 
+def _class_cuts(w: DoubleWord, cdata: CartanData,
+                v: Optional[WeylElement] = None, w1: Optional[WeylElement] = None):
+    """Every cut of w's one-sign subwords that factors them as a trivial
+    (w1,w2)_v-word i1 i2: yields (decomposition, trivial word), the trivial
+    word being w itself when w is factored at that cut, else the bars-first
+    shuffle.  Mixed 2-moves preserve the one-sign subwords, so every trivial
+    word is in w's mixed-2 class.  A cut of the barred subword fixes the
+    length of p2, and a pinned w1 fixes that cut (n1 is a reduced word of
+    (w1*)^{-1}).  A cut of w itself is the subword cut at its number of
+    bars, so factored cuts come out in word order."""
+    neg, pos = w.negative_subword, w.positive_subword
+    w0_length = weyl.longest_element(cdata).length()
+    for ncut in range(len(neg) + 1) if w1 is None else (w1.length(),):
+        pcut = len(pos) - (w0_length - (len(neg) - ncut))
+        if ncut > len(neg) or not 0 <= pcut <= len(pos):
+            continue
+        n1, p1, n2, p2 = neg[:ncut], pos[:pcut], neg[ncut:], pos[pcut:]
+        found = _factor(cdata, n1, p1, n2, p2, v, w1)
+        if found is not None:
+            factored = sum(1 for x in w.letters[:ncut + pcut] if x < 0) == ncut
+            yield (TrivialDecomposition(*found, ncut + pcut),
+                   w if factored else _bars_first(n1, p1, n2, p2))
+
+
 def trivial_decompositions(w: DoubleWord, cdata: CartanData,
                            v: Optional[WeylElement] = None) -> list[TrivialDecomposition]:
     """All splits word = i1 i2 exhibiting the word as a trivial (w1,w2)_v-word.
@@ -446,39 +470,26 @@ def trivial_decompositions(w: DoubleWord, cdata: CartanData,
     When ``v`` is given only decompositions for that v are returned; otherwise
     v is derived from the split (v = value(pos(i1)) * w1).
     """
-    out = []
-    for cut in range(len(w) + 1):
-        i1, i2 = DoubleWord(w.letters[:cut]), DoubleWord(w.letters[cut:])
-        found = _factor(cdata, i1.negative_subword, i1.positive_subword,
-                        i2.negative_subword, i2.positive_subword, v)
-        if found is not None:
-            out.append(TrivialDecomposition(*found, cut))
-    return out
+    return [dec for dec, trivial in _class_cuts(w, cdata, v) if trivial is w]
 
 
 @functools.lru_cache(maxsize=200_000)
 def shuffle_class_decomposition(w: DoubleWord, cdata: CartanData,
                                 v: Optional[WeylElement] = None,
                                 w1: Optional[WeylElement] = None):
-    """Witness that w lies in W(w1,w2)_v for some trivial word in its
-    mixed-2-move class.  Returns (decomposition-of-trivial-word, trivial word)
-    or None.  Mixed 2-moves preserve the one-sign subwords, so it is enough
-    to cut those subwords consistently: a cut of the barred subword fixes the
-    length of p2.  Everything involved is immutable, so results are cached
-    globally (class searches revisit the same words a lot).
-    """
-    neg, pos = w.negative_subword, w.positive_subword
-    w0_length = weyl.longest_element(cdata).length()
-    for ncut in range(len(neg) + 1):
-        pcut = len(pos) - (w0_length - (len(neg) - ncut))
-        if not 0 <= pcut <= len(pos):
-            continue
-        n1, p1, n2, p2 = neg[:ncut], pos[:pcut], neg[ncut:], pos[pcut:]
-        found = _factor(cdata, n1, p1, n2, p2, v, w1)
-        if found is not None:
-            return (TrivialDecomposition(*found, ncut + pcut),
-                    _bars_first(n1, p1, n2, p2))
-    return None
+    """The factorization class a word is evaluated in by default, with the
+    trivial word it is read on: the word itself at its earliest factored
+    cut, else the first class found by cutting its one-sign subwords, with
+    that class's trivial word; None when w lies in no class.  This is the
+    one class cache: everything involved is immutable, so results are
+    cached globally (class searches revisit the same words a lot)."""
+    first = None
+    for found in _class_cuts(w, cdata, v, w1):
+        if found[1] is w:
+            return found
+        if first is None:
+            first = found
+    return first
 
 
 def is_in_dv(w: DoubleWord, cdata: CartanData, v: WeylElement,
@@ -499,12 +510,7 @@ def canonical_class(w: DoubleWord, cdata: CartanData,
                     w1: Optional[WeylElement] = None
                     ) -> Optional[tuple[TrivialDecomposition, DoubleWord]]:
     """The factorization context a word is evaluated in by default, with the
-    trivial word it is read on: the word itself at its earliest valid cut
-    when it is factored, else the first class found by cutting its one-sign
-    subwords, with that class's trivial word."""
-    for dec in trivial_decompositions(w, cdata, v):
-        if w1 is None or dec.w1 == w1:
-            return dec, w
+    trivial word it is read on (see ``shuffle_class_decomposition``)."""
     return shuffle_class_decomposition(w, cdata, v, w1)
 
 
@@ -543,24 +549,12 @@ class MembershipWitness:
 
 def membership(w: DoubleWord, cdata: CartanData, v: WeylElement,
                w1: Optional[WeylElement] = None) -> Optional[MembershipWitness]:
-    """Decide membership in D_{w1}(v) (any w1 <= v when not pinned) by a
-    bounded BFS over mixed 2-moves, returning the witnessing trivial word
-    and move chain.  The mixed-2 class of a word is the finite set of
-    shuffles of its one-sign subwords, so the bound is a safety net only."""
-    bound = max(16, len(w) ** 2) * 64
-    seen = {w}
-    queue = deque([(w, ())])
-    while queue:
-        cur, chain = queue.popleft()
-        decs = trivial_decompositions(cur, cdata, v)
-        for dec in decs:
-            if w1 is None or dec.w1 == w1:
-                return MembershipWitness(dec.w1, dec.w2, cur, chain)
-        if len(seen) > bound:
-            break
-        for mv in applicable_moves(cur, cdata, ("mixed2",)):
-            nxt = apply_move(cur, mv, cdata)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, chain + (mv,)))
-    return None
+    """Decide membership in D_{w1}(v) (any w1 <= v when not pinned): the
+    default class of the word, its trivial word and a shortest chain of
+    mixed 2-moves from the word to it."""
+    found = shuffle_class_decomposition(w, cdata, v, w1)
+    if found is None:
+        return None
+    dec, trivial = found
+    return MembershipWitness(dec.w1, dec.w2, trivial,
+                             tuple(move_path(w, trivial, cdata, ("mixed2",))))
