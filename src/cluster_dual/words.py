@@ -172,8 +172,14 @@ def _dual_ok(w: DoubleWord, cdata: CartanData) -> bool:
     return weyl.from_word(cdata, tuple(abs(x) for x in block)) == weyl.longest_element(cdata)
 
 
+def _check_letters(w: DoubleWord, cdata: CartanData) -> None:
+    if w.letters and max(map(abs, w.letters)) > cdata.rank:
+        raise PreconditionFailed(f"{w.to_string()} has letters outside 1..{cdata.rank}")
+
+
 def applicable_moves(w: DoubleWord, cdata: CartanData,
                      kinds: Iterable[str] = ALL_MOVE_KINDS) -> list[Move]:
+    _check_letters(w, cdata)
     kinds = tuple(kinds)
     out: list[Move] = []
     n = len(w)
@@ -203,6 +209,7 @@ def applicable_moves(w: DoubleWord, cdata: CartanData,
 
 
 def apply_move(w: DoubleWord, move: Move, cdata: CartanData) -> DoubleWord:
+    _check_letters(w, cdata)
     letters = list(w.letters)
     if move.kind == "mixed2":
         p = move.pos
@@ -308,6 +315,8 @@ def move_path(source: DoubleWord, target: DoubleWord, cdata: CartanData,
     """Shortest chain of moves from source to target.  Raises NoPath when
     the component is exhausted or the search bound is reached."""
     kinds = tuple(kinds)
+    for end in (source, target):
+        _check_letters(end, cdata)
 
     def successors(w: DoubleWord):
         for mv in applicable_moves(w, cdata, kinds):
@@ -449,6 +458,7 @@ def _class_cuts(w: DoubleWord, cdata: CartanData,
     length of p2, and a pinned w1 fixes that cut (n1 is a reduced word of
     (w1*)^{-1}).  A cut of w itself is the subword cut at its number of
     bars, so factored cuts come out in word order."""
+    _check_letters(w, cdata)
     neg, pos = w.negative_subword, w.positive_subword
     w0_length = weyl.longest_element(cdata).length()
     for ncut in range(len(neg) + 1) if w1 is None else (w1.length(),):

@@ -170,6 +170,22 @@ def test_membership_witness_chain_applies():
     assert words.trivial_decompositions(cur, a2, w0)
 
 
+_A1 = weyl.build_cartan("A1")
+BEYOND_THE_RANK = {
+    "applicable_moves": lambda: words.applicable_moves(W("1,2,1"), _A1),
+    "move_path_source": lambda: words.move_path(W("1,2,1"), W("2,1,2"), _A1),
+    "move_path_target": lambda: words.move_path(W("1"), W("-2"), _A1),
+    "apply_move": lambda: words.apply_move(W("-2,1"), Move("mixed2", 0, 2), _A1),
+    "class": lambda: words.canonical_class(W("-1,2,1"), _A1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND_THE_RANK))
+def test_letters_beyond_the_rank_are_rejected(name):
+    with pytest.raises(PreconditionFailed, match=r"outside 1\.\.1"):
+        BEYOND_THE_RANK[name]()
+
+
 def test_dual_move_classes():
     a2 = weyl.build_cartan("A2")
     src_w1, tgt_w1 = words.dual_move_classes(W("-1,1,2,1"), a2)
