@@ -187,6 +187,18 @@ def test_artin_T_rejects_subset_letters_outside_the_rank():
         maps.artin_T(W("1,2,1,1,2,1"), 1, A2, subset=(1,))
 
 
+def test_warm_artin_rebuild_asks_no_class_question(monkeypatch):
+    """A second build of a braid composite reads every factorization class
+    from the class cache: words._factor is not called again."""
+    word = W("1,2,1,1,2,1")
+    maps.artin_T_word(word, (1, 2, 1), A2)
+    calls = []
+    real = words._factor
+    monkeypatch.setattr(words, "_factor", lambda *args: calls.append(args) or real(*args))
+    maps.artin_T_word(word, (1, 2, 1), A2)
+    assert calls == []
+
+
 def test_braid_relation_probabilistic():
     word = W("1,2,1,1,2,1")
     lhs = maps.artin_T_word(word, (1, 2, 1), A2)
