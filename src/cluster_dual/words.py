@@ -209,7 +209,10 @@ def applicable_moves(w: DoubleWord, cdata: CartanData,
 
 
 def apply_move(w: DoubleWord, move: Move, cdata: CartanData) -> DoubleWord:
-    _check_letters(w, cdata)
+    """The word after the move.  A d-move or dual move raises
+    PreconditionFailed on letters beyond the rank; mixed 2-moves and tau
+    moves read no type data and go unchecked (they are most of the edges
+    of a move search)."""
     letters = list(w.letters)
     if move.kind == "mixed2":
         p = move.pos
@@ -218,6 +221,7 @@ def apply_move(w: DoubleWord, move: Move, cdata: CartanData) -> DoubleWord:
         letters[p], letters[p + 1] = letters[p + 1], letters[p]
         return DoubleWord(tuple(letters))
     if move.kind in ("positive_d", "negative_d"):
+        _check_letters(w, cdata)
         sign = 1 if move.kind == "positive_d" else -1
         if not _d_window_ok(w, move.pos, move.order, sign, cdata):
             raise InapplicableMove(f"{move.kind}({move.order}) at {move.pos} in {w.to_string()}")
@@ -237,6 +241,7 @@ def apply_move(w: DoubleWord, move: Move, cdata: CartanData) -> DoubleWord:
         letters[-1] = -letters[-1]
         return DoubleWord(tuple(letters))
     if move.kind == "dual":
+        _check_letters(w, cdata)
         if not _dual_ok(w, cdata):
             raise InapplicableMove(f"dual move on {w.to_string()}")
         L = dual_block_length(cdata)

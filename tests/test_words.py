@@ -175,7 +175,8 @@ BEYOND_THE_RANK = {
     "applicable_moves": lambda: words.applicable_moves(W("1,2,1"), _A1),
     "move_path_source": lambda: words.move_path(W("1,2,1"), W("2,1,2"), _A1),
     "move_path_target": lambda: words.move_path(W("1"), W("-2"), _A1),
-    "apply_move": lambda: words.apply_move(W("-2,1"), Move("mixed2", 0, 2), _A1),
+    "apply_move_d": lambda: words.apply_move(W("1,2,1"), Move("positive_d", 0, 3), _A1),
+    "apply_move_dual": lambda: words.apply_move(W("-2,1"), Move("dual", 0), _A1),
     "class": lambda: words.canonical_class(W("-1,2,1"), _A1),
 }
 
