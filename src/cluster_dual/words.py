@@ -209,10 +209,9 @@ def applicable_moves(w: DoubleWord, cdata: CartanData,
 
 
 def apply_move(w: DoubleWord, move: Move, cdata: CartanData) -> DoubleWord:
-    """The word after the move.  A d-move or dual move raises
-    PreconditionFailed on letters beyond the rank; mixed 2-moves and tau
-    moves read no type data and go unchecked (they are most of the edges
-    of a move search)."""
+    """The word after the move.  D-moves and the dual move read the type and
+    reject letters beyond the rank; mixed 2-moves and tau moves, most of the
+    edges of a move search, read no type data and go unchecked."""
     letters = list(w.letters)
     if move.kind == "mixed2":
         p = move.pos
