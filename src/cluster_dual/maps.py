@@ -4,7 +4,9 @@ A pipeline step knows the word it starts from and how to push a coordinate
 assignment forward; composites are built word-combinatorially once and then
 evaluated at many points (rationals, prime-field scalars or jets alike).  A
 move step reads its seeds once, on its first evaluation, into a plan of
-integer exponents, so evaluating a point never builds a seed.
+integer exponents, so evaluating a point never builds a seed.  The saltation
+core is lowered the same way, once per word: its block's zeta map becomes one
+mutation plan run on the whole point, with no split, glue or recount.
 Supported steps:
 
 - a word move (braid/commutation d-move, mixed 2-move, bar flip) carrying its
@@ -33,7 +35,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import cartan as weyl
 from . import seeds as seedmod
@@ -297,11 +299,36 @@ class MoveStep(Step):
                 "restricted": self.restricted}
 
 
+class _CorePlan(NamedTuple):
+    """The saltation core lowered once per source word j' i+ kbar: the
+    block's zeta map and its inverse as mutation plans on the whole point,
+    block slot (wire, c) shifted to (wire, prefix count + c), and the slots
+    the two steps read."""
+
+    target: DoubleWord
+    zeta: tuple[Mutation, ...]
+    zeta_inverse: tuple[Mutation, ...]
+    # target slots in output order, each with the source slot whose frozen
+    # value it copies (None: it reads the zeta image)
+    layout: tuple[tuple[SeedIndex, Optional[SeedIndex]], ...]
+    frozen: tuple[tuple[SeedIndex, SeedIndex], ...]  # (source top, target top)
+    body: tuple[SeedIndex, ...]  # the other source slots, in output order
+    boundary: SeedIndex  # the starred wire's block top
+    unknown: SeedIndex   # the moved wire's block top
+    k_top: SeedIndex     # the moved wire's source top
+
+
 @functools.lru_cache(maxsize=256)
-def _core_shape(cdata: CartanData, w: DoubleWord
-                ) -> tuple[DoubleWord, DoubleWord, int, DoubleWord]:
-    """Split the saltation core's source word j' i+ kbar into (j', i+, k) and
-    add its target word j' square(i+) k*."""
+def _core_plan(cdata: CartanData, w: DoubleWord) -> _CorePlan:
+    """Lower the saltation core at its source word j' i+ kbar, whose target is
+    j' square(i+) k*.
+
+    Running the block's zeta plan on the whole point equals splitting off
+    the block, running its zeta map and gluing back (amalgamation commutes
+    with mutation at unglued slots): no zeta mutation sits at a block bottom,
+    which only picks up factors.  The inverse core also relies on tops being
+    read only by tops: tropical mutations sit at tops and move only tops,
+    regular ones sit off them.  Each fact is checked here."""
     L = wordmod.dual_block_length(cdata)
     block = DoubleWord(w.letters[-L - 1:-1])
     kbar = w.letters[-1]
@@ -309,9 +336,49 @@ def _core_shape(cdata: CartanData, w: DoubleWord
         raise InapplicableMove("saltation core needs shape j' i+ kbar")
     prefix = DoubleWord(w.letters[:-L - 1])
     k = -kbar
-    target = prefix.concat(wordmod.square_word(block, cdata)).concat(
-        DoubleWord((weyl.star(cdata, k),)))
-    return prefix, block, k, target
+    ks = weyl.star(cdata, k)
+    target = prefix.concat(wordmod.square_word(block, cdata)).concat(DoubleWord((ks,)))
+    wires = range(1, cdata.rank + 1)
+    base = {wire: prefix.count(wire) for wire in wires}
+    top = {wire: block.count(wire) for wire in wires}  # block top counters
+
+    def at_top(ix: SeedIndex) -> bool:
+        return ix[1] == top[ix[0]]
+
+    def shift(ix: SeedIndex) -> SeedIndex:
+        return (ix[0], base[ix[0]] + ix[1])
+
+    def lower(zmap: RationalMap) -> tuple[Mutation, ...]:
+        plan = []
+        for step in zmap.steps:
+            mutations, sigma = _move_plan(cdata, step.word_before, step.move, step.restricted)
+            if sigma is not None:
+                raise InvariantViolation(f"zeta step {step.move.describe()} relabels slots")
+            for kind, ix, exponents in mutations:
+                moved = [jx for jx, _ in exponents]
+                if ix[1] == 0 or (at_top(ix) if kind == "regular"
+                                  else not all(map(at_top, [ix, *moved]))):
+                    raise InvariantViolation(
+                        f"zeta {kind} mutation at {ix} of {block.to_string()} "
+                        "breaks the bottom and top structure")
+                plan.append((kind, shift(ix), tuple((shift(jx), e) for jx, e in exponents)))
+        return tuple(plan)
+
+    zmap, zmap_inverse = _zeta_maps(cdata, block)
+    mid = {wire: base[wire] + top[wire] for wire in wires}
+    layout = []
+    for wire in wires:
+        n_t = mid[wire] + (wire == ks)
+        layout += [((wire, c), None) for c in range(n_t)]
+        # right frozen slots copy wire-preservingly: the moved wire's block
+        # top disappears, its source top descends
+        layout.append(((wire, n_t), (wire, mid[wire] + (wire == k))))
+    frozen = tuple((s, t) for t, s in layout if s is not None)
+    sources = {s for s, _ in frozen}
+    body = tuple((wire, c) for wire in wires for c in range(mid[wire] + 1)
+                 if (wire, c) not in sources)
+    return _CorePlan(target, lower(zmap), lower(zmap_inverse), tuple(layout), frozen, body,
+                     (ks, mid[ks]), (k, mid[k]), (k, mid[k] + 1))
 
 
 @dataclass(frozen=True)
@@ -323,7 +390,8 @@ class XiCoreStep(Step):
     word j' rides along by amalgamation), the boundary slot of wire k divides
     by the right-frozen value of wire k*, the top slot of wire k crosses to
     the new top slot of wire k*, and the remaining right-frozen slots keep
-    their values.
+    their values.  Evaluation runs the plan ``_core_plan`` lowers once per
+    word.
     """
 
     cdata: CartanData
@@ -331,35 +399,16 @@ class XiCoreStep(Step):
 
     @property
     def word_after(self) -> DoubleWord:
-        return _core_shape(self.cdata, self.word_before)[3]
+        return _core_plan(self.cdata, self.word_before).target
 
     def apply(self, values: Assignment) -> Assignment:
-        cdata = self.cdata
-        rank = cdata.rank
-        w = self.word_before
-        prefix, block, k, target = _core_shape(cdata, w)
-        ks = weyl.star(cdata, k)
-        zmap, _ = _zeta_maps(cdata, block)
-        (pl, lv), (rest, restv) = split_point(w, values, len(prefix), rank)
-        (pmid, mv), _ = split_point(rest, restv, len(block), rank)
-        y = zmap.apply(mv)
-        gw, gv = amalgamate_points(pl, lv, zmap.target_word, y)
-        mid_counts = {wire: prefix.count(wire) + block.count(wire) for wire in range(1, rank + 1)}
-        k_top = values[(k, w.count(k))]
-        out: Assignment = {}
-        for wire in range(1, rank + 1):
-            n_t = target.count(wire)
-            for c in range(n_t + 1):
-                if c == n_t:
-                    # right frozen slots copy wire-preservingly (the moved
-                    # wire's block slot disappears, its top descends)
-                    out[(wire, c)] = values[(wire, w.count(wire))]
-                elif wire == ks and c == mid_counts[ks]:
-                    # the starred wire's boundary slot divides by the moved
-                    # wire's frozen value
-                    out[(wire, c)] = gv[(wire, c)] / k_top
-                else:
-                    out[(wire, c)] = gv[(wire, c)]
+        plan = _core_plan(self.cdata, self.word_before)
+        z = values
+        for mutation in plan.zeta:
+            z = _apply_mutation(z, mutation)
+        out = {ix: z[ix] if src is None else values[src] for ix, src in plan.layout}
+        # the starred wire's boundary slot divides by the moved wire's frozen value
+        out[plan.boundary] = out[plan.boundary] / values[plan.k_top]
         return out
 
     def inverse(self) -> "XiCoreInverseStep":
@@ -402,15 +451,6 @@ class _Tracked:
             raise TypeError
         return _Tracked(other / self.coeff, -self.e)
 
-    def __pow__(self, n: int):
-        if n == 0:
-            return _Tracked(spow(self.coeff, 0), 0)
-        c = spow(self.coeff, n)
-        return _Tracked(c, self.e * n)
-
-
-def _tracked_pow(x, n: int):
-    return x ** n if isinstance(x, _Tracked) else spow(x, n)
 
 
 @dataclass(frozen=True)
@@ -420,11 +460,11 @@ class XiCoreInverseStep(Step):
     Structure of a zeta pipeline on the block torus: mutations never happen
     at bottom slots; interior slots evolve autonomously; bottom slots pick up
     scalar multipliers depending on the interiors only; top slots evolve as
-    monomials in each other times interior-driven scalars.  Hence, from the
-    image one recovers the interiors through the inverse zeta, the block-top
-    of the moved wire by solving a one-unknown monomial equation (its
-    exponent is +-1, checked), and the glued boundary by dividing out the
-    bottom multipliers of a zeta run on the reconstructed block point.
+    monomials in each other times interior-driven scalars.  Hence one inverse
+    zeta pass over the image, whatever stands in its top slots, recovers the
+    interiors and the glued boundary exactly; the block top of the moved wire
+    then solves a one-unknown monomial equation (its exponent is +-1,
+    checked) read off one forward zeta pass.
     """
 
     cdata: CartanData
@@ -432,69 +472,25 @@ class XiCoreInverseStep(Step):
     word_after: DoubleWord   # = forward step's word_before
 
     def apply(self, values: Assignment) -> Assignment:
-        cdata = self.cdata
-        prefix, block, k, _ = _core_shape(cdata, self.word_after)
-        rank = cdata.rank
-        src = self.word_after          # word of the forward source
-        ks = weyl.star(cdata, k)
-        mid = {wire: prefix.count(wire) + block.count(wire)
-               for wire in range(1, rank + 1)}
-        one = spow(next(iter(values.values())), 0)
-        out: Assignment = {}
+        plan = _core_plan(self.cdata, self.word_after)
         # right-frozen slots copy back wire-preservingly
-        for wire in range(1, rank + 1):
-            out[(wire, src.count(wire))] = values[(wire, self.word_before.count(wire))]
-        k_top = out[(k, src.count(k))]
-        # glued (prefix | zeta(block)) values the forward map exposed; the
-        # moved wire's glued top was shadowed by the frozen copy and is the
-        # one entangled unknown
-        gv: Assignment = {}
-        for wire in range(1, rank + 1):
-            top = self.word_before.count(wire)
-            for c in range(top):
-                gv[(wire, c)] = values[(wire, c)]
-        gv[(ks, mid[ks])] = values[(ks, mid[ks])] * k_top
-        zmap, zmap_inverse = _zeta_maps(cdata, block)
-        # interiors of the block preimage do not depend on bottoms or tops
-        zvals: Assignment = {}
-        for wire in range(1, rank + 1):
-            nb = block.count(wire)
-            zvals[(wire, 0)] = one
-            for c in range(1, nb):
-                zvals[(wire, c)] = gv[(wire, prefix.count(wire) + c)]
-            if nb:
-                zvals[(wire, nb)] = one
-        back = zmap_inverse.apply(zvals)
-        # block point: bottoms pinned to 1 by the canonical split, interiors
-        # recovered, tops from the preserved frozen slots except the moved
-        # wire's, tracked as the unknown X and solved from the starred wire's
-        # glued top (a one-unknown monomial equation)
-        x_p: Assignment = {}
-        for wire in range(1, rank + 1):
-            nb = block.count(wire)
-            x_p[(wire, 0)] = one
-            for c in range(1, nb):
-                x_p[(wire, c)] = back[(wire, c)]
-            if nb:
-                x_p[(wire, nb)] = (out[(wire, src.count(wire))]
-                                   if wire != k else _Tracked(one, 1))
-        image = zmap.apply(x_p)
-        tr = image[(ks, block.count(ks))]
+        tops = {src: values[ix] for src, ix in plan.frozen}
+        k_top = tops[plan.k_top]
+        glued = values[plan.boundary] * k_top
+        # the zeta image on the source slots, with the frozen copies standing
+        # in for the tops the forward core overwrote
+        z = {**tops, **{ix: values[ix] for ix in plan.body}, plan.boundary: glued}
+        for mutation in plan.zeta_inverse:
+            z = _apply_mutation(z, mutation)
+        # glued and interior slots are now exact; the moved wire's block top
+        # is the one unknown X, solved from the starred wire's glued top
+        x = {**z, **tops, plan.unknown: _Tracked(spow(k_top, 0), 1)}
+        for mutation in plan.zeta:
+            x = _apply_mutation(x, mutation)
+        tr = x[plan.boundary]
         if not (isinstance(tr, _Tracked) and abs(tr.e) == 1):
             raise InvariantViolation("starred block-top exponent must be +-1")
-        x_ktop = _tracked_pow(gv[(ks, mid[ks])] / tr.coeff, tr.e)
-        x_p[(k, block.count(k))] = x_ktop
-        multipliers = zmap.apply(x_p)
-        # assemble: prefix region, divided glue boundary, block region
-        for wire in range(1, rank + 1):
-            np_ = prefix.count(wire)
-            for c in range(np_):
-                out[(wire, c)] = gv[(wire, c)]
-            out[(wire, np_)] = gv[(wire, np_)] / multipliers[(wire, 0)]
-            for c in range(1, block.count(wire) + 1):
-                out[(wire, np_ + c)] = x_p[(wire, c)]
-        out[(k, src.count(k))] = k_top
-        return out
+        return {**z, **tops, plan.unknown: spow(glued / tr.coeff, tr.e)}
 
     def inverse(self) -> XiCoreStep:
         return XiCoreStep(self.cdata, self.word_after)
@@ -637,7 +633,6 @@ def dual_move_map(w: DoubleWord, cdata: CartanData) -> RationalMap:
     to_end = _along(w, [Move("mixed2", p, 2) for p in range(n - L - 1, n - 1)],
                     cdata, restricted=True)
     core = XiCoreStep(cdata, to_end.target_word)
-    _zeta_maps(cdata, _core_shape(cdata, core.word_before)[1])  # built with the map, not per point
     # migrate the new positive letter k* back to the block front
     back = _along(core.word_after, [Move("mixed2", p, 2) for p in range(n - 2, n - L - 2, -1)],
                   cdata, restricted=True)

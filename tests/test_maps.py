@@ -456,6 +456,7 @@ def test_lowered_steps_keep_their_errors(monkeypatch):
 
 
 def test_zeta_maps_built_with_the_map(rng, monkeypatch):
+    maps._core_plan.cache_clear()
     maps._zeta_maps.cache_clear()
     w = W("-1,1,2,1")
     xi = maps.xi_saltation(w, A2)
@@ -469,3 +470,52 @@ def test_zeta_maps_built_with_the_map(rng, monkeypatch):
         vals = rational_point(w, A2, rng)
         assert back.apply(xi.apply(vals)) == vals
     assert maps._zeta_maps.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("mutation", [
+    ("regular", (1, 0), (((1, 1), 1),)),     # at a block bottom
+    ("regular", (1, 2), (((1, 1), 1),)),     # at a block top
+    ("tropical", (1, 1), ()),                # off the block tops
+    ("tropical", (1, 2), (((1, 1), 1),)),    # moving an interior slot
+])
+def test_core_plan_rejects_a_zeta_mutation_off_its_slots(monkeypatch, mutation):
+    # the zeta plan of the block 1,2,1 runs on the whole point, and the
+    # inverse core fills the tops with stand-ins: both are only sound while
+    # no mutation sits at a bottom and only tropical ones touch the tops
+    monkeypatch.setattr(maps, "_move_plan", lambda *args: ((mutation,), None))
+    maps._core_plan.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match="bottom and top"):
+            maps.xi_saltation(W("-1,1,2,1"), A2)
+    finally:
+        monkeypatch.undo()
+        maps._core_plan.cache_clear()
+    assert maps.xi_saltation(W("-1,1,2,1"), A2).target_word == W("2,-1,-2,-1")
+
+
+def test_saltation_core_runs_its_plan_without_word_work(rng, monkeypatch):
+    """A warm saltation neither splits, glues nor recounts the point, and
+    one inverse-core evaluation runs the inverse zeta plan and one forward
+    zeta plan, nothing more."""
+    w = W("-1,1,2,1")
+    xi = maps.xi_saltation(w, A2)
+    back = xi.inverse()
+    points = [rational_point(w, A2, rng) for _ in range(2)]
+    back.apply(xi.apply(points[0]))
+    core = next(s for s in back.steps if isinstance(s, maps.XiCoreInverseStep))
+    core_point = rational_point(core.word_before, A2, rng)
+
+    def word_work(*args, **kwargs):
+        raise AssertionError("word-only work during evaluation")
+
+    for owner, name in ((maps, "split_point"), (maps, "amalgamate_points"),
+                        (maps, "zeta_map"), (words.DoubleWord, "count")):
+        monkeypatch.setattr(owner, name, word_work)
+    assert back.apply(xi.apply(points[1])) == points[1]
+    calls = []
+    real = maps._apply_mutation
+    monkeypatch.setattr(maps, "_apply_mutation",
+                        lambda *args: calls.append(args) or real(*args))
+    core.apply(core_point)
+    plan = maps._core_plan(A2, core.word_after)
+    assert len(calls) == len(plan.zeta_inverse) + len(plan.zeta) > 0
