@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     wrd.add_argument("--from", dest="src", required=True)
     wrd.add_argument("--to", dest="dst", required=True)
     wrd.add_argument("--moves", default="all",
-                     help="d | dhat | mixed2 | all")
+                     help=" | ".join(MOVE_SETS))
     wrd.set_defaults(func=cmd_words)
     return parser
 

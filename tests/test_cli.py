@@ -129,6 +129,14 @@ def test_words_path_examples(capsys):
     assert code == 1
 
 
+def test_words_path_help_lists_every_move_set(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["words", "--help"])
+    moves_help = capsys.readouterr().out.rsplit("--moves MOVES", 1)[1].split()
+    assert "dual" in cli.MOVE_SETS
+    assert set(cli.MOVE_SETS) <= set(moves_help)
+
+
 def test_env_seed_override(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("CLUSTER_DUAL_SEED", "99")
     out = tmp_path / "r.json"
