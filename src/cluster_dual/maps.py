@@ -452,7 +452,6 @@ class _Tracked:
         return _Tracked(other / self.coeff, -self.e)
 
 
-
 @dataclass(frozen=True)
 class XiCoreInverseStep(Step):
     """Exact inverse of the saltation core.
