@@ -1,11 +1,17 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cluster_dual import cartan as weyl
 from cluster_dual import evals, golden, group as grp, maps, seeds, words
-from cluster_dual.errors import PreconditionFailed, UnsupportedForType
+from cluster_dual.arith import DEFAULT_PRIME, Fp, jet_point
+from cluster_dual.errors import (InvalidParameter, NotInBigCell, PreconditionFailed,
+                                 UnsupportedForType)
 from cluster_dual.group import GroupMatrix
+from cluster_dual.words import DoubleWord
 
 from conftest import W, rational_point
 
@@ -223,3 +229,113 @@ def test_ev_hat_projects_the_right_factor_once(rng, monkeypatch):
         evals.ev_hat(ctx, rational_point(W(text), A1, rng))
         # ev(i1) once, and once more inside the one ev_red(i2)
         assert calls == {"ev": 2, "ev_red": 1, "gauss_leq0": 2}, text
+
+
+# ---------------------------------------------------------------------------
+# Structured products against the dense product of the generator matrices
+# ---------------------------------------------------------------------------
+
+def _dense(rank, factors, like):
+    out = grp.identity(rank + 1, like)
+    for factor in factors:
+        out = out * factor
+    return out
+
+
+def _dense_ev(w, cdata, values):
+    rank = cdata.rank
+    like = next(iter(values.values()), F(1))
+    factors = [grp.h_gen(rank, j, values[(j, 0)]) for j in range(1, rank + 1)]
+    seen = dict.fromkeys(range(1, rank + 1), 0)
+    for letter in w.letters:
+        i = abs(letter)
+        seen[i] += 1
+        factors.append(grp.e_gen(rank, i, like) if letter > 0 else grp.f_gen(rank, i, like))
+        factors.append(grp.h_gen(rank, i, values[(i, seen[i])]))
+    return _dense(rank, factors, like)
+
+
+def _dense_right_torus(w, rank, values, invert):
+    return [grp.h_gen(rank, j, 1 / values[(j, w.count(j))] if invert
+                      else values[(j, w.count(j))]) for j in range(1, rank + 1)]
+
+
+def _assert_same_entries(got, want):
+    """Equal entry by entry, and of the same type down to a jet's parts."""
+    assert got.n == want.n
+    for row_g, row_w in zip(got.rows, want.rows):
+        for a, b in zip(row_g, row_w, strict=True):
+            assert type(a) is type(b) and a == b and repr(a) == repr(b), (got, want)
+
+
+def _gauss_or_none(fn, g):
+    try:
+        return fn(g)
+    except NotInBigCell:
+        return None
+
+
+@st.composite
+def _matrix_inputs(draw):
+    """A type A1-A3, a word, letters for a representative, and a point of
+    the word's torus over Q, F_p or first-order jets over F_p."""
+    cdata = weyl.build_cartan(draw(st.sampled_from(("A1", "A2", "A3"))))
+    letter = st.integers(1, cdata.rank)
+    signed = letter.flatmap(lambda i: st.sampled_from((i, -i)))
+    word = DoubleWord(tuple(draw(st.lists(signed, max_size=5))))
+    rep_letters = tuple(draw(st.lists(letter, max_size=5)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    field = draw(st.sampled_from(("Q", "Fp", "jet")))
+    values = maps.random_assignment(word, cdata, rng,
+                                    None if field == "Q" else DEFAULT_PRIME, bound=9)
+    if field == "jet":
+        ixs = list(values)
+        values = dict(zip(ixs, jet_point([values[ix] for ix in ixs])))
+    return cdata, word, rep_letters, values
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_matrix_inputs())
+def test_structured_products_match_dense_products(inputs):
+    cdata, word, rep_letters, values = inputs
+    rank = cdata.rank
+    like = next(iter(values.values()))
+    dense_ev = _dense_ev(word, cdata, values)
+    _assert_same_entries(evals.ev(word, cdata, values), dense_ev)
+    _assert_same_entries(
+        evals.ev_red(word, cdata, values),
+        _dense(rank, [dense_ev] + _dense_right_torus(word, rank, values, True), like))
+    _assert_same_entries(
+        evals.frozen_torus(word, cdata, values),
+        _dense(rank, _dense_right_torus(word, rank, values, False), like))
+    dense_rep = _dense(rank, [grp.s_hat(rank, i, like) for i in rep_letters], like)
+    _assert_same_entries(grp.word_representative(rank, rep_letters, like), dense_rep)
+    if rep_letters:
+        w = weyl.from_word(cdata, rep_letters)
+        _assert_same_entries(
+            grp.weyl_representative(w, like),
+            _dense(rank, [grp.s_hat(rank, i, like) for i in w.reduced_word()], like))
+    for g in (dense_ev, dense_ev * dense_rep):
+        factors = _gauss_or_none(grp.gauss, g)
+        got_leq = _gauss_or_none(grp.gauss_leq0, g)
+        got_geq = _gauss_or_none(grp.gauss_geq0, g)
+        if factors is None:
+            assert got_leq is None and got_geq is None
+            continue
+        lower, diag, upper = factors
+        _assert_same_entries(got_leq, lower * diag)
+        _assert_same_entries(got_geq, diag * upper)
+
+
+@pytest.mark.parametrize("word,slot", [("1", (1, 0)), ("1,2,1", (2, 0)),
+                                       ("1,2,1", (1, 1)), ("1", (1, 1))])
+def test_ev_rejects_a_zero_torus_parameter(word, slot):
+    # leading, interior and right-end slots, over Q and F_p
+    cdata = A2 if "2" in word else A1
+    for one in (F(1), Fp(1, DEFAULT_PRIME)):
+        ixs = words.seed_indices(W(word), cdata.rank)
+        vals = {ix: one * (k + 2) for k, ix in enumerate(ixs)}
+        vals[slot] = one * 0
+        with pytest.raises(InvalidParameter):
+            evals.ev(W(word), cdata, vals)
