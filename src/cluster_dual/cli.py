@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -271,9 +272,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags whose value may begin with a minus sign, as in "--word -1,1".
+_SIGNED_VALUE_FLAGS = ("--word", "--from", "--to", "--point")
+
+
+def _glue_signed_values(argv: list[str]) -> list[str]:
+    """Spell "--word -1,1" as "--word=-1,1": argparse reads a value that
+    starts with a minus sign and is not a single number as an unknown
+    option, and would reject the flag for lacking its argument."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_VALUE_FLAGS and re.match(r"-[\d.]", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_signed_values(sys.argv[1:] if argv is None else argv))
     if args.command == "verify" and not args.all and args.identity is None:
         return _fail_config("name an identity or pass --all")
     try:

@@ -48,35 +48,48 @@ def ev(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMatrix:
     """Letter-by-letter evaluation of a torus point in the adjoint group."""
     rank = grp.require_type_a(cdata)
     like = next(iter(values.values()), Fraction(1))
-    out = grp.identity(rank + 1, like)
+    rows = [list(row) for row in grp.identity(rank + 1, like).rows]
     for j in range(1, rank + 1):
-        out = out * grp.h_gen(rank, j, values[(j, 0)])
-    seen = {j: 0 for j in range(1, rank + 1)}
+        grp.right_multiply(rows, "H", j, values[(j, 0)])
+    seen = dict.fromkeys(range(1, rank + 1), 0)
     for letter in w.letters:
         i = abs(letter)
+        grp.right_multiply(rows, "E" if letter > 0 else "F", i)
         seen[i] += 1
-        out = out * (grp.e_gen(rank, i, like) if letter > 0 else grp.f_gen(rank, i, like))
-        out = out * grp.h_gen(rank, i, values[(i, seen[i])])
-    return out
+        grp.right_multiply(rows, "H", i, values[(i, seen[i])])
+    return GroupMatrix(rows)
+
+
+def _strip_frozen_torus(rows: list[list], w: DoubleWord, rank: int,
+                        values: Assignment) -> None:
+    """Right-multiply ``rows`` in place by the inverse of the frozen torus."""
+    for j in range(1, rank + 1):
+        grp.right_multiply(rows, "H", j, 1 / values[(j, w.count(j))])
 
 
 def ev_red(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMatrix:
     """Evaluation with the right Cartan part stripped."""
     rank = grp.require_type_a(cdata)
-    out = ev(w, cdata, values)
-    for j in range(1, rank + 1):
-        out = out * grp.h_gen(rank, j, 1 / values[(j, w.count(j))])
-    return out
+    rows = [list(row) for row in ev(w, cdata, values).rows]
+    _strip_frozen_torus(rows, w, rank, values)
+    return GroupMatrix(rows)
 
 
 def frozen_torus(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMatrix:
     """Product of H^j at the right frozen values."""
     rank = grp.require_type_a(cdata)
     like = next(iter(values.values()), Fraction(1))
-    out = grp.identity(rank + 1, like)
+    rows = [list(row) for row in grp.identity(rank + 1, like).rows]
     for j in range(1, rank + 1):
-        out = out * grp.h_gen(rank, j, values[(j, w.count(j))])
-    return out
+        grp.right_multiply(rows, "H", j, values[(j, w.count(j))])
+    return GroupMatrix(rows)
+
+
+def _times_representative(rows: list[list], w: WeylElement) -> None:
+    """Right-multiply ``rows`` in place by the representative of w, column
+    move by column move along its reduced word."""
+    for i in w.reduced_word():
+        grp.right_multiply(rows, "s", i)
 
 
 @dataclass(frozen=True)
@@ -131,18 +144,15 @@ def _ev_factored(ctx: EvalContext, values: Assignment
     if ctx.transport is not None:
         values = ctx.transport.apply(values)
     (lw, lv), (rw, rv) = mapmod.split_point(ctx.factored_word, values, ctx.cut, rank)
-    like = next(iter(values.values()), Fraction(1))
-    rep = grp.weyl_representative(ctx.w2 * weyl.longest_element(cdata), like)
-    return values, ev(lw, cdata, lv), grp.gauss_leq0(ev_red(rw, cdata, rv) * rep)
+    right = [list(row) for row in ev_red(rw, cdata, rv).rows]
+    _times_representative(right, ctx.w2 * weyl.longest_element(cdata))
+    return values, ev(lw, cdata, lv), grp.gauss_leq0(GroupMatrix(right))
 
 
-def _w0_representative(cdata: CartanData, values: Assignment) -> GroupMatrix:
-    like = next(iter(values.values()), Fraction(1))
-    return grp.weyl_representative(weyl.longest_element(cdata), like)
-
-
-def _ev_left(first: GroupMatrix, proj: GroupMatrix, w0rep: GroupMatrix) -> GroupMatrix:
-    return first * grp.theta(grp.gauss_leq0(grp.theta(proj) * w0rep))
+def _ev_left(first: GroupMatrix, proj: GroupMatrix, cdata: CartanData) -> GroupMatrix:
+    inner = [list(row) for row in grp.theta(proj).rows]
+    _times_representative(inner, weyl.longest_element(cdata))
+    return first * grp.theta(grp.gauss_leq0(GroupMatrix(inner)))
 
 
 def ev_LR(ctx: EvalContext, values: Assignment, side: str) -> GroupMatrix:
@@ -150,17 +160,18 @@ def ev_LR(ctx: EvalContext, values: Assignment, side: str) -> GroupMatrix:
     values, first, proj = _ev_factored(ctx, values)
     if side != "L":
         return first * proj
-    return _ev_left(first, proj, _w0_representative(ctx.cdata, values))
+    return _ev_left(first, proj, ctx.cdata)
 
 
 def ev_hat(ctx: EvalContext, values: Assignment) -> GroupMatrix:
     """The twisted evaluation of the context's word at a point of its
-    bracket torus."""
+    bracket torus: L * frozen_torus^{-1} * rep(w0) * R^{-1}."""
     values, first, proj = _ev_factored(ctx, values)
-    w0rep = _w0_representative(ctx.cdata, values)
-    return (_ev_left(first, proj, w0rep)
-            * frozen_torus(ctx.factored_word, ctx.cdata, values).inverse()
-            * w0rep * (first * proj).inverse())
+    cdata = ctx.cdata
+    rows = [list(row) for row in _ev_left(first, proj, cdata).rows]
+    _strip_frozen_torus(rows, ctx.factored_word, cdata.rank, values)
+    _times_representative(rows, weyl.longest_element(cdata))
+    return GroupMatrix(rows) * (first * proj).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +226,8 @@ def tau_product(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMa
     out = grp.identity(rank + 1, like)
     for k, param in enumerate(params, 1):
         rep = grp.word_representative(rank, letters[k:], like)
-        out = out * rep.inverse() * grp.x_neg(rank, letters[k - 1], param) * rep
+        # a signed permutation's inverse is its transpose
+        out = out * rep.transpose() * grp.x_neg(rank, letters[k - 1], param) * rep
     return out
 
 
@@ -423,7 +435,7 @@ def _twist(runner: _CheckRunner) -> None:
         if wordmod.is_negative_reduced(neg, cdata):
             zneg = mapmod.zeta_map(neg, cdata)
             u = weyl.from_word(cdata, neg.negative_subword)
-            urep_inv = grp.weyl_representative(u).inverse()
+            urep_inv = grp.weyl_representative(u).transpose()
             runner.run_pointwise(
                 neg,
                 lambda vals, nw=neg, ui=urep_inv: grp.gauss_geq0(
@@ -461,9 +473,10 @@ def _trop_geom(runner: _CheckRunner) -> None:
         runner.run_pointwise(
             w,
             lambda vals, w=w, u=u: grp.gauss_geq0(
-                _like_cast(grp.weyl_representative(u).inverse(), vals) * ev(w, cdata, vals)),
+                _like_cast(grp.weyl_representative(u).transpose(), vals)
+                * ev(w, cdata, vals)),
             lambda vals, t=trop_l, u2=u2: grp.gauss_geq0(
-                _like_cast(grp.weyl_representative(u2).inverse(), vals)
+                _like_cast(grp.weyl_representative(u2).transpose(), vals)
                 * ev(t.target_word, cdata, t.apply(vals))))
 
 
@@ -516,7 +529,7 @@ def _w0_conj(runner: _CheckRunner) -> None:
         runner.run_pointwise(
             w,
             lambda vals, w=w: _like_cast(w0rep, vals) * ev(w, cdata, vals)
-            * _like_cast(w0rep, vals).inverse(),
+            * _like_cast(w0rep, vals).transpose(),
             lambda vals, w=w: ev(*_star_eval_args(w, cdata, vals)))
 
 
@@ -682,7 +695,7 @@ def _sitrop(runner: _CheckRunner) -> None:
 
         def lhs(vals, w=w, j=j):
             like = next(iter(vals.values()))
-            return grp.s_hat(rank, j, like).inverse() * ev(w, cdata, vals)
+            return grp.s_hat(rank, j, like).transpose() * ev(w, cdata, vals)
 
         def rhs(vals, w=w, j=j, trop=trop):
             moved = trop.apply(vals)

@@ -8,6 +8,15 @@ determinant-one normalization differs from it by a central scalar only, and
 this lift keeps every entry a Laurent polynomial in the inputs.  With that
 lift, H^j commutes with E^i and F^i for j != i, which is what makes the
 letter-by-letter evaluation of amalgamated words well defined.
+
+Right multiplication by a generator is an elementary column operation: E^i
+adds column i-1 to column i, F^i adds column i to column i-1, H^i(x) scales
+the first i columns by x, and the reflection representative moves columns
+(i-1, i) to (i, -(i-1)).  The evaluations are products of these factors,
+the one-parameter-subgroup and torus factorization of double Bruhat cells
+(Fomin-Zelevinsky, "Double Bruhat cells and total positivity",
+arXiv:math/9802056), so ``right_multiply`` builds them column by column;
+the dense product stays for products of two general matrices.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import _is_nonzero, _one_like, _zero_like
+from .arith import Jet, _is_nonzero, _one_like, _zero_like, jet_const
 from .cartan import CartanData, WeylElement
 from .errors import InvalidParameter, NotInBigCell, SingularPoint, UnsupportedForType
 
@@ -197,6 +206,51 @@ def generator(kind: str, rank: int, i: int, x=None) -> GroupMatrix:
     raise InvalidParameter(f"unknown generator kind {kind!r}")
 
 
+def _lift_jet_rows(rows: list[list]) -> None:
+    """Make every entry of a row that holds a jet a jet, in place.
+
+    An entry of a dense product sums over its whole row of the left factor,
+    and a jet times zero is a jet, so the dense product of a row holding a
+    jet is all jets; column operations touch only some entries and lift the
+    rest here."""
+    for row in rows:
+        kinds = set(map(type, row))
+        if Jet in kinds and len(kinds) > 1:
+            dim = len(next(x for x in row if type(x) is Jet).partials)
+            row[:] = [x if type(x) is Jet else jet_const(x, dim) for x in row]
+
+
+def right_multiply(rows: list[list], kind: str, i: int, x=None) -> None:
+    """Multiply the matrix ``rows`` (a list of mutable rows) on the right by
+    one generator, in place, by a column operation:
+
+    - "E", by E^i: add column i-1 to column i;
+    - "F", by F^i: add column i to column i-1;
+    - "H", by H^i(x): scale the first i columns by x;
+    - "s", by s_hat(i): map columns (i-1, i) to (i, -(i-1)).
+
+    Every entry equals the dense product's in value and type."""
+    _require_range(i, len(rows) - 1)
+    if kind == "H" and not _is_nonzero(x):
+        raise InvalidParameter("torus parameter must be nonzero")
+    _lift_jet_rows(rows)
+    if kind == "E":
+        for row in rows:
+            row[i] = row[i - 1] + row[i]
+    elif kind == "F":
+        for row in rows:
+            row[i - 1] = row[i - 1] + row[i]
+    elif kind == "H":
+        for row in rows:
+            for c in range(i):
+                row[c] = row[c] * x
+    elif kind == "s":
+        for row in rows:
+            row[i - 1], row[i] = row[i], -row[i - 1]
+    else:
+        raise InvalidParameter(f"unknown generator kind {kind!r}")
+
+
 def require_type_a(cdata: CartanData) -> int:
     if cdata.type_label[0] != "A":
         raise UnsupportedForType(
@@ -205,10 +259,10 @@ def require_type_a(cdata: CartanData) -> int:
 
 
 def word_representative(rank: int, letters: Sequence[int], like=Fraction(1)) -> GroupMatrix:
-    out = identity(rank + 1, like)
+    rows = [list(row) for row in identity(rank + 1, like).rows]
     for i in letters:
-        out = out * s_hat(rank, i, like)
-    return out
+        right_multiply(rows, "s", i)
+    return GroupMatrix(rows)
 
 
 def weyl_representative(w: WeylElement, like=Fraction(1)) -> GroupMatrix:
@@ -239,14 +293,22 @@ def gauss(g: GroupMatrix) -> tuple[GroupMatrix, GroupMatrix, GroupMatrix]:
     return GroupMatrix(lower), GroupMatrix(diag), GroupMatrix(upper)
 
 
+def _scale_columns(m: GroupMatrix, diag: GroupMatrix) -> GroupMatrix:
+    """m times the diagonal matrix diag: column c scaled by diag[c][c]."""
+    rows = [list(row) for row in m.rows]
+    _lift_jet_rows(rows)
+    return GroupMatrix([[x * diag[c][c] for c, x in enumerate(row)] for row in rows])
+
+
 def gauss_leq0(g: GroupMatrix) -> GroupMatrix:
     lower, diag, _ = gauss(g)
-    return lower * diag
+    return _scale_columns(lower, diag)
 
 
 def gauss_geq0(g: GroupMatrix) -> GroupMatrix:
+    # diag * upper, by scaling the rows of upper
     _, diag, upper = gauss(g)
-    return diag * upper
+    return _scale_columns(upper.transpose(), diag).transpose()
 
 
 def theta(g: GroupMatrix) -> GroupMatrix:

@@ -129,6 +129,24 @@ def test_words_path_examples(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("spaced,glued", [
+    (["compute", "ev", "--word", "-1,1", "--point", "2,3,5"],
+     ["compute", "ev", "--word=-1,1", "--point=2,3,5"]),
+    (["compute", "ev", "--word", "1,1", "--point", "-2,3,5"],
+     ["compute", "ev", "--word=1,1", "--point=-2,3,5"]),
+    (["compute", "ev-hat", "--word", "-1,-1", "--point", "-1/2,3,-5"],
+     ["compute", "ev-hat", "--word=-1,-1", "--point=-1/2,3,-5"]),
+    (["words", "path", "--from", "-1,1", "--to", "1,-1", "--moves", "mixed2"],
+     ["words", "path", "--from=-1,1", "--to=1,-1", "--moves", "mixed2"]),
+    (["words", "path", "--to", "-1,1", "--from", "-1,1"],
+     ["words", "path", "--to=-1,1", "--from=-1,1"]),
+])
+def test_signed_values_take_the_spaced_spelling(spaced, glued, capsys):
+    code, stdout, err = run(spaced + ["--type", "A1"], capsys)
+    assert code == 0, err
+    assert (code, stdout, err) == run(glued + ["--type", "A1"], capsys)
+
+
 def test_words_path_help_lists_every_move_set(capsys):
     with pytest.raises(SystemExit):
         cli.main(["words", "--help"])

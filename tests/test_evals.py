@@ -339,3 +339,31 @@ def test_ev_rejects_a_zero_torus_parameter(word, slot):
         vals[slot] = one * 0
         with pytest.raises(InvalidParameter):
             evals.ev(W(word), cdata, vals)
+
+
+def test_ev_rejects_a_letter_beyond_the_rank():
+    word = W("1,2")
+    vals = {ix: F(k + 2) for k, ix in enumerate(words.seed_indices(word, 2))}
+    with pytest.raises(InvalidParameter):
+        evals.ev(word, A1, vals)
+
+
+def test_structured_products_make_no_dense_product(rng, monkeypatch):
+    calls = []
+    dense = GroupMatrix.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return dense(self, other)
+
+    monkeypatch.setattr(GroupMatrix, "__mul__", counted)
+    word = W("1,-2,1,2,-1")
+    vals = rational_point(word, A2, rng)
+    evals.ev(word, A2, vals)
+    evals.ev_red(word, A2, vals)
+    evals.frozen_torus(word, A2, vals)
+    grp.word_representative(2, (1, 2, 1))
+    grp.weyl_representative(weyl.longest_element(A2))
+    assert calls == []
+    grp.identity(3) * grp.identity(3)  # the counter sees a dense product
+    assert len(calls) == 1
