@@ -51,9 +51,10 @@ def ev(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMatrix:
     rows = [list(row) for row in grp.identity(rank + 1, like).rows]
     for j in range(1, rank + 1):
         grp.right_multiply(rows, "H", j, values[(j, 0)])
-    seen = dict.fromkeys(range(1, rank + 1), 0)
+    seen = {j: 0 for j in range(1, rank + 1)}
     for letter in w.letters:
         i = abs(letter)
+        # the column move checks the letter's range before seen reads it
         grp.right_multiply(rows, "E" if letter > 0 else "F", i)
         seen[i] += 1
         grp.right_multiply(rows, "H", i, values[(i, seen[i])])

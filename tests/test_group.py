@@ -19,6 +19,14 @@ def test_generators_rank_one():
         grp.e_gen(1, 3)
 
 
+def test_right_multiply_guards():
+    rows = [list(r) for r in grp.identity(3).rows]
+    for kind, i, x in (("E", 3, None), ("s", 0, None), ("H", 1, F(0)), ("X", 1, None)):
+        with pytest.raises(InvalidParameter):
+            grp.right_multiply(rows, kind, i, x)
+    assert rows == [list(r) for r in grp.identity(3).rows]
+
+
 def test_phi_relations(rng):
     for rank in (1, 2, 3):
         for i in range(1, rank + 1):
