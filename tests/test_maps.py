@@ -199,6 +199,49 @@ def test_warm_artin_rebuild_asks_no_class_question(monkeypatch):
     assert calls == []
 
 
+def test_artin_word_agrees_with_per_letter_composite():
+    """A composite of Artin generators equals the product of the single
+    generators, built here from ``artin_T`` and ``.then``, exactly at
+    rational and prime-field points.  On A2 a composite of two letters or
+    more runs fewer steps than that product.
+
+    B2 is left out: there ``mu_hat`` still depends on the move path (7 of 20
+    triangles of D(w0) words disagree), so a composite that takes a
+    different path between two base words need not agree with the
+    per-letter one."""
+    cases = [(A2, W("1,2,1,1,2,1"), letters)
+             for letters in ((1, 2, 1), (2, 1, 2), (1, 2), (2, 2), (1,))]
+    cases.append((A1, W("1,1"), (1, 1)))
+    rng = random.Random("artin-word")
+    step_counts = []
+    for cdata, word, letters in cases:
+        fused = maps.artin_T_word(word, letters, cdata)
+        reference = maps.artin_T(word, letters[0], cdata)
+        for j in letters[1:]:
+            reference = reference.then(maps.artin_T(word, j, cdata))
+        assert fused.source_word == fused.target_word == word
+        compared = 0
+        for prime in (None, DEFAULT_PRIME) * 4:
+            vals = maps.random_assignment(word, cdata, rng, prime)
+            try:
+                want = reference.apply(vals)
+                got = fused.apply(vals)
+            except SingularPoint:
+                continue
+            assert got == want, (letters, vals)
+            compared += 1
+        assert compared >= 6, letters
+        step_counts.append((cdata, letters, len(fused.steps), len(reference.steps)))
+    for cdata, letters, fused_steps, reference_steps in step_counts:
+        if len(letters) == 1:
+            assert fused_steps == reference_steps, letters
+        elif cdata is A2:
+            assert fused_steps < reference_steps, letters
+        else:
+            # on A1 the word 1,1 is the flipped base word: no detour to cut
+            assert fused_steps == reference_steps, letters
+
+
 def test_braid_relation_probabilistic():
     word = W("1,2,1,1,2,1")
     lhs = maps.artin_T_word(word, (1, 2, 1), A2)
