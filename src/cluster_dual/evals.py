@@ -25,6 +25,9 @@ in exact rational arithmetic.
 
 from __future__ import annotations
 
+import hashlib
+import re
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -279,6 +282,24 @@ CHECK_NAMES = (
 MATRIX_TYPES = ("A1", "A2")
 
 
+def _record_text(value, render: Callable = repr) -> str:
+    """render(value) for a failure record.  A confirmed value can hold an
+    integer longer than the interpreter converts to decimal by default
+    (``sys.get_int_max_str_digits()``); it is rendered without the limit,
+    and each such run of digits is written as its length and its sha256."""
+    try:
+        return render(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = render(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+    return re.sub(rf"\d{{{limit + 1},}}", lambda m: (
+        f"<{len(m[0])} digits, sha256 {hashlib.sha256(m[0].encode()).hexdigest()}>"), text)
+
+
 class _CheckRunner:
     """Runs one check's pointwise identities through the trial engine and
     folds every trial into the report."""
@@ -306,8 +327,8 @@ class _CheckRunner:
             if outcome.status == "counterexample":
                 report.failures.append({
                     "word": text,
-                    "point": {f"{ix}": str(v) for ix, v in outcome.point.items()},
-                    "lhs": repr(outcome.lhs), "rhs": repr(outcome.rhs)})
+                    "point": {f"{ix}": _record_text(v, str) for ix, v in outcome.point.items()},
+                    "lhs": _record_text(outcome.lhs), "rhs": _record_text(outcome.rhs)})
             elif outcome.status == "exhausted":
                 report.failures.append({
                     "word": text,

@@ -3,9 +3,10 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction as F
 
-from cluster_dual import evals, group as grp
+from cluster_dual import cli, evals, group as grp
 from cluster_dual.arith import _REDRAW_BUDGET, TrialConfig, maps_equal_probabilistic
 from cluster_dual.errors import SingularPoint
 
@@ -49,6 +50,36 @@ def test_report_records_confirmed_failure():
         x = point["(1, 0)"]
         assert fail["lhs"] == repr(grp.x_pos(1, 1, x))
         assert fail["rhs"] == repr(grp.identity(2, x))
+
+
+def _planted_power(runner):
+    """A false identity x^20000 = x whose rational left side has more
+    decimal digits than the interpreter prints by default (4300)."""
+    runner.run_pointwise(W("1"), lambda vals: vals[(1, 1)] ** 20000,
+                         lambda vals: vals[(1, 1)], equal=lambda a, b: a == b)
+
+
+def test_report_records_an_oversized_confirmed_value(monkeypatch, tmp_path, capsys):
+    runner = evals._CheckRunner(evals.IdentityCheck("PHI_REL", "A1", trials=2, prime=97))
+    _planted_power(runner)
+    failures = runner.report.failures
+    assert len(failures) == 2
+    for fail in failures:
+        x = F(fail["point"]["(1, 1)"])
+        assert fail["rhs"] == repr(x)
+        digits, digest = re.fullmatch(r"Fraction\(<(\d+) digits, sha256 ([0-9a-f]{64})>, 1\)",
+                                      fail["lhs"]).groups()
+        value = x.numerator ** 20000
+        assert 10 ** (int(digits) - 1) <= value < 10 ** int(digits)
+        assert int(digits) > 4300
+    monkeypatch.setitem(evals._CHECK_IMPLS, "PHI_REL", _planted_power)
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "PHI_REL", "--type", "A1", "--trials", "2", "--prime", "97",
+                     "--allow-small-prime", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 1
+    report = json.loads(out.read_text())["reports"][0]
+    assert [fail["lhs"] for fail in report["failures"]] == [fail["lhs"] for fail in failures]
 
 
 def test_always_singular_draw_exhausts_budget():
