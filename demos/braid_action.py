@@ -2,10 +2,10 @@
 
 The two Artin generators on the bracket torus of the doubled longest word
 of A2 satisfy T1 T2 T1 = T2 T1 T2.  Each generator is assembled from a
-transport to a base word, one frozen bar flip, and a transport back; the
-composites below are pipelines of a few dozen exact birational steps, and
-the relation is verified at random prime-field points with rational
-confirmation.
+transport to a base word, one frozen bar flip, and a transport back; a
+composite runs straight from one base word to the next, so each side below
+is a pipeline of about a hundred exact birational steps, and the relation
+is verified at random prime-field points with rational confirmation.
 
 Run:  python3 demos/braid_action.py
 """

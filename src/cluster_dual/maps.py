@@ -726,10 +726,34 @@ def artin_T(w: DoubleWord, j: int, cdata: CartanData,
             base: Optional[DoubleWord] = None) -> RationalMap:
     """The Artin generator on the bracket torus of w in D(w0(I)): transport to
     the flipped base word, apply the left tropical mutation (which restores
-    the base word), transport back.
+    the base word), transport back.  This is the one-letter case of
+    ``artin_T_word``.
 
     The subset I must be stable under the star involution; the resulting map
     does not depend on the admissible base word chosen.
+    """
+    return artin_T_word(w, (j,), cdata, subset, None if base is None else (base,))
+
+
+def artin_T_word(w: DoubleWord, letters: Sequence[int], cdata: CartanData,
+                 subset: Optional[Sequence[int]] = None,
+                 bases: Optional[Sequence[DoubleWord]] = None) -> RationalMap:
+    """Composite of Artin generators along a word (leftmost letter first) on
+    the bracket torus of w in D(w0(I)), as one chain of base-to-base
+    transports:
+
+        mu_hat(w -> flipped_a1), bar flip, mu_hat(base_a1 -> flipped_a2),
+        bar flip, ..., mu_hat(base_ak -> w),
+
+    where flipped_j is the base word of j with its leading letter unbarred,
+    and the left bar flip (a tropical mutation) returns it to base_j.  The
+    product of the generators would go base_a -> w -> flipped_b between two
+    letters; ``mu_hat`` does not depend on the path, so that stretch is the
+    one transport base_a -> flipped_b, between the classes w0(I) and
+    w0(I) s_{b*}.  With one letter the chain is the generator itself.
+
+    ``bases`` gives each letter's base word, a word of R(w0(I), w0) starting
+    with the barred letter (by default ``_artin_base_word``).
     """
     subset = tuple(subset) if subset is not None else tuple(range(1, cdata.rank + 1))
     if not all(1 <= i <= cdata.rank for i in subset):
@@ -737,36 +761,29 @@ def artin_T(w: DoubleWord, j: int, cdata: CartanData,
     star = weyl.star_involution(cdata)
     if sorted(star[i] for i in subset) != sorted(subset):
         raise PreconditionFailed("subset must be star-stable")
-    if j not in subset:
-        raise PreconditionFailed(f"{j} is not in the subset")
+    for j in letters:
+        if j not in subset:
+            raise PreconditionFailed(f"{j} is not in the subset")
+    if bases is None:
+        bases = [_artin_base_word(cdata, j, subset) for j in letters]
     w0I = weyl.longest_element(cdata, subset)
     found = wordmod.canonical_class(w, cdata, w0I)
     if found is None:
         raise PreconditionFailed(f"{w.to_string()} is not in D(w0(I))")
-    dec = found[0]
-    if base is None:
-        base = _artin_base_word(cdata, j, subset)
-    flipped = wordmod.l_move(base)  # starts with the positive letter j
-    base_w1 = w0I                                  # class of the base word
-    flipped_w1 = w0I * weyl.simple(cdata, star[j])  # the moving letter leaves it
-    leg_in = mu_hat(w, flipped, cdata, w0I,
-                    w1_source=dec.w1, w1_target=flipped_w1)
-    trop = MoveStep(cdata, flipped, Move("tau_left", 0), restricted=False)
-    if trop.word_after != base:
-        raise InvariantViolation(f"bar flip of {flipped.to_string()} misses the base word")
-    middle = RationalMap(cdata, flipped, base, (trop,), True)
-    leg_out = mu_hat(base, w, cdata, w0I,
-                     w1_source=base_w1, w1_target=dec.w1)
-    return leg_in.then(middle).then(leg_out)
-
-
-def artin_T_word(w: DoubleWord, letters: Sequence[int], cdata: CartanData,
-                 subset: Optional[Sequence[int]] = None) -> RationalMap:
-    """Composite of Artin generators along a word (leftmost letter first)."""
+    w1 = found[0].w1
     out = identity_map(w, cdata, restricted=True)
-    for j in letters:
-        out = out.then(artin_T(w, j, cdata, subset))
-    return out
+    for j, base in zip(letters, bases, strict=True):
+        flipped = wordmod.l_move(base)  # starts with the positive letter j
+        # the moving letter leaves the class of the base word, w0(I)
+        out = out.then(mu_hat(out.target_word, flipped, cdata, w0I,
+                              w1_source=w1, w1_target=w0I * weyl.simple(cdata, star[j])))
+        trop = MoveStep(cdata, flipped, Move("tau_left", 0), restricted=False)
+        if trop.word_after != base:
+            raise InvariantViolation(f"bar flip of {flipped.to_string()} misses the base word")
+        out = out.then(RationalMap(cdata, flipped, base, (trop,), True))
+        w1 = w0I
+    return out.then(mu_hat(out.target_word, w, cdata, w0I,
+                           w1_source=w1, w1_target=found[0].w1))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ DESCRIBE_SHA256 = {
     "zeta A3":
         "3b820e0690295906b858662351a5cfa3ab2aca66e227d05d33e5ab3ee154de07",
     "braid A2":
-        "f6e204b5a5742b4cf388dcccd9583de4e0a076e5365f3ab0f69341f366506ae3",
+        "06bcbec7763ce8e039fa5c0d430d31d57807d1704eed4224d2ee1b29648331fc",
     "saltations":
         "b0352d9460e1f0f56f9bceb75e70d406a6195474607c623950be825a70dea26e",
     "move paths":

@@ -13,10 +13,10 @@ from cluster_dual.errors import SingularPoint
 from conftest import W
 
 # sha256 of the reports of every matrix-level check on A1 and A2 at prime 97,
-# 3 trials, rng seed 5, with elapsed_ms removed.  At this small prime 11
+# 3 trials, rng seed 5, with elapsed_ms removed.  At this small prime 7
 # draws are redrawn: singular draws, and one mod-p disagreement that the
 # rational re-evaluation does not confirm.
-MATRIX_REPORTS_SHA256 = "1a65b3cb9161b35f00fd31d12693d6857e534045b796bd97b576ae7e3e1aa6f0"
+MATRIX_REPORTS_SHA256 = "3912ca30104dd061e98102364309016fcc91108634382d0ebcfe755496e66df6"
 
 
 def test_matrix_reports_pinned():
@@ -31,7 +31,7 @@ def test_matrix_reports_pinned():
             del data["elapsed_ms"]
             payload.append(data)
             skipped += rep.skipped
-    assert skipped == 11
+    assert skipped == 7
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     assert digest == MATRIX_REPORTS_SHA256
 
