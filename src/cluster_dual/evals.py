@@ -285,8 +285,10 @@ MATRIX_TYPES = ("A1", "A2")
 def _record_text(value, render: Callable = repr) -> str:
     """render(value) for a failure record.  A confirmed value can hold an
     integer longer than the interpreter converts to decimal by default
-    (``sys.get_int_max_str_digits()``); it is rendered without the limit,
-    and each such run of digits is written as its length and its sha256."""
+    (``sys.get_int_max_str_digits()``); it is rendered with the limit
+    lifted for the call (the limit is per process, and checks run in one
+    thread), and each such run of digits is written as its length and its
+    sha256."""
     try:
         return render(value)
     except ValueError:

@@ -770,7 +770,7 @@ def artin_T_word(w: DoubleWord, letters: Sequence[int], cdata: CartanData,
     found = wordmod.canonical_class(w, cdata, w0I)
     if found is None:
         raise PreconditionFailed(f"{w.to_string()} is not in D(w0(I))")
-    w1 = found[0].w1
+    w_class = w1 = found[0].w1
     out = identity_map(w, cdata, restricted=True)
     for j, base in zip(letters, bases, strict=True):
         flipped = wordmod.l_move(base)  # starts with the positive letter j
@@ -783,7 +783,7 @@ def artin_T_word(w: DoubleWord, letters: Sequence[int], cdata: CartanData,
         out = out.then(RationalMap(cdata, flipped, base, (trop,), True))
         w1 = w0I
     return out.then(mu_hat(out.target_word, w, cdata, w0I,
-                           w1_source=w1, w1_target=found[0].w1))
+                           w1_source=w1, w1_target=w_class))
 
 
 # ---------------------------------------------------------------------------
