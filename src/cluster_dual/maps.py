@@ -677,19 +677,11 @@ def mu_hat(source: DoubleWord, target: DoubleWord, cdata: CartanData,
     return _mu_hat(cdata, source, target, v, *classes)
 
 
-# Bounded: all 160 A2 artin-T maps and their inverses need 320 entries.
-@functools.lru_cache(maxsize=1024)
-def _mu_hat(cdata: CartanData, source: DoubleWord, target: DoubleWord,
-            v: WeylElement, w1_source: WeylElement, w1_target: WeylElement
-            ) -> RationalMap:
-    """mu_hat between resolved classes: a breadth-first search over
-    class-coherent dhat moves, then the composite along the path found."""
-    def in_dv(state: tuple[DoubleWord, WeylElement]) -> bool:
+def _dhat_graph(cdata: CartanData, v: WeylElement):
+    """(successors, admit) of the search over (word, w1) states of D(v):
+    class-coherent dhat moves, and membership of the word in the class."""
+    def admit(state: tuple[DoubleWord, WeylElement]) -> bool:
         return wordmod.is_in_dv(state[0], cdata, v, state[1])
-
-    if not in_dv((source, w1_source)):
-        raise PreconditionFailed(
-            f"{source.to_string()} is not a ({w1_source.reduced_word()},*) word of D(v)")
 
     def successors(state):
         word, w1 = state
@@ -701,7 +693,41 @@ def _mu_hat(cdata: CartanData, source: DoubleWord, target: DoubleWord,
                     continue
             yield mv, (wordmod.apply_move(word, mv, cdata), out_w1)
 
-    path = wordmod._search((source, w1_source), (target, w1_target), successors, in_dv)
+    return successors, admit
+
+
+# Bounded: the Artin composer anchors on two states per letter and subset,
+# four for all of A2.
+@functools.lru_cache(maxsize=16)
+def _ball(cdata: CartanData, v: WeylElement,
+          anchor: tuple[DoubleWord, WeylElement]) -> wordmod._Ball:
+    """The breadth-first ball of the class-coherent dhat move graph over
+    D(v) around one (word, w1) state, grown across the searches that share
+    that end.  The graph is symmetric: a dual edge's reverse is the dual
+    move at its image, with the class pair swapped."""
+    return wordmod._Ball(anchor, *_dhat_graph(cdata, v))
+
+
+# Bounded: all 160 A2 artin-T maps and their inverses need 320 entries.
+@functools.lru_cache(maxsize=1024)
+def _mu_hat(cdata: CartanData, source: DoubleWord, target: DoubleWord,
+            v: WeylElement, w1_source: WeylElement, w1_target: WeylElement,
+            anchored: str = "") -> RationalMap:
+    """mu_hat between resolved classes: a breadth-first search over
+    class-coherent dhat moves, then the composite along the path found.
+    ``anchored`` ("source" or "target") reads the path off that end's cached
+    ``_ball`` instead of a one-shot search; the path is the same."""
+    successors, in_dv = _dhat_graph(cdata, v)
+    start, goal = (source, w1_source), (target, w1_target)
+    if not in_dv(start):
+        raise PreconditionFailed(
+            f"{source.to_string()} is not a ({w1_source.reduced_word()},*) word of D(v)")
+    if anchored == "source":
+        path = _ball(cdata, v, start).path_from(goal)
+    elif anchored == "target":
+        path = _ball(cdata, v, goal).path_to(start)
+    else:
+        path = wordmod._search(start, goal, successors, in_dv)
     if path is None:
         raise NoPath(f"no coherent dhat path {source.to_string()} -> {target.to_string()}")
     return _along(source, path, cdata, restricted=True)
@@ -775,15 +801,15 @@ def artin_T_word(w: DoubleWord, letters: Sequence[int], cdata: CartanData,
     for j, base in zip(letters, bases, strict=True):
         flipped = wordmod.l_move(base)  # starts with the positive letter j
         # the moving letter leaves the class of the base word, w0(I)
-        out = out.then(mu_hat(out.target_word, flipped, cdata, w0I,
-                              w1_source=w1, w1_target=w0I * weyl.simple(cdata, star[j])))
+        out = out.then(_mu_hat(cdata, out.target_word, flipped, w0I,
+                               w1, w0I * weyl.simple(cdata, star[j]), "target"))
         trop = MoveStep(cdata, flipped, Move("tau_left", 0), restricted=False)
         if trop.word_after != base:
             raise InvariantViolation(f"bar flip of {flipped.to_string()} misses the base word")
         out = out.then(RationalMap(cdata, flipped, base, (trop,), True))
         w1 = w0I
-    return out.then(mu_hat(out.target_word, w, cdata, w0I,
-                           w1_source=w1, w1_target=w_class))
+    return out.then(_mu_hat(cdata, out.target_word, w, w0I, w1, w_class,
+                            "source" if letters else ""))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Iterable, Optional
 
 from . import cartan as weyl
 from .cartan import CartanData, WeylElement
-from .errors import InapplicableMove, NoPath, PreconditionFailed
+from .errors import InapplicableMove, InvariantViolation, NoPath, PreconditionFailed
 
 SeedIndex = tuple[int, int]  # (wire, occurrence counter)
 
@@ -40,7 +40,7 @@ DHAT_KINDS = ("positive_d", "negative_d", "mixed2", "tau_right", "dual")
 D_KINDS = ("positive_d", "negative_d", "mixed2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoubleWord:
     letters: tuple[int, ...]
 
@@ -158,15 +158,16 @@ def _dual_ok(w: DoubleWord, cdata: CartanData) -> bool:
     """Core/inverse-core dual-move shapes only: the trailing w0 block has one
     sign and the letter just before it has the opposite sign."""
     L = dual_block_length(cdata)
-    if len(w) < L + 1:
-        return False
-    block = w.letters[-L:]
-    signs = {x > 0 for x in block}
-    if len(signs) != 1:
-        return False
+    return len(w) > L and _dual_tail_ok(cdata, w.letters[-L - 1:])
+
+
+# Bounded: a search meets few distinct tails of l(w0) + 1 letters.
+@functools.lru_cache(maxsize=4096)
+def _dual_tail_ok(cdata: CartanData, tail: tuple[int, ...]) -> bool:
+    """``_dual_ok`` on the last l(w0) + 1 letters, the only ones it reads."""
+    moving, block = tail[0], tail[1:]
     positive_block = block[0] > 0
-    moving = w.letters[-L - 1]
-    if (moving > 0) == positive_block:
+    if any((x > 0) != positive_block for x in block) or (moving > 0) == positive_block:
         return False
     # L letters that spell w0 are a reduced word of it
     return weyl.from_word(cdata, tuple(abs(x) for x in block)) == weyl.longest_element(cdata)
@@ -285,33 +286,114 @@ def index_map(w: DoubleWord, move: Move, cdata: CartanData) -> dict[SeedIndex, S
     return out
 
 
-# States a breadth-first move search expands before it gives up.
+# States one breadth-first ball may expand, added up over every query it
+# answers; a query that needs more raises NoPath.  A cache of n balls thus
+# holds at most n * _MAX_STATES expanded states, plus the successors of
+# those not expanded yet.
 _MAX_STATES = 200_000
 
 
+class _Ball:
+    """A breadth-first search from ``anchor``, grown only as far as a query
+    needs and resumable across queries.  It holds one dict, each state to the
+    state it was first reached from, and the queue of states not expanded
+    yet.  ``successors(state)`` yields (label, next state) pairs;
+    ``admit(state)``, run only on states not reached yet, can reject one.
+
+    Breadth-first order reaches every state first along its least shortest
+    path in ``successors`` order, so ``path_from`` follows the chain back to
+    the anchor.  ``path_to`` needs the admitted graph to be symmetric (every
+    edge's reverse is an edge): then the distance to the anchor is the
+    distance from it, and the least shortest path to the anchor takes at each
+    step the first successor one layer nearer it."""
+
+    def __init__(self, anchor, successors, admit=None):
+        self.anchor = anchor
+        self._successors = successors
+        self._admit = admit
+        self._parent = {anchor: None}
+        self._queue = deque([anchor])
+        self._expanded = 0
+
+    def _reach(self, state) -> bool:
+        """Grow until ``state`` is reached; False when the ball is exhausted
+        first.  The bound is checked before a state leaves the queue, and a
+        state is expanded all or nothing, so an abort loses no state."""
+        parent, queue = self._parent, self._queue
+        while state not in parent:
+            if not queue:
+                return False
+            if self._expanded >= _MAX_STATES:
+                raise NoPath(f"search aborted after {_MAX_STATES} states")
+            head = queue[0]
+            fresh = [nxt for _, nxt in self._successors(head)
+                     if nxt not in parent and (self._admit is None or self._admit(nxt))]
+            queue.popleft()
+            self._expanded += 1
+            for nxt in fresh:
+                if nxt not in parent:
+                    parent[nxt] = head
+                    queue.append(nxt)
+        return True
+
+    def _label(self, state, nxt):
+        """The first label of an edge state -> nxt."""
+        return next(label for label, succ in self._successors(state) if succ == nxt)
+
+    def path_from(self, goal) -> Optional[list]:
+        """Labels along the least shortest path from the anchor to goal, or
+        None when goal is not reachable."""
+        if not self._reach(goal):
+            return None
+        chain = [goal]
+        while self._parent[chain[-1]] is not None:
+            chain.append(self._parent[chain[-1]])
+        chain.reverse()
+        return [self._label(a, b) for a, b in zip(chain, chain[1:])]
+
+    def path_to(self, start) -> Optional[list]:
+        """Labels along the least shortest path from start to the anchor, or
+        None when the anchor is not reachable.  Raises InvariantViolation
+        when no successor of a state on the walk is one layer nearer the
+        anchor: the graph is not symmetric there."""
+        if start == self.anchor:
+            return []
+        if self._admit is not None and not self._admit(self.anchor):
+            return None
+        if not self._reach(start):
+            return None
+        parent = self._parent
+        depths = {self.anchor: 0}
+
+        def depth(state) -> int:
+            chain = []
+            while state not in depths:
+                chain.append(state)
+                state = parent[state]
+            d = depths[state]
+            for s in reversed(chain):
+                d += 1
+                depths[s] = d
+            return d
+
+        path, state, d = [], start, depth(start)
+        while d:
+            for label, nxt in self._successors(state):
+                if nxt in parent and depth(nxt) == d - 1:
+                    path.append(label)
+                    state, d = nxt, d - 1
+                    break
+            else:
+                raise InvariantViolation(f"no successor of {state} is nearer {self.anchor}")
+        return path
+
+
 def _search(start, goal, successors, admit=None) -> Optional[list]:
-    """Labels along a shortest path from start to goal (breadth-first), or
-    None when the component is exhausted.  ``successors(state)`` yields
-    (label, next state) pairs; ``admit(state)``, run only on states not seen
-    yet, can reject one.  Raises NoPath after ``_MAX_STATES`` expansions."""
-    if start == goal:
-        return []
-    seen = {start}
-    queue = deque([(start, [])])
-    expanded = 0
-    while queue:
-        state, path = queue.popleft()
-        expanded += 1
-        if expanded > _MAX_STATES:
-            raise NoPath(f"search aborted after {_MAX_STATES} states")
-        for label, nxt in successors(state):
-            if nxt in seen or (admit is not None and not admit(nxt)):
-                continue
-            if nxt == goal:
-                return path + [label]
-            seen.add(nxt)
-            queue.append((nxt, path + [label]))
-    return None
+    """Labels along the least shortest path from start to goal
+    (breadth-first, in ``successors`` order), or None when the component is
+    exhausted: a one-shot ``_Ball`` from start.  Raises NoPath after
+    ``_MAX_STATES`` expansions."""
+    return _Ball(start, successors, admit).path_from(goal)
 
 
 def move_path(source: DoubleWord, target: DoubleWord, cdata: CartanData,

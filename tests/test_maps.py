@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -156,6 +157,67 @@ def test_mu_hat_cache_bounded_and_search_abort(monkeypatch):
     monkeypatch.setattr(words, "_MAX_STATES", 0)
     with pytest.raises(NoPath, match="search aborted after 0 states"):
         maps.mu_hat(W("-1,1"), W("1,1"), A1, w0)
+
+
+def _steps(m):
+    return [step.describe() for step in m.steps]
+
+
+def _build_legs_one_shot(monkeypatch):
+    """Route every mu_hat leg through the uncached ``_mu_hat`` body, which
+    runs a fresh breadth-first search for each."""
+    one_shot = maps._mu_hat.__wrapped__
+    monkeypatch.setattr(maps, "_mu_hat",
+                        lambda cdata, source, target, v, w1_source, w1_target, *_:
+                        one_shot(cdata, source, target, v, w1_source, w1_target))
+
+
+def test_artin_legs_take_the_fresh_search_paths(monkeypatch):
+    """Every step of an Artin build is the step the same legs take when each
+    is built by a fresh search: all 160 pairs (w, T_j) of the 80 shuffles of
+    two reduced words of w0 in A2, the B2 generators and the B2 composite of
+    2,1,2,1.  Paths are compared, not maps, so this holds on B2 too."""
+    reduced = ((1, 2, 1), (2, 1, 2))
+    shuffles = []
+    for neg, pos in itertools.product(reduced, reduced):
+        for slots in itertools.combinations(range(6), 3):
+            it_neg, it_pos = iter(neg), iter(pos)
+            shuffles.append(words.DoubleWord(tuple(
+                -next(it_neg) if t in slots else next(it_pos) for t in range(6))))
+    b2 = weyl.build_cartan("B2")
+    cases = [(A2, w, (j,)) for w in shuffles for j in (1, 2)]
+    cases += [(b2, W("-1,-2,-1,-2,1,2,1,2"), letters) for letters in ((1,), (2,), (2, 1, 2, 1))]
+    maps._mu_hat.cache_clear()
+    built = [_steps(maps.artin_T_word(w, letters, cdata)) for cdata, w, letters in cases]
+    _build_legs_one_shot(monkeypatch)
+    for (cdata, w, letters), steps in zip(cases, built):
+        assert steps == _steps(maps.artin_T_word(w, letters, cdata)), (w, letters)
+
+
+def test_anchored_build_resumes_after_an_abort(monkeypatch):
+    """An Artin build that hits the search bound leaves its anchor's ball
+    cached and whole: once the bound is restored the same ball answers with
+    the fresh-search path."""
+    assert 0 < maps._ball.cache_info().maxsize <= 64
+    w0 = weyl.longest_element(A2)
+    w = W("-1,-2,-1,1,2,1")
+    start = (w, words.canonical_class(w, A2, w0)[0].w1)
+    anchor = (words.l_move(maps._artin_base_word(A2, 1, (1, 2))),
+              w0 * weyl.simple(A2, weyl.star(A2, 1)))
+    maps._mu_hat.cache_clear()
+    maps._ball.cache_clear()
+    bound = words._MAX_STATES
+    monkeypatch.setattr(words, "_MAX_STATES", 0)
+    with pytest.raises(NoPath, match="search aborted after 0 states"):
+        maps.artin_T(w, 1, A2)
+    monkeypatch.setattr(words, "_MAX_STATES", bound)
+    assert maps._ball.cache_info().currsize == 1
+    ball = maps._ball(A2, w0, anchor)
+    assert maps._ball.cache_info().currsize == 1
+    assert ball.path_to(start) == words._search(start, anchor, *maps._dhat_graph(A2, w0))
+    built = _steps(maps.artin_T(w, 1, A2))
+    _build_legs_one_shot(monkeypatch)
+    assert built == _steps(maps.artin_T(w, 1, A2))
 
 
 def test_artin_T_golden_forms():

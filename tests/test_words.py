@@ -4,7 +4,8 @@ import pytest
 
 from cluster_dual import cartan as weyl
 from cluster_dual import words
-from cluster_dual.errors import InapplicableMove, NoPath, PreconditionFailed
+from cluster_dual.errors import (InapplicableMove, InvariantViolation, NoPath,
+                                 PreconditionFailed)
 from cluster_dual.words import DoubleWord, Move
 
 from conftest import W
@@ -62,6 +63,77 @@ def test_move_path_examples():
     assert len(path) == 1 and path[0].order == 3
     with pytest.raises(NoPath):
         words.move_path(W("-1,1"), W("1,-1"), a1, ("positive_d",))
+
+
+def _word_graph(cdata, kinds=words.D_KINDS):
+    def successors(w):
+        for mv in words.applicable_moves(w, cdata, kinds):
+            yield mv, words.apply_move(w, mv, cdata)
+    return successors
+
+
+def test_ball_paths_are_the_search_paths():
+    """A ball answers both directions with the least shortest path a fresh
+    search returns, whatever order the queries come in."""
+    a2 = weyl.build_cartan("A2")
+    successors = _word_graph(a2)
+    anchor = W("1,2,1,-1,-2,-1")
+    others = [W(s) for s in ("-1,-2,-1,1,2,1", "1,-1,2,-2,1,-1", "-2,2,-1,1,-2,2",
+                             "2,1,-2,-1,2,-2", "1,2,1,-1,-2,-1")]
+    ball = words._Ball(anchor, successors)
+    for w in others:
+        assert ball.path_to(w) == words._search(w, anchor, successors)
+        assert ball.path_from(w) == words._search(anchor, w, successors)
+    assert ball.path_to(W("1,2")) is None
+
+
+def test_ball_keeps_every_state_through_aborts_and_errors(monkeypatch):
+    """The bound is checked before a state leaves the queue and a state is
+    expanded all or nothing, so an interrupted ball resumes to the paths a
+    fresh search returns."""
+    a2 = weyl.build_cartan("A2")
+    successors = _word_graph(a2)
+    anchor, goal = W("1,2,1,-1,-2,-1"), W("-1,-2,-1,1,2,1")
+    want_from = words._search(anchor, goal, successors)
+    want_to = words._search(goal, anchor, successors)
+    calls = itertools.count()
+
+    def flaky(w):
+        for item in successors(w):
+            if next(calls) == 40:
+                raise RuntimeError("interrupted")
+            yield item
+
+    ball = words._Ball(anchor, flaky)
+    with pytest.raises(RuntimeError):
+        ball.path_from(goal)
+    bound = words._MAX_STATES
+    monkeypatch.setattr(words, "_MAX_STATES", 5)
+    with pytest.raises(NoPath, match="search aborted after 5 states"):
+        ball.path_from(goal)
+    monkeypatch.setattr(words, "_MAX_STATES", bound)
+    assert ball.path_from(goal) == want_from
+    assert ball.path_to(goal) == want_to
+
+
+def test_ball_walk_rejects_an_asymmetric_graph():
+    """On a directed cycle no successor of 2 is one layer nearer 0."""
+    ball = words._Ball(0, lambda n: [("next", (n + 1) % 3)])
+    assert ball.path_from(2) == ["next", "next"]
+    with pytest.raises(InvariantViolation):
+        ball.path_to(2)
+
+
+def test_dual_ok_reads_only_the_tail():
+    a2 = weyl.build_cartan("A2")
+    for prefix in ((), (1,), (-2, 1)):
+        assert words._dual_ok(DoubleWord(prefix + (-1, 1, 2, 1)), a2)
+        assert words._dual_ok(DoubleWord(prefix + (1, -2, -1, -2)), a2)
+        assert not words._dual_ok(DoubleWord(prefix + (1, 1, 2, 1)), a2)
+        assert not words._dual_ok(DoubleWord(prefix + (-1, 1, 2, -1)), a2)
+        assert not words._dual_ok(DoubleWord(prefix + (-1, 1, 2, 2)), a2)
+    assert not words._dual_ok(W("1,2,1"), a2)
+    assert words._dual_tail_ok.cache_info().maxsize is not None
 
 
 def test_move_reversibility(rng):
