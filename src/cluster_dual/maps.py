@@ -777,6 +777,8 @@ def artin_T_word(w: DoubleWord, letters: Sequence[int], cdata: CartanData,
     letters; ``mu_hat`` does not depend on the path, so that stretch is the
     one transport base_a -> flipped_b, between the classes w0(I) and
     w0(I) s_{b*}.  With one letter the chain is the generator itself.
+    Every leg ends at a base word or its flip, so it is read off that
+    word's cached search (``_ball``) rather than a fresh one.
 
     ``bases`` gives each letter's base word, a word of R(w0(I), w0) starting
     with the barred letter (by default ``_artin_base_word``).
