@@ -717,17 +717,16 @@ def _mu_hat(cdata: CartanData, source: DoubleWord, target: DoubleWord,
     class-coherent dhat moves, then the composite along the path found.
     ``anchored`` ("source" or "target") reads the path off that end's cached
     ``_ball`` instead of a one-shot search; the path is the same."""
-    successors, in_dv = _dhat_graph(cdata, v)
-    start, goal = (source, w1_source), (target, w1_target)
-    if not in_dv(start):
+    if not wordmod.is_in_dv(source, cdata, v, w1_source):
         raise PreconditionFailed(
             f"{source.to_string()} is not a ({w1_source.reduced_word()},*) word of D(v)")
+    start, goal = (source, w1_source), (target, w1_target)
     if anchored == "source":
         path = _ball(cdata, v, start).path_from(goal)
     elif anchored == "target":
         path = _ball(cdata, v, goal).path_to(start)
     else:
-        path = wordmod._search(start, goal, successors, in_dv)
+        path = wordmod._search(start, goal, *_dhat_graph(cdata, v))
     if path is None:
         raise NoPath(f"no coherent dhat path {source.to_string()} -> {target.to_string()}")
     return _along(source, path, cdata, restricted=True)
