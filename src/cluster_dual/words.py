@@ -121,7 +121,7 @@ def classify(w: DoubleWord, cdata: CartanData):
 # Moves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     kind: str            # one of ALL_MOVE_KINDS
     pos: int = 0         # window start (d-moves, mixed2); unused for tau/dual
@@ -183,22 +183,22 @@ def applicable_moves(w: DoubleWord, cdata: CartanData,
     _check_letters(w, cdata)
     kinds = tuple(kinds)
     out: list[Move] = []
-    n = len(w)
+    letters = w.letters
+    n = len(letters)
     if "mixed2" in kinds:
         for p in range(n - 1):
-            if (w[p] > 0) != (w[p + 1] > 0):
+            if (letters[p] > 0) != (letters[p + 1] > 0):
                 out.append(Move("mixed2", p, 2))
     for kind, sign in (("positive_d", 1), ("negative_d", -1)):
         if kind not in kinds:
             continue
         for p in range(n - 1):
-            if (w[p] > 0) != (sign > 0) or (w[p + 1] > 0) != (sign > 0):
+            a, b = letters[p], letters[p + 1]
+            if (a > 0) != (sign > 0) or (b > 0) != (sign > 0) or a == b:
                 continue
-            i, j = abs(w[p]), abs(w[p + 1])
-            if i == j:
-                continue
-            order = cdata.m_order(i, j)
-            if _d_window_ok(w, p, order, sign, cdata):
+            order = cdata.m_order(abs(a), abs(b))
+            # the rest of the window in bounds, of a's sign and alternating
+            if letters[p + 2:p + order] == ((a, b) * order)[2:order]:
                 out.append(Move(kind, p, order))
     if "tau_left" in kinds and n >= 1:
         out.append(Move("tau_left", 0))
@@ -287,9 +287,11 @@ def index_map(w: DoubleWord, move: Move, cdata: CartanData) -> dict[SeedIndex, S
 
 
 # States one breadth-first ball may expand, added up over every query it
-# answers; a query that needs more raises NoPath.  A cache of n balls thus
-# holds at most n * _MAX_STATES expanded states, plus the successors of
-# those not expanded yet.
+# answers; a query that needs more raises NoPath.  A ball thus holds at most
+# 1 + _MAX_STATES * (most edges out of one state) states: the expanded ones
+# and their successors not expanded yet.  Edges are not held here: the move
+# graph's edge table, maps._dhat_edges, holds the edges of at most its
+# maxsize states, shared by every ball and search over D(v).
 _MAX_STATES = 200_000
 
 
@@ -297,20 +299,18 @@ class _Ball:
     """A breadth-first search from ``anchor``, grown only as far as a query
     needs and resumable across queries.  It holds one dict, each state to the
     state it was first reached from, and the queue of states not expanded
-    yet.  ``successors(state)`` yields (label, next state) pairs;
-    ``admit(state)``, run only on states not reached yet, can reject one.
+    yet.  ``successors(state)`` yields (label, next state) pairs.
 
     Breadth-first order reaches every state first along its least shortest
     path in ``successors`` order, so ``path_from`` follows the chain back to
-    the anchor.  ``path_to`` needs the admitted graph to be symmetric (every
+    the anchor.  ``path_to`` needs the graph to be symmetric (every
     edge's reverse is an edge): then the distance to the anchor is the
     distance from it, and the least shortest path to the anchor takes at each
     step the first successor one layer nearer it."""
 
-    def __init__(self, anchor, successors, admit=None):
+    def __init__(self, anchor, successors):
         self.anchor = anchor
         self._successors = successors
-        self._admit = admit
         self._parent = {anchor: None}
         self._queue = deque([anchor])
         self._expanded = 0
@@ -326,8 +326,7 @@ class _Ball:
             if self._expanded >= _MAX_STATES:
                 raise NoPath(f"search aborted after {_MAX_STATES} states")
             head = queue[0]
-            fresh = [nxt for _, nxt in self._successors(head)
-                     if nxt not in parent and (self._admit is None or self._admit(nxt))]
+            fresh = [nxt for _, nxt in self._successors(head) if nxt not in parent]
             queue.popleft()
             self._expanded += 1
             for nxt in fresh:
@@ -358,8 +357,6 @@ class _Ball:
         anchor: the graph is not symmetric there."""
         if start == self.anchor:
             return []
-        if self._admit is not None and not self._admit(self.anchor):
-            return None
         if not self._reach(start):
             return None
         parent = self._parent
@@ -388,12 +385,12 @@ class _Ball:
         return path
 
 
-def _search(start, goal, successors, admit=None) -> Optional[list]:
+def _search(start, goal, successors) -> Optional[list]:
     """Labels along the least shortest path from start to goal
     (breadth-first, in ``successors`` order), or None when the component is
     exhausted: a one-shot ``_Ball`` from start.  Raises NoPath after
     ``_MAX_STATES`` expansions."""
-    return _Ball(start, successors, admit).path_from(goal)
+    return _Ball(start, successors).path_from(goal)
 
 
 def move_path(source: DoubleWord, target: DoubleWord, cdata: CartanData,
@@ -534,19 +531,21 @@ def _factor(cdata: CartanData, n1, p1, n2, p2,
     return cand_w1, w2, cand_v
 
 
-def _class_cuts(w: DoubleWord, cdata: CartanData,
-                v: Optional[WeylElement] = None, w1: Optional[WeylElement] = None):
-    """Every cut of w's one-sign subwords that factors them as a trivial
-    (w1,w2)_v-word i1 i2: yields (decomposition, trivial word), the trivial
-    word being w itself when w is factored at that cut, else the bars-first
-    shuffle.  Mixed 2-moves preserve the one-sign subwords, so every trivial
-    word is in w's mixed-2 class.  A cut of the barred subword fixes the
-    length of p2, and a pinned w1 fixes that cut (n1 is a reduced word of
-    (w1*)^{-1}).  A cut of w itself is the subword cut at its number of
-    bars, so factored cuts come out in word order."""
-    _check_letters(w, cdata)
-    neg, pos = w.negative_subword, w.positive_subword
+# Bounded: verify --all --type A2 asks about 150 distinct keys.
+@functools.lru_cache(maxsize=4096)
+def _subword_cuts(cdata: CartanData, shuffle: DoubleWord,
+                  v: Optional[WeylElement] = None, w1: Optional[WeylElement] = None
+                  ) -> tuple[tuple[int, TrivialDecomposition, DoubleWord], ...]:
+    """Every cut of the one-sign subwords of a bars-first word that factors
+    them as a trivial (w1,w2)_v-word i1 i2, as (cut of the barred subword,
+    decomposition, bars-first trivial word).  A cut of the barred subword
+    fixes the length of p2, and a pinned w1 fixes that cut (n1 is a reduced
+    word of (w1*)^{-1}).  This is the one class cache: a word's classes
+    depend only on its one-sign subwords, which mixed 2-moves, most of the
+    edges of a class search, keep; its bars-first shuffle spells them."""
+    neg, pos = shuffle.negative_subword, shuffle.positive_subword
     w0_length = weyl.longest_element(cdata).length()
+    out = []
     for ncut in range(len(neg) + 1) if w1 is None else (w1.length(),):
         pcut = len(pos) - (w0_length - (len(neg) - ncut))
         if ncut > len(neg) or not 0 <= pcut <= len(pos):
@@ -554,9 +553,31 @@ def _class_cuts(w: DoubleWord, cdata: CartanData,
         n1, p1, n2, p2 = neg[:ncut], pos[:pcut], neg[ncut:], pos[pcut:]
         found = _factor(cdata, n1, p1, n2, p2, v, w1)
         if found is not None:
-            factored = sum(1 for x in w.letters[:ncut + pcut] if x < 0) == ncut
-            yield (TrivialDecomposition(*found, ncut + pcut),
-                   w if factored else _bars_first(n1, p1, n2, p2))
+            out.append((ncut, TrivialDecomposition(*found, ncut + pcut),
+                        _bars_first(n1, p1, n2, p2)))
+    return tuple(out)
+
+
+def _cuts_of(w: DoubleWord, cdata: CartanData, v: Optional[WeylElement],
+             w1: Optional[WeylElement]):
+    """``_subword_cuts`` of w's bars-first shuffle, once its letters pass."""
+    _check_letters(w, cdata)
+    shuffle = tuple(sorted(w.letters, key=(0).__lt__))  # stable: bars first, order kept
+    return _subword_cuts(cdata, DoubleWord(shuffle), v, w1)
+
+
+def _class_cuts(w: DoubleWord, cdata: CartanData,
+                v: Optional[WeylElement] = None, w1: Optional[WeylElement] = None):
+    """Every cut of w's one-sign subwords that factors them as a trivial
+    (w1,w2)_v-word i1 i2 (``_subword_cuts``): yields (decomposition, trivial
+    word), the trivial word being w itself when w is factored at that cut,
+    else the bars-first shuffle.  Mixed 2-moves preserve the one-sign
+    subwords, so every trivial word is in w's mixed-2 class.  A cut of w
+    itself is the subword cut at its number of bars, so factored cuts come
+    out in word order."""
+    for ncut, dec, trivial in _cuts_of(w, cdata, v, w1):
+        factored = sum(1 for x in w.letters[:dec.split] if x < 0) == ncut
+        yield dec, (w if factored else trivial)
 
 
 def trivial_decompositions(w: DoubleWord, cdata: CartanData,
@@ -569,16 +590,14 @@ def trivial_decompositions(w: DoubleWord, cdata: CartanData,
     return [dec for dec, trivial in _class_cuts(w, cdata, v) if trivial is w]
 
 
-@functools.lru_cache(maxsize=200_000)
 def shuffle_class_decomposition(w: DoubleWord, cdata: CartanData,
                                 v: Optional[WeylElement] = None,
                                 w1: Optional[WeylElement] = None):
     """The factorization class a word is evaluated in by default, with the
     trivial word it is read on: the word itself at its earliest factored
     cut, else the first class found by cutting its one-sign subwords, with
-    that class's trivial word; None when w lies in no class.  This is the
-    one class cache: everything involved is immutable, so results are
-    cached globally (class searches revisit the same words a lot)."""
+    that class's trivial word; None when w lies in no class.  The cuts come
+    from the one class cache, ``_subword_cuts``."""
     first = None
     for found in _class_cuts(w, cdata, v, w1):
         if found[1] is w:
@@ -590,7 +609,7 @@ def shuffle_class_decomposition(w: DoubleWord, cdata: CartanData,
 
 def is_in_dv(w: DoubleWord, cdata: CartanData, v: WeylElement,
              w1: Optional[WeylElement] = None) -> bool:
-    return shuffle_class_decomposition(w, cdata, v, w1) is not None
+    return bool(_cuts_of(w, cdata, v, w1))
 
 
 def is_in_class(w: DoubleWord, cdata: CartanData, v: WeylElement,

@@ -214,10 +214,69 @@ def test_anchored_build_resumes_after_an_abort(monkeypatch):
     assert maps._ball.cache_info().currsize == 1
     ball = maps._ball(A2, w0, anchor)
     assert maps._ball.cache_info().currsize == 1
-    assert ball.path_to(start) == words._search(start, anchor, *maps._dhat_graph(A2, w0))
+    assert ball.path_to(start) == words._search(
+        start, anchor, lambda state: maps._dhat_edges(A2, w0, *state))
     built = _steps(maps.artin_T(w, 1, A2))
     _build_legs_one_shot(monkeypatch)
     assert built == _steps(maps.artin_T(w, 1, A2))
+
+
+def _fresh_edges(cdata, v, word, w1):
+    """The edges of the (word, w1) state derived afresh, as ``_dhat_edges``
+    documents them: every dhat move, the class pair of a dual move, and the
+    per-word class test of the target."""
+    out = []
+    for mv in words.applicable_moves(word, cdata, words.DHAT_KINDS):
+        out_w1 = w1
+        if mv.kind == "dual":
+            req, out_w1 = words.dual_move_classes(word, cdata)
+            if req != w1:
+                continue
+        nxt = words.apply_move(word, mv, cdata)
+        if next(words._class_cuts(nxt, cdata, v, out_w1), None) is not None:
+            out.append((mv, (nxt, out_w1)))
+    return tuple(out)
+
+
+def test_dhat_edges_match_a_fresh_derivation(monkeypatch):
+    """The cached edge table gives every state of the A2 D(w0) component and
+    every state of a B2 ball the edges an uncached derivation finds."""
+    assert maps._dhat_edges.cache_info().maxsize is not None
+    b2 = weyl.build_cartan("B2")
+    states = []
+    for cdata, word, bound in ((A2, W("-1,-2,-1,1,2,1"), words._MAX_STATES),
+                               (b2, W("-1,-2,-1,-2,1,2,1,2"), 300)):
+        v = weyl.longest_element(cdata)
+        anchor = (word, words.canonical_class(word, cdata, v)[0].w1)
+        ball = words._Ball(anchor, lambda state, cdata=cdata, v=v:
+                           maps._dhat_edges(cdata, v, *state))
+        monkeypatch.setattr(words, "_MAX_STATES", bound)
+        if cdata is A2:
+            assert ball.path_from(None) is None  # the whole component
+        else:
+            with pytest.raises(NoPath):
+                ball.path_from(None)
+        states += [(cdata, v, state) for state in ball._parent]
+    cached = [maps._dhat_edges(cdata, v, *state) for cdata, v, state in states]
+    assert len(states) > 1000
+    assert {mv.kind for edges in cached for mv, _ in edges} == set(words.DHAT_KINDS)
+    monkeypatch.setattr(words, "_subword_cuts", words._subword_cuts.__wrapped__)
+    for (cdata, v, state), edges in zip(states, cached):
+        assert edges == _fresh_edges(cdata, v, *state), state
+
+
+def test_anchored_mu_hat_checks_the_goal_class_before_growing_a_ball():
+    """A goal outside its class gets the no-path error at once, from either
+    anchor, and no ball is grown for it."""
+    w0 = weyl.longest_element(A2)
+    source, goal = W("-1,-2,-1,1,2,1"), W("1,2,1,-1,-2,-1")
+    w1 = words.canonical_class(source, A2, w0)[0].w1
+    outside = next(x for x in weyl.weyl_iter(A2) if not words.is_in_dv(goal, A2, w0, x))
+    maps._ball.cache_clear()
+    for anchored in ("target", "source"):
+        with pytest.raises(NoPath, match="no coherent dhat path"):
+            maps._mu_hat(A2, source, goal, w0, w1, outside, anchored)
+        assert maps._ball.cache_info().currsize == 0
 
 
 def test_artin_T_golden_forms():

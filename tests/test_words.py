@@ -136,6 +136,25 @@ def test_dual_ok_reads_only_the_tail():
     assert words._dual_tail_ok.cache_info().maxsize is not None
 
 
+def test_class_questions_factor_each_subword_cut_once(monkeypatch):
+    """The class cache is keyed by the one-sign subwords, so the 480
+    membership questions of the 80 A2 shuffles and six pinned classes run
+    ``_factor`` at most once per subword pair and cut: four pairs, one cut
+    per pinned class."""
+    from test_class_answers import _shuffle_words
+    assert words._subword_cuts.cache_info().maxsize is not None
+    a2 = weyl.build_cartan("A2")
+    w0 = weyl.longest_element(a2)
+    calls = []
+    real = words._factor
+    monkeypatch.setattr(words, "_factor", lambda *args: calls.append(args) or real(*args))
+    words._subword_cuts.cache_clear()
+    answers = [words.is_in_dv(w, a2, w0, w1)
+               for w in _shuffle_words() for w1 in weyl.weyl_iter(a2)]
+    assert len(answers) == 480 and any(answers) and not all(answers)
+    assert len(set(calls)) == len(calls) <= 4 * 6
+
+
 def test_move_reversibility(rng):
     a2 = weyl.build_cartan("A2")
     pool = [W(s) for s in ("1,2,1", "-1,2,1", "1,-2,1,2", "-1,-2,-1,1,2,1")]
