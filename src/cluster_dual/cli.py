@@ -134,6 +134,8 @@ def cmd_verify(args) -> int:
             if args.all:
                 continue
             return _fail_config(str(exc))
+    if not reports:
+        return _fail_config(f"no check runs on {args.type} at level {args.level}")
     payload = {"reports": reports,
                "config": {"type": args.type, "prime": args.prime,
                           "trials": args.trials, "rng_seed": rng_seed,

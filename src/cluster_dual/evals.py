@@ -38,7 +38,7 @@ from . import group as grp
 from . import maps as mapmod
 from . import seeds as seedmod
 from . import words as wordmod
-from .arith import Fp, TrialConfig, _trials, _values_equal
+from .arith import TrialConfig, _trials, _values_equal
 from .cartan import CartanData, WeylElement
 from .errors import PreconditionFailed, UnsupportedForType
 from .group import GroupMatrix
@@ -268,7 +268,7 @@ class IdentityCheck:
     trials: int = 20
     prime: int = TrialConfig().prime
     rng_seed: int = 0
-    level: str = "matrix"  # "matrix" | "seed"
+    level: str = "matrix"  # "matrix" | "seed" (BRAID only)
 
 
 CHECK_NAMES = (
@@ -343,6 +343,9 @@ def check_identity(check: IdentityCheck) -> Report:
     start = time.monotonic()
     runner = _CheckRunner(check)
     if check.level == "seed":
+        # the one seed-level shadow is the braid move's
+        if check.name != "BRAID":
+            raise UnsupportedForType(f"{check.name} has no seed-level shadow (only BRAID has one)")
         _seed_shadow(runner)
     else:
         if check.cartan_type not in MATRIX_TYPES:
@@ -448,30 +451,22 @@ def _twist(runner: _CheckRunner) -> None:
         v = weyl.from_word(cdata, w.positive_subword)
         # the descending projection pairs with the representative of v^{-1},
         # the ascending one below with the inverse of the representative
-        vrep_inv = grp.weyl_representative(v.inverse())
         runner.run_pointwise(
             w,
-            lambda vals, w=w, vi=vrep_inv: grp.gauss_leq0(
-                ev(w, cdata, vals) * _like_cast(vi, vals)),
+            lambda vals, w=w, vi=v.inverse(): grp.gauss_leq0(
+                ev(w, cdata, vals) * grp.weyl_representative(vi, vals[(1, 0)])),
             lambda vals, z=zeta: ev(z.target_word, cdata, z.apply(vals)))
         # mirror statement for the negative word
         neg = wordmod.square_word(w, cdata)
         if wordmod.is_negative_reduced(neg, cdata):
             zneg = mapmod.zeta_map(neg, cdata)
             u = weyl.from_word(cdata, neg.negative_subword)
-            urep_inv = grp.weyl_representative(u).transpose()
             runner.run_pointwise(
                 neg,
-                lambda vals, nw=neg, ui=urep_inv: grp.gauss_geq0(
-                    _like_cast(ui, vals) * ev(nw, cdata, vals)),
+                lambda vals, nw=neg, u=u: grp.gauss_geq0(
+                    grp.weyl_representative(u, vals[(1, 0)]).transpose()
+                    * ev(nw, cdata, vals)),
                 lambda vals, z=zneg: ev(z.target_word, cdata, z.apply(vals)))
-
-
-def _like_cast(m: GroupMatrix, values: Assignment) -> GroupMatrix:
-    like = next(iter(values.values()))
-    if isinstance(like, Fp):
-        return GroupMatrix([[Fp(int(x), like.p) for x in row] for row in m.rows])
-    return m
 
 
 def _trop_geom(runner: _CheckRunner) -> None:
@@ -486,10 +481,10 @@ def _trop_geom(runner: _CheckRunner) -> None:
         runner.run_pointwise(
             w,
             lambda vals, w=w, v=v: grp.gauss_leq0(
-                ev(w, cdata, vals) * _like_cast(grp.weyl_representative(v.inverse()), vals)),
+                ev(w, cdata, vals) * grp.weyl_representative(v.inverse(), vals[(1, 0)])),
             lambda vals, t=trop_r, v2=v2: grp.gauss_leq0(
                 ev(t.target_word, cdata, t.apply(vals))
-                * _like_cast(grp.weyl_representative(v2.inverse()), vals)))
+                * grp.weyl_representative(v2.inverse(), vals[(1, 0)])))
         # left flip: ascending projections against inverted representatives
         trop_l = mapmod.dmove_transform(w, wordmod.Move("tau_left", 0), cdata)
         u = weyl.from_word(cdata, w.negative_subword)
@@ -497,10 +492,10 @@ def _trop_geom(runner: _CheckRunner) -> None:
         runner.run_pointwise(
             w,
             lambda vals, w=w, u=u: grp.gauss_geq0(
-                _like_cast(grp.weyl_representative(u).transpose(), vals)
+                grp.weyl_representative(u, vals[(1, 0)]).transpose()
                 * ev(w, cdata, vals)),
             lambda vals, t=trop_l, u2=u2: grp.gauss_geq0(
-                _like_cast(grp.weyl_representative(u2).transpose(), vals)
+                grp.weyl_representative(u2, vals[(1, 0)]).transpose()
                 * ev(t.target_word, cdata, t.apply(vals))))
 
 
@@ -547,13 +542,17 @@ def _mu_hat_check(runner: _CheckRunner) -> None:
 
 def _w0_conj(runner: _CheckRunner) -> None:
     cdata = runner.cdata
-    w0rep = grp.weyl_representative(weyl.longest_element(cdata))
+    w0 = weyl.longest_element(cdata)
+
+    def conjugated(vals, w):
+        w0rep = grp.weyl_representative(w0, vals[(1, 0)])
+        return w0rep * ev(w, cdata, vals) * w0rep.transpose()
+
     for s in _instance_words(cdata)["w0"]:
         w = DoubleWord.from_string(s)
         runner.run_pointwise(
             w,
-            lambda vals, w=w: _like_cast(w0rep, vals) * ev(w, cdata, vals)
-            * _like_cast(w0rep, vals).transpose(),
+            lambda vals, w=w: conjugated(vals, w),
             lambda vals, w=w: ev(*_star_eval_args(w, cdata, vals)))
 
 

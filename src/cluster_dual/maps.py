@@ -302,8 +302,9 @@ class MoveStep(Step):
 class _CorePlan(NamedTuple):
     """The saltation core lowered once per source word j' i+ kbar: the
     block's zeta map and its inverse as mutation plans on the whole point,
-    block slot (wire, c) shifted to (wire, prefix count + c), and the slots
-    the two steps read."""
+    block slot (wire, c) shifted to (wire, prefix count + c), the slots the
+    two steps read, and the power (+-1) of the moved wire's block top in the
+    starred wire's block top after the zeta plan."""
 
     target: DoubleWord
     zeta: tuple[Mutation, ...]
@@ -316,6 +317,7 @@ class _CorePlan(NamedTuple):
     boundary: SeedIndex  # the starred wire's block top
     unknown: SeedIndex   # the moved wire's block top
     k_top: SeedIndex     # the moved wire's source top
+    exponent: int        # power of unknown in boundary after zeta
 
 
 @functools.lru_cache(maxsize=256)
@@ -328,7 +330,10 @@ def _core_plan(cdata: CartanData, w: DoubleWord) -> _CorePlan:
     with mutation at unglued slots): no zeta mutation sits at a block bottom,
     which only picks up factors.  The inverse core also relies on tops being
     read only by tops: tropical mutations sit at tops and move only tops,
-    regular ones sit off them.  Each fact is checked here."""
+    regular ones sit off them.  So the zeta plan sends each top to a
+    monomial in the tops times a factor free of them, and the power of the
+    moved wire's block top in the starred wire's is an integer pass over the
+    plan; the inverse core needs it to be +-1.  Each fact is checked here."""
     L = wordmod.dual_block_length(cdata)
     block = DoubleWord(w.letters[-L - 1:-1])
     kbar = w.letters[-1]
@@ -377,8 +382,19 @@ def _core_plan(cdata: CartanData, w: DoubleWord) -> _CorePlan:
     sources = {s for s, _ in frozen}
     body = tuple((wire, c) for wire in wires for c in range(mid[wire] + 1)
                  if (wire, c) not in sources)
-    return _CorePlan(target, lower(zmap), lower(zmap_inverse), tuple(layout), frozen, body,
-                     (ks, mid[ks]), (k, mid[k]), (k, mid[k] + 1))
+    zeta = lower(zmap)
+    boundary, unknown = (ks, mid[ks]), (k, mid[k])
+    power = {unknown: 1}
+    for kind, ix, exponents in zeta:
+        old = power.get(ix, 0)
+        power[ix] = -old
+        if kind == "tropical":
+            for jx, e in exponents:
+                power[jx] = power.get(jx, 0) + e * old
+    if abs(power.get(boundary, 0)) != 1:
+        raise InvariantViolation("starred block-top exponent must be +-1")
+    return _CorePlan(target, zeta, lower(zmap_inverse), tuple(layout), frozen, body,
+                     boundary, unknown, (k, mid[k] + 1), power[boundary])
 
 
 @dataclass(frozen=True)
@@ -420,38 +436,6 @@ class XiCoreStep(Step):
                 "target": self.word_after.to_string()}
 
 
-class _Tracked:
-    """coeff * X^e for one formal unknown X, with monomial arithmetic only.
-
-    Used to carry the single entangled block-top coordinate through a zeta
-    pipeline, where top slots are only ever multiplied by scalars and by
-    integer powers of each other and inverted, never added.
-    """
-
-    __slots__ = ("coeff", "e")
-
-    def __init__(self, coeff, e: int):
-        self.coeff = coeff
-        self.e = e
-
-    def __mul__(self, other):
-        if isinstance(other, _Tracked):
-            return _Tracked(self.coeff * other.coeff, self.e + other.e)
-        return _Tracked(self.coeff * other, self.e)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _Tracked):
-            return _Tracked(self.coeff / other.coeff, self.e - other.e)
-        return _Tracked(self.coeff / other, self.e)
-
-    def __rtruediv__(self, other):
-        if isinstance(other, _Tracked):
-            raise TypeError
-        return _Tracked(other / self.coeff, -self.e)
-
-
 @dataclass(frozen=True)
 class XiCoreInverseStep(Step):
     """Exact inverse of the saltation core.
@@ -461,9 +445,10 @@ class XiCoreInverseStep(Step):
     scalar multipliers depending on the interiors only; top slots evolve as
     monomials in each other times interior-driven scalars.  Hence one inverse
     zeta pass over the image, whatever stands in its top slots, recovers the
-    interiors and the glued boundary exactly; the block top of the moved wire
-    then solves a one-unknown monomial equation (its exponent is +-1,
-    checked) read off one forward zeta pass.
+    interiors and the glued boundary exactly.  The starred wire's glued top
+    is then c * X^e in the moved wire's block top X, with the exponent e
+    (+-1) stored in the plan: one forward zeta pass with X = 1 reads off c,
+    and X = (glued / c)^e.
     """
 
     cdata: CartanData
@@ -483,13 +468,10 @@ class XiCoreInverseStep(Step):
             z = _apply_mutation(z, mutation)
         # glued and interior slots are now exact; the moved wire's block top
         # is the one unknown X, solved from the starred wire's glued top
-        x = {**z, **tops, plan.unknown: _Tracked(spow(k_top, 0), 1)}
+        x = {**z, **tops, plan.unknown: spow(k_top, 0)}
         for mutation in plan.zeta:
             x = _apply_mutation(x, mutation)
-        tr = x[plan.boundary]
-        if not (isinstance(tr, _Tracked) and abs(tr.e) == 1):
-            raise InvariantViolation("starred block-top exponent must be +-1")
-        return {**z, **tops, plan.unknown: spow(glued / tr.coeff, tr.e)}
+        return {**z, **tops, plan.unknown: spow(glued / x[plan.boundary], plan.exponent)}
 
     def inverse(self) -> XiCoreStep:
         return XiCoreStep(self.cdata, self.word_after)

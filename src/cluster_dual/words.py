@@ -297,21 +297,23 @@ _MAX_STATES = 200_000
 
 class _Ball:
     """A breadth-first search from ``anchor``, grown only as far as a query
-    needs and resumable across queries.  It holds one dict, each state to the
-    state it was first reached from, and the queue of states not expanded
-    yet.  ``successors(state)`` yields (label, next state) pairs.
+    needs and resumable across queries.  It holds one dict, each reached
+    state to (the state it was first reached from, the label of that edge,
+    its depth), and the queue of states not expanded yet; the anchor maps to
+    (None, None, 0).  ``successors(state)`` yields (label, next state) pairs,
+    and the first edge in that order to reach a state is the one stored.
 
     Breadth-first order reaches every state first along its least shortest
-    path in ``successors`` order, so ``path_from`` follows the chain back to
-    the anchor.  ``path_to`` needs the graph to be symmetric (every
+    path in ``successors`` order, so ``path_from`` reads the stored labels
+    back to the anchor.  ``path_to`` needs the graph to be symmetric (every
     edge's reverse is an edge): then the distance to the anchor is the
-    distance from it, and the least shortest path to the anchor takes at each
+    stored depth, and the least shortest path to the anchor takes at each
     step the first successor one layer nearer it."""
 
     def __init__(self, anchor, successors):
         self.anchor = anchor
         self._successors = successors
-        self._parent = {anchor: None}
+        self._parent = {anchor: (None, None, 0)}
         self._queue = deque([anchor])
         self._expanded = 0
 
@@ -326,57 +328,41 @@ class _Ball:
             if self._expanded >= _MAX_STATES:
                 raise NoPath(f"search aborted after {_MAX_STATES} states")
             head = queue[0]
-            fresh = [nxt for _, nxt in self._successors(head) if nxt not in parent]
+            fresh = [(label, nxt) for label, nxt in self._successors(head) if nxt not in parent]
             queue.popleft()
             self._expanded += 1
-            for nxt in fresh:
+            depth = parent[head][2] + 1
+            for label, nxt in fresh:
                 if nxt not in parent:
-                    parent[nxt] = head
+                    parent[nxt] = (head, label, depth)
                     queue.append(nxt)
         return True
-
-    def _label(self, state, nxt):
-        """The first label of an edge state -> nxt."""
-        return next(label for label, succ in self._successors(state) if succ == nxt)
 
     def path_from(self, goal) -> Optional[list]:
         """Labels along the least shortest path from the anchor to goal, or
         None when goal is not reachable."""
         if not self._reach(goal):
             return None
-        chain = [goal]
-        while self._parent[chain[-1]] is not None:
-            chain.append(self._parent[chain[-1]])
-        chain.reverse()
-        return [self._label(a, b) for a, b in zip(chain, chain[1:])]
+        path = []
+        state, label, _ = self._parent[goal]
+        while state is not None:
+            path.append(label)
+            state, label, _ = self._parent[state]
+        path.reverse()
+        return path
 
     def path_to(self, start) -> Optional[list]:
         """Labels along the least shortest path from start to the anchor, or
         None when the anchor is not reachable.  Raises InvariantViolation
         when no successor of a state on the walk is one layer nearer the
         anchor: the graph is not symmetric there."""
-        if start == self.anchor:
-            return []
         if not self._reach(start):
             return None
         parent = self._parent
-        depths = {self.anchor: 0}
-
-        def depth(state) -> int:
-            chain = []
-            while state not in depths:
-                chain.append(state)
-                state = parent[state]
-            d = depths[state]
-            for s in reversed(chain):
-                d += 1
-                depths[s] = d
-            return d
-
-        path, state, d = [], start, depth(start)
+        path, state, d = [], start, parent[start][2]
         while d:
             for label, nxt in self._successors(state):
-                if nxt in parent and depth(nxt) == d - 1:
+                if nxt in parent and parent[nxt][2] == d - 1:
                     path.append(label)
                     state, d = nxt, d - 1
                     break

@@ -52,6 +52,22 @@ def test_verify_seed_level(capsys):
     assert code == 0
 
 
+def test_verify_seed_level_runs_only_the_braid_shadow(capsys):
+    code, stdout, _ = run(["verify", "--all", "--type", "B2", "--level", "seed"], capsys)
+    assert code == 0
+    assert [r["name"] for r in json.loads(stdout)["reports"]] == ["BRAID"]
+    code, _, err = run(["verify", "TWIST", "--type", "B2", "--level", "seed"], capsys)
+    assert code == 2 and "TWIST has no seed-level shadow" in err
+
+
+@pytest.mark.parametrize("args", [["--type", "B2"], ["--type", "A3"],
+                                  ["--type", "A1", "--level", "seed"]])
+def test_verify_all_without_a_runnable_check_is_a_config_error(args, capsys):
+    code, stdout, err = run(["verify", "--all", *args], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: no check runs on") and err.count("\n") == 1
+
+
 def test_verify_determinism(tmp_path, capsys):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for f in (f1, f2):

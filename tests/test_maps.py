@@ -657,6 +657,22 @@ def test_core_plan_rejects_a_zeta_mutation_off_its_slots(monkeypatch, mutation):
     assert maps.xi_saltation(W("-1,1,2,1"), A2).target_word == W("2,-1,-2,-1")
 
 
+def test_core_plan_rejects_a_block_top_exponent_off_plus_minus_one(monkeypatch):
+    # a tropical mutation that moves the starred top by the square of the
+    # moved one: the inverse core could not solve for it, and the plan says
+    # so when it is built, before any point is evaluated
+    mutation = ("tropical", (1, 2), (((2, 1), 2),))
+    monkeypatch.setattr(maps, "_move_plan", lambda *args: ((mutation,), None))
+    maps._core_plan.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match="exponent"):
+            maps.xi_saltation(W("-1,1,2,1"), A2)
+    finally:
+        monkeypatch.undo()
+        maps._core_plan.cache_clear()
+    assert maps.xi_saltation(W("-1,1,2,1"), A2).target_word == W("2,-1,-2,-1")
+
+
 def test_saltation_core_runs_its_plan_without_word_work(rng, monkeypatch):
     """A warm saltation neither splits, glues nor recounts the point, and
     one inverse-core evaluation runs the inverse zeta plan and one forward

@@ -116,6 +116,26 @@ def test_ball_keeps_every_state_through_aborts_and_errors(monkeypatch):
     assert ball.path_to(goal) == want_to
 
 
+def test_ball_reads_a_reached_path_without_asking_for_edges():
+    """A reached state's path is read off the labels stored when the search
+    reached it: no successor is asked for again."""
+    a2 = weyl.build_cartan("A2")
+    successors = _word_graph(a2)
+    asked = []
+
+    def counted(w):
+        asked.append(w)
+        return successors(w)
+
+    anchor, goal = W("1,2,1,-1,-2,-1"), W("-1,-2,-1,1,2,1")
+    ball = words._Ball(anchor, counted)
+    want = ball.path_from(goal)
+    assert want == words._search(anchor, goal, successors)
+    asked.clear()
+    assert ball.path_from(goal) == want
+    assert asked == []
+
+
 def test_ball_walk_rejects_an_asymmetric_graph():
     """On a directed cycle no successor of 2 is one layer nearer 0."""
     ball = words._Ball(0, lambda n: [("next", (n + 1) % 3)])
