@@ -154,7 +154,7 @@ def _seed_json(seed: seeds.Seed) -> dict:
         "cover_R": sorted(list(i) for i in seed.cover_right),
         "epsilon": [[[seed.eps(a, b).numerator, seed.eps(a, b).denominator]
                      for b in ix] for a in ix],
-        "d": [seed.d[i] for i in ix],
+        "d": [seed.d(i) for i in ix],
     }
 
 

@@ -1,10 +1,12 @@
 """Seeds attached to double words.
 
-A seed is (I, I0, epsilon, d): index set, frozen subset, exchange matrix with
-rational entries allowed only on frozen pairs, and positive multipliers
-making epsilon_hat = epsilon_ij d_j skew-symmetric.  Word seeds carry the
-two-set cover of the frozen subset (left boundary slots (j,0), right boundary
-slots (j, N^j)) that drives tropical mutations.
+A seed stores its Cartan type, its counts N^j (one per wire j) and its
+exchange matrix epsilon, whose rational entries are allowed only on frozen
+pairs.  The rest is read off the type and the counts: the index set
+I = {(j, k) : 0 <= k <= N^j}; the two-set cover of the frozen subset I0 (left
+boundary slots (j, 0), right boundary slots (j, N^j)) that drives tropical
+mutations; and the positive multipliers d_(j,k) = d_j of the symmetrized
+Cartan matrix, which make epsilon_hat_ij = d_i epsilon_ij skew-symmetric.
 
 The elementary seed of a single letter is populated from the two entry
 families
@@ -13,44 +15,49 @@ families
                                                             the barred letter)
 
 completed by a zero diagonal and skew-symmetry of epsilon_hat; amalgamation
-adds the two factors' entries over identified slots (the glued slot
-(i, N^i of the left factor) belongs to both factors and inherits from both in
-all rows and columns).  These two completions are exactly what reproduces the
-golden rank-one bracket matrices, which the test suite pins bit-exactly.
+adds the factors' entries over identified slots (the glued slot (i, N^i of
+the left factor) belongs to both factors and inherits from both in all rows
+and columns).  These two completions are exactly what reproduces the golden
+rank-one bracket matrices, which the test suite pins bit-exactly.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .cartan import CartanData
 from .errors import (FrozenDirection, FrozenStructureViolation, InvariantViolation,
                      PreconditionFailed)
-from .words import DoubleWord, SeedIndex
+from .words import DoubleWord, SeedIndex, l_move, r_move
 
 
 @dataclass(frozen=True, eq=True)
 class Seed:
-    """Equality compares the combinatorial content (counts, matrix, cover),
-    not the provenance fields ``word``/``is_bracket``.  Seeds are not hashable
-    (the matrix is a dict); use the word as a cache key instead."""
+    """Equality compares the combinatorial content (type, counts, matrix),
+    not the provenance field ``word``.  Seeds are not hashable (the matrix
+    is a dict); use the word as a cache key instead."""
 
     cartan: CartanData
     counts: tuple[tuple[int, int], ...]          # (wire, N^wire), every wire 1..rank
     epsilon: dict[tuple[SeedIndex, SeedIndex], Fraction]
-    d: dict[SeedIndex, int] = field(compare=False)
-    cover_left: frozenset[SeedIndex] = frozenset()
-    cover_right: frozenset[SeedIndex] = frozenset()
     word: DoubleWord | None = field(default=None, compare=False)
-    is_bracket: bool = field(default=False, compare=False)
 
     __hash__ = None  # type: ignore[assignment]
 
     @property
     def indices(self) -> list[SeedIndex]:
         return [(wire, k) for wire, n in self.counts for k in range(n + 1)]
+
+    @property
+    def cover_left(self) -> frozenset[SeedIndex]:
+        return frozenset((wire, 0) for wire, _ in self.counts)
+
+    @property
+    def cover_right(self) -> frozenset[SeedIndex]:
+        return frozenset(self.counts)  # the slots (wire, N^wire)
 
     @property
     def frozen(self) -> frozenset[SeedIndex]:
@@ -61,6 +68,10 @@ class Seed:
         frozen = self.frozen
         return [ix for ix in self.indices if ix not in frozen]
 
+    def d(self, ix: SeedIndex) -> int:
+        """The multiplier of an index: the symmetrizer entry of its wire."""
+        return self.cartan.d[ix[0] - 1]
+
     def eps(self, i: SeedIndex, j: SeedIndex) -> Fraction:
         return self.epsilon.get((i, j), Fraction(0))
 
@@ -68,26 +79,19 @@ class Seed:
         # d_i * eps_ij; the multiplier sits on the row index, matching the
         # symmetrized Cartan matrix convention (and forcing integral exchange
         # entries off the frozen square, which the right multiplier does not)
-        return self.d[i] * self.eps(i, j)
+        return self.d(i) * self.eps(i, j)
 
     def cover_sets_of(self, k: SeedIndex) -> frozenset[SeedIndex]:
         """I0(k): union of the cover sets containing k."""
-        out: set[SeedIndex] = set()
-        if k in self.cover_left:
-            out |= self.cover_left
-        if k in self.cover_right:
-            out |= self.cover_right
-        if not out:
+        covers = [c for c in (self.cover_left, self.cover_right) if k in c]
+        if not covers:
             raise FrozenStructureViolation(f"{k} is not frozen")
-        return frozenset(out)
+        return frozenset().union(*covers)
 
     def common_denominator(self) -> int:
         frozen = self.frozen
-        den = 1
-        for (i, j), v in self.epsilon.items():
-            if i in frozen and j in frozen:
-                den = den * v.denominator // _gcd(den, v.denominator)
-        return den
+        return math.lcm(*(v.denominator for (i, j), v in self.epsilon.items()
+                          if i in frozen and j in frozen))
 
     def b_entry(self, i: SeedIndex, j: SeedIndex) -> int:
         """Numerator of eps over the common frozen denominator; eps itself
@@ -123,18 +127,14 @@ class Seed:
         return [[self.eps(i, j) for j in ix] for i in ix]
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _skew_close(eps: dict, d: dict) -> dict:
-    """Complete a dict of entries to a matrix with eps_hat skew-symmetric."""
+def _skew_close(eps: dict, d) -> dict:
+    """Fill in each entry whose transpose alone is given, so that eps_hat is
+    skew-symmetric; ``d`` is the seed's multiplier."""
     out = dict(eps)
-    for (i, j), v in list(eps.items()):
-        out[(j, i)] = -v * d[i] / d[j]
-    return {k: v for k, v in out.items() if v != 0}
+    for (i, j), v in eps.items():
+        if (j, i) not in eps:
+            out[(j, i)] = -v * d(i) / d(j)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -142,14 +142,10 @@ def elementary_seed(cdata: CartanData, letter: int) -> Seed:
     """Seed of a one-letter word (letter != 0, sign = bar), or of the empty
     word when letter == 0."""
     rank = cdata.rank
-    d = {(j, 0): cdata.d[j - 1] for j in range(1, rank + 1)}
     if letter == 0:
-        counts = tuple((j, 0) for j in range(1, rank + 1))
-        cover = frozenset(d)
-        return Seed(cdata, counts, {}, d, cover, cover, DoubleWord(()))
+        return Seed(cdata, tuple((j, 0) for j in range(1, rank + 1)), {}, DoubleWord(()))
     i = abs(letter)
     sign = 1 if letter > 0 else -1
-    d[(i, 1)] = cdata.d[i - 1]
     eps: dict = {}
     for j in range(1, rank + 1):
         val = Fraction(sign * cdata.a[i - 1][j - 1], 2)
@@ -157,43 +153,36 @@ def elementary_seed(cdata: CartanData, letter: int) -> Seed:
             eps[((i, 1), (j, 0))] = val
         if j != i and val:
             eps[((i, 0), (j, 0))] = -val
-    eps = _skew_close(eps, d)
     counts = tuple((j, 1 if j == i else 0) for j in range(1, rank + 1))
-    cover_l = frozenset((j, 0) for j in range(1, rank + 1))
-    cover_r = frozenset((j, 1 if j == i else 0) for j in range(1, rank + 1))
-    return Seed(cdata, counts, eps, d, cover_l, cover_r, DoubleWord((letter,)))
+    seed = Seed(cdata, counts, eps, DoubleWord((letter,)))
+    return replace(seed, epsilon=_skew_close(eps, seed.d))
 
 
-def amalgamate(s1: Seed, s2: Seed) -> Seed:
-    """Amalgamated seed: shift the right factor's occurrence counters by the
-    left factor's counts and add entries over the identified slots."""
-    if s1.cartan != s2.cartan:
-        raise PreconditionFailed("amalgamated seeds must share one Cartan type")
-    cdata = s1.cartan
-    shift = dict(s1.counts)
-    eps: dict = {}
-    for (i, j), v in s1.epsilon.items():
-        eps[(i, j)] = eps.get((i, j), Fraction(0)) + v
-    for ((wi, ki), (wj, kj)), v in s2.epsilon.items():
-        key = ((wi, ki + shift[wi]), (wj, kj + shift[wj]))
-        eps[key] = eps.get(key, Fraction(0)) + v
-    eps = {k: v for k, v in eps.items() if v != 0}
-    right_counts = dict(s2.counts)
-    counts = tuple((w, n + right_counts[w]) for w, n in s1.counts)
-    d = {(w, k): cdata.d[w - 1] for w, n in counts for k in range(n + 1)}
-    cover_l = frozenset((w, 0) for w, _ in counts)
-    cover_r = frozenset((w, n) for w, n in counts)
+def amalgamate(first: Seed, *rest: Seed) -> Seed:
+    """Amalgamated seed of the factors in order: shift each factor's
+    occurrence counters by the counts of the factors before it and add
+    entries over the identified slots."""
+    cdata = first.cartan
+    shift = dict(first.counts)
+    eps = dict(first.epsilon)
+    for seed in rest:
+        if seed.cartan != cdata:
+            raise PreconditionFailed("amalgamated seeds must share one Cartan type")
+        for ((wi, ki), (wj, kj)), v in seed.epsilon.items():
+            key = ((wi, ki + shift[wi]), (wj, kj + shift[wj]))
+            eps[key] = eps.get(key, 0) + v
+        for wire, n in seed.counts:
+            shift[wire] += n
+    factor_words = [seed.word for seed in (first, *rest)]
     word = None
-    if s1.word is not None and s2.word is not None:
-        word = s1.word.concat(s2.word)
-    return Seed(cdata, counts, eps, d, cover_l, cover_r, word)
+    if all(w is not None for w in factor_words):
+        word = DoubleWord(tuple(x for w in factor_words for x in w.letters))
+    return Seed(cdata, tuple(shift.items()), {k: v for k, v in eps.items() if v}, word)
 
 
 def seed_for_word(w: DoubleWord, cdata: CartanData) -> Seed:
-    seed = elementary_seed(cdata, 0)
-    for letter in w.letters:
-        seed = amalgamate(seed, elementary_seed(cdata, letter))
-    return seed
+    return amalgamate(elementary_seed(cdata, 0),
+                      *(elementary_seed(cdata, letter) for letter in w.letters))
 
 
 def bracket_seed(seed: Seed) -> Seed:
@@ -202,7 +191,7 @@ def bracket_seed(seed: Seed) -> Seed:
     right = seed.cover_right
     eta = {(i, j): v for (i, j), v in seed.epsilon.items()
            if i not in right and j not in right}
-    return replace(seed, epsilon=eta, is_bracket=True)
+    return replace(seed, epsilon=eta)
 
 
 def _sgn(x: Fraction) -> int:
@@ -287,15 +276,7 @@ def tropical_mutate_seed(seed: Seed, k: SeedIndex,
                 v = seed.eps(i, j) - seed.b_entry(i, k) * seed.eps(k, j)
             if v:
                 eps[(i, j)] = v
-    for i in ix:
-        for j in ix:
-            if i == j or (i, j) in eps:
-                continue
-            if (j, i) in eps:
-                val = -eps[(j, i)] * seed.d[j] / seed.d[i]
-                if val:
-                    eps[(i, j)] = val
-    return replace(seed, epsilon=eps, word=_flipped_word(seed, k))
+    return replace(seed, epsilon=_skew_close(eps, seed.d), word=_flipped_word(seed, k))
 
 
 def _flipped_word(seed: Seed, k: SeedIndex) -> DoubleWord | None:
@@ -307,23 +288,15 @@ def _flipped_word(seed: Seed, k: SeedIndex) -> DoubleWord | None:
         return None
     wire, c = k
     if c == 0 and abs(w.letters[0]) == wire:
-        return DoubleWord((-w.letters[0],) + w.letters[1:])
+        return l_move(w)
     if c == w.count(wire) and abs(w.letters[-1]) == wire:
-        return DoubleWord(w.letters[:-1] + (-w.letters[-1],))
+        return r_move(w)
     return None
 
 
 def relabel_seed(seed: Seed, mapping: dict[SeedIndex, SeedIndex],
                  new_counts: tuple[tuple[int, int], ...]) -> Seed:
     """Push a seed through an index relabeling (identity off ``mapping``)."""
-    cdata = seed.cartan
-
-    def m(ix: SeedIndex) -> SeedIndex:
-        return mapping.get(ix, ix)
-
-    eps = {(m(i), m(j)): v for (i, j), v in seed.epsilon.items()}
-    d = {(w, k): cdata.d[w - 1] for w, n in new_counts for k in range(n + 1)}
-    cover_l = frozenset((w, 0) for w, _ in new_counts)
-    cover_r = frozenset((w, n) for w, n in new_counts)
-    return replace(seed, counts=new_counts, epsilon=eps, d=d,
-                   cover_left=cover_l, cover_right=cover_r, word=None)
+    return replace(seed, counts=new_counts, word=None,
+                   epsilon={(mapping.get(i, i), mapping.get(j, j)): v
+                            for (i, j), v in seed.epsilon.items()})

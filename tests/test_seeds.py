@@ -19,7 +19,7 @@ def test_elementary_seed_rank_one():
     assert sbar.matrix() == [[F(0), F(1)], [F(-1), F(0)]]
     trivial = seeds.elementary_seed(a1, 0)
     assert trivial.matrix() == [[F(0)]]
-    assert trivial.d[(1, 0)] == 1
+    assert trivial.d((1, 0)) == 1
 
 
 def test_bracket_matrices_match_golden_bit_exactly():
@@ -34,7 +34,18 @@ def test_amalgamation_associative():
     parts = [seeds.elementary_seed(a2, letter) for letter in (-1, 1, -1)]
     left = seeds.amalgamate(seeds.amalgamate(parts[0], parts[1]), parts[2])
     right = seeds.amalgamate(parts[0], seeds.amalgamate(parts[1], parts[2]))
-    assert left == right
+    at_once = seeds.amalgamate(*parts)
+    assert left == right == at_once
+    assert left.word == right.word == at_once.word == W("-1,1,-1")
+    # a word's seed glues from the seeds of any split of the word, with the
+    # unequal multipliers and rational frozen entries of B2 and G2
+    for label, u, v in [("B2", "1,-2", "2,1,-2"), ("B2", "-2,-1", "1,2"),
+                        ("G2", "1,2,-1", "2,1"), ("G2", "-2", "-1,2,2,1")]:
+        cdata = weyl.build_cartan(label)
+        joined = seeds.amalgamate(seeds.seed_for_word(W(u), cdata),
+                                  seeds.seed_for_word(W(v), cdata))
+        whole = seeds.seed_for_word(W(u).concat(W(v)), cdata)
+        assert joined == whole and joined.word == whole.word
 
 
 def test_seed_for_word_indices():
