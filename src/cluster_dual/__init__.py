@@ -17,9 +17,18 @@ first-order jets):
 - golden rank-one reference data (``golden``) and a CLI (``cluster-dual``).
 """
 
-from . import arith, cartan, cli, errors, evals, golden, group, maps, seeds, words
+import importlib
+
+from . import arith, cartan, errors, evals, golden, group, maps, seeds, words
 
 __version__ = "0.1.0"
 
 __all__ = ["arith", "cartan", "cli", "errors", "evals", "golden", "group",
            "maps", "seeds", "words", "__version__"]
+
+
+def __getattr__(name):
+    # ``cli`` loads on first use, so ``python -m cluster_dual.cli`` runs it once
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cluster_dual import cli, evals
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args, capsys):
@@ -79,6 +85,17 @@ def test_verify_determinism(tmp_path, capsys):
     for rep in a["reports"] + b["reports"]:
         rep.pop("elapsed_ms")
     assert a == b
+
+
+def test_module_entry_point_runs_once_without_warnings():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                           "cluster_dual.cli", "verify", "PHI_REL", "--type", "A1",
+                           "--trials", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["reports"][0]["name"] == "PHI_REL"
 
 
 def test_compute_seed(capsys):
