@@ -340,6 +340,10 @@ class _CheckRunner:
 def check_identity(check: IdentityCheck) -> Report:
     if check.name not in CHECK_NAMES:
         raise ValueError(f"unknown identity {check.name!r}")
+    if check.level not in ("matrix", "seed"):
+        raise ValueError(f"unknown level {check.level!r} (matrix or seed)")
+    if check.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {check.trials}")
     start = time.monotonic()
     runner = _CheckRunner(check)
     if check.level == "seed":
@@ -349,10 +353,10 @@ def check_identity(check: IdentityCheck) -> Report:
         _seed_shadow(runner)
     else:
         if check.cartan_type not in MATRIX_TYPES:
+            hint = "; use --level seed for rank-2 shadows" if runner.cdata.rank == 2 else ""
             raise UnsupportedForType(
                 f"no matrix-level desk instances for {check.cartan_type} "
-                f"(type-A group layer plus configured words needed); "
-                f"use --level seed for rank-2 shadows")
+                f"(type-A group layer plus configured words needed){hint}")
         _CHECK_IMPLS[check.name](runner)
     runner.report.elapsed_ms = int((time.monotonic() - start) * 1000)
     return runner.report
@@ -382,9 +386,9 @@ def _seed_shadow(runner: _CheckRunner) -> None:
         mv = wordmod.Move(kind, 0, cdata.m_order(1, 2))
         target = wordmod.apply_move(w, mv, cdata)
         seed = seed_for_word(w, cdata)
-        for ix, mtype in mapmod._move_mutations(w, mv, cdata):
-            seed = (seedmod.mutate_seed(seed, ix) if mtype == "regular"
-                    else seedmod.tropical_mutate_seed(seed, ix))
+        # a d-move induces regular mutations only, never a tropical one
+        for ix, _ in mapmod._move_mutations(w, mv, cdata):
+            seed = seedmod.mutate_seed(seed, ix)
         sigma = wordmod.index_map(w, mv, cdata)
         expected = seed_for_word(target, cdata)
         got = seedmod.relabel_seed(seed, sigma, expected.counts)

@@ -78,8 +78,7 @@ def _regular_mutation(seed: Seed, k: SeedIndex,
     return ("regular", k, tuple(exponents))
 
 
-def _tropical_mutation(seed: Seed, k: SeedIndex,
-                       positive_letter: Optional[bool] = None) -> Mutation:
+def _tropical_mutation(seed: Seed, k: SeedIndex, positive_letter: bool) -> Mutation:
     """Lower a tropical mutation at the frozen k: its cover mates m pick up
     x_k^{-b_km} when the flip side matches the letter sign and x_k^{+b_km}
     otherwise, the orientation that makes the map Poisson between the seed
@@ -128,7 +127,7 @@ def mutate_point(seed: Seed, values: Assignment, k: SeedIndex,
 
 
 def tropical_mutate_point(seed: Seed, values: Assignment, k: SeedIndex,
-                          positive_letter: Optional[bool] = None) -> Assignment:
+                          positive_letter: bool) -> Assignment:
     """Tropical mutation: x_k inverts and its cover mates pick up monomial
     factors; subtraction-free, defined on the whole torus."""
     return _apply_mutation(values, _tropical_mutation(seed, k, positive_letter))
@@ -230,11 +229,8 @@ def _move_plan(cdata: CartanData, w: DoubleWord, move: Move, restricted: bool
         induced = []
     else:
         induced = _move_mutations(w, move, cdata)
-    positive_letter = None
-    if move.kind == "tau_left":
-        positive_letter = w.letters[0] > 0
-    elif move.kind == "tau_right":
-        positive_letter = w.letters[-1] > 0
+    # only tau moves induce tropical mutations, each flipping a boundary letter
+    positive_letter = (w.letters[0] if move.kind == "tau_left" else w.letters[-1]) > 0
     mutations = []
     for n, (ix, kind) in enumerate(induced):
         last = n == len(induced) - 1

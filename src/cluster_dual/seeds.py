@@ -2,11 +2,13 @@
 
 A seed stores its Cartan type, its counts N^j (one per wire j) and its
 exchange matrix epsilon, whose rational entries are allowed only on frozen
-pairs.  The rest is read off the type and the counts: the index set
-I = {(j, k) : 0 <= k <= N^j}; the two-set cover of the frozen subset I0 (left
-boundary slots (j, 0), right boundary slots (j, N^j)) that drives tropical
-mutations; and the positive multipliers d_(j,k) = d_j of the symmetrized
-Cartan matrix, which make epsilon_hat_ij = d_i epsilon_ij skew-symmetric.
+pairs; it keeps no record of the word it came from.  The rest is read off
+the type and the counts: the index set I = {(j, k) : 0 <= k <= N^j}; the
+two-set cover of the frozen subset I0 (left boundary slots (j, 0), right
+boundary slots (j, N^j)) that drives tropical mutations, each of which is
+told the sign of the letter it flips; and the positive multipliers
+d_(j,k) = d_j of the symmetrized Cartan matrix, which make
+epsilon_hat_ij = d_i epsilon_ij skew-symmetric.
 
 The elementary seed of a single letter is populated from the two entry
 families
@@ -25,25 +27,24 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cartan import CartanData
 from .errors import (FrozenDirection, FrozenStructureViolation, InvariantViolation,
                      PreconditionFailed)
-from .words import DoubleWord, SeedIndex, l_move, r_move
+from .words import DoubleWord, SeedIndex
 
 
 @dataclass(frozen=True, eq=True)
 class Seed:
-    """Equality compares the combinatorial content (type, counts, matrix),
-    not the provenance field ``word``.  Seeds are not hashable (the matrix
-    is a dict); use the word as a cache key instead."""
+    """A seed is its type, counts and matrix, and equality compares exactly
+    these.  Seeds are not hashable (the matrix is a dict); use the word as
+    a cache key instead."""
 
     cartan: CartanData
     counts: tuple[tuple[int, int], ...]          # (wire, N^wire), every wire 1..rank
     epsilon: dict[tuple[SeedIndex, SeedIndex], Fraction]
-    word: DoubleWord | None = field(default=None, compare=False)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -143,7 +144,7 @@ def elementary_seed(cdata: CartanData, letter: int) -> Seed:
     word when letter == 0."""
     rank = cdata.rank
     if letter == 0:
-        return Seed(cdata, tuple((j, 0) for j in range(1, rank + 1)), {}, DoubleWord(()))
+        return Seed(cdata, tuple((j, 0) for j in range(1, rank + 1)), {})
     i = abs(letter)
     sign = 1 if letter > 0 else -1
     eps: dict = {}
@@ -154,7 +155,7 @@ def elementary_seed(cdata: CartanData, letter: int) -> Seed:
         if j != i and val:
             eps[((i, 0), (j, 0))] = -val
     counts = tuple((j, 1 if j == i else 0) for j in range(1, rank + 1))
-    seed = Seed(cdata, counts, eps, DoubleWord((letter,)))
+    seed = Seed(cdata, counts, eps)
     return replace(seed, epsilon=_skew_close(eps, seed.d))
 
 
@@ -173,11 +174,7 @@ def amalgamate(first: Seed, *rest: Seed) -> Seed:
             eps[key] = eps.get(key, 0) + v
         for wire, n in seed.counts:
             shift[wire] += n
-    factor_words = [seed.word for seed in (first, *rest)]
-    word = None
-    if all(w is not None for w in factor_words):
-        word = DoubleWord(tuple(x for w in factor_words for x in w.letters))
-    return Seed(cdata, tuple(shift.items()), {k: v for k, v in eps.items() if v}, word)
+    return Seed(cdata, tuple(shift.items()), {k: v for k, v in eps.items() if v})
 
 
 def seed_for_word(w: DoubleWord, cdata: CartanData) -> Seed:
@@ -215,42 +212,34 @@ def mutate_seed(seed: Seed, k: SeedIndex) -> Seed:
                     seed.eps(i, k) * seed.eps(k, j), Fraction(0))
             if v:
                 eps[(i, j)] = v
-    return replace(seed, epsilon=eps, word=None)
+    return replace(seed, epsilon=eps)
 
 
-def flip_orientation(seed: Seed, k: SeedIndex, positive_letter: bool | None) -> bool:
+def flip_orientation(seed: Seed, k: SeedIndex, positive_letter: bool) -> bool:
     """Whether the tropical mutation at k uses the column-style correction.
 
     The two chiralities of the rule are mutually inverse; which one applies
     is decided by the side of the cover the direction belongs to and the sign
-    of the boundary letter being flipped (read off the word when not given).
+    of the boundary letter being flipped.
     """
-    right = k in seed.cover_right
-    if positive_letter is None:
-        if seed.word is not None and seed.word.letters:
-            occurrences = [x for x in seed.word.letters if abs(x) == k[0]]
-            if occurrences:
-                letter = occurrences[-1] if right else occurrences[0]
-                positive_letter = letter > 0
-        if positive_letter is None:
-            positive_letter = right
-    return right == positive_letter
+    return (k in seed.cover_right) == positive_letter
 
 
-def tropical_mutate_seed(seed: Seed, k: SeedIndex,
-                         positive_letter: bool | None = None) -> Seed:
+def tropical_mutate_seed(seed: Seed, k: SeedIndex, positive_letter: bool) -> Seed:
     """Tropical mutation of the exchange matrix in a frozen direction.
 
     Row/column k negates, entries between cover mates of k stay, and the
     remaining entries pick up a monomial correction whose orientation depends
     on the flip (column-style eps_ij - eps_ik b_kj, or the transposed
-    row-style); the orientation not written explicitly is completed by
+    row-style) chosen by ``positive_letter``, the sign of the letter the flip
+    turns; the orientation not written explicitly is completed by
     skew-symmetry of eps_hat.  At a boundary-anchored direction -- the left
     frozen slot of the first letter's wire or the right frozen slot of the
     last letter's, the only directions a tau move mutates -- either chirality
     applied twice with opposite letter signs is the identity, and the rule
-    carries the word's seed onto the flipped word's seed.  At other frozen
-    directions a double flip is in general not the identity.
+    told the flipped letter's sign carries the word's seed onto the flipped
+    word's seed.  At other frozen directions a double flip is in general not
+    the identity.
     """
     if k not in seed.frozen:
         raise FrozenStructureViolation(f"{k} is not frozen")
@@ -276,27 +265,12 @@ def tropical_mutate_seed(seed: Seed, k: SeedIndex,
                 v = seed.eps(i, j) - seed.b_entry(i, k) * seed.eps(k, j)
             if v:
                 eps[(i, j)] = v
-    return replace(seed, epsilon=_skew_close(eps, seed.d), word=_flipped_word(seed, k))
-
-
-def _flipped_word(seed: Seed, k: SeedIndex) -> DoubleWord | None:
-    """The word with the bar flipped at the boundary letter k anchors, when
-    the seed is word-anchored and k is such a boundary slot.  Carrying it on
-    the mutated seed makes a second tropical mutation at k an exact inverse."""
-    w = seed.word
-    if w is None or not w.letters:
-        return None
-    wire, c = k
-    if c == 0 and abs(w.letters[0]) == wire:
-        return l_move(w)
-    if c == w.count(wire) and abs(w.letters[-1]) == wire:
-        return r_move(w)
-    return None
+    return replace(seed, epsilon=_skew_close(eps, seed.d))
 
 
 def relabel_seed(seed: Seed, mapping: dict[SeedIndex, SeedIndex],
                  new_counts: tuple[tuple[int, int], ...]) -> Seed:
     """Push a seed through an index relabeling (identity off ``mapping``)."""
-    return replace(seed, counts=new_counts, word=None,
+    return replace(seed, counts=new_counts,
                    epsilon={(mapping.get(i, i), mapping.get(j, j)): v
                             for (i, j), v in seed.epsilon.items()})

@@ -33,6 +33,12 @@ def test_verify_config_errors(capsys):
     assert run(["verify", "PHI_REL", "--prime", "97"], capsys)[0] == 2  # < 2^31
     assert run(["verify", "BRAID", "--type", "G2", "--level", "matrix",
                 "--trials", "1"], capsys)[0] == 2
+    # the seed-level hint is given only where the seed level runs: rank 2
+    code, _, err = run(["verify", "BRAID", "--type", "A3"], capsys)
+    assert code == 2 and "no matrix-level desk instances" in err
+    assert "--level seed" not in err
+    code, _, err = run(["verify", "BRAID", "--type", "B2"], capsys)
+    assert code == 2 and "use --level seed for rank-2 shadows" in err
     assert run(["verify"], capsys)[0] == 2
 
 

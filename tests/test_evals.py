@@ -174,8 +174,11 @@ def test_check_identity_reports():
         evals.check_identity(evals.IdentityCheck("BRAID", "G2", trials=1))
     with pytest.raises(UnsupportedForType):
         evals.check_identity(evals.IdentityCheck("PGL2_TABLE", "A2", trials=1))
-    with pytest.raises(ValueError):
-        evals.check_identity(evals.IdentityCheck("NOT_A_CHECK", "A1"))
+    for bad in (evals.IdentityCheck("NOT_A_CHECK", "A1"),
+                evals.IdentityCheck("BRAID", "A2", trials=0),
+                evals.IdentityCheck("BRAID", "A2", level="sede")):
+        with pytest.raises(ValueError):
+            evals.check_identity(bad)
 
 
 def test_seed_level_shadow_check():

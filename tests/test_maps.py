@@ -38,12 +38,12 @@ def test_mutate_point_formula_and_involution(rng):
 def test_tropical_point_examples():
     s = seeds.seed_for_word(W("1,1"), A1)
     vals = {(1, 0): F(2), (1, 1): F(3), (1, 2): F(5)}
-    out = maps.tropical_mutate_point(s, vals, (1, 0))
+    out = maps.tropical_mutate_point(s, vals, (1, 0), True)
     assert out == {(1, 0): F(1, 2), (1, 1): F(3), (1, 2): F(5)}
     # two frozen slots in one cover set: the mate picks up a monomial factor
     s2 = seeds.seed_for_word(W("1,2"), A2)
     vals2 = {(1, 0): F(2), (1, 1): F(3), (2, 0): F(5), (2, 1): F(7)}
-    out2 = maps.tropical_mutate_point(s2, vals2, (2, 1))
+    out2 = maps.tropical_mutate_point(s2, vals2, (2, 1), True)
     assert out2[(2, 1)] == F(1, 7)
     assert out2[(1, 1)] == F(3) * F(7)  # exponent +1 toward the other mate
     assert out2[(1, 0)] == F(2) and out2[(2, 0)] == F(5)

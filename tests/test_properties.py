@@ -83,8 +83,6 @@ def test_tropical_mutation_is_an_involution_at_anchored_directions(typed, right,
     k = (wire, w.count(wire) if right else 0)
     s = seeds.seed_for_word(w, cdata)
     once = seeds.tropical_mutate_seed(s, k, positive)
-    flip = words.Move("tau_right" if right else "tau_left")
-    assert once.word == words.apply_move(w, flip, cdata)
     assert seeds.tropical_mutate_seed(once, k, not positive) == s, (w, k, positive)
 
 

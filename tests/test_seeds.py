@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction as F
 
@@ -29,6 +30,11 @@ def test_bracket_matrices_match_golden_bit_exactly():
         assert eta.matrix() == golden.eta_matrix(s)
 
 
+def test_seed_is_type_counts_and_matrix():
+    # no provenance word: a tropical flip is told the sign of its letter
+    assert [f.name for f in dataclasses.fields(seeds.Seed)] == ["cartan", "counts", "epsilon"]
+
+
 def test_amalgamation_associative():
     a2 = weyl.build_cartan("A2")
     parts = [seeds.elementary_seed(a2, letter) for letter in (-1, 1, -1)]
@@ -36,7 +42,6 @@ def test_amalgamation_associative():
     right = seeds.amalgamate(parts[0], seeds.amalgamate(parts[1], parts[2]))
     at_once = seeds.amalgamate(*parts)
     assert left == right == at_once
-    assert left.word == right.word == at_once.word == W("-1,1,-1")
     # a word's seed glues from the seeds of any split of the word, with the
     # unequal multipliers and rational frozen entries of B2 and G2
     for label, u, v in [("B2", "1,-2", "2,1,-2"), ("B2", "-2,-1", "1,2"),
@@ -45,7 +50,7 @@ def test_amalgamation_associative():
         joined = seeds.amalgamate(seeds.seed_for_word(W(u), cdata),
                                   seeds.seed_for_word(W(v), cdata))
         whole = seeds.seed_for_word(W(u).concat(W(v)), cdata)
-        assert joined == whole and joined.word == whole.word
+        assert joined == whole
 
 
 def test_seed_for_word_indices():
@@ -105,10 +110,10 @@ def test_dmove_seed_transport_three_move():
 def test_tropical_mutation_examples():
     a1 = weyl.build_cartan("A1")
     s = seeds.seed_for_word(W("1,1"), a1)
-    left = seeds.tropical_mutate_seed(s, (1, 0))
+    left = seeds.tropical_mutate_seed(s, (1, 0), True)
     assert left.eps((1, 0), (1, 1)) == 1
     with pytest.raises(FrozenStructureViolation):
-        seeds.tropical_mutate_seed(s, (1, 1))
+        seeds.tropical_mutate_seed(s, (1, 1), True)
 
 
 def test_tropical_transport_and_involution_along_flips():
@@ -120,14 +125,15 @@ def test_tropical_transport_and_involution_along_flips():
         for kind in ("tau_left", "tau_right"):
             mv = Move(kind, 0 if kind == "tau_left" else len(w) - 1)
             flipped = words.apply_move(w, mv, cdata)
-            wire = abs(w.letters[0] if kind == "tau_left" else w.letters[-1])
+            letter = w.letters[0] if kind == "tau_left" else w.letters[-1]
+            wire, positive = abs(letter), letter > 0
             k = (wire, 0) if kind == "tau_left" else (wire, w.count(wire))
             s = seeds.seed_for_word(w, cdata)
-            moved = seeds.tropical_mutate_seed(s, k)
+            moved = seeds.tropical_mutate_seed(s, k, positive)
             assert moved == seeds.seed_for_word(flipped, cdata), (label, text, kind)
-            # the flipped word rides on the mutated seed, so a second flip
-            # undoes the first
-            assert seeds.tropical_mutate_seed(moved, k) == s
+            # the flipped word's letter at k has the opposite sign, so
+            # flipping it back undoes the first flip
+            assert seeds.tropical_mutate_seed(moved, k, not positive) == s
 
 
 def test_common_denominator_small():
