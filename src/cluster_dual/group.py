@@ -70,7 +70,12 @@ class GroupMatrix:
         return GroupMatrix([[c * x for x in row] for row in self.rows])
 
     def inverse(self) -> "GroupMatrix":
-        """Exact Gauss-Jordan inverse; SingularPoint when not invertible."""
+        """Exact Gauss-Jordan inverse; SingularPoint when not invertible.
+
+        A pivot needs an invertible value (``_is_nonzero``), but every entry
+        that is not exactly zero is eliminated: a jet with value 0 and
+        nonzero partials still carries derivatives.  ``det`` and ``gauss``
+        follow the same rule."""
         n = self.n
         one = _one_like(self.rows[0][0])
         zero = _zero_like(self.rows[0][0])
@@ -84,7 +89,7 @@ class GroupMatrix:
             pv = aug[col][col]
             aug[col] = [x / pv for x in aug[col]]
             for r in range(n):
-                if r != col and _is_nonzero(aug[r][col]):
+                if r != col and aug[r][col] != 0:
                     f = aug[r][col]
                     aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
         return GroupMatrix([row[n:] for row in aug])
@@ -103,7 +108,7 @@ class GroupMatrix:
             det = det * mat[col][col]
             inv = mat[col][col]
             for r in range(col + 1, n):
-                if _is_nonzero(mat[r][col]):
+                if mat[r][col] != 0:
                     f = mat[r][col] / inv
                     mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
         return det
@@ -283,7 +288,7 @@ def gauss(g: GroupMatrix) -> tuple[GroupMatrix, GroupMatrix, GroupMatrix]:
         if not _is_nonzero(mat[col][col]):
             raise NotInBigCell(col)
         for r in range(col + 1, n):
-            if _is_nonzero(mat[r][col]):
+            if mat[r][col] != 0:
                 f = mat[r][col] / mat[col][col]
                 lower[r][col] = f
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]

@@ -4,6 +4,7 @@ import pytest
 
 from cluster_dual import cartan as weyl
 from cluster_dual import group as grp
+from cluster_dual.arith import Fp, Jet
 from cluster_dual.errors import InvalidParameter, NotInBigCell, UnsupportedForType
 from cluster_dual.group import GroupMatrix
 
@@ -88,6 +89,18 @@ def test_gauss_reconstructs_random(rng):
         except NotInBigCell:
             continue
         assert lower * diag * upper == g
+
+
+def test_elimination_clears_zero_value_jets():
+    # an entry with value 0 and nonzero partials must be eliminated too
+    def J(value, partial):
+        return Jet(Fp(value, 97), (Fp(partial, 97),))
+
+    m = GroupMatrix([[J(1, 0), J(0, 0)], [J(0, 1), J(1, 0)]])
+    assert m * m.inverse() == grp.identity(2, J(1, 0))
+    lower, diag, upper = grp.gauss(m)
+    assert lower * diag * upper == m
+    assert GroupMatrix([[J(1, 0), J(1, 0)], [J(0, 1), J(1, 0)]]).det() == J(1, 96)
 
 
 def test_theta():

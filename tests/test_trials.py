@@ -13,10 +13,9 @@ from cluster_dual.errors import SingularPoint
 from conftest import W
 
 # sha256 of the reports of every matrix-level check on A1 and A2 at prime 97,
-# 3 trials, rng seed 5, with elapsed_ms removed.  At this small prime 7
-# draws are redrawn: singular draws, and one mod-p disagreement that the
-# rational re-evaluation does not confirm.
-MATRIX_REPORTS_SHA256 = "3912ca30104dd061e98102364309016fcc91108634382d0ebcfe755496e66df6"
+# 3 trials, rng seed 5, with elapsed_ms removed.  At this small prime 6
+# draws are redrawn, all of them singular.
+MATRIX_REPORTS_SHA256 = "5e6fd6dc44f5b054e3a2562129140c900f26c850c4ea2ebd85a2dfd9088e5339"
 
 
 def test_matrix_reports_pinned():
@@ -31,7 +30,7 @@ def test_matrix_reports_pinned():
             del data["elapsed_ms"]
             payload.append(data)
             skipped += rep.skipped
-    assert skipped == 7
+    assert skipped == 6
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     assert digest == MATRIX_REPORTS_SHA256
 
