@@ -184,8 +184,9 @@ class Jet:
             return NotImplemented
         if not _is_nonzero(o.value):
             raise DivisionByZero("division by a jet with zero value")
-        v = self.value / o.value
-        return Jet(v, tuple((a - v * b) / o.value
+        inv = 1 / o.value
+        v = self.value * inv
+        return Jet(v, tuple((a - v * b) * inv
                             for a, b in zip(self.partials, o.partials)))
 
     def __rtruediv__(self, other):

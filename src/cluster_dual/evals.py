@@ -153,10 +153,14 @@ def _ev_factored(ctx: EvalContext, values: Assignment
     return values, ev(lw, cdata, lv), grp.gauss_leq0(GroupMatrix(right))
 
 
-def _ev_left(first: GroupMatrix, proj: GroupMatrix, cdata: CartanData) -> GroupMatrix:
-    inner = [list(row) for row in grp.theta(proj).rows]
+def _ev_left(first: GroupMatrix, proj_inv: GroupMatrix, cdata: CartanData) -> GroupMatrix:
+    """L = ev(i1) theta(Q) with Q = gauss_leq0(theta(P) rep(w0)), from P^{-1}.
+    P and Q are lower triangular, so both thetas come from substitution
+    inverses."""
+    inner = [list(row) for row in grp.theta_from_inverse(proj_inv).rows]
     _times_representative(inner, weyl.longest_element(cdata))
-    return first * grp.theta(grp.gauss_leq0(GroupMatrix(inner)))
+    lower = grp.gauss_leq0(GroupMatrix(inner))
+    return first * grp.theta_from_inverse(grp.lower_inverse(lower))
 
 
 def ev_LR(ctx: EvalContext, values: Assignment, side: str) -> GroupMatrix:
@@ -164,18 +168,20 @@ def ev_LR(ctx: EvalContext, values: Assignment, side: str) -> GroupMatrix:
     values, first, proj = _ev_factored(ctx, values)
     if side != "L":
         return first * proj
-    return _ev_left(first, proj, ctx.cdata)
+    return _ev_left(first, grp.lower_inverse(proj), ctx.cdata)
 
 
 def ev_hat(ctx: EvalContext, values: Assignment) -> GroupMatrix:
     """The twisted evaluation of the context's word at a point of its
-    bracket torus: L * frozen_torus^{-1} * rep(w0) * R^{-1}."""
+    bracket torus: L * frozen_torus^{-1} * rep(w0) * R^{-1}, with
+    R^{-1} = P^{-1} * ev(i1)^{-1}."""
     values, first, proj = _ev_factored(ctx, values)
     cdata = ctx.cdata
-    rows = [list(row) for row in _ev_left(first, proj, cdata).rows]
+    proj_inv = grp.lower_inverse(proj)
+    rows = [list(row) for row in _ev_left(first, proj_inv, cdata).rows]
     _strip_frozen_torus(rows, ctx.factored_word, cdata.rank, values)
     _times_representative(rows, weyl.longest_element(cdata))
-    return GroupMatrix(rows) * (first * proj).inverse()
+    return GroupMatrix(rows) * (proj_inv * first.inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +579,7 @@ def _tau_product_check(runner: _CheckRunner) -> None:
         ctx = make_context(w, cdata)
 
         def lhs(vals, ctx=ctx):
-            g = ev_hat(ctx, vals)
-            _, _, n_minus = grp.gauss_g0(g)
-            return n_minus
+            return grp.gauss_g0(ev_hat(ctx, vals))
 
         def rhs(vals, w=w, cut=cut):
             (lw, lv), _ = mapmod.split_point(w, vals, cut, cdata.rank)

@@ -86,8 +86,8 @@ class GroupMatrix:
             if pivot is None:
                 raise SingularPoint("matrix not invertible")
             aug[col], aug[pivot] = aug[pivot], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
+            inv = 1 / aug[col][col]
+            aug[col] = [x * inv for x in aug[col]]
             for r in range(n):
                 if r != col and aug[r][col] != 0:
                     f = aug[r][col]
@@ -106,12 +106,28 @@ class GroupMatrix:
                 mat[col], mat[pivot] = mat[pivot], mat[col]
                 det = -det
             det = det * mat[col][col]
-            inv = mat[col][col]
+            inv = 1 / mat[col][col]
             for r in range(col + 1, n):
                 if mat[r][col] != 0:
-                    f = mat[r][col] / inv
+                    f = mat[r][col] * inv
                     mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
         return det
+
+
+def lower_inverse(m: GroupMatrix) -> GroupMatrix:
+    """Inverse of a lower triangular matrix by forward substitution, one
+    scalar inversion per row; SingularPoint on a zero diagonal entry.  Only
+    the lower triangle of m is read."""
+    n = m.n
+    zero = _zero_like(m[0][0])
+    out: list[list] = []
+    for i, row in enumerate(m.rows):
+        if not _is_nonzero(row[i]):
+            raise SingularPoint("matrix not invertible")
+        d = 1 / row[i]
+        out.append([-sum((row[k] * out[k][j] for k in range(j, i)), start=zero) * d
+                    for j in range(i)] + [d] + [zero] * (n - 1 - i))
+    return GroupMatrix(out)
 
 
 def identity(n: int, like=Fraction(1)) -> GroupMatrix:
@@ -275,45 +291,67 @@ def weyl_representative(w: WeylElement, like=Fraction(1)) -> GroupMatrix:
     return word_representative(rank, w.reduced_word(), like)
 
 
-def gauss(g: GroupMatrix) -> tuple[GroupMatrix, GroupMatrix, GroupMatrix]:
-    """LDU factorization g = lower * diag * upper with unitriangular outer
-    factors; NotInBigCell(k) when the k-th leading principal minor vanishes.
-    No row exchanges: pivots are exactly the ratios of leading minors."""
+def _eliminate(g: GroupMatrix) -> tuple[list[list], list[list], list]:
+    """Row elimination without row exchanges: the unitriangular lower
+    factor, the reduced (upper triangular) rows and the inverted pivots;
+    NotInBigCell(k) when the k-th leading principal minor vanishes."""
     n = g.n
     one = _one_like(g[0][0])
     zero = _zero_like(g[0][0])
     mat = [list(row) for row in g.rows]
     lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    inverted = []
     for col in range(n):
         if not _is_nonzero(mat[col][col]):
             raise NotInBigCell(col)
+        inv = 1 / mat[col][col]
+        inverted.append(inv)
         for r in range(col + 1, n):
             if mat[r][col] != 0:
-                f = mat[r][col] / mat[col][col]
+                f = mat[r][col] * inv
                 lower[r][col] = f
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
+    return lower, mat, inverted
+
+
+def gauss(g: GroupMatrix) -> tuple[GroupMatrix, GroupMatrix, GroupMatrix]:
+    """LDU factorization g = lower * diag * upper with unitriangular outer
+    factors; NotInBigCell(k) when the k-th leading principal minor vanishes.
+    No row exchanges: pivots are exactly the ratios of leading minors."""
+    n = g.n
+    zero = _zero_like(g[0][0])
+    lower, mat, inverted = _eliminate(g)
     diag = [[mat[i][i] if i == j else zero for j in range(n)] for i in range(n)]
-    upper = [[mat[i][j] / mat[i][i] if j >= i else zero for j in range(n)]
+    upper = [[mat[i][j] * inverted[i] if j >= i else zero for j in range(n)]
              for i in range(n)]
     return GroupMatrix(lower), GroupMatrix(diag), GroupMatrix(upper)
 
 
-def _scale_columns(m: GroupMatrix, diag: GroupMatrix) -> GroupMatrix:
-    """m times the diagonal matrix diag: column c scaled by diag[c][c]."""
+def _scale_columns(m: GroupMatrix, scales: Sequence) -> GroupMatrix:
+    """m times diag(scales): column c scaled by scales[c]."""
     rows = [list(row) for row in m.rows]
     _lift_jet_rows(rows)
-    return GroupMatrix([[x * diag[c][c] for c, x in enumerate(row)] for row in rows])
+    return GroupMatrix([[x * scales[c] for c, x in enumerate(row)] for row in rows])
 
 
 def gauss_leq0(g: GroupMatrix) -> GroupMatrix:
-    lower, diag, _ = gauss(g)
-    return _scale_columns(lower, diag)
+    """lower * diag of the Gauss decomposition; the upper factor is never built."""
+    lower, mat, _ = _eliminate(g)
+    return _scale_columns(GroupMatrix(lower), [mat[c][c] for c in range(g.n)])
 
 
 def gauss_geq0(g: GroupMatrix) -> GroupMatrix:
     # diag * upper, by scaling the rows of upper
     _, diag, upper = gauss(g)
-    return _scale_columns(upper.transpose(), diag).transpose()
+    return _scale_columns(upper.transpose(), [diag[c][c] for c in range(g.n)]).transpose()
+
+
+def theta_from_inverse(g_inv: GroupMatrix) -> GroupMatrix:
+    """theta(g) read off g^{-1}: its transpose, with the entries (i, j) of
+    odd i + j negated."""
+    n = g_inv.n
+    return GroupMatrix([[g_inv[j][i] if (i + j) % 2 == 0 else -g_inv[j][i]
+                         for j in range(n)] for i in range(n)])
 
 
 def theta(g: GroupMatrix) -> GroupMatrix:
@@ -321,17 +359,14 @@ def theta(g: GroupMatrix) -> GroupMatrix:
 
     Swaps E^i with F^i and inverts the torus, and is an involutive group
     automorphism."""
-    n = g.n
-    inv_t = g.transpose().inverse()
-    return GroupMatrix([[inv_t[i][j] if (i + j) % 2 == 0 else -inv_t[i][j]
-                         for j in range(n)] for i in range(n)])
+    return theta_from_inverse(g.inverse())
 
 
-def gauss_g0(g: GroupMatrix) -> tuple[GroupMatrix, GroupMatrix, GroupMatrix]:
-    """Factor g = n_plus * a * n_minus^{-1} with unipotent n_plus/n_minus and
-    diagonal a, via the Gauss decomposition of g^{-1}."""
-    lower, diag, upper = gauss(g.inverse())
-    return upper.inverse(), diag.inverse(), lower
+def gauss_g0(g: GroupMatrix) -> GroupMatrix:
+    """The factor n_minus of g = n_plus * a * n_minus^{-1} (unipotent
+    n_plus/n_minus, diagonal a): the lower factor of the Gauss decomposition
+    of g^{-1}."""
+    return GroupMatrix(_eliminate(g.inverse())[0])
 
 
 def xi_and_ddminus(g: GroupMatrix, j: int) -> tuple[GroupMatrix, GroupMatrix]:
@@ -342,15 +377,17 @@ def xi_and_ddminus(g: GroupMatrix, j: int) -> tuple[GroupMatrix, GroupMatrix]:
     elements, so c is the alpha_j-coordinate in any factorization order."""
     rank = g.n - 1
     _require_range(j, rank)
-    _, _, n_minus = gauss_g0(g)
+    n_minus = gauss_g0(g)
     c = n_minus[j][j - 1]
     return n_minus, x_neg(rank, j, -c)
 
 
 def dckp_T(g: GroupMatrix, j: int) -> GroupMatrix:
     """The dressing-type Poisson automorphism on the big-cell factorization:
-    conjugation by s_hat(j) * b_j."""
+    conjugation by u = s_hat(j) * b_j, with u^{-1} = b_j^{-1} * s_hat(j)^T
+    (b_j = x_neg(j, -c), and the signed permutation s_hat(j) is orthogonal)."""
     rank = g.n - 1
-    _, b = xi_and_ddminus(g, j)
-    u = s_hat(rank, j, g[0][0]) * b
-    return u * g * u.inverse()
+    n_minus, b = xi_and_ddminus(g, j)
+    rep = s_hat(rank, j, g[0][0])
+    u_inv = x_neg(rank, j, n_minus[j][j - 1]) * rep.transpose()
+    return rep * b * g * u_inv

@@ -9,7 +9,7 @@ from cluster_dual import cartan as weyl
 from cluster_dual import evals, golden, group as grp, maps, seeds, words
 from cluster_dual.arith import DEFAULT_PRIME, Fp, jet_point
 from cluster_dual.errors import (InvalidParameter, NotInBigCell, PreconditionFailed,
-                                 UnsupportedForType)
+                                 SingularPoint, UnsupportedForType)
 from cluster_dual.group import GroupMatrix
 from cluster_dual.words import DoubleWord
 
@@ -122,7 +122,7 @@ def test_tau_product_reconstructs_lower_factor(rng):
         for _ in range(3):
             vals = rational_point(word, cdata, rng)
             g = evals.ev_hat(ctx, vals)
-            _, _, n_minus = grp.gauss_g0(g)
+            n_minus = grp.gauss_g0(g)
             (lw, lv), _ = maps.split_point(word, vals, cut, cdata.rank)
             sw, sv = evals.star_transport(lw, cdata, lv)
             assert evals.tau_product(sw, cdata, sv) == n_minus
@@ -370,3 +370,82 @@ def test_structured_products_make_no_dense_product(rng, monkeypatch):
     assert calls == []
     grp.identity(3) * grp.identity(3)  # the counter sees a dense product
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Structured inverses against the dense formulas
+# ---------------------------------------------------------------------------
+
+_EV_HAT_WORDS = {
+    "A1": ("1", "1,1", "-1,1", "1,-1", "-1,-1"),
+    "A2": ("1,2,1", "-1,1,2,1", "1,2,1,-1", "1,2,1,1,2,1", "-1,-2,-1,1,2,1"),
+    "A3": ("1,2,1,3,2,1", "-2,1,2,1,3,2,1", "1,2,1,3,2,1,1,2,1,3,2,1"),
+}
+
+
+def _dense_theta(g):
+    inv_t = g.transpose().inverse()
+    return GroupMatrix([[x if (i + j) % 2 == 0 else -x for j, x in enumerate(row)]
+                        for i, row in enumerate(inv_t.rows)])
+
+
+def _dense_ev_hat(ctx, values):
+    """L, R and L * frozen_torus^{-1} * rep(w0) * R^{-1}, with dense products
+    and Gauss-Jordan inverses throughout."""
+    cdata = ctx.cdata
+    values, first, proj = evals._ev_factored(ctx, values)
+    rep_w0 = grp.weyl_representative(weyl.longest_element(cdata), first[0][0])
+    left = first * _dense_theta(grp.gauss_leq0(_dense_theta(proj) * rep_w0))
+    right = first * proj
+    torus = evals.frozen_torus(ctx.factored_word, cdata, values)
+    return left, right, left * torus.inverse() * rep_w0 * right.inverse()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (SingularPoint, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted((label, text) for label, texts in _EV_HAT_WORDS.items()
+                              for text in texts)),
+       st.sampled_from(("Q", "Fp", "jet")), st.integers(0, 2**32))
+def test_ev_hat_matches_the_dense_formula(case, field, seed):
+    label, text = case
+    cdata, word = weyl.build_cartan(label), W(text)
+    ctx = evals.make_context(word, cdata)
+    values = maps.random_assignment(word, cdata, random.Random(seed),
+                                    None if field == "Q" else DEFAULT_PRIME, bound=9)
+    if field == "jet":
+        ixs = list(values)
+        values = dict(zip(ixs, jet_point([values[ix] for ix in ixs])))
+    want = _outcome(lambda: _dense_ev_hat(ctx, values))
+    got = _outcome(lambda: (evals.ev_LR(ctx, values, "L"), evals.ev_LR(ctx, values, "R"),
+                            evals.ev_hat(ctx, values)))
+    if isinstance(want, type):
+        assert got is want
+        return
+    for g, w in zip(got, want, strict=True):
+        _assert_same_entries(g, w)
+
+
+def test_ev_hat_runs_one_dense_inverse(rng, monkeypatch):
+    calls = []
+    dense = GroupMatrix.inverse
+
+    def counted(self):
+        calls.append(self)
+        return dense(self)
+
+    monkeypatch.setattr(GroupMatrix, "inverse", counted)
+    for label, texts in _EV_HAT_WORDS.items():
+        cdata = weyl.build_cartan(label)
+        for text in texts:
+            ctx = evals.make_context(W(text), cdata)
+            vals = rational_point(W(text), cdata, rng)
+            calls.clear()
+            evals.ev_hat(ctx, vals)
+            assert len(calls) == 1, text

@@ -1,11 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cluster_dual import cartan as weyl
 from cluster_dual import group as grp
 from cluster_dual.arith import Fp, Jet
-from cluster_dual.errors import InvalidParameter, NotInBigCell, UnsupportedForType
+from cluster_dual.errors import (InvalidParameter, NotInBigCell, SingularPoint,
+                                 UnsupportedForType)
 from cluster_dual.group import GroupMatrix
 
 
@@ -153,3 +156,89 @@ def test_require_type_a():
     with pytest.raises(UnsupportedForType):
         grp.require_type_a(weyl.build_cartan("G2"))
     assert grp.require_type_a(weyl.build_cartan("A3")) == 3
+
+
+# ---------------------------------------------------------------------------
+# Structured inverses against Gauss-Jordan and the dense formulas
+# ---------------------------------------------------------------------------
+
+_P = 97
+_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def _scalars(draw):
+    """A field and a strategy for its elements; jets have two partials over
+    F_97 and may have value 0 with nonzero partials."""
+    field = draw(st.sampled_from(("Q", "Fp", "jet")))
+    small = st.integers(-9, 9)
+    if field == "Q":
+        return field, st.builds(F, small, st.integers(1, 5))
+    if field == "Fp":
+        return field, small.map(lambda v: Fp(v, _P))
+    return field, st.builds(lambda v, a, b: Jet(Fp(v, _P), (Fp(a, _P), Fp(b, _P))),
+                            st.integers(-2, 2), small, small)
+
+
+@st.composite
+def _square(draw, lower=False):
+    field, entries = draw(_scalars())
+    n = draw(st.integers(2, 4))
+    zero = draw(entries) * 0
+    rows = [[draw(entries) if not lower or j <= i else zero for j in range(n)]
+            for i in range(n)]
+    return field, GroupMatrix(rows)
+
+
+@_SETTINGS
+@given(_square(lower=True))
+def test_lower_inverse_inverts(case):
+    _, m = case
+    try:
+        dense = m.inverse()
+    except SingularPoint:
+        with pytest.raises(SingularPoint):
+            grp.lower_inverse(m)
+        return
+    inv = grp.lower_inverse(m)
+    ident = grp.identity(m.n, m[0][0])
+    assert inv * m == ident and m * inv == ident
+    assert inv == dense
+    assert all(inv[i][j] == 0 for i in range(m.n) for j in range(i + 1, m.n))
+
+
+@_SETTINGS
+@given(_square())
+def test_theta_is_the_signed_inverse_transpose(case):
+    _, g = case
+    try:
+        inv_t = g.transpose().inverse()
+    except SingularPoint:
+        return
+    want = [[x if (i + j) % 2 == 0 else -x for j, x in enumerate(row)]
+            for i, row in enumerate(inv_t.rows)]
+    assert grp.theta(g).rows == GroupMatrix(want).rows
+    assert grp.theta_from_inverse(g.inverse()) == grp.theta(g)
+
+
+@_SETTINGS
+@given(_square(), st.data())
+def test_gauss_g0_and_dckp_match_their_dense_formulas(case, data):
+    _, g = case
+    try:
+        lower, diag, upper = grp.gauss(g.inverse())
+    except SingularPoint:
+        with pytest.raises(SingularPoint):
+            grp.gauss_g0(g)
+        return
+    n_plus, a, n_minus = upper.inverse(), diag.inverse(), lower
+    assert grp.gauss_g0(g) == n_minus
+    assert n_plus * a * grp.gauss_g0(g).inverse() == g
+    j = data.draw(st.integers(1, g.n - 1))
+    b = grp.x_neg(g.n - 1, j, -n_minus[j][j - 1])
+    u = grp.s_hat(g.n - 1, j, g[0][0]) * b
+    got, want = grp.dckp_T(g, j), u * g * u.inverse()
+    assert got == want
+    assert all(type(x) is type(y) for r, s in zip(got.rows, want.rows)
+               for x, y in zip(r, s))
