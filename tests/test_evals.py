@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -6,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cluster_dual import cartan as weyl
-from cluster_dual import evals, golden, group as grp, maps, seeds, words
+from cluster_dual import cli, evals, golden, group as grp, maps, seeds, words
 from cluster_dual.arith import DEFAULT_PRIME, Fp, jet_point
 from cluster_dual.errors import (InvalidParameter, NotInBigCell, PreconditionFailed,
                                  SingularPoint, UnsupportedForType)
@@ -449,3 +451,59 @@ def test_ev_hat_runs_one_dense_inverse(rng, monkeypatch):
             calls.clear()
             evals.ev_hat(ctx, vals)
             assert len(calls) == 1, text
+
+
+def _pinned_entry(x):
+    # the repr of a jet spells its value and every partial with their types
+    return [type(x).__name__, repr(x)]
+
+
+def _ev_hat_records():
+    rng = random.Random("ev_hat values")
+    records = []
+    for label, texts in sorted(_EV_HAT_WORDS.items()):
+        cdata = weyl.build_cartan(label)
+        for text in texts:
+            ctx = evals.make_context(W(text), cdata)
+            for field in ("Q", DEFAULT_PRIME, 97, "jet", "Q", DEFAULT_PRIME, 97, "jet"):
+                prime = {"Q": None, "jet": DEFAULT_PRIME}.get(field, field)
+                values = maps.random_assignment(W(text), cdata, rng, prime, bound=9)
+                if field == "jet":
+                    ixs = list(values)
+                    values = dict(zip(ixs, jet_point([values[ix] for ix in ixs])))
+                try:
+                    got = [[_pinned_entry(x) for x in row]
+                           for row in evals.ev_hat(ctx, values).rows]
+                except (SingularPoint, ZeroDivisionError) as exc:
+                    got = type(exc).__name__
+                records.append([label, text, field, got])
+    return records
+
+
+# sha256 of the records above
+EV_HAT_SHA256 = "ed6c1381836f5a2d094359ad6262c5d6b73580a64e1de7f5af2ae30d2bf41b92"
+
+
+def test_ev_hat_values_pinned(capsys):
+    """ev_hat at seeded points of every ``_EV_HAT_WORDS`` word over Q, F_(2^61-1),
+    F_97 and jets over F_(2^61-1), each entry's type, value and partials
+    included, and two ``compute ev-hat`` payloads on A2: a word reached
+    through the restricted transport and a factored one."""
+    digest = hashlib.sha256(repr(_ev_hat_records()).encode()).hexdigest()
+    assert digest == EV_HAT_SHA256
+    cases = [
+        ("1,2,1,-1", "2,3,5,7,11,13",
+         {"v": [2], "w1": [2], "w2": []},
+         [[[508, 455], [-144, 455], [418, 455]],
+          [[467, 910], [-1, 35], [11, 455]],
+          [[1, 22], [0, 1], [0, 1]]]),
+        ("1,2,1,1,2,1", "2,3,5,7,11,13,17,19",
+         {"v": [1, 2, 1], "w1": [], "w2": []},
+         [[[99797, 74613], [-1023184, 74613], [9091680, 24871]],
+          [[2411, 67830], [-521, 1785], [32448, 11305]],
+          [[1, 6630], [-4, 3315], [1, 85]]]),
+    ]
+    for word, point, klass, matrix in cases:
+        assert cli.main(["compute", "ev-hat", "--word", word, "--type", "A2",
+                         "--point", point]) == 0
+        assert json.loads(capsys.readouterr().out) == {"class": klass, "matrix": matrix}
