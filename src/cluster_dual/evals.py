@@ -47,21 +47,39 @@ from .seeds import bracket_seed, seed_for_word
 from .words import DoubleWord
 
 
+def _ev_moves(w: DoubleWord, rank: int, values: Assignment) -> list[tuple]:
+    """ev(w) as generator moves (kind, i, x), left to right: H^j at every
+    (j, 0) slot, then for each letter E^i (positive) or F^i (negative)
+    followed by H^i at the letter's slot.  The moves are checked before any
+    is applied: a letter beyond the rank or a zero torus parameter raises
+    InvalidParameter."""
+    moves = [("H", j, values[(j, 0)]) for j in range(1, rank + 1)]
+    seen = dict.fromkeys(range(1, rank + 1), 0)
+    for letter in w.letters:
+        i = abs(letter)
+        grp._require_range(i, rank)
+        seen[i] += 1
+        moves += [("E" if letter > 0 else "F", i, None), ("H", i, values[(i, seen[i])])]
+    for kind, _, x in moves:
+        if kind == "H":
+            grp._require_torus_parameter(x)
+    return moves
+
+
+def _moves_product(moves: list[tuple], rank: int, values: Assignment) -> GroupMatrix:
+    """The product of generator moves, column move by column move from the
+    identity over the field of the values."""
+    like = next(iter(values.values()), Fraction(1))
+    rows = [list(row) for row in grp.identity(rank + 1, like).rows]
+    for move in moves:
+        grp.right_multiply(rows, *move)
+    return GroupMatrix(rows)
+
+
 def ev(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMatrix:
     """Letter-by-letter evaluation of a torus point in the adjoint group."""
     rank = grp.require_type_a(cdata)
-    like = next(iter(values.values()), Fraction(1))
-    rows = [list(row) for row in grp.identity(rank + 1, like).rows]
-    for j in range(1, rank + 1):
-        grp.right_multiply(rows, "H", j, values[(j, 0)])
-    seen = {j: 0 for j in range(1, rank + 1)}
-    for letter in w.letters:
-        i = abs(letter)
-        # the column move checks the letter's range before seen reads it
-        grp.right_multiply(rows, "E" if letter > 0 else "F", i)
-        seen[i] += 1
-        grp.right_multiply(rows, "H", i, values[(i, seen[i])])
-    return GroupMatrix(rows)
+    return _moves_product(_ev_moves(w, rank, values), rank, values)
 
 
 def _strip_frozen_torus(rows: list[list], w: DoubleWord, rank: int,
@@ -82,11 +100,8 @@ def ev_red(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMatrix:
 def frozen_torus(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMatrix:
     """Product of H^j at the right frozen values."""
     rank = grp.require_type_a(cdata)
-    like = next(iter(values.values()), Fraction(1))
-    rows = [list(row) for row in grp.identity(rank + 1, like).rows]
-    for j in range(1, rank + 1):
-        grp.right_multiply(rows, "H", j, values[(j, w.count(j))])
-    return GroupMatrix(rows)
+    return _moves_product([("H", j, values[(j, w.count(j))]) for j in range(1, rank + 1)],
+                          rank, values)
 
 
 def _times_representative(rows: list[list], w: WeylElement) -> None:
@@ -136,13 +151,13 @@ def make_context(w: DoubleWord, cdata: CartanData,
     return EvalContext(cdata, w, dec.v, dec.w1, dec.w2, dec.split, transport)
 
 
-def _ev_factored(ctx: EvalContext, values: Assignment
-                 ) -> tuple[Assignment, GroupMatrix, GroupMatrix]:
-    """The point on the factored word i1 i2, ev(i1) and the right projection
-    P = gauss_leq0(ev_red(i2) rep(w2 w0)).  The one-sided evaluations are
-    R = ev(i1) P and L = ev(i1) theta(gauss_leq0(theta(P) rep(w0))): L's inner
-    right factor is P itself, because the split puts 1 in the glued slots of
-    i2."""
+def _ev_parts(ctx: EvalContext, values: Assignment
+              ) -> tuple[Assignment, Assignment, list[tuple], GroupMatrix]:
+    """The point on the factored word i1 i2, the point of i1 and the moves
+    of ev(i1), and the right projection P = gauss_leq0(ev_red(i2) rep(w2 w0)).
+    The one-sided evaluations are R = ev(i1) P and L = ev(i1) theta(Q) with
+    Q = gauss_leq0(theta(P) rep(w0)): L's inner right factor is P itself,
+    because the split puts 1 in the glued slots of i2."""
     cdata = ctx.cdata
     rank = grp.require_type_a(cdata)
     if ctx.transport is not None:
@@ -150,17 +165,25 @@ def _ev_factored(ctx: EvalContext, values: Assignment
     (lw, lv), (rw, rv) = mapmod.split_point(ctx.factored_word, values, ctx.cut, rank)
     right = [list(row) for row in ev_red(rw, cdata, rv).rows]
     _times_representative(right, ctx.w2 * weyl.longest_element(cdata))
-    return values, ev(lw, cdata, lv), grp.gauss_leq0(GroupMatrix(right))
+    moves = _ev_moves(lw, rank, lv)
+    return values, lv, moves, grp.gauss_leq0(GroupMatrix(right))
 
 
-def _ev_left(first: GroupMatrix, proj_inv: GroupMatrix, cdata: CartanData) -> GroupMatrix:
-    """L = ev(i1) theta(Q) with Q = gauss_leq0(theta(P) rep(w0)), from P^{-1}.
-    P and Q are lower triangular, so both thetas come from substitution
-    inverses."""
+def _ev_factored(ctx: EvalContext, values: Assignment
+                 ) -> tuple[Assignment, GroupMatrix, GroupMatrix]:
+    """The point on the factored word i1 i2, ev(i1) and the right projection
+    P (see ``_ev_parts``)."""
+    values, lv, moves, proj = _ev_parts(ctx, values)
+    return values, _moves_product(moves, ctx.cdata.rank, lv), proj
+
+
+def _theta_q(proj_inv: GroupMatrix, cdata: CartanData) -> GroupMatrix:
+    """theta(Q) with Q = gauss_leq0(theta(P) rep(w0)), from P^{-1}.  P and Q
+    are lower triangular, so both thetas come from substitution inverses."""
     inner = [list(row) for row in grp.theta_from_inverse(proj_inv).rows]
     _times_representative(inner, weyl.longest_element(cdata))
     lower = grp.gauss_leq0(GroupMatrix(inner))
-    return first * grp.theta_from_inverse(grp.lower_inverse(lower))
+    return grp.theta_from_inverse(grp.lower_inverse(lower))
 
 
 def ev_LR(ctx: EvalContext, values: Assignment, side: str) -> GroupMatrix:
@@ -168,20 +191,32 @@ def ev_LR(ctx: EvalContext, values: Assignment, side: str) -> GroupMatrix:
     values, first, proj = _ev_factored(ctx, values)
     if side != "L":
         return first * proj
-    return _ev_left(first, grp.lower_inverse(proj), ctx.cdata)
+    return first * _theta_q(grp.lower_inverse(proj), ctx.cdata)
 
 
 def ev_hat(ctx: EvalContext, values: Assignment) -> GroupMatrix:
     """The twisted evaluation of the context's word at a point of its
-    bracket torus: L * frozen_torus^{-1} * rep(w0) * R^{-1}, with
-    R^{-1} = P^{-1} * ev(i1)^{-1}."""
-    values, first, proj = _ev_factored(ctx, values)
+    bracket torus, L * T^{-1} * rep(w0) * R^{-1} with T the frozen torus,
+    evaluated as a conjugation by ev(i1):
+
+        ev_hat = ev(i1) * M * ev(i1)^{-1},  M = theta(Q) * T^{-1} * rep(w0) * P^{-1}.
+
+    M takes column moves and one dense product.  ev(i1) is never formed: its
+    inverse is right-multiplied as the inverse column moves in reverse
+    letter order, and it is left-multiplied as row moves."""
+    values, _, moves, proj = _ev_parts(ctx, values)
     cdata = ctx.cdata
     proj_inv = grp.lower_inverse(proj)
-    rows = [list(row) for row in _ev_left(first, proj_inv, cdata).rows]
+    rows = [list(row) for row in _theta_q(proj_inv, cdata).rows]
     _strip_frozen_torus(rows, ctx.factored_word, cdata.rank, values)
     _times_representative(rows, weyl.longest_element(cdata))
-    return GroupMatrix(rows) * (proj_inv * first.inverse())
+    rows = [list(row) for row in (GroupMatrix(rows) * proj_inv).rows]
+    for kind, i, x in reversed(moves):
+        if kind == "H":
+            grp.right_multiply(rows, "H", i, 1 / x)
+        else:
+            grp.right_multiply(rows, kind + "_inv", i)
+    return GroupMatrix(grp.left_multiply(rows, moves))
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ lift, H^j commutes with E^i and F^i for j != i, which is what makes the
 letter-by-letter evaluation of amalgamated words well defined.
 
 Right multiplication by a generator is an elementary column operation: E^i
-adds column i-1 to column i, F^i adds column i to column i-1, H^i(x) scales
-the first i columns by x, and the reflection representative moves columns
-(i-1, i) to (i, -(i-1)).  The evaluations are products of these factors,
-the one-parameter-subgroup and torus factorization of double Bruhat cells
-(Fomin-Zelevinsky, "Double Bruhat cells and total positivity",
-arXiv:math/9802056), so ``right_multiply`` builds them column by column;
-the dense product stays for products of two general matrices.
+adds column i-1 to column i, F^i adds column i to column i-1 (their inverses
+subtract), H^i(x) scales the first i columns by x, and the reflection
+representative moves columns (i-1, i) to (i, -(i-1)).  The evaluations are
+products of these factors, the one-parameter-subgroup and torus
+factorization of double Bruhat cells (Fomin-Zelevinsky, "Double Bruhat
+cells and total positivity", arXiv:math/9802056), so ``right_multiply``
+builds them column by column, inverts them factor by factor, and
+``left_multiply`` applies them as row operations; the dense product stays
+for products of two general matrices.
 """
 
 from __future__ import annotations
@@ -162,6 +164,11 @@ def _require_range(i: int, rank: int):
         raise InvalidParameter(f"generator index {i} outside [1,{rank}]")
 
 
+def _require_torus_parameter(x):
+    if not _is_nonzero(x):
+        raise InvalidParameter("torus parameter must be nonzero")
+
+
 def e_gen(rank: int, i: int, like=Fraction(1)) -> GroupMatrix:
     _require_range(i, rank)
     m = [list(row) for row in identity(rank + 1, like).rows]
@@ -180,8 +187,7 @@ def h_gen(rank: int, i: int, x) -> GroupMatrix:
     """PGL lift of the one-parameter torus of the i-th coweight basis element:
     diag(x,...,x,1,...,1) with i leading x's."""
     _require_range(i, rank)
-    if not _is_nonzero(x):
-        raise InvalidParameter("torus parameter must be nonzero")
+    _require_torus_parameter(x)
     one = _one_like(x)
     zero = _zero_like(x)
     return GroupMatrix([[(x if r < i else one) if r == c else zero
@@ -247,13 +253,15 @@ def right_multiply(rows: list[list], kind: str, i: int, x=None) -> None:
 
     - "E", by E^i: add column i-1 to column i;
     - "F", by F^i: add column i to column i-1;
+    - "E_inv", by (E^i)^{-1}: subtract column i-1 from column i;
+    - "F_inv", by (F^i)^{-1}: subtract column i from column i-1;
     - "H", by H^i(x): scale the first i columns by x;
     - "s", by s_hat(i): map columns (i-1, i) to (i, -(i-1)).
 
     Every entry equals the dense product's in value and type."""
     _require_range(i, len(rows) - 1)
-    if kind == "H" and not _is_nonzero(x):
-        raise InvalidParameter("torus parameter must be nonzero")
+    if kind == "H":
+        _require_torus_parameter(x)
     _lift_jet_rows(rows)
     if kind == "E":
         for row in rows:
@@ -261,6 +269,12 @@ def right_multiply(rows: list[list], kind: str, i: int, x=None) -> None:
     elif kind == "F":
         for row in rows:
             row[i - 1] = row[i - 1] + row[i]
+    elif kind == "E_inv":
+        for row in rows:
+            row[i] = row[i] - row[i - 1]
+    elif kind == "F_inv":
+        for row in rows:
+            row[i - 1] = row[i - 1] - row[i]
     elif kind == "H":
         for row in rows:
             for c in range(i):
@@ -270,6 +284,24 @@ def right_multiply(rows: list[list], kind: str, i: int, x=None) -> None:
             row[i - 1], row[i] = row[i], -row[i - 1]
     else:
         raise InvalidParameter(f"unknown generator kind {kind!r}")
+
+
+# the transposed generators: E^T = F and H^T = H
+_TRANSPOSED = {"E": "F", "F": "E", "E_inv": "F_inv", "F_inv": "E_inv", "H": "H"}
+
+
+def left_multiply(rows: list[list], moves: Sequence[tuple]) -> list[list]:
+    """The product of the generator moves (kind, i, x), in order, times the
+    matrix ``rows``, as row operations: the transpose is right-multiplied by
+    the transposed generators in reverse order, then transposed back.  Any
+    ``right_multiply`` kind but "s" is a move; entries are as in
+    ``right_multiply``."""
+    cols = [list(col) for col in zip(*rows)]
+    for kind, i, x in reversed(moves):
+        if kind not in _TRANSPOSED:
+            raise InvalidParameter(f"no row move for generator kind {kind!r}")
+        right_multiply(cols, _TRANSPOSED[kind], i, x)
+    return [list(row) for row in zip(*cols)]
 
 
 def require_type_a(cdata: CartanData) -> int:

@@ -44,7 +44,7 @@ from .arith import Fp, TrialConfig, Verdict, jet_point, spow, _is_nonzero, maps_
 from .cartan import CartanData, WeylElement
 from .errors import (FrozenDirection, FrozenStructureViolation, InapplicableMove,
                      InvariantViolation, NoPath, PreconditionFailed, SingularPoint)
-from .seeds import Seed, bracket_seed, mutate_seed, seed_for_word, tropical_mutate_seed
+from .seeds import Seed, bracket_seed, mutate_seed, seed_for_word
 from .words import DoubleWord, Move, SeedIndex
 
 Assignment = dict[SeedIndex, object]
@@ -239,9 +239,9 @@ def _move_plan(cdata: CartanData, w: DoubleWord, move: Move, restricted: bool
             if not last:
                 seed = mutate_seed(seed, ix)
         else:
+            # a tau move induces this mutation and no other, and no other move
+            # induces a tropical one, so the seed is not walked past it
             mutations.append(_tropical_mutation(seed, ix, positive_letter))
-            if not last:
-                seed = tropical_mutate_seed(seed, ix, positive_letter)
     sigma = wordmod.index_map(w, move, cdata)
     return tuple(mutations), (sigma or None)
 

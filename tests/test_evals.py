@@ -232,8 +232,8 @@ def test_ev_hat_projects_the_right_factor_once(rng, monkeypatch):
         ctx = evals.make_context(W(text), A1)
         calls.update(dict.fromkeys(calls, 0))
         evals.ev_hat(ctx, rational_point(W(text), A1, rng))
-        # ev(i1) once, and once more inside the one ev_red(i2)
-        assert calls == {"ev": 2, "ev_red": 1, "gauss_leq0": 2}, text
+        # ev only inside the one ev_red(i2): ev(i1) is never formed
+        assert calls == {"ev": 1, "ev_red": 1, "gauss_leq0": 2}, text
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +296,28 @@ def _matrix_inputs(draw):
     if field == "jet":
         ixs = list(values)
         values = dict(zip(ixs, jet_point([values[ix] for ix in ixs])))
-    return cdata, word, rep_letters, values
+    # generator moves, a torus move taking its parameter from the point
+    params = list(values.values())
+    moves = [(kind, i, params[k % len(params)] if kind == "H" else None)
+             for k, (kind, i) in enumerate(draw(st.lists(st.tuples(
+                 st.sampled_from(("E", "F", "E_inv", "F_inv", "H")), letter), max_size=6)))]
+    return cdata, word, rep_letters, values, moves
+
+
+def _dense_generator(rank, move, like):
+    kind, i, x = move
+    minus_one = -grp.e_gen(rank, i, like)[i - 1][i]
+    return {"E": lambda: grp.e_gen(rank, i, like), "F": lambda: grp.f_gen(rank, i, like),
+            "E_inv": lambda: grp.x_pos(rank, i, minus_one),
+            "F_inv": lambda: grp.x_neg(rank, i, minus_one),
+            "H": lambda: grp.h_gen(rank, i, x)}[kind]()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_matrix_inputs())
 def test_structured_products_match_dense_products(inputs):
-    cdata, word, rep_letters, values = inputs
+    cdata, word, rep_letters, values, moves = inputs
     rank = cdata.rank
     like = next(iter(values.values()))
     dense_ev = _dense_ev(word, cdata, values)
@@ -331,6 +345,18 @@ def test_structured_products_match_dense_products(inputs):
         lower, diag, upper = factors
         _assert_same_entries(got_leq, lower * diag)
         _assert_same_entries(got_geq, diag * upper)
+    # the moves, inverse unipotents included, on either side of ev, one
+    # dense product per generator
+    rows = [list(row) for row in dense_ev.rows]
+    want_right = want_left = dense_ev
+    for move in moves:
+        grp.right_multiply(rows, *move)
+        want_right = want_right * _dense_generator(rank, move, like)
+    for move in reversed(moves):
+        want_left = _dense_generator(rank, move, like) * want_left
+    _assert_same_entries(GroupMatrix(rows), want_right)
+    _assert_same_entries(
+        GroupMatrix(grp.left_multiply([list(row) for row in dense_ev.rows], moves)), want_left)
 
 
 @pytest.mark.parametrize("word,slot", [("1", (1, 0)), ("1,2,1", (2, 0)),
@@ -434,23 +460,28 @@ def test_ev_hat_matches_the_dense_formula(case, field, seed):
         _assert_same_entries(g, w)
 
 
-def test_ev_hat_runs_one_dense_inverse(rng, monkeypatch):
-    calls = []
-    dense = GroupMatrix.inverse
+def test_ev_hat_runs_no_inverse_and_one_dense_product(rng, monkeypatch):
+    calls = {"inverse": 0, "__mul__": 0}
 
-    def counted(self):
-        calls.append(self)
-        return dense(self)
+    def counted(name):
+        dense = getattr(GroupMatrix, name)
 
-    monkeypatch.setattr(GroupMatrix, "inverse", counted)
+        def wrapper(self, *args):
+            calls[name] += 1
+            return dense(self, *args)
+
+        monkeypatch.setattr(GroupMatrix, name, wrapper)
+
+    counted("inverse")
+    counted("__mul__")
     for label, texts in _EV_HAT_WORDS.items():
         cdata = weyl.build_cartan(label)
         for text in texts:
             ctx = evals.make_context(W(text), cdata)
             vals = rational_point(W(text), cdata, rng)
-            calls.clear()
+            calls.update(dict.fromkeys(calls, 0))
             evals.ev_hat(ctx, vals)
-            assert len(calls) == 1, text
+            assert calls == {"inverse": 0, "__mul__": 1}, text
 
 
 def _pinned_entry(x):

@@ -25,9 +25,14 @@ def test_generators_rank_one():
 
 def test_right_multiply_guards():
     rows = [list(r) for r in grp.identity(3).rows]
-    for kind, i, x in (("E", 3, None), ("s", 0, None), ("H", 1, F(0)), ("X", 1, None)):
+    for kind, i, x in (("E", 3, None), ("F_inv", 3, None), ("s", 0, None), ("H", 1, F(0)),
+                       ("X", 1, None)):
         with pytest.raises(InvalidParameter):
             grp.right_multiply(rows, kind, i, x)
+        with pytest.raises(InvalidParameter):
+            grp.left_multiply(rows, [(kind, i, x)])
+    with pytest.raises(InvalidParameter):
+        grp.left_multiply(rows, [("s", 1, None)])  # s^T is not a generator move
     assert rows == [list(r) for r in grp.identity(3).rows]
 
 

@@ -699,3 +699,38 @@ def test_saltation_core_runs_its_plan_without_word_work(rng, monkeypatch):
     core.apply(core_point)
     plan = maps._core_plan(A2, core.word_after)
     assert len(calls) == len(plan.zeta_inverse) + len(plan.zeta) > 0
+
+
+def test_a_tropical_mutation_is_the_sole_mutation_of_a_tau_move():
+    """``maps._move_plan`` walks no seed past a tropical mutation, because one
+    comes only from a tau move, as its sole mutation.  Checked on every move
+    step of the A2, B2 and G2 zeta maps and the A2 braid composites of the
+    map digests, their inverses, and every move their words admit."""
+    # a dual move lowers to a saltation core step, not to mutations
+    kinds_with_mutations = tuple(k for k in words.ALL_MOVE_KINDS if k != "dual")
+    checked = set()
+
+    def check(w, mv, cdata):
+        kinds = [kind for _, kind in maps._move_mutations(w, mv, cdata)]
+        if mv.kind in ("tau_left", "tau_right"):
+            assert kinds == ["tropical"], (w, mv)
+        else:
+            assert "tropical" not in kinds, (w, mv)
+        checked.add(mv.kind)
+
+    for label in ("A2", "B2", "G2"):
+        cdata = weyl.build_cartan(label)
+        composites = [maps.zeta_map(words.DoubleWord(tuple(sign * x for x in letters)), cdata)
+                      for letters in weyl.reduced_words(weyl.longest_element(cdata))
+                      for sign in (1, -1)]
+        if label == "A2":
+            composites += [maps.artin_T_word(W("1,2,1,1,2,1"), letters, cdata)
+                           for letters in ((1, 2, 1), (2, 1, 2))]
+        for m in composites + [m.inverse() for m in composites]:
+            for step in m.steps:
+                if isinstance(step, maps.MoveStep):
+                    check(step.word_before, step.move, cdata)
+                    for mv in words.applicable_moves(step.word_before, cdata,
+                                                     kinds_with_mutations):
+                        check(step.word_before, mv, cdata)
+    assert checked == set(kinds_with_mutations)
