@@ -305,12 +305,14 @@ def _matrix_inputs(draw):
 
 
 def _dense_generator(rank, move, like):
+    """The matrix of a generator move: E^i, F^i and their inverses are
+    x_pos(i, +-1) and x_neg(i, +-1) over the field of ``like``."""
     kind, i, x = move
-    minus_one = -grp.e_gen(rank, i, like)[i - 1][i]
-    return {"E": lambda: grp.e_gen(rank, i, like), "F": lambda: grp.f_gen(rank, i, like),
-            "E_inv": lambda: grp.x_pos(rank, i, minus_one),
-            "F_inv": lambda: grp.x_neg(rank, i, minus_one),
-            "H": lambda: grp.h_gen(rank, i, x)}[kind]()
+    if kind == "H":
+        return grp.h_gen(rank, i, x)
+    one = grp.identity(1, like)[0][0]
+    root_element = grp.x_pos if kind.startswith("E") else grp.x_neg
+    return root_element(rank, i, -one if kind.endswith("_inv") else one)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
