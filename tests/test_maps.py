@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ import pytest
 
 from cluster_dual import cartan as weyl
 from cluster_dual import evals, golden, maps, seeds, words
-from cluster_dual.arith import DEFAULT_PRIME, Jet, TrialConfig
+from cluster_dual.arith import DEFAULT_PRIME, Jet, TrialConfig, jet_point
 from cluster_dual.errors import (FrozenDirection, InapplicableMove, InvariantViolation, NoPath,
                                  PreconditionFailed, SingularPoint)
 from cluster_dual.words import Move
@@ -734,3 +735,52 @@ def test_a_tropical_mutation_is_the_sole_mutation_of_a_tau_move():
                                                      kinds_with_mutations):
                         check(step.word_before, mv, cdata)
     assert checked == set(kinds_with_mutations)
+
+
+# Four (word, j) pairs of the compute-a2 benchmark: shuffles of a barred and a
+# plain reduced word of w0 in A2.
+_ARTIN_PAIRS = (("-1,-2,-1,1,2,1", 1), ("1,-2,2,-1,1,-2", 2),
+                ("2,1,-1,2,-2,-1", 1), ("-2,2,-1,-2,1,2", 2))
+
+
+def _pinned_entry(x):
+    # the repr of a jet spells its value and every partial with their types
+    return [type(x).__name__, repr(x)]
+
+
+def _artin_records():
+    braid = W("1,2,1,1,2,1")
+    cases = [(f"braid {letters}", braid, maps.artin_T_word(braid, letters, A2))
+             for letters in ((1, 2, 1), (2, 1, 2))]
+    for text, j in _ARTIN_PAIRS:
+        tmap = maps.artin_T(W(text), j, A2)
+        cases += [(f"T{j} {text}", W(text), tmap),
+                  (f"T{j}^-1 {text}", W(text), tmap.inverse())]
+    rng = random.Random("artin values")
+    records = []
+    for name, word, m in cases:
+        for field in ("Q", DEFAULT_PRIME, 97, "jet", "Q", DEFAULT_PRIME, 97, "jet"):
+            prime = {"Q": None, "jet": DEFAULT_PRIME}.get(field, field)
+            values = maps.random_assignment(word, A2, rng, prime, bound=9)
+            if field == "jet":
+                ixs = list(values)
+                values = dict(zip(ixs, jet_point([values[ix] for ix in ixs])))
+            try:
+                got = [[list(ix), _pinned_entry(x)] for ix, x in sorted(m.apply(values).items())]
+            except (SingularPoint, ZeroDivisionError) as exc:
+                got = type(exc).__name__
+            records.append([name, field, got])
+    return records
+
+
+# sha256 of the records above
+ARTIN_SHA256 = "33685d1537694901383f3c1d257059cd5267969a960fbe3c5bf118f07de499d9"
+
+
+def test_artin_values_pinned():
+    """The images of both A2 braid composites and of ``artin_T`` and its
+    inverse on four compute-a2 pairs, at seeded points over Q, F_(2^61-1),
+    F_97 and jets over F_(2^61-1), each entry's type, value and partials
+    included."""
+    digest = hashlib.sha256(repr(_artin_records()).encode()).hexdigest()
+    assert digest == ARTIN_SHA256
