@@ -29,6 +29,9 @@ from .errors import DivisionByZero, IndexOutOfRange, SingularPoint
 # accepted on input and coerced.
 Scalar = Union[Fraction, "Fp", "Jet", int]
 
+# An Fp without __init__: the fast paths below fill in a reduced value.
+_new = object.__new__
+
 
 class Fp:
     """An element of the prime field F_p.
@@ -59,23 +62,45 @@ class Fp:
             return Fp(other.numerator, self.p) / Fp(other.denominator, self.p)
         return NotImplemented
 
+    # Fast path: an Fp operand of the same prime is combined in this one
+    # call, and the result built without __init__; every other operand goes
+    # through _lift, which rejects a mixed prime.
+
     def __add__(self, other):
+        p = self.p
+        if type(other) is Fp and other.p == p:
+            out = _new(Fp)
+            out.value = (self.value + other.value) % p
+            out.p = p
+            return out
         o = self._lift(other)
-        return NotImplemented if o is NotImplemented else Fp(self.value + o.value, self.p)
+        return NotImplemented if o is NotImplemented else Fp(self.value + o.value, p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        p = self.p
+        if type(other) is Fp and other.p == p:
+            out = _new(Fp)
+            out.value = (self.value - other.value) % p
+            out.p = p
+            return out
         o = self._lift(other)
-        return NotImplemented if o is NotImplemented else Fp(self.value - o.value, self.p)
+        return NotImplemented if o is NotImplemented else Fp(self.value - o.value, p)
 
     def __rsub__(self, other):
         o = self._lift(other)
         return NotImplemented if o is NotImplemented else Fp(o.value - self.value, self.p)
 
     def __mul__(self, other):
+        p = self.p
+        if type(other) is Fp and other.p == p:
+            out = _new(Fp)
+            out.value = self.value * other.value % p
+            out.p = p
+            return out
         o = self._lift(other)
-        return NotImplemented if o is NotImplemented else Fp(self.value * o.value, self.p)
+        return NotImplemented if o is NotImplemented else Fp(self.value * o.value, p)
 
     __rmul__ = __mul__
 
@@ -86,11 +111,25 @@ class Fp:
         return Fp(self.value * _inverse_mod(o.value, self.p), self.p)
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else o / self
+        # ``1 / x`` lands here with an int numerator, which needs no lift
+        p = self.p
+        if type(other) is int:
+            num = other
+        else:
+            o = self._lift(other)
+            if o is NotImplemented:
+                return NotImplemented
+            num = o.value
+        out = _new(Fp)
+        out.value = num * _inverse_mod(self.value, p) % p
+        out.p = p
+        return out
 
     def __neg__(self):
-        return Fp(-self.value, self.p)
+        out = _new(Fp)
+        out.value = -self.value % self.p
+        out.p = self.p
+        return out
 
     def __pow__(self, n: int):
         if n < 0:
@@ -243,6 +282,17 @@ def spow(x, n: int):
     for _ in range(n - 1):
         out = out * x
     return out
+
+
+def reciprocals(x, y) -> tuple:
+    """(1/x, 1/y).  Two F_p elements share one modular inversion, of x*y
+    (Montgomery's trick); any other pair is divided twice, since a Fraction
+    needs no modular inversion and a jet's partials would cost more
+    multiplications than the inversion saves."""
+    if type(x) is Fp and type(y) is Fp:
+        inv = 1 / (x * y)
+        return inv * y, inv * x
+    return 1 / x, 1 / y
 
 
 def jet_lift(point: Sequence, coordinate_index: int) -> Jet:

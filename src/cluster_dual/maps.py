@@ -40,7 +40,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from . import cartan as weyl
 from . import seeds as seedmod
 from . import words as wordmod
-from .arith import Fp, TrialConfig, Verdict, jet_point, spow, _is_nonzero, maps_equal_probabilistic
+from .arith import (Fp, TrialConfig, Verdict, jet_point, reciprocals, spow, _is_nonzero,
+                    maps_equal_probabilistic)
 from .cartan import CartanData, WeylElement
 from .errors import (FrozenDirection, FrozenStructureViolation, InapplicableMove,
                      InvariantViolation, NoPath, PreconditionFailed, SingularPoint)
@@ -97,24 +98,34 @@ def _tropical_mutation(seed: Seed, k: SeedIndex, positive_letter: bool) -> Mutat
 
 
 def _apply_mutation(values: Assignment, mutation: Mutation) -> Assignment:
+    """One modular inversion per mutation over F_p: x_k is inverted alone,
+    or together with 1 + x_k at the first positive exponent, and a positive
+    exponent e multiplies by (x_k / (1 + x_k))^e."""
     kind, k, exponents = mutation
     xk = values[k]
     if not _is_nonzero(xk):
         raise SingularPoint(f"zero coordinate at {kind} mutation index")
     out = dict(values)
-    out[k] = 1 / xk
     if kind == "tropical":
+        out[k] = inv = 1 / xk
         for ix, e in exponents:
-            out[ix] = values[ix] * spow(xk, e)
-    elif exponents:
+            out[ix] = values[ix] * (spow(xk, e) if e > 0 else spow(inv, -e))
+        return out
+    if exponents:
         one_plus = 1 + xk
         if not _is_nonzero(one_plus):
             raise SingularPoint("1 + x_k vanishes with a nonzero exponent")
-        for ix, e in exponents:
-            if e > 0:
-                out[ix] = values[ix] * spow(xk, e) * spow(one_plus, -e)
-            else:
-                out[ix] = values[ix] * spow(one_plus, -e)
+    ratio = None
+    for ix, e in exponents:
+        if e < 0:
+            out[ix] = values[ix] * spow(one_plus, -e)
+            continue
+        if ratio is None:
+            out[k], inv_one_plus = reciprocals(xk, one_plus)
+            ratio = xk * inv_one_plus
+        out[ix] = values[ix] * spow(ratio, e)
+    if ratio is None:
+        out[k] = 1 / xk
     return out
 
 

@@ -60,7 +60,9 @@ class Seed:
     def cover_right(self) -> frozenset[SeedIndex]:
         return frozenset(self.counts)  # the slots (wire, N^wire)
 
-    @property
+    # frozen and common_denominator are read once per (i, j) pair by the
+    # tropical mutations, so each seed computes them once
+    @functools.cached_property
     def frozen(self) -> frozenset[SeedIndex]:
         return self.cover_left | self.cover_right
 
@@ -90,6 +92,10 @@ class Seed:
         return frozenset().union(*covers)
 
     def common_denominator(self) -> int:
+        return self._frozen_denominator
+
+    @functools.cached_property
+    def _frozen_denominator(self) -> int:
         frozen = self.frozen
         return math.lcm(*(v.denominator for (i, j), v in self.epsilon.items()
                           if i in frozen and j in frozen))

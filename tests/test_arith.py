@@ -2,10 +2,12 @@ import operator
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cluster_dual.arith import (DEFAULT_PRIME, Fp, TrialConfig,
+from cluster_dual.arith import (DEFAULT_PRIME, Fp, Jet, TrialConfig,
                                 is_probable_prime, jet_const, jet_lift,
-                                jet_point, maps_equal_probabilistic, spow)
+                                jet_point, maps_equal_probabilistic, reciprocals, spow)
 from cluster_dual.errors import DivisionByZero, IndexOutOfRange, SingularPoint
 
 
@@ -159,3 +161,120 @@ def test_maps_equal_skips_singular_points():
         return point
 
     assert maps_equal_probabilistic(touchy, touchy, 2, cfg).is_equal
+
+
+# Bounded and reproducible, so the suite stays fast and never flakes.
+SCALAR_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                           database=None, suppress_health_check=[HealthCheck.too_slow])
+
+PRIMES = (97, DEFAULT_PRIME)
+
+
+def _residue(x, p: int) -> int:
+    """The residue of an Fp, an int or a Fraction whose denominator is
+    prime to p."""
+    if isinstance(x, Fp):
+        return x.value
+    if isinstance(x, F):
+        return x.numerator * pow(x.denominator, -1, p) % p
+    return x % p
+
+
+@st.composite
+def fp_operands(draw):
+    """A prime, an element of F_p and a second operand of that field: an
+    Fp, an int of either sign, or a Fraction whose denominator p does not
+    divide."""
+    p = draw(st.sampled_from(PRIMES))
+    residue = st.one_of(st.integers(0, 2), st.integers(p - 2, p - 1), st.integers(0, p - 1))
+    other = draw(st.one_of(
+        residue.map(lambda v: Fp(v, p)),
+        st.integers(-3 * p, 3 * p),
+        st.builds(F, st.integers(-p * p, p * p),
+                  st.integers(1, 3 * p).filter(lambda d: d % p))))
+    return p, Fp(draw(residue), p), other
+
+
+_BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+@SCALAR_SETTINGS
+@given(fp_operands(), st.booleans())
+def test_fp_operators_agree_with_integers_mod_p(operands, swap):
+    """Every Fp operator, with an Fp, int or Fraction on either side, gives
+    the reduced residue that integer arithmetic mod p gives; division by a
+    zero residue raises DivisionByZero."""
+    p, a, other = operands
+    lhs, rhs = (other, a) if swap else (a, other)
+    x, y = _residue(lhs, p), _residue(rhs, p)
+    for op in _BINARY:
+        if op is operator.truediv and y == 0:
+            with pytest.raises(DivisionByZero):
+                op(lhs, rhs)
+            continue
+        got = op(lhs, rhs)
+        want = x * pow(y, -1, p) % p if op is operator.truediv else op(x, y) % p
+        assert type(got) is Fp and got.p == p and got.value == want, (op, lhs, rhs)
+    neg = -a
+    assert type(neg) is Fp and neg.p == p and neg.value == -a.value % p
+    for n in range(-3, 4):
+        if n < 0 and a.value == 0:
+            with pytest.raises(DivisionByZero):
+                a ** n
+            continue
+        assert (a ** n).value == pow(a.value, n, p)
+
+
+def test_fp_mixed_primes_raise():
+    a, b = Fp(5, 97), Fp(5, DEFAULT_PRIME)
+    for op in _BINARY:
+        for lhs, rhs in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="mixed primes"):
+                op(lhs, rhs)
+    with pytest.raises(ValueError, match="mixed primes"):
+        reciprocals(a, b)
+
+
+@pytest.mark.parametrize("modulus, factor", [(15, 3), (15, 5), (97 * 101, 101),
+                                             (3 * DEFAULT_PRIME, 3)])
+def test_composite_modulus_raises_on_every_division_route(modulus, factor):
+    """A residue sharing a factor with a composite modulus has no inverse,
+    whichever route divides by it."""
+    bad, unit = Fp(2 * factor, modulus), Fp(modulus - 1, modulus)
+    routes = (lambda: unit / bad, lambda: 1 / bad, lambda: F(1, 2) / bad,
+              lambda: bad.inverse(), lambda: bad ** -1,
+              lambda: reciprocals(bad, unit), lambda: reciprocals(unit, bad))
+    for divide in routes:
+        with pytest.raises(DivisionByZero):
+            divide()
+
+
+def _typed(x):
+    # the repr of a jet spells its value and every partial with their types
+    return type(x).__name__, repr(x)
+
+
+@st.composite
+def nonzero_pairs(draw):
+    """Two nonzero scalars of one kind: Fractions, elements of F_p, or jets
+    with two partials over Q or F_p."""
+    kind = draw(st.sampled_from(("Q", 97, DEFAULT_PRIME, "jet Q", "jet 97", "jet p")))
+    p = {"Q": None, "jet Q": None, "jet 97": 97, "jet p": DEFAULT_PRIME}.get(kind, kind)
+    if p is None:
+        scalar = st.builds(F, st.integers(-50, 50), st.integers(1, 50))
+    else:
+        scalar = st.integers(0, p - 1).map(lambda v: Fp(v, p))
+    nonzero = scalar.filter(bool)
+    if isinstance(kind, str) and kind.startswith("jet"):
+        jet = st.builds(Jet, nonzero, st.tuples(scalar, scalar))
+        return draw(jet), draw(jet)
+    return draw(nonzero), draw(nonzero)
+
+
+@SCALAR_SETTINGS
+@given(nonzero_pairs())
+def test_reciprocals_match_two_divisions(pair):
+    x, y = pair
+    got = reciprocals(x, y)
+    want = (1 / x, 1 / y)
+    assert [_typed(v) for v in got] == [_typed(v) for v in want]

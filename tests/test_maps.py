@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from cluster_dual import cartan as weyl
-from cluster_dual import evals, golden, maps, seeds, words
+from cluster_dual import arith, evals, golden, maps, seeds, words
 from cluster_dual.arith import DEFAULT_PRIME, Jet, TrialConfig, jet_point
 from cluster_dual.errors import (FrozenDirection, InapplicableMove, InvariantViolation, NoPath,
                                  PreconditionFailed, SingularPoint)
@@ -735,6 +735,72 @@ def test_a_tropical_mutation_is_the_sole_mutation_of_a_tau_move():
                                                      kinds_with_mutations):
                         check(step.word_before, mv, cdata)
     assert checked == set(kinds_with_mutations)
+
+
+def _inversion_budget(m) -> int:
+    """One modular inversion per mutation in the plans of m's steps, plus
+    the core steps' own divisions: one forward, and in the inverse core one
+    more when the block-top exponent is -1."""
+    budget = 0
+    for step in m.steps:
+        if isinstance(step, maps.MoveStep):
+            mutations, _ = maps._move_plan(step.cdata, step.word_before, step.move,
+                                           step.restricted)
+            budget += len(mutations)
+        elif isinstance(step, maps.XiCoreStep):
+            budget += len(maps._core_plan(step.cdata, step.word_before).zeta) + 1
+        else:
+            plan = maps._core_plan(step.cdata, step.word_after)
+            budget += len(plan.zeta_inverse) + len(plan.zeta) + (1 if plan.exponent == 1 else 2)
+    return budget
+
+
+def test_one_modular_inversion_per_mutation(monkeypatch):
+    """Applying an A2 braid composite at an F_p point inverts x_k once per
+    mutation, together with 1 + x_k when an exponent is positive."""
+    calls = []
+    real = arith._inverse_mod
+    monkeypatch.setattr(arith, "_inverse_mod", lambda v, p: calls.append(v) or real(v, p))
+    word = W("1,2,1,1,2,1")
+    rng = random.Random("inversion budget")
+    for letters in ((1, 2, 1), (2, 1, 2)):
+        m = maps.artin_T_word(word, letters, A2)
+        assert {type(step) for step in m.steps} == {
+            maps.MoveStep, maps.XiCoreStep, maps.XiCoreInverseStep}
+        values = maps.random_assignment(word, A2, rng, DEFAULT_PRIME)
+        calls.clear()
+        m.apply(values)
+        assert len(calls) == _inversion_budget(m), letters
+    # the braid composites' tropical exponents are all +1: a negative one
+    # takes its power of the 1/x_k already at hand
+    vals = {(1, 0): arith.Fp(2, DEFAULT_PRIME), (1, 1): arith.Fp(3, DEFAULT_PRIME),
+            (1, 2): arith.Fp(5, DEFAULT_PRIME)}
+    for exponents in ((((1, 0), -2), ((1, 2), 1)), (((1, 0), 2), ((1, 2), -1)),
+                      (((1, 0), -1),), ()):
+        for kind in ("tropical", "regular"):
+            calls.clear()
+            maps._apply_mutation(vals, (kind, (1, 1), exponents))
+            assert len(calls) == 1, (kind, exponents)
+
+
+@pytest.mark.parametrize("prime", [None, DEFAULT_PRIME])
+def test_singular_mutations_keep_their_messages(prime):
+    """x_k = 0 stops either kind of mutation, and 1 + x_k = 0 a regular one
+    with any nonzero exponent, whatever its sign."""
+    def scalar(n):
+        return F(n) if prime is None else arith.Fp(n, prime)
+
+    vals = {(1, 0): scalar(2), (1, 1): scalar(3), (1, 2): scalar(5)}
+    for kind in ("regular", "tropical"):
+        with pytest.raises(SingularPoint, match=f"^zero coordinate at {kind} mutation index$"):
+            maps._apply_mutation({**vals, (1, 1): scalar(0)}, (kind, (1, 1), (((1, 0), 1),)))
+    for e in (2, 1, -1, -2):
+        with pytest.raises(SingularPoint, match=r"^1 \+ x_k vanishes with a nonzero exponent$"):
+            maps._apply_mutation({**vals, (1, 1): scalar(-1)}, ("regular", (1, 1), (((1, 0), e),)))
+    # a tropical mutation does not see 1 + x_k, and nor does one without exponents
+    minus_one = {**vals, (1, 1): scalar(-1)}
+    assert maps._apply_mutation(minus_one, ("tropical", (1, 1), (((1, 0), -1),)))[(1, 0)] == -2
+    assert maps._apply_mutation(minus_one, ("regular", (1, 1), ()))[(1, 1)] == -1
 
 
 # Four (word, j) pairs of the compute-a2 benchmark: shuffles of a barred and a
