@@ -284,17 +284,6 @@ def spow(x, n: int):
     return out
 
 
-def reciprocals(x, y) -> tuple:
-    """(1/x, 1/y).  Two F_p elements share one modular inversion, of x*y
-    (Montgomery's trick); any other pair is divided twice, since a Fraction
-    needs no modular inversion and a jet's partials would cost more
-    multiplications than the inversion saves."""
-    if type(x) is Fp and type(y) is Fp:
-        inv = 1 / (x * y)
-        return inv * y, inv * x
-    return 1 / x, 1 / y
-
-
 def jet_lift(point: Sequence, coordinate_index: int) -> Jet:
     """Lift coordinate ``coordinate_index`` of a point to a jet with the
     matching unit partial vector."""

@@ -3,10 +3,24 @@
 A pipeline step knows the word it starts from and how to push a coordinate
 assignment forward; composites are built word-combinatorially once and then
 evaluated at many points (rationals, prime-field scalars or jets alike).  A
-move step reads its seeds once, on its first evaluation, into a plan of
-integer exponents, so evaluating a point never builds a seed.  The saltation
-core is lowered the same way, once per word: its block's zeta map becomes one
-mutation plan run on the whole point, with no split, glue or recount.
+move step reads its seeds once into a plan of integer exponents, so
+evaluating a point never builds a seed.  The saltation core is lowered the
+same way, once per word: its block's zeta map becomes one mutation plan run
+on the whole point, with no split, glue or recount.
+
+A map is evaluated through its program, compiled on its first evaluation
+and kept on the map: the flat tuple of its move steps' mutations and
+relabelings and its saltation core steps with their plans, so no plan is
+looked up per point.  Two interpreters run it:
+
+- the generic one, on the scalars themselves, is the reference and serves
+  rationals, jets and mixed points;
+- the F_p one, chosen when every coordinate is an ``Fp`` of one prime,
+  carries each coordinate as a pair (num, den) of residues, so no op
+  inverts: x_k goes to den/num and 1 + x_k is (num + den)/den.  It raises
+  where the generic one raises and ends with one modular inversion for
+  all coordinates (Montgomery's trick).
+
 Supported steps:
 
 - a word move (braid/commutation d-move, mixed 2-move, bar flip) carrying its
@@ -37,10 +51,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
+from . import arith
 from . import cartan as weyl
 from . import seeds as seedmod
 from . import words as wordmod
-from .arith import (Fp, TrialConfig, Verdict, jet_point, reciprocals, spow, _is_nonzero,
+from .arith import (Fp, TrialConfig, Verdict, jet_point, spow, _is_nonzero,
                     maps_equal_probabilistic)
 from .cartan import CartanData, WeylElement
 from .errors import (FrozenDirection, FrozenStructureViolation, InapplicableMove,
@@ -60,6 +75,11 @@ Assignment = dict[SeedIndex, object]
 # invert x_k and keep the coordinates not listed; a regular mutation sends a
 # listed x_i to x_i x_k^{[e]_+} (1+x_k)^{-e}, a tropical one to x_i x_k^e.
 Mutation = tuple[str, SeedIndex, tuple[tuple[SeedIndex, int], ...]]
+
+# A program op (see ``RationalMap.program``): a lowered Mutation,
+# ("relabel", sigma) with sigma a dict of moved indices, or ("core", plan) and
+# ("core_inverse", plan) for a saltation core step and its inverse.
+Op = tuple
 
 
 def _regular_mutation(seed: Seed, k: SeedIndex,
@@ -98,16 +118,16 @@ def _tropical_mutation(seed: Seed, k: SeedIndex, positive_letter: bool) -> Mutat
 
 
 def _apply_mutation(values: Assignment, mutation: Mutation) -> Assignment:
-    """One modular inversion per mutation over F_p: x_k is inverted alone,
-    or together with 1 + x_k at the first positive exponent, and a positive
-    exponent e multiplies by (x_k / (1 + x_k))^e."""
+    """The reference form of a mutation, on any scalars: x_k inverts, a
+    positive exponent e multiplies by (x_k / (1 + x_k))^e, and a negative
+    tropical exponent takes its power of the 1/x_k at hand."""
     kind, k, exponents = mutation
     xk = values[k]
     if not _is_nonzero(xk):
         raise SingularPoint(f"zero coordinate at {kind} mutation index")
     out = dict(values)
+    out[k] = inv = 1 / xk
     if kind == "tropical":
-        out[k] = inv = 1 / xk
         for ix, e in exponents:
             out[ix] = values[ix] * (spow(xk, e) if e > 0 else spow(inv, -e))
         return out
@@ -121,11 +141,8 @@ def _apply_mutation(values: Assignment, mutation: Mutation) -> Assignment:
             out[ix] = values[ix] * spow(one_plus, -e)
             continue
         if ratio is None:
-            out[k], inv_one_plus = reciprocals(xk, one_plus)
-            ratio = xk * inv_one_plus
+            ratio = xk / one_plus
         out[ix] = values[ix] * spow(ratio, e)
-    if ratio is None:
-        out[k] = 1 / xk
     return out
 
 
@@ -261,6 +278,10 @@ class Step:
     word_before: DoubleWord
     word_after: DoubleWord
 
+    def ops(self) -> tuple[Op, ...]:
+        """The step lowered to program ops (see ``RationalMap.program``)."""
+        raise NotImplementedError
+
     def apply(self, values: Assignment) -> Assignment:
         raise NotImplementedError
 
@@ -284,13 +305,12 @@ class MoveStep(Step):
     def word_after(self) -> DoubleWord:
         return wordmod.apply_move(self.word_before, self.move, self.cdata)
 
-    def apply(self, values: Assignment) -> Assignment:
+    def ops(self) -> tuple[Op, ...]:
         mutations, sigma = _move_plan(self.cdata, self.word_before, self.move, self.restricted)
-        for mutation in mutations:
-            values = _apply_mutation(values, mutation)
-        if sigma is not None:
-            values = {sigma.get(ix, ix): val for ix, val in values.items()}
-        return values
+        return mutations if sigma is None else mutations + (("relabel", sigma),)
+
+    def apply(self, values: Assignment) -> Assignment:
+        return _run_generic(self.ops(), values)
 
     def inverse(self) -> "MoveStep":
         """The same move at the target word: every move a MoveStep carries
@@ -404,6 +424,43 @@ def _core_plan(cdata: CartanData, w: DoubleWord) -> _CorePlan:
                      boundary, unknown, (k, mid[k] + 1), power[boundary])
 
 
+def _core_forward(plan: _CorePlan, values: Assignment) -> Assignment:
+    """The saltation core at a point: the zeta plan, the copies of the
+    right-frozen values, and the boundary slot's division."""
+    z = values
+    for mutation in plan.zeta:
+        z = _apply_mutation(z, mutation)
+    out = {ix: z[ix] if src is None else values[src] for ix, src in plan.layout}
+    # the starred wire's boundary slot divides by the moved wire's frozen value
+    divisor = values[plan.k_top]
+    if not _is_nonzero(divisor):
+        raise SingularPoint("zero right-frozen coordinate at the saltation core")
+    out[plan.boundary] = out[plan.boundary] / divisor
+    return out
+
+
+def _core_inverse(plan: _CorePlan, values: Assignment) -> Assignment:
+    """The inverse saltation core at a point (see ``XiCoreInverseStep``)."""
+    # right-frozen slots copy back wire-preservingly
+    tops = {src: values[ix] for src, ix in plan.frozen}
+    k_top = tops[plan.k_top]
+    glued = values[plan.boundary] * k_top
+    # the zeta image on the source slots, with the frozen copies standing
+    # in for the tops the forward core overwrote
+    z = {**tops, **{ix: values[ix] for ix in plan.body}, plan.boundary: glued}
+    for mutation in plan.zeta_inverse:
+        z = _apply_mutation(z, mutation)
+    # glued and interior slots are now exact; the moved wire's block top
+    # is the one unknown X, solved from the starred wire's glued top
+    x = {**z, **tops, plan.unknown: spow(k_top, 0)}
+    for mutation in plan.zeta:
+        x = _apply_mutation(x, mutation)
+    c = x[plan.boundary]
+    if not _is_nonzero(c) or (plan.exponent < 0 and not _is_nonzero(glued)):
+        raise SingularPoint("zero divisor in the inverse saltation core")
+    return {**z, **tops, plan.unknown: spow(glued / c, plan.exponent)}
+
+
 @dataclass(frozen=True)
 class XiCoreStep(Step):
     """Saltation core: source word j' i+ kbar (one-sign reduced block i+ of
@@ -424,15 +481,11 @@ class XiCoreStep(Step):
     def word_after(self) -> DoubleWord:
         return _core_plan(self.cdata, self.word_before).target
 
+    def ops(self) -> tuple[Op, ...]:
+        return (("core", _core_plan(self.cdata, self.word_before)),)
+
     def apply(self, values: Assignment) -> Assignment:
-        plan = _core_plan(self.cdata, self.word_before)
-        z = values
-        for mutation in plan.zeta:
-            z = _apply_mutation(z, mutation)
-        out = {ix: z[ix] if src is None else values[src] for ix, src in plan.layout}
-        # the starred wire's boundary slot divides by the moved wire's frozen value
-        out[plan.boundary] = out[plan.boundary] / values[plan.k_top]
-        return out
+        return _core_forward(_core_plan(self.cdata, self.word_before), values)
 
     def inverse(self) -> "XiCoreInverseStep":
         return XiCoreInverseStep(self.cdata, self.word_after, self.word_before)
@@ -462,23 +515,11 @@ class XiCoreInverseStep(Step):
     word_before: DoubleWord  # = forward step's word_after
     word_after: DoubleWord   # = forward step's word_before
 
+    def ops(self) -> tuple[Op, ...]:
+        return (("core_inverse", _core_plan(self.cdata, self.word_after)),)
+
     def apply(self, values: Assignment) -> Assignment:
-        plan = _core_plan(self.cdata, self.word_after)
-        # right-frozen slots copy back wire-preservingly
-        tops = {src: values[ix] for src, ix in plan.frozen}
-        k_top = tops[plan.k_top]
-        glued = values[plan.boundary] * k_top
-        # the zeta image on the source slots, with the frozen copies standing
-        # in for the tops the forward core overwrote
-        z = {**tops, **{ix: values[ix] for ix in plan.body}, plan.boundary: glued}
-        for mutation in plan.zeta_inverse:
-            z = _apply_mutation(z, mutation)
-        # glued and interior slots are now exact; the moved wire's block top
-        # is the one unknown X, solved from the starred wire's glued top
-        x = {**z, **tops, plan.unknown: spow(k_top, 0)}
-        for mutation in plan.zeta:
-            x = _apply_mutation(x, mutation)
-        return {**z, **tops, plan.unknown: spow(glued / x[plan.boundary], plan.exponent)}
+        return _core_inverse(_core_plan(self.cdata, self.word_after), values)
 
     def inverse(self) -> XiCoreStep:
         return XiCoreStep(self.cdata, self.word_after)
@@ -487,6 +528,142 @@ class XiCoreInverseStep(Step):
         return {"step": "saltation_core_inverse",
                 "source": self.word_before.to_string(),
                 "target": self.word_after.to_string()}
+
+
+# ---------------------------------------------------------------------------
+# Programs: a map lowered once, run by one of two interpreters
+# ---------------------------------------------------------------------------
+
+def _run_generic(program: Sequence[Op], values: Assignment) -> Assignment:
+    """The reference interpreter, on any scalars: each op builds the next
+    assignment with the scalars' own arithmetic."""
+    for op in program:
+        kind = op[0]
+        if kind == "relabel":
+            sigma = op[1]
+            values = {sigma.get(ix, ix): val for ix, val in values.items()}
+        elif kind == "core":
+            values = _core_forward(op[1], values)
+        elif kind == "core_inverse":
+            values = _core_inverse(op[1], values)
+        else:
+            values = _apply_mutation(values, op)
+    return values
+
+
+# The F_p interpreter carries each coordinate as a list [num, den] of
+# residues mod p with den nonzero, standing for num/den, so that no op
+# inverts.  Its ops mirror the generic ones: they raise where those raise,
+# build their dicts in the same key order, and update the pairs in place
+# (every list belongs to one slot of one assignment).
+Pairs = dict[SeedIndex, list]
+
+
+def _fp_mutate(pairs: Pairs, mutation: Mutation, p: int) -> None:
+    kind, k, exponents = mutation
+    xk = pairs[k]
+    n, d = xk
+    if not n:
+        raise SingularPoint(f"zero coordinate at {kind} mutation index")
+    # the factors (num, den) of a positive and of a negative unit exponent:
+    # x_k = n/d for a tropical mutation, x_k/(1 + x_k) = n/s and
+    # 1 + x_k = s/d for a regular one
+    if kind == "tropical":
+        up, down = (n, d), (d, n)
+    elif exponents:
+        s = (n + d) % p
+        if not s:
+            raise SingularPoint("1 + x_k vanishes with a nonzero exponent")
+        up, down = (n, s), (s, d)
+    xk[0], xk[1] = d, n
+    for ix, e in exponents:
+        a, b = up if e > 0 else down
+        if e != 1 and e != -1:
+            a, b = pow(a, abs(e), p), pow(b, abs(e), p)
+        v = pairs[ix]
+        v[0] = v[0] * a % p
+        v[1] = v[1] * b % p
+
+
+def _fp_core_forward(plan: _CorePlan, pairs: Pairs, p: int) -> Pairs:
+    # the frozen values are copied before the zeta plan overwrites them
+    frozen = {src: list(pairs[src]) for src, _ in plan.frozen}
+    for mutation in plan.zeta:
+        _fp_mutate(pairs, mutation, p)
+    out = {ix: pairs[ix] if src is None else frozen[src] for ix, src in plan.layout}
+    n, d = frozen[plan.k_top]
+    if not n:
+        raise SingularPoint("zero right-frozen coordinate at the saltation core")
+    boundary = out[plan.boundary]
+    boundary[0] = boundary[0] * d % p
+    boundary[1] = boundary[1] * n % p
+    return out
+
+
+def _fp_core_inverse(plan: _CorePlan, pairs: Pairs, p: int) -> Pairs:
+    tops = {src: pairs[ix] for src, ix in plan.frozen}
+    kn, kd = tops[plan.k_top]
+    bn, bd = pairs[plan.boundary]
+    gn, gd = bn * kn % p, bd * kd % p
+    # both zeta passes run on copies: the frozen tops and the body slots
+    # may share a list, and the tops return unchanged
+    z = {**{src: list(v) for src, v in tops.items()},
+         **{ix: list(pairs[ix]) for ix in plan.body}, plan.boundary: [gn, gd]}
+    for mutation in plan.zeta_inverse:
+        _fp_mutate(z, mutation, p)
+    x = {**{ix: list(v) for ix, v in z.items()},
+         **{src: list(v) for src, v in tops.items()}, plan.unknown: [1, 1]}
+    for mutation in plan.zeta:
+        _fp_mutate(x, mutation, p)
+    cn, cd = x[plan.boundary]
+    # X = (glued / c)^(+-1), glued / c = (gn cd) / (gd cn)
+    un, ud = gn * cd % p, gd * cn % p
+    if not cn or (plan.exponent < 0 and not un):
+        raise SingularPoint("zero divisor in the inverse saltation core")
+    if plan.exponent < 0:
+        un, ud = ud, un
+    return {**z, **tops, plan.unknown: [un, ud]}
+
+
+def _run_fp(program: Sequence[Op], values: Assignment, p: int) -> Assignment:
+    """The F_p interpreter: the program on residue pairs, then every
+    coordinate divided out with one modular inversion of the product of the
+    denominators (Montgomery's trick)."""
+    pairs = {ix: [x.value, 1] for ix, x in values.items()}
+    for op in program:
+        kind = op[0]
+        if kind == "relabel":
+            sigma = op[1]
+            pairs = {sigma.get(ix, ix): v for ix, v in pairs.items()}
+        elif kind == "core":
+            pairs = _fp_core_forward(op[1], pairs, p)
+        elif kind == "core_inverse":
+            pairs = _fp_core_inverse(op[1], pairs, p)
+        else:
+            _fp_mutate(pairs, op, p)
+    entries = list(pairs.items())
+    prefix = []
+    product = 1
+    for _, (_, d) in entries:
+        product = product * d % p
+        prefix.append(product)
+    inv = arith._inverse_mod(product, p)  # 1 / (d_0 ... d_i), i from the last
+    out = [None] * len(entries)
+    for i in range(len(entries) - 1, -1, -1):
+        ix, (n, d) = entries[i]
+        out[i] = (ix, Fp(n * (inv * prefix[i - 1] if i else inv), p))
+        inv = inv * d % p
+    return dict(out)
+
+
+def _fp_prime(values: Assignment) -> Optional[int]:
+    """The prime p when every coordinate is an Fp mod p, else None."""
+    p = None
+    for x in values.values():
+        if type(x) is not Fp or (p is not None and x.p != p):
+            return None
+        p = x.p
+    return p
 
 
 @dataclass(frozen=True)
@@ -499,10 +676,23 @@ class RationalMap:
     steps: tuple[Step, ...]
     restricted: bool = False
 
+    @functools.cached_property
+    def program(self) -> tuple[Op, ...]:
+        """The map lowered once, on its first evaluation: each move step's
+        mutations and relabeling, read from ``_move_plan`` here rather than
+        at every point (a move step with neither leaves no op), and each
+        saltation core step with its ``_CorePlan``."""
+        return tuple(op for step in self.steps for op in step.ops())
+
     def apply(self, values: Assignment) -> Assignment:
-        for step in self.steps:
-            values = step.apply(values)
-        return values
+        """The program at a point: on residue pairs when every coordinate is
+        an Fp of one prime, else on the scalars themselves (rationals, jets,
+        mixed points)."""
+        program = self.program
+        p = _fp_prime(values) if program else None
+        if p is None:
+            return _run_generic(program, values)
+        return _run_fp(program, values, p)
 
     def __call__(self, values: Assignment) -> Assignment:
         return self.apply(values)
@@ -777,9 +967,21 @@ def artin_T_word(w: DoubleWord, letters: Sequence[int], cdata: CartanData,
     word's cached search (``_ball``) rather than a fresh one.
 
     ``bases`` gives each letter's base word, a word of R(w0(I), w0) starting
-    with the barred letter (by default ``_artin_base_word``).
+    with the barred letter (by default ``_artin_base_word``).  Composites
+    are cached, so a repeated build returns the same map, whose program is
+    then already compiled.
     """
     subset = tuple(subset) if subset is not None else tuple(range(1, cdata.rank + 1))
+    return _artin_T_word(cdata, w, tuple(letters), subset,
+                         None if bases is None else tuple(bases))
+
+
+# Bounded: all 160 A2 artin-T maps fit.  A check run again in one process
+# reads its composites, with their compiled programs, from here.
+@functools.lru_cache(maxsize=256)
+def _artin_T_word(cdata: CartanData, w: DoubleWord, letters: tuple[int, ...],
+                  subset: tuple[int, ...], bases: Optional[tuple[DoubleWord, ...]]
+                  ) -> RationalMap:
     if not all(1 <= i <= cdata.rank for i in subset):
         raise PreconditionFailed(f"subset {subset} has letters outside 1..{cdata.rank}")
     star = weyl.star_involution(cdata)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cluster_dual.arith import (DEFAULT_PRIME, Fp, Jet, TrialConfig,
+from cluster_dual.arith import (DEFAULT_PRIME, Fp, TrialConfig,
                                 is_probable_prime, jet_const, jet_lift,
-                                jet_point, maps_equal_probabilistic, reciprocals, spow)
+                                jet_point, maps_equal_probabilistic, spow)
 from cluster_dual.errors import DivisionByZero, IndexOutOfRange, SingularPoint
 
 
@@ -231,8 +231,6 @@ def test_fp_mixed_primes_raise():
         for lhs, rhs in ((a, b), (b, a)):
             with pytest.raises(ValueError, match="mixed primes"):
                 op(lhs, rhs)
-    with pytest.raises(ValueError, match="mixed primes"):
-        reciprocals(a, b)
 
 
 @pytest.mark.parametrize("modulus, factor", [(15, 3), (15, 5), (97 * 101, 101),
@@ -242,39 +240,7 @@ def test_composite_modulus_raises_on_every_division_route(modulus, factor):
     whichever route divides by it."""
     bad, unit = Fp(2 * factor, modulus), Fp(modulus - 1, modulus)
     routes = (lambda: unit / bad, lambda: 1 / bad, lambda: F(1, 2) / bad,
-              lambda: bad.inverse(), lambda: bad ** -1,
-              lambda: reciprocals(bad, unit), lambda: reciprocals(unit, bad))
+              lambda: bad.inverse(), lambda: bad ** -1)
     for divide in routes:
         with pytest.raises(DivisionByZero):
             divide()
-
-
-def _typed(x):
-    # the repr of a jet spells its value and every partial with their types
-    return type(x).__name__, repr(x)
-
-
-@st.composite
-def nonzero_pairs(draw):
-    """Two nonzero scalars of one kind: Fractions, elements of F_p, or jets
-    with two partials over Q or F_p."""
-    kind = draw(st.sampled_from(("Q", 97, DEFAULT_PRIME, "jet Q", "jet 97", "jet p")))
-    p = {"Q": None, "jet Q": None, "jet 97": 97, "jet p": DEFAULT_PRIME}.get(kind, kind)
-    if p is None:
-        scalar = st.builds(F, st.integers(-50, 50), st.integers(1, 50))
-    else:
-        scalar = st.integers(0, p - 1).map(lambda v: Fp(v, p))
-    nonzero = scalar.filter(bool)
-    if isinstance(kind, str) and kind.startswith("jet"):
-        jet = st.builds(Jet, nonzero, st.tuples(scalar, scalar))
-        return draw(jet), draw(jet)
-    return draw(nonzero), draw(nonzero)
-
-
-@SCALAR_SETTINGS
-@given(nonzero_pairs())
-def test_reciprocals_match_two_divisions(pair):
-    x, y = pair
-    got = reciprocals(x, y)
-    want = (1 / x, 1 / y)
-    assert [_typed(v) for v in got] == [_typed(v) for v in want]

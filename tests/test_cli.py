@@ -121,6 +121,21 @@ def test_compute_artin_t_example(capsys):
     assert json.loads(stdout)["point"] == ["9/64", "5/3", "5"]
 
 
+@pytest.mark.parametrize("word, j, slot", [
+    ("-1,-2,-1,1,2,1", 1, 7), ("-1,-2,-1,1,2,1", 2, 4),
+    ("1,-2,2,-1,1,-2", 2, 7), ("2,1,-1,2,-2,-1", 1, 3),
+])
+def test_compute_artin_t_at_a_zero_frozen_coordinate(word, j, slot, capsys):
+    """A zero right-frozen coordinate that the saltation core divides by is
+    a singular point: an error line and exit code 2, not a traceback."""
+    point = [2, 3, 5, 7, 11, 13, 17, 19]
+    point[slot] = 0
+    code, stdout, err = run(["compute", "artin-T", "--word", word, "--type", "A2",
+                             "--j", str(j), "--point", ",".join(map(str, point))], capsys)
+    assert code == 2 and stdout == ""
+    assert err == "error: SingularPoint: zero right-frozen coordinate at the saltation core\n"
+
+
 def test_compute_ev_hat_example(capsys):
     code, stdout, _ = run(["compute", "ev-hat", "--word=-1,1", "--type", "A1",
                            "--point", "1,1,1"], capsys)

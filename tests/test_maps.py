@@ -155,6 +155,7 @@ def test_mu_hat_cache_bounded_and_search_abort(monkeypatch):
     first = maps.mu_hat(W("-1,1"), W("1,1"), A1, w0)
     assert maps.mu_hat(W("-1,1"), W("1,1"), A1, w0) is first
     maps._mu_hat.cache_clear()
+    maps._artin_T_word.cache_clear()
     monkeypatch.setattr(words, "_MAX_STATES", 0)
     with pytest.raises(NoPath, match="search aborted after 0 states"):
         maps.mu_hat(W("-1,1"), W("1,1"), A1, w0)
@@ -189,7 +190,9 @@ def test_artin_legs_take_the_fresh_search_paths(monkeypatch):
     cases = [(A2, w, (j,)) for w in shuffles for j in (1, 2)]
     cases += [(b2, W("-1,-2,-1,-2,1,2,1,2"), letters) for letters in ((1,), (2,), (2, 1, 2, 1))]
     maps._mu_hat.cache_clear()
+    maps._artin_T_word.cache_clear()
     built = [_steps(maps.artin_T_word(w, letters, cdata)) for cdata, w, letters in cases]
+    maps._artin_T_word.cache_clear()
     _build_legs_one_shot(monkeypatch)
     for (cdata, w, letters), steps in zip(cases, built):
         assert steps == _steps(maps.artin_T_word(w, letters, cdata)), (w, letters)
@@ -207,6 +210,7 @@ def test_anchored_build_resumes_after_an_abort(monkeypatch):
               w0 * weyl.simple(A2, weyl.star(A2, 1)))
     maps._mu_hat.cache_clear()
     maps._ball.cache_clear()
+    maps._artin_T_word.cache_clear()
     bound = words._MAX_STATES
     monkeypatch.setattr(words, "_MAX_STATES", 0)
     with pytest.raises(NoPath, match="search aborted after 0 states"):
@@ -218,6 +222,7 @@ def test_anchored_build_resumes_after_an_abort(monkeypatch):
     assert ball.path_to(start) == words._search(
         start, anchor, lambda state: maps._dhat_edges(A2, w0, *state))
     built = _steps(maps.artin_T(w, 1, A2))
+    maps._artin_T_word.cache_clear()
     _build_legs_one_shot(monkeypatch)
     assert built == _steps(maps.artin_T(w, 1, A2))
 
@@ -737,27 +742,10 @@ def test_a_tropical_mutation_is_the_sole_mutation_of_a_tau_move():
     assert checked == set(kinds_with_mutations)
 
 
-def _inversion_budget(m) -> int:
-    """One modular inversion per mutation in the plans of m's steps, plus
-    the core steps' own divisions: one forward, and in the inverse core one
-    more when the block-top exponent is -1."""
-    budget = 0
-    for step in m.steps:
-        if isinstance(step, maps.MoveStep):
-            mutations, _ = maps._move_plan(step.cdata, step.word_before, step.move,
-                                           step.restricted)
-            budget += len(mutations)
-        elif isinstance(step, maps.XiCoreStep):
-            budget += len(maps._core_plan(step.cdata, step.word_before).zeta) + 1
-        else:
-            plan = maps._core_plan(step.cdata, step.word_after)
-            budget += len(plan.zeta_inverse) + len(plan.zeta) + (1 if plan.exponent == 1 else 2)
-    return budget
-
-
 def test_one_modular_inversion_per_mutation(monkeypatch):
-    """Applying an A2 braid composite at an F_p point inverts x_k once per
-    mutation, together with 1 + x_k when an exponent is positive."""
+    """Applying a map at an F_p point makes one modular inversion, for all
+    its coordinates at once: both A2 braid composites, their inverses, and
+    one-step programs of hand-built mutations with exponents of either sign."""
     calls = []
     real = arith._inverse_mod
     monkeypatch.setattr(arith, "_inverse_mod", lambda v, p: calls.append(v) or real(v, p))
@@ -767,20 +755,112 @@ def test_one_modular_inversion_per_mutation(monkeypatch):
         m = maps.artin_T_word(word, letters, A2)
         assert {type(step) for step in m.steps} == {
             maps.MoveStep, maps.XiCoreStep, maps.XiCoreInverseStep}
-        values = maps.random_assignment(word, A2, rng, DEFAULT_PRIME)
-        calls.clear()
-        m.apply(values)
-        assert len(calls) == _inversion_budget(m), letters
-    # the braid composites' tropical exponents are all +1: a negative one
-    # takes its power of the 1/x_k already at hand
+        for f in (m, m.inverse()):
+            values = maps.random_assignment(word, A2, rng, DEFAULT_PRIME)
+            calls.clear()
+            f.apply(values)
+            assert len(calls) == 1, letters
     vals = {(1, 0): arith.Fp(2, DEFAULT_PRIME), (1, 1): arith.Fp(3, DEFAULT_PRIME),
             (1, 2): arith.Fp(5, DEFAULT_PRIME)}
     for exponents in ((((1, 0), -2), ((1, 2), 1)), (((1, 0), 2), ((1, 2), -1)),
                       (((1, 0), -1),), ()):
         for kind in ("tropical", "regular"):
             calls.clear()
-            maps._apply_mutation(vals, (kind, (1, 1), exponents))
+            got = maps._run_fp(((kind, (1, 1), exponents),), vals, DEFAULT_PRIME)
             assert len(calls) == 1, (kind, exponents)
+            assert got == maps._apply_mutation(vals, (kind, (1, 1), exponents))
+
+
+def _stepwise(m, values):
+    for step in m.steps:
+        values = step.apply(values)
+    return values
+
+
+def _fp_outcome(f, values):
+    """The image as (index, value) pairs in dict order, or the error type."""
+    try:
+        return list(f(values).items())
+    except ArithmeticError as exc:  # SingularPoint and DivisionByZero
+        return type(exc).__name__
+
+
+def test_fp_interpreter_matches_stepwise_evaluation():
+    """``RationalMap.apply`` at an F_p point, which runs the F_p interpreter,
+    gives what the steps' own generic ``apply`` gives one after the other:
+    the same image in the same key order, or the same error type.  Checked
+    at p = 2^61 - 1 and p = 97, at random points and at points with one zero
+    coordinate, on T_j and its inverse for all 160 compute-a2 pairs, both A2
+    braid composites, the A1 and A2 saltations and the B2 composite of
+    2,1,2,1."""
+    reduced = ((1, 2, 1), (2, 1, 2))
+    cases = []
+    for neg, pos in itertools.product(reduced, reduced):
+        for slots in itertools.combinations(range(6), 3):
+            it_neg, it_pos = iter(neg), iter(pos)
+            w = words.DoubleWord(tuple(-next(it_neg) if t in slots else next(it_pos)
+                                       for t in range(6)))
+            cases += [(A2, w, maps.artin_T(w, j, A2)) for j in (1, 2)]
+    braid = W("1,2,1,1,2,1")
+    cases += [(A2, braid, maps.artin_T_word(braid, letters, A2))
+              for letters in ((1, 2, 1), (2, 1, 2))]
+    saltations = [(A1, W("-1,1"), maps.xi_saltation(W("-1,1"), A1)),
+                  (A2, W("-1,1,2,1"), maps.xi_saltation(W("-1,1,2,1"), A2))]
+    cases += saltations
+    b2 = weyl.build_cartan("B2")
+    b2_word = W("-1,-2,-1,-2,1,2,1,2")
+    cases.append((b2, b2_word, maps.artin_T_word(b2_word, (2, 1, 2, 1), b2)))
+    cases += [(cdata, m.target_word, m.inverse()) for cdata, _, m in cases]
+    rng = random.Random("fp interpreter")
+    outcomes = set()
+
+    def check(m, values):
+        want = _fp_outcome(lambda v: _stepwise(m, v), values)
+        assert _fp_outcome(m.apply, values) == want, (m.describe(), values)
+        outcomes.add(want if isinstance(want, str) else "image")
+
+    for cdata, word, m in cases:
+        for prime in (DEFAULT_PRIME, 97):
+            check(m, maps.random_assignment(word, cdata, rng, prime))
+            values = maps.random_assignment(word, cdata, rng, prime)
+            check(m, {**values, rng.choice(list(values)): arith.Fp(0, prime)})
+    # each saltation core step alone, with a zero in each slot in turn: the
+    # divisions of both core steps see a zero there
+    for cdata, _, m in saltations:
+        for step in m.steps + m.inverse().steps:
+            if isinstance(step, (maps.XiCoreStep, maps.XiCoreInverseStep)):
+                one = maps.RationalMap(cdata, step.word_before, step.word_after, (step,))
+                values = maps.random_assignment(step.word_before, cdata, rng, 97)
+                for ix in values:
+                    check(one, {**values, ix: arith.Fp(0, 97)})
+    assert outcomes == {"image", "SingularPoint"}
+
+
+@pytest.mark.parametrize("prime", [None, 97])
+def test_core_steps_raise_singular_point_at_a_zero_divisor(prime):
+    """The forward core divides by the moved wire's frozen value; the inverse
+    core by the starred block top its zeta pass reads off and, at exponent
+    -1, by the glued value, which holds the moved wire's frozen value as a
+    factor.  A zero there is a singular point in both interpreters.  The
+    plans run without their zeta mutations here, whose own zero checks come
+    first at a whole saltation."""
+    core = next(step for step in maps.xi_saltation(W("-1,1,2,1"), A2).steps
+                if isinstance(step, maps.XiCoreStep))
+    bare = maps._core_plan(A2, core.word_before)._replace(zeta=(), zeta_inverse=())
+    copied_to = dict(bare.frozen)  # source top -> the target slot holding its value
+    cases = [("core", bare, core.word_before, bare.k_top, "zero right-frozen coordinate")]
+    cases += [("core_inverse", bare._replace(exponent=e), bare.target, copied_to[top],
+               "zero divisor in the inverse saltation core")
+              for e, top in ((1, bare.boundary), (-1, bare.boundary), (-1, bare.k_top))]
+    for kind, plan, word, zero, message in cases:
+        values = maps.random_assignment(word, A2, random.Random(kind), prime)
+        values[zero] = values[zero] * 0
+        generic = maps._core_forward if kind == "core" else maps._core_inverse
+        with pytest.raises(SingularPoint, match=message):
+            generic(plan, values)
+        if prime is not None:
+            with pytest.raises(SingularPoint, match=message):
+                maps._run_fp(((kind, plan),), values, prime)
 
 
 @pytest.mark.parametrize("prime", [None, DEFAULT_PRIME])
