@@ -259,15 +259,15 @@ def tau_product(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMa
     if weyl.from_word(cdata, letters) != w0:
         raise PreconditionFailed("tau product needs a word of the longest element")
     like = next(iter(values.values()), Fraction(1))
-    # stage k of the zeta map opens with a left tau flip; the k-th parameter
-    # is read just before it, after the first k - 1 stages
-    params = []
-    for step in mapmod._zeta_maps(cdata, w)[0].steps:
-        if step.move.kind == "tau_left":
-            params.append(-values[(letters[len(params)], 0)])
-            if len(params) == len(letters):
-                break
-        values = step.apply(values)
+    # stage k of the zeta map opens with a left tau flip, the program's k-th
+    # tropical op; the k-th parameter is read just before it
+    program = mapmod._zeta_maps(cdata, w)[0].program
+    flips = [n for n, op in enumerate(program) if op[0] == "tropical"]
+    params, start = [], 0
+    for letter, flip in zip(letters, flips):
+        values = mapmod.run_program(program[start:flip], values)
+        params.append(-values[(letter, 0)])
+        start = flip
     out = grp.identity(rank + 1, like)
     for k, param in enumerate(params, 1):
         rep = grp.word_representative(rank, letters[k:], like)
@@ -383,8 +383,7 @@ def check_identity(check: IdentityCheck) -> Report:
         raise ValueError(f"unknown identity {check.name!r}")
     if check.level not in ("matrix", "seed"):
         raise ValueError(f"unknown level {check.level!r} (matrix or seed)")
-    if check.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {check.trials}")
+    TrialConfig(check.prime, check.trials, check.rng_seed)  # refuses a composite, trials < 1
     start = time.monotonic()
     runner = _CheckRunner(check)
     if check.level == "seed":

@@ -11,15 +11,11 @@ on the whole point, with no split, glue or recount.
 A map is evaluated through its program, compiled on its first evaluation
 and kept on the map: the flat tuple of its move steps' mutations and
 relabelings and its saltation core steps with their plans, so no plan is
-looked up per point.  Two interpreters run it:
-
-- the generic one, on the scalars themselves, is the reference and serves
-  rationals, jets and mixed points;
-- the F_p one, chosen when every coordinate is an ``Fp`` of one prime,
-  carries each coordinate as a pair (num, den) of residues, so no op
-  inverts: x_k goes to den/num and 1 + x_k is (num + den)/den.  It raises
-  where the generic one raises and ends with one modular inversion for
-  all coordinates (Montgomery's trick).
+looked up per point.  One interpreter runs it, in one of two arithmetics:
+the scalars' own, the reference, for rationals, jets and mixed points; or,
+when every coordinate is an ``Fp`` of one prime, residue pairs (num, den),
+so no op inverts (x_k goes to den/num, 1 + x_k is (num + den)/den) and one
+modular inversion ends the run for all coordinates (Montgomery's trick).
 
 Supported steps:
 
@@ -46,6 +42,7 @@ letters and counters shifted by the occurrences before the window:
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,32 +114,55 @@ def _tropical_mutation(seed: Seed, k: SeedIndex, positive_letter: bool) -> Mutat
     return ("tropical", k, tuple(exponents))
 
 
-def _apply_mutation(values: Assignment, mutation: Mutation) -> Assignment:
-    """The reference form of a mutation, on any scalars: x_k inverts, a
-    positive exponent e multiplies by (x_k / (1 + x_k))^e, and a negative
-    tropical exponent takes its power of the 1/x_k at hand."""
-    kind, k, exponents = mutation
-    xk = values[k]
-    if not _is_nonzero(xk):
-        raise SingularPoint(f"zero coordinate at {kind} mutation index")
-    out = dict(values)
-    out[k] = inv = 1 / xk
-    if kind == "tropical":
+class _Scalars:
+    """The scalars' own arithmetic, the reference: it serves rationals, jets
+    and mixed points.  The scalars are immutable, so an op updates an
+    assignment in place by replacing its values, and a copy is the value."""
+
+    @staticmethod
+    def mutate(values: Assignment, mutation: Mutation) -> None:
+        """x_k inverts, a positive exponent e multiplies by
+        (x_k / (1 + x_k))^e, and a negative tropical exponent takes its
+        power of the 1/x_k at hand."""
+        kind, k, exponents = mutation
+        xk = values[k]
+        if not _is_nonzero(xk):
+            raise SingularPoint(f"zero coordinate at {kind} mutation index")
+        values[k] = inv = 1 / xk
+        if kind == "tropical":
+            for ix, e in exponents:
+                values[ix] = values[ix] * (spow(xk, e) if e > 0 else spow(inv, -e))
+            return
+        if exponents:
+            one_plus = 1 + xk
+            if not _is_nonzero(one_plus):
+                raise SingularPoint("1 + x_k vanishes with a nonzero exponent")
+        ratio = None
         for ix, e in exponents:
-            out[ix] = values[ix] * (spow(xk, e) if e > 0 else spow(inv, -e))
-        return out
-    if exponents:
-        one_plus = 1 + xk
-        if not _is_nonzero(one_plus):
-            raise SingularPoint("1 + x_k vanishes with a nonzero exponent")
-    ratio = None
-    for ix, e in exponents:
-        if e < 0:
-            out[ix] = values[ix] * spow(one_plus, -e)
-            continue
-        if ratio is None:
-            ratio = xk / one_plus
-        out[ix] = values[ix] * spow(ratio, e)
+            if e < 0:
+                values[ix] = values[ix] * spow(one_plus, -e)
+                continue
+            if ratio is None:
+                ratio = xk / one_plus
+            values[ix] = values[ix] * spow(ratio, e)
+
+    copy = staticmethod(lambda x: x)
+    mul = operator.mul
+    div = operator.truediv
+    one = staticmethod(lambda x: spow(x, 0))
+    nonzero = staticmethod(_is_nonzero)
+
+    def run(self, program: Sequence[Op], values: Assignment) -> Assignment:
+        return _interpret(self, program, dict(values))
+
+
+_SCALARS = _Scalars()
+
+
+def _apply_mutation(values: Assignment, mutation: Mutation) -> Assignment:
+    """A mutation in the reference arithmetic, on a copy of the point."""
+    out = dict(values)
+    _SCALARS.mutate(out, mutation)
     return out
 
 
@@ -310,7 +330,7 @@ class MoveStep(Step):
         return mutations if sigma is None else mutations + (("relabel", sigma),)
 
     def apply(self, values: Assignment) -> Assignment:
-        return _run_generic(self.ops(), values)
+        return _SCALARS.run(self.ops(), values)
 
     def inverse(self) -> "MoveStep":
         """The same move at the target word: every move a MoveStep carries
@@ -424,41 +444,52 @@ def _core_plan(cdata: CartanData, w: DoubleWord) -> _CorePlan:
                      boundary, unknown, (k, mid[k] + 1), power[boundary])
 
 
-def _core_forward(plan: _CorePlan, values: Assignment) -> Assignment:
-    """The saltation core at a point: the zeta plan, the copies of the
-    right-frozen values, and the boundary slot's division."""
-    z = values
+def _core_forward(ar, plan: _CorePlan, values: dict) -> dict:
+    """The saltation core at a point, in the arithmetic ``ar``: the zeta
+    plan, the copies of the right-frozen values, and the boundary slot's
+    division."""
+    copy, mutate = ar.copy, ar.mutate
+    # the frozen values are copied before the zeta plan updates the point
+    frozen = {src: copy(values[src]) for src, _ in plan.frozen}
     for mutation in plan.zeta:
-        z = _apply_mutation(z, mutation)
-    out = {ix: z[ix] if src is None else values[src] for ix, src in plan.layout}
+        mutate(values, mutation)
+    out = {ix: values[ix] if src is None else frozen[src] for ix, src in plan.layout}
     # the starred wire's boundary slot divides by the moved wire's frozen value
-    divisor = values[plan.k_top]
-    if not _is_nonzero(divisor):
+    divisor = frozen[plan.k_top]
+    if not ar.nonzero(divisor):
         raise SingularPoint("zero right-frozen coordinate at the saltation core")
-    out[plan.boundary] = out[plan.boundary] / divisor
+    out[plan.boundary] = ar.div(out[plan.boundary], divisor)
     return out
 
 
-def _core_inverse(plan: _CorePlan, values: Assignment) -> Assignment:
-    """The inverse saltation core at a point (see ``XiCoreInverseStep``)."""
+def _core_inverse(ar, plan: _CorePlan, values: dict) -> dict:
+    """The inverse saltation core at a point, in the arithmetic ``ar`` (see
+    ``XiCoreInverseStep``)."""
+    copy, mutate = ar.copy, ar.mutate
     # right-frozen slots copy back wire-preservingly
     tops = {src: values[ix] for src, ix in plan.frozen}
     k_top = tops[plan.k_top]
-    glued = values[plan.boundary] * k_top
+    glued = ar.mul(copy(values[plan.boundary]), k_top)
     # the zeta image on the source slots, with the frozen copies standing
-    # in for the tops the forward core overwrote
-    z = {**tops, **{ix: values[ix] for ix in plan.body}, plan.boundary: glued}
+    # in for the tops the forward core overwrote.  Both zeta passes run on
+    # copies: a frozen value may also fill a body slot, the tops return
+    # unchanged and glued is read again for the solve
+    z = {**{src: copy(v) for src, v in tops.items()},
+         **{ix: copy(values[ix]) for ix in plan.body}, plan.boundary: copy(glued)}
     for mutation in plan.zeta_inverse:
-        z = _apply_mutation(z, mutation)
+        mutate(z, mutation)
     # glued and interior slots are now exact; the moved wire's block top
     # is the one unknown X, solved from the starred wire's glued top
-    x = {**z, **tops, plan.unknown: spow(k_top, 0)}
+    x = {**{ix: copy(v) for ix, v in z.items()},
+         **{src: copy(v) for src, v in tops.items()}, plan.unknown: ar.one(k_top)}
     for mutation in plan.zeta:
-        x = _apply_mutation(x, mutation)
+        mutate(x, mutation)
     c = x[plan.boundary]
-    if not _is_nonzero(c) or (plan.exponent < 0 and not _is_nonzero(glued)):
+    if not ar.nonzero(c) or (plan.exponent < 0 and not ar.nonzero(glued)):
         raise SingularPoint("zero divisor in the inverse saltation core")
-    return {**z, **tops, plan.unknown: spow(glued / c, plan.exponent)}
+    # X = (glued / c)^e with e = +-1
+    solved = ar.div(glued, c) if plan.exponent > 0 else ar.div(c, glued)
+    return {**z, **tops, plan.unknown: solved}
 
 
 @dataclass(frozen=True)
@@ -485,7 +516,7 @@ class XiCoreStep(Step):
         return (("core", _core_plan(self.cdata, self.word_before)),)
 
     def apply(self, values: Assignment) -> Assignment:
-        return _core_forward(_core_plan(self.cdata, self.word_before), values)
+        return _SCALARS.run(self.ops(), values)
 
     def inverse(self) -> "XiCoreInverseStep":
         return XiCoreInverseStep(self.cdata, self.word_after, self.word_before)
@@ -519,7 +550,7 @@ class XiCoreInverseStep(Step):
         return (("core_inverse", _core_plan(self.cdata, self.word_after)),)
 
     def apply(self, values: Assignment) -> Assignment:
-        return _core_inverse(_core_plan(self.cdata, self.word_after), values)
+        return _SCALARS.run(self.ops(), values)
 
     def inverse(self) -> XiCoreStep:
         return XiCoreStep(self.cdata, self.word_after)
@@ -531,129 +562,98 @@ class XiCoreInverseStep(Step):
 
 
 # ---------------------------------------------------------------------------
-# Programs: a map lowered once, run by one of two interpreters
+# Programs: a map lowered once, run by one interpreter in one of two
+# arithmetics
 # ---------------------------------------------------------------------------
 
-def _run_generic(program: Sequence[Op], values: Assignment) -> Assignment:
-    """The reference interpreter, on any scalars: each op builds the next
-    assignment with the scalars' own arithmetic."""
+def _interpret(ar, program: Sequence[Op], values: dict) -> dict:
+    """The one dispatch loop: each op of the program in the arithmetic
+    ``ar``, on an assignment the loop owns (mutations update it in place)."""
+    mutate = ar.mutate
     for op in program:
         kind = op[0]
         if kind == "relabel":
             sigma = op[1]
             values = {sigma.get(ix, ix): val for ix, val in values.items()}
         elif kind == "core":
-            values = _core_forward(op[1], values)
+            values = _core_forward(ar, op[1], values)
         elif kind == "core_inverse":
-            values = _core_inverse(op[1], values)
+            values = _core_inverse(ar, op[1], values)
         else:
-            values = _apply_mutation(values, op)
+            mutate(values, op)
     return values
 
 
-# The F_p interpreter carries each coordinate as a list [num, den] of
-# residues mod p with den nonzero, standing for num/den, so that no op
-# inverts.  Its ops mirror the generic ones: they raise where those raise,
-# build their dicts in the same key order, and update the pairs in place
-# (every list belongs to one slot of one assignment).
-Pairs = dict[SeedIndex, list]
+class _FpPairs:
+    """F_p arithmetic on residue pairs: a coordinate is a list [num, den]
+    mod p with den nonzero, standing for num/den, so no op inverts.  Ops
+    update the lists in place, so every list belongs to one slot of one
+    assignment; the core steps copy a value that lands in two."""
 
+    __slots__ = ("p",)
+    copy = list
 
-def _fp_mutate(pairs: Pairs, mutation: Mutation, p: int) -> None:
-    kind, k, exponents = mutation
-    xk = pairs[k]
-    n, d = xk
-    if not n:
-        raise SingularPoint(f"zero coordinate at {kind} mutation index")
-    # the factors (num, den) of a positive and of a negative unit exponent:
-    # x_k = n/d for a tropical mutation, x_k/(1 + x_k) = n/s and
-    # 1 + x_k = s/d for a regular one
-    if kind == "tropical":
-        up, down = (n, d), (d, n)
-    elif exponents:
-        s = (n + d) % p
-        if not s:
-            raise SingularPoint("1 + x_k vanishes with a nonzero exponent")
-        up, down = (n, s), (s, d)
-    xk[0], xk[1] = d, n
-    for ix, e in exponents:
-        a, b = up if e > 0 else down
-        if e != 1 and e != -1:
-            a, b = pow(a, abs(e), p), pow(b, abs(e), p)
-        v = pairs[ix]
-        v[0] = v[0] * a % p
-        v[1] = v[1] * b % p
+    def __init__(self, p: int):
+        self.p = p
 
+    def mutate(self, pairs: dict, mutation: Mutation) -> None:
+        p = self.p
+        kind, k, exponents = mutation
+        xk = pairs[k]
+        n, d = xk
+        if not n:
+            raise SingularPoint(f"zero coordinate at {kind} mutation index")
+        # the factors (num, den) of a positive and of a negative unit exponent:
+        # x_k = n/d for a tropical mutation, x_k/(1 + x_k) = n/s and
+        # 1 + x_k = s/d for a regular one
+        if kind == "tropical":
+            up, down = (n, d), (d, n)
+        elif exponents:
+            s = (n + d) % p
+            if not s:
+                raise SingularPoint("1 + x_k vanishes with a nonzero exponent")
+            up, down = (n, s), (s, d)
+        xk[0], xk[1] = d, n
+        for ix, e in exponents:
+            a, b = up if e > 0 else down
+            if e != 1 and e != -1:
+                a, b = pow(a, abs(e), p), pow(b, abs(e), p)
+            v = pairs[ix]
+            v[0] = v[0] * a % p
+            v[1] = v[1] * b % p
 
-def _fp_core_forward(plan: _CorePlan, pairs: Pairs, p: int) -> Pairs:
-    # the frozen values are copied before the zeta plan overwrites them
-    frozen = {src: list(pairs[src]) for src, _ in plan.frozen}
-    for mutation in plan.zeta:
-        _fp_mutate(pairs, mutation, p)
-    out = {ix: pairs[ix] if src is None else frozen[src] for ix, src in plan.layout}
-    n, d = frozen[plan.k_top]
-    if not n:
-        raise SingularPoint("zero right-frozen coordinate at the saltation core")
-    boundary = out[plan.boundary]
-    boundary[0] = boundary[0] * d % p
-    boundary[1] = boundary[1] * n % p
-    return out
+    def mul(self, a: list, b: list) -> list:
+        a[0] = a[0] * b[0] % self.p
+        a[1] = a[1] * b[1] % self.p
+        return a
 
+    def div(self, a: list, b: list) -> list:
+        a[0] = a[0] * b[1] % self.p
+        a[1] = a[1] * b[0] % self.p
+        return a
 
-def _fp_core_inverse(plan: _CorePlan, pairs: Pairs, p: int) -> Pairs:
-    tops = {src: pairs[ix] for src, ix in plan.frozen}
-    kn, kd = tops[plan.k_top]
-    bn, bd = pairs[plan.boundary]
-    gn, gd = bn * kn % p, bd * kd % p
-    # both zeta passes run on copies: the frozen tops and the body slots
-    # may share a list, and the tops return unchanged
-    z = {**{src: list(v) for src, v in tops.items()},
-         **{ix: list(pairs[ix]) for ix in plan.body}, plan.boundary: [gn, gd]}
-    for mutation in plan.zeta_inverse:
-        _fp_mutate(z, mutation, p)
-    x = {**{ix: list(v) for ix, v in z.items()},
-         **{src: list(v) for src, v in tops.items()}, plan.unknown: [1, 1]}
-    for mutation in plan.zeta:
-        _fp_mutate(x, mutation, p)
-    cn, cd = x[plan.boundary]
-    # X = (glued / c)^(+-1), glued / c = (gn cd) / (gd cn)
-    un, ud = gn * cd % p, gd * cn % p
-    if not cn or (plan.exponent < 0 and not un):
-        raise SingularPoint("zero divisor in the inverse saltation core")
-    if plan.exponent < 0:
-        un, ud = ud, un
-    return {**z, **tops, plan.unknown: [un, ud]}
+    one = staticmethod(lambda x: [1, 1])
+    nonzero = operator.itemgetter(0)  # a pair is nonzero with its numerator
 
-
-def _run_fp(program: Sequence[Op], values: Assignment, p: int) -> Assignment:
-    """The F_p interpreter: the program on residue pairs, then every
-    coordinate divided out with one modular inversion of the product of the
-    denominators (Montgomery's trick)."""
-    pairs = {ix: [x.value, 1] for ix, x in values.items()}
-    for op in program:
-        kind = op[0]
-        if kind == "relabel":
-            sigma = op[1]
-            pairs = {sigma.get(ix, ix): v for ix, v in pairs.items()}
-        elif kind == "core":
-            pairs = _fp_core_forward(op[1], pairs, p)
-        elif kind == "core_inverse":
-            pairs = _fp_core_inverse(op[1], pairs, p)
-        else:
-            _fp_mutate(pairs, op, p)
-    entries = list(pairs.items())
-    prefix = []
-    product = 1
-    for _, (_, d) in entries:
-        product = product * d % p
-        prefix.append(product)
-    inv = arith._inverse_mod(product, p)  # 1 / (d_0 ... d_i), i from the last
-    out = [None] * len(entries)
-    for i in range(len(entries) - 1, -1, -1):
-        ix, (n, d) = entries[i]
-        out[i] = (ix, Fp(n * (inv * prefix[i - 1] if i else inv), p))
-        inv = inv * d % p
-    return dict(out)
+    def run(self, program: Sequence[Op], values: Assignment) -> Assignment:
+        """The program on residue pairs, then every coordinate divided out
+        with one modular inversion of the product of the denominators
+        (Montgomery's trick)."""
+        p = self.p
+        pairs = _interpret(self, program, {ix: [x.value, 1] for ix, x in values.items()})
+        entries = list(pairs.items())
+        prefix = []
+        product = 1
+        for _, (_, d) in entries:
+            product = product * d % p
+            prefix.append(product)
+        inv = arith._inverse_mod(product, p)  # 1 / (d_0 ... d_i), i from the last
+        out = [None] * len(entries)
+        for i in range(len(entries) - 1, -1, -1):
+            ix, (n, d) = entries[i]
+            out[i] = (ix, Fp(n * (inv * prefix[i - 1] if i else inv), p))
+            inv = inv * d % p
+        return dict(out)
 
 
 def _fp_prime(values: Assignment) -> Optional[int]:
@@ -664,6 +664,14 @@ def _fp_prime(values: Assignment) -> Optional[int]:
             return None
         p = x.p
     return p
+
+
+def run_program(program: Sequence[Op], values: Assignment) -> Assignment:
+    """A program at a point, on a copy of it: on residue pairs when every
+    coordinate is an Fp of one prime, else on the scalars themselves
+    (rationals, jets, mixed points)."""
+    p = _fp_prime(values) if program else None
+    return (_SCALARS if p is None else _FpPairs(p)).run(program, values)
 
 
 @dataclass(frozen=True)
@@ -685,14 +693,8 @@ class RationalMap:
         return tuple(op for step in self.steps for op in step.ops())
 
     def apply(self, values: Assignment) -> Assignment:
-        """The program at a point: on residue pairs when every coordinate is
-        an Fp of one prime, else on the scalars themselves (rationals, jets,
-        mixed points)."""
-        program = self.program
-        p = _fp_prime(values) if program else None
-        if p is None:
-            return _run_generic(program, values)
-        return _run_fp(program, values, p)
+        """The program at a point (see ``run_program``)."""
+        return run_program(self.program, values)
 
     def __call__(self, values: Assignment) -> Assignment:
         return self.apply(values)

@@ -123,6 +123,16 @@ def test_trial_config_validation():
         TrialConfig(trials=0)
 
 
+def test_strong_pseudoprime_to_the_first_twelve_prime_bases_is_rejected():
+    # the smallest composite that passes Miller-Rabin to the bases 2..37
+    composite = 399165290221 * 798330580441
+    assert composite == 318665857834031151167461
+    assert not is_probable_prime(composite)
+    with pytest.raises(ValueError, match="is not prime"):
+        TrialConfig(prime=composite)
+    assert is_probable_prime(41) and is_probable_prime((1 << 89) - 1)
+
+
 def test_maps_equal_identity_and_counterexample():
     cfg = TrialConfig(trials=10, rng_seed=4)
     ident = lambda p: p

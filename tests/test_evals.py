@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cluster_dual import cartan as weyl
-from cluster_dual import cli, evals, golden, group as grp, maps, seeds, words
+from cluster_dual import arith, cli, evals, golden, group as grp, maps, seeds, words
 from cluster_dual.arith import DEFAULT_PRIME, Fp, jet_point
 from cluster_dual.errors import (InvalidParameter, NotInBigCell, PreconditionFailed,
                                  SingularPoint, UnsupportedForType)
@@ -151,6 +151,24 @@ def test_tau_product_builds_no_zeta_map_per_point(rng, monkeypatch):
     assert maps._zeta_maps.cache_info().misses == 1
 
 
+def test_tau_product_runs_one_inversion_per_program_slice(monkeypatch):
+    """At an F_p point, ``tau_product`` runs the zeta program between two
+    parameter reads as one slice, divided out with one modular inversion.
+    On the word -2,-1,-2 of A2 the first slice is empty and two follow, so
+    one call makes two inversions (four with one per mutation), and the
+    product is the reduction of the one at the rational point."""
+    word = W("-2,-1,-2")
+    point = rational_point(word, A2, random.Random("tau slices"))
+    want = evals.tau_product(word, A2, point)
+    vals = {ix: Fp(x.numerator, DEFAULT_PRIME) / x.denominator for ix, x in point.items()}
+    calls = []
+    real = arith._inverse_mod
+    monkeypatch.setattr(arith, "_inverse_mod", lambda v, p: calls.append(v) or real(v, p))
+    got = evals.tau_product(word, A2, vals)
+    assert len(calls) == 2
+    assert got == want
+
+
 def test_dckp_examples(rng):
     word = W("1,1")
     ctx = evals.make_context(word, A1)
@@ -181,6 +199,25 @@ def test_check_identity_reports():
                 evals.IdentityCheck("BRAID", "A2", level="sede")):
         with pytest.raises(ValueError):
             evals.check_identity(bad)
+
+
+@pytest.mark.parametrize("check", [
+    evals.IdentityCheck("BRAID", "A2", trials=3, prime=91),
+    evals.IdentityCheck("PHI_REL", "A1", trials=3, prime=91),
+    evals.IdentityCheck("PHI_REL", "A1", prime=318665857834031151167461),
+    evals.IdentityCheck("BRAID", "A2", trials=0),
+])
+def test_check_identity_refuses_its_trial_config_before_any_trial(monkeypatch, check):
+    """A composite modulus (91 = 7 * 13, or a strong pseudoprime to the
+    bases 2..37) or a trial count below 1 is a ValueError before the first
+    trial, not a DivisionByZero or a pass computed in a ring with zero
+    divisors."""
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(evals, "_trials", no_trials)
+    with pytest.raises(ValueError):
+        evals.check_identity(check)
 
 
 def test_seed_level_shadow_check():

@@ -699,8 +699,8 @@ def test_saltation_core_runs_its_plan_without_word_work(rng, monkeypatch):
         monkeypatch.setattr(owner, name, word_work)
     assert back.apply(xi.apply(points[1])) == points[1]
     calls = []
-    real = maps._apply_mutation
-    monkeypatch.setattr(maps, "_apply_mutation",
+    real = maps._SCALARS.mutate
+    monkeypatch.setattr(maps._SCALARS, "mutate",
                         lambda *args: calls.append(args) or real(*args))
     core.apply(core_point)
     plan = maps._core_plan(A2, core.word_after)
@@ -766,7 +766,7 @@ def test_one_modular_inversion_per_mutation(monkeypatch):
                       (((1, 0), -1),), ()):
         for kind in ("tropical", "regular"):
             calls.clear()
-            got = maps._run_fp(((kind, (1, 1), exponents),), vals, DEFAULT_PRIME)
+            got = maps._FpPairs(DEFAULT_PRIME).run(((kind, (1, 1), exponents),), vals)
             assert len(calls) == 1, (kind, exponents)
             assert got == maps._apply_mutation(vals, (kind, (1, 1), exponents))
 
@@ -841,7 +841,7 @@ def test_core_steps_raise_singular_point_at_a_zero_divisor(prime):
     """The forward core divides by the moved wire's frozen value; the inverse
     core by the starred block top its zeta pass reads off and, at exponent
     -1, by the glued value, which holds the moved wire's frozen value as a
-    factor.  A zero there is a singular point in both interpreters.  The
+    factor.  A zero there is a singular point in both arithmetics.  The
     plans run without their zeta mutations here, whose own zero checks come
     first at a whole saltation."""
     core = next(step for step in maps.xi_saltation(W("-1,1,2,1"), A2).steps
@@ -855,12 +855,11 @@ def test_core_steps_raise_singular_point_at_a_zero_divisor(prime):
     for kind, plan, word, zero, message in cases:
         values = maps.random_assignment(word, A2, random.Random(kind), prime)
         values[zero] = values[zero] * 0
-        generic = maps._core_forward if kind == "core" else maps._core_inverse
         with pytest.raises(SingularPoint, match=message):
-            generic(plan, values)
+            maps._SCALARS.run(((kind, plan),), values)
         if prime is not None:
             with pytest.raises(SingularPoint, match=message):
-                maps._run_fp(((kind, plan),), values, prime)
+                maps._FpPairs(prime).run(((kind, plan),), values)
 
 
 @pytest.mark.parametrize("prime", [None, DEFAULT_PRIME])
