@@ -35,6 +35,27 @@ def test_matrix_reports_pinned():
     assert digest == MATRIX_REPORTS_SHA256
 
 
+# sha256 of the `verify --all` payloads for A1 and A2 at the default prime
+# 2^61 - 1, 3 trials, rng seed 0, with every elapsed_ms removed.
+DEFAULT_PRIME_REPORTS_SHA256 = "56244a86e4c53ce5c2c28d7df6142675be5feb23f62f80b9a831d6678502c9fd"
+
+
+def test_verify_all_reports_pinned_at_the_default_prime(tmp_path, capsys):
+    payload = []
+    for label in ("A1", "A2"):
+        out = tmp_path / f"{label}.json"
+        code = cli.main(["verify", "--all", "--type", label, "--trials", "3",
+                         "--rng-seed", "0", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        data = json.loads(out.read_text())
+        for report in data["reports"]:
+            del report["elapsed_ms"]
+        payload.append(data)
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == DEFAULT_PRIME_REPORTS_SHA256
+
+
 def test_report_records_confirmed_failure():
     runner = evals._CheckRunner(evals.IdentityCheck("PHI_REL", "A1", trials=2, prime=97))
     runner.run_pointwise(W("1"),
