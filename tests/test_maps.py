@@ -18,6 +18,7 @@ from conftest import W, rational_point
 
 A1 = weyl.build_cartan("A1")
 A2 = weyl.build_cartan("A2")
+B2 = weyl.build_cartan("B2")
 
 
 def test_mutate_point_formula_and_involution(rng):
@@ -329,15 +330,16 @@ def test_warm_artin_rebuild_asks_no_class_question(monkeypatch):
 def test_artin_word_agrees_with_per_letter_composite():
     """A composite of Artin generators equals the product of the single
     generators, built here from ``artin_T`` and ``.then``, exactly at
-    rational and prime-field points.  On A2 a composite of two letters or
-    more runs fewer steps than that product.
+    rational and prime-field points.  On A2 and B2 a composite of two letters
+    or more runs fewer steps than that product.
 
-    B2 is left out: there ``mu_hat`` still depends on the move path (7 of 20
-    triangles of D(w0) words disagree), so a composite that takes a
-    different path between two base words need not agree with the
-    per-letter one."""
+    On B2 the composite and the product take different move paths between
+    base words, so they agree only where the transports do not depend on
+    the path: with tropical exponents and brackets that carry the
+    symmetrizers (eps_ij / d_j)."""
     cases = [(A2, W("1,2,1,1,2,1"), letters)
              for letters in ((1, 2, 1), (2, 1, 2), (1, 2), (2, 2), (1,))]
+    cases += [(B2, W("1,2,1,2,1,2,1,2"), letters) for letters in ((1, 2, 1, 2), (2, 1))]
     cases.append((A1, W("1,1"), (1, 1)))
     rng = random.Random("artin-word")
     step_counts = []
@@ -348,7 +350,9 @@ def test_artin_word_agrees_with_per_letter_composite():
             reference = reference.then(maps.artin_T(word, j, cdata))
         assert fused.source_word == fused.target_word == word
         compared = 0
-        for prime in (None, DEFAULT_PRIME) * 4:
+        # a prime-field point first: a wrong map fails there before its
+        # rational values grow
+        for prime in (DEFAULT_PRIME, None) * 4:
             vals = maps.random_assignment(word, cdata, rng, prime)
             try:
                 want = reference.apply(vals)
@@ -362,7 +366,7 @@ def test_artin_word_agrees_with_per_letter_composite():
     for cdata, letters, fused_steps, reference_steps in step_counts:
         if len(letters) == 1:
             assert fused_steps == reference_steps, letters
-        elif cdata is A2:
+        elif cdata is not A1:
             assert fused_steps < reference_steps, letters
         else:
             # on A1 the word 1,1 is the flipped base word: no detour to cut
@@ -379,6 +383,18 @@ def test_braid_relation_probabilistic():
     assert maps_equal_probabilistic(
         lambda p: lhs.apply_tuple(p), lambda p: rhs.apply_tuple(p),
         len(ixs), cfg).is_equal
+
+
+def test_b2_braid_composites_agree_as_maps():
+    """T1T2T1T2 = T2T1T2T1 on B2, where the symmetrizers differ: the two
+    composites agree as maps at prime-field points."""
+    word = W("1,2,1,2,1,2,1,2")
+    lhs = maps.artin_T_word(word, (1, 2, 1, 2), B2)
+    rhs = maps.artin_T_word(word, (2, 1, 2, 1), B2)
+    rng = random.Random("b2 braid")
+    for _ in range(5):
+        vals = maps.random_assignment(word, B2, rng, DEFAULT_PRIME)
+        assert lhs.apply(vals) == rhs.apply(vals)
 
 
 def test_poisson_bracket_at_defining_cases(rng):
@@ -519,6 +535,14 @@ def test_artin_generator_is_poisson():
     assert maps.is_poisson_map(t1, cfg).is_equal
     mu = maps.mu_hat(W("-1,1"), W("1,1"), A1, weyl.longest_element(A1))
     assert maps.is_poisson_map(mu, cfg).is_equal
+
+
+@pytest.mark.parametrize("text, j", [("-1,-2,-1,-2,1,2,1,2", 1), ("2,1,2,1,2,1,2,1", 1)])
+def test_b2_artin_generators_are_poisson(text, j):
+    """Each B2 Artin generator is a Poisson automorphism of its bracket
+    torus."""
+    cfg = TrialConfig(trials=3, rng_seed=6)
+    assert maps.is_poisson_map(maps.artin_T(W(text), j, B2), cfg).is_equal
 
 
 # ---------------------------------------------------------------------------
