@@ -98,9 +98,11 @@ def _regular_mutation(seed: Seed, k: SeedIndex,
 
 def _tropical_mutation(seed: Seed, k: SeedIndex, positive_letter: bool) -> Mutation:
     """Lower a tropical mutation at the frozen k: its cover mates m pick up
-    x_k^{-b_km} when the flip side matches the letter sign and x_k^{+b_km}
-    otherwise, the orientation that makes the map Poisson between the seed
-    and the flipped word's seed (the two chiralities are mutually inverse)."""
+    x_k^{-e} when the flip side matches the letter sign and x_k^{+e}
+    otherwise, with e = b_km d_k / d_m, the orientation and exponent that
+    make the map Poisson between the seed and the flipped word's seed (the
+    two chiralities are mutually inverse).  A fractional e raises
+    InvariantViolation."""
     if k not in seed.frozen:
         raise FrozenStructureViolation(f"{k} is not frozen")
     sign = -1 if seedmod.flip_orientation(seed, k, positive_letter) else 1
@@ -108,9 +110,11 @@ def _tropical_mutation(seed: Seed, k: SeedIndex, positive_letter: bool) -> Mutat
     exponents = []
     for ix in seed.indices:
         if ix in mates and ix != k:
-            e = sign * seed.b_entry(k, ix)
+            e = Fraction(sign * seed.b_entry(k, ix) * seed.d(k), seed.d(ix))
+            if e.denominator != 1:
+                raise InvariantViolation(f"tropical exponent {e} at {k}, {ix} is not integral")
             if e:
-                exponents.append((ix, e))
+                exponents.append((ix, int(e)))
     return ("tropical", k, tuple(exponents))
 
 

@@ -7,8 +7,9 @@ the type and the counts: the index set I = {(j, k) : 0 <= k <= N^j}; the
 two-set cover of the frozen subset I0 (left boundary slots (j, 0), right
 boundary slots (j, N^j)) that drives tropical mutations, each of which is
 told the sign of the letter it flips; and the positive multipliers
-d_(j,k) = d_j of the symmetrized Cartan matrix, which make
-epsilon_hat_ij = d_i epsilon_ij skew-symmetric.
+d_(j,k) = d_j of the symmetrized Cartan matrix.  The bracket matrix is
+epsilon_hat_ij = epsilon_ij / d_j, the form a regular X-mutation keeps
+(Fock-Goncharov, math/0311245, section 1); it is skew-symmetric.
 
 The elementary seed of a single letter is populated from the two entry
 families
@@ -79,10 +80,8 @@ class Seed:
         return self.epsilon.get((i, j), Fraction(0))
 
     def eps_hat(self, i: SeedIndex, j: SeedIndex) -> Fraction:
-        # d_i * eps_ij; the multiplier sits on the row index, matching the
-        # symmetrized Cartan matrix convention (and forcing integral exchange
-        # entries off the frozen square, which the right multiplier does not)
-        return self.d(i) * self.eps(i, j)
+        # eps_ij / d_j, the form a regular X-mutation keeps (Fock-Goncharov)
+        return self.eps(i, j) / self.d(j)
 
     def cover_sets_of(self, k: SeedIndex) -> frozenset[SeedIndex]:
         """I0(k): union of the cover sets containing k."""

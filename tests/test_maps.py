@@ -537,7 +537,8 @@ def test_artin_generator_is_poisson():
     assert maps.is_poisson_map(mu, cfg).is_equal
 
 
-@pytest.mark.parametrize("text, j", [("-1,-2,-1,-2,1,2,1,2", 1), ("2,1,2,1,2,1,2,1", 1)])
+@pytest.mark.parametrize("text, j", [("-1,-2,-1,-2,1,2,1,2", 1), ("2,1,2,1,2,1,2,1", 1),
+                                     ("-1,-2,-1,-2,1,2,1,2", 2), ("2,1,2,1,2,1,2,1", 2)])
 def test_b2_artin_generators_are_poisson(text, j):
     """Each B2 Artin generator is a Poisson automorphism of its bracket
     torus."""

@@ -24,9 +24,9 @@ SALTATION_SHA256 = {
     "A3":
         "216b06033b28d60a3f74b6d66cd158df45680cd6eb56560ad24fa3b44d63e54e",
     "B2":
-        "c3032860dc34d552b72d091fccab71128f5b45876e934d58e0c8aae57d5a1077",
+        "37cb664178689d7f762d5215646640a0f6b071589b4bfe9b4c6d8dcbe018e813",
     "G2":
-        "37d173893d8471caf5adfc67daa0c949de98c24fb73eb1ec4eb571c74719937c",
+        "618da17b0bbefc1d426c5430dce85b2cd0bff409aa627aaccd0077e2e0f63911",
 }
 
 
