@@ -799,7 +799,7 @@ def _phi_rel(runner: _CheckRunner) -> None:
     def lhs2(vals):
         x = vals[(1, 0)]
         like = x
-        return grp.s_hat(rank, 1, like).inverse() * grp.x_neg(rank, 1, x)
+        return grp.s_hat(rank, 1, like).transpose() * grp.x_neg(rank, 1, x)
 
     def rhs2(vals):
         x = vals[(1, 0)]

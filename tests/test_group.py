@@ -222,6 +222,25 @@ def test_theta_is_the_signed_inverse_transpose(g):
 
 
 @_SETTINGS
+@given(st.sampled_from([F, lambda x: Fp(x, _P)]), st.integers(2, 4), st.data())
+def test_gauss_g0_matches_the_dense_inverse_over_q_and_f97(scalar, n, data):
+    """gauss_g0 reads n_minus off the Gauss decomposition of g reversed; the
+    dense formula is the lower factor of g^{-1}.  Half the draws repeat a
+    row, and at a singular g both raise a SingularPoint."""
+    rows = [[scalar(data.draw(st.integers(-3, 3))) for _ in range(n)] for _ in range(n)]
+    if data.draw(st.booleans()):
+        rows[-1] = rows[0]
+    g = GroupMatrix(rows)
+    try:
+        want = GroupMatrix(grp._eliminate(g.inverse())[0])
+    except SingularPoint:
+        with pytest.raises(SingularPoint):
+            grp.gauss_g0(g)
+        return
+    assert grp.gauss_g0(g) == want
+
+
+@_SETTINGS
 @given(_square(), st.data())
 def test_gauss_g0_and_dckp_match_their_dense_formulas(g, data):
     try:
