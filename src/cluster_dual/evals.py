@@ -312,15 +312,57 @@ class IdentityCheck:
     level: str = "matrix"  # "matrix" | "seed" (BRAID only)
 
 
-CHECK_NAMES = (
-    "FG_MUTATION", "TWIST", "TROP_GEOM", "TAU_EQUIV", "SALTATION", "MU_HAT",
-    "W0_CONJ", "TAU_PRODUCT", "T_LEMMA", "TORMUT", "DCKP_CLUSTER", "BRAID",
-    "PGL2_TABLE", "SITROP", "PHI_REL", "EVHAT_POISSON",
-)
+def _parse(entry):
+    """A word, or a (source, target) pair of words, from its text."""
+    if isinstance(entry, str):
+        return DoubleWord.from_string(entry)
+    return tuple(map(DoubleWord.from_string, entry))
 
-# desk-scale instance sets exist for these types; the matrix layer itself
-# works for any type-A rank
-MATRIX_TYPES = ("A1", "A2")
+
+# The desk instances of the matrix-level checks: per type and per check, the
+# words or (source, target) pairs it runs on, parsed once.  This is the one
+# place that says which types and checks have them; the matrix layer itself
+# works for any type-A rank.
+_INSTANCES = {label: {name: tuple(map(_parse, entries)) for name, entries in checks.items()}
+              for label, checks in {
+    "A1": {
+        "FG_MUTATION": [("1,-1", "-1,1"), ("-1,1", "1,-1")],
+        "TWIST": ["1"],
+        "TROP_GEOM": ["1", "-1,1"],
+        "TAU_EQUIV": [("-1,1", "-1,-1"), ("1,1", "1,-1")],
+        "SALTATION": ["-1,1"],
+        "MU_HAT": [("-1,1", "1,1"), ("1,1", "1,-1")],
+        "W0_CONJ": ["1", "-1,1", "1,1"],
+        "TAU_PRODUCT": ["1,1"],
+        "T_LEMMA": ["1,1"],
+        "TORMUT": [("1", "1")],
+        "DCKP_CLUSTER": ["1,1"],
+        "BRAID": ["1,1"],
+        "PGL2_TABLE": ["-1,1", "1,1"],
+        "SITROP": ["-1", "-1,1"],
+        "PHI_REL": ["1"],
+        "EVHAT_POISSON": ["-1,1", "1,1", "1"],
+    },
+    "A2": {
+        "FG_MUTATION": [("1,2,1", "2,1,2"), ("1,-2,1", "1,1,-2"), ("-1,2", "2,-1")],
+        "TWIST": ["1", "1,2", "1,2,1"],
+        "TROP_GEOM": ["1,2", "-1,2,1"],
+        "TAU_EQUIV": [("-1,-2,-1,1,2,1", "-1,-2,1,-1,2,1"),
+                      ("1,2,1,1,2,1", "1,2,1,1,2,-1")],
+        "SALTATION": ["-1,1,2,1", "-2,2,1,2"],
+        "MU_HAT": [("-1,-2,-1,1,2,1", "-1,-2,1,2,-1,1"), ("-1,1,2,1", "1,-1,2,1")],
+        "W0_CONJ": ["1,2", "-1,2,1", "1,2,1"],
+        "TAU_PRODUCT": ["1,2,1,1,2,1"],
+        "T_LEMMA": ["1,2,1,1,2,1"],
+        "TORMUT": [("1,2,1", "2,1,2")],
+        "DCKP_CLUSTER": ["1,2,1,1,2,1"],
+        "BRAID": ["1,2,1,1,2,1"],
+        "SITROP": ["-1,2", "-2,1,2"],
+        "PHI_REL": ["1"],
+    },
+}.items()}
+
+MATRIX_TYPES = tuple(_INSTANCES)
 
 
 def _record_text(value, render: Callable = repr) -> str:
@@ -353,6 +395,15 @@ class _CheckRunner:
         self.report = Report(check.name, check.cartan_type, [], check.prime,
                              check.trials)
 
+    @property
+    def instances(self) -> tuple:
+        """The check's desk instances on its type (``_INSTANCES``)."""
+        found = _INSTANCES.get(self.check.cartan_type, {}).get(self.check.name)
+        if found is None:
+            raise UnsupportedForType(
+                f"{self.check.name} has no desk instances for {self.check.cartan_type}")
+        return found
+
     def run_pointwise(self, word: DoubleWord, lhs: Callable, rhs: Callable,
                       equal: Optional[Callable] = None) -> None:
         """Compare lhs and rhs at random points of the word's torus with
@@ -378,8 +429,26 @@ class _CheckRunner:
                     "detail": "retry budget exhausted (degenerate domain)"})
 
 
+def _same_values(runner: _CheckRunner, word: DoubleWord, lhs: Callable, rhs: Callable) -> None:
+    """lhs and rhs agree value for value at random points of the word's torus."""
+    runner.run_pointwise(word, lhs, rhs, equal=_values_equal)
+
+
+def _round_trip(runner: _CheckRunner, word: DoubleWord, m: RationalMap) -> None:
+    """m followed by its inverse is the identity."""
+    inv = m.inverse()
+    _same_values(runner, word, lambda vals: inv.apply(m.apply(vals)), lambda vals: vals)
+
+
+def _ev_hat_intertwines(runner: _CheckRunner, ctx_s: EvalContext, ctx_t: EvalContext,
+                        m: RationalMap) -> None:
+    """ev_hat on the source equals ev_hat on the target after m."""
+    runner.run_pointwise(ctx_s.word, lambda vals: ev_hat(ctx_s, vals),
+                         lambda vals: ev_hat(ctx_t, m.apply(vals)))
+
+
 def check_identity(check: IdentityCheck) -> Report:
-    if check.name not in CHECK_NAMES:
+    if check.name not in _CHECK_IMPLS:
         raise ValueError(f"unknown identity {check.name!r}")
     if check.level not in ("matrix", "seed"):
         raise ValueError(f"unknown level {check.level!r} (matrix or seed)")
@@ -392,7 +461,7 @@ def check_identity(check: IdentityCheck) -> Report:
             raise UnsupportedForType(f"{check.name} has no seed-level shadow (only BRAID has one)")
         _seed_shadow(runner)
     else:
-        if check.cartan_type not in MATRIX_TYPES:
+        if check.cartan_type not in _INSTANCES:
             hint = "; use --level seed for rank-2 shadows" if runner.cdata.rank == 2 else ""
             raise UnsupportedForType(
                 f"no matrix-level desk instances for {check.cartan_type} "
@@ -438,48 +507,9 @@ def _seed_shadow(runner: _CheckRunner) -> None:
                 "detail": "seed transport mismatch"})
 
 
-def _instance_words(cdata: CartanData) -> dict:
-    """Desk-scale word instances per type."""
-    if cdata.rank == 1:
-        return {
-            "fg_pairs": [("1,-1", "-1,1"), ("-1,1", "1,-1")],
-            "twist": ["1"],
-            "trop": ["1", "-1,1"],
-            "tau_equiv": [("-1,1", "-1,-1"), ("1,1", "1,-1")],
-            "saltation": ["-1,1"],
-            "mu_hat": [("-1,1", "1,1"), ("1,1", "1,-1")],
-            "w0": ["1", "-1,1", "1,1"],
-            "tau_prod": ["1,1"],
-            "dckp": ["1,1"],
-            "sitrop": ["-1", "-1,1"],
-            "braid_word": "1,1",
-            "ev_words": ["1", "1,1", "-1,1"],
-        }
-    if cdata.type_label == "A2":
-        return {
-            "fg_pairs": [("1,2,1", "2,1,2"), ("1,-2,1", "1,1,-2"),
-                         ("-1,2", "2,-1")],
-            "twist": ["1", "1,2", "1,2,1"],
-            "trop": ["1,2", "-1,2,1"],
-            "tau_equiv": [("-1,-2,-1,1,2,1", "-1,-2,1,-1,2,1"),
-                          ("1,2,1,1,2,1", "1,2,1,1,2,-1")],
-            "saltation": ["-1,1,2,1", "-2,2,1,2"],
-            "mu_hat": [("-1,-2,-1,1,2,1", "-1,-2,1,2,-1,1"),
-                       ("-1,1,2,1", "1,-1,2,1")],
-            "w0": ["1,2", "-1,2,1", "1,2,1"],
-            "tau_prod": ["1,2,1,1,2,1"],
-            "dckp": ["1,2,1,1,2,1"],
-            "sitrop": ["-1,2", "-2,1,2"],
-            "braid_word": "1,2,1,1,2,1",
-            "ev_words": ["1,2", "1,2,1", "-1,2,1"],
-        }
-    return {"braid_word": None}
-
-
 def _fg_mutation(runner: _CheckRunner) -> None:
     cdata = runner.cdata
-    for a, b in _instance_words(cdata)["fg_pairs"]:
-        src, tgt = DoubleWord.from_string(a), DoubleWord.from_string(b)
+    for src, tgt in runner.instances:
         mu = mapmod.path_transform(src, tgt, cdata, wordmod.D_KINDS)
         runner.run_pointwise(
             src,
@@ -489,8 +519,7 @@ def _fg_mutation(runner: _CheckRunner) -> None:
 
 def _twist(runner: _CheckRunner) -> None:
     cdata = runner.cdata
-    for s in _instance_words(cdata)["twist"]:
-        w = DoubleWord.from_string(s)
+    for w in runner.instances:
         zeta = mapmod.zeta_map(w, cdata)
         v = weyl.from_word(cdata, w.positive_subword)
         # the descending projection pairs with the representative of v^{-1},
@@ -515,8 +544,7 @@ def _twist(runner: _CheckRunner) -> None:
 
 def _trop_geom(runner: _CheckRunner) -> None:
     cdata = runner.cdata
-    for s in _instance_words(cdata)["trop"]:
-        w = DoubleWord.from_string(s)
+    for w in runner.instances:
         # right flip: descending projections against representatives of the
         # inverted elements
         trop_r = mapmod.dmove_transform(w, wordmod.Move("tau_right", len(w) - 1), cdata)
@@ -545,43 +573,29 @@ def _trop_geom(runner: _CheckRunner) -> None:
 
 def _tau_equiv(runner: _CheckRunner) -> None:
     cdata = runner.cdata
-    for a, b in _instance_words(cdata)["tau_equiv"]:
-        src, tgt = DoubleWord.from_string(a), DoubleWord.from_string(b)
+    for src, tgt in runner.instances:
         ctx_s = make_context(src, cdata)
         ctx_t = make_context(tgt, cdata, v=ctx_s.v, w1=ctx_s.w1)
         mu = mapmod.path_transform(src, tgt, cdata,
                                    ("positive_d", "negative_d", "mixed2", "tau_right"),
                                    restricted=True)
-        runner.run_pointwise(
-            src,
-            lambda vals, c=ctx_s: ev_hat(c, vals),
-            lambda vals, c=ctx_t, mu=mu: ev_hat(c, mu.apply(vals)))
+        _ev_hat_intertwines(runner, ctx_s, ctx_t, mu)
 
 
 def _saltation(runner: _CheckRunner) -> None:
     cdata = runner.cdata
-    for s in _instance_words(cdata)["saltation"]:
-        w = DoubleWord.from_string(s)
+    for w in runner.instances:
         xi = mapmod.xi_saltation(w, cdata)
-        ctx_s = make_context(w, cdata)
-        ctx_t = make_context(xi.target_word, cdata)
-        runner.run_pointwise(
-            w,
-            lambda vals, c=ctx_s: ev_hat(c, vals),
-            lambda vals, c=ctx_t, xi=xi: ev_hat(c, xi.apply(vals)))
+        _ev_hat_intertwines(runner, make_context(w, cdata),
+                            make_context(xi.target_word, cdata), xi)
 
 
 def _mu_hat_check(runner: _CheckRunner) -> None:
     cdata = runner.cdata
-    for a, b in _instance_words(cdata)["mu_hat"]:
-        src, tgt = DoubleWord.from_string(a), DoubleWord.from_string(b)
+    for src, tgt in runner.instances:
         ctx_s = make_context(src, cdata)
         mu = mapmod.mu_hat(src, tgt, cdata, ctx_s.v)
-        ctx_t = make_context(tgt, cdata, v=ctx_s.v)
-        runner.run_pointwise(
-            src,
-            lambda vals, c=ctx_s: ev_hat(c, vals),
-            lambda vals, c=ctx_t, mu=mu: ev_hat(c, mu.apply(vals)))
+        _ev_hat_intertwines(runner, ctx_s, make_context(tgt, cdata, v=ctx_s.v), mu)
 
 
 def _w0_conj(runner: _CheckRunner) -> None:
@@ -592,35 +606,26 @@ def _w0_conj(runner: _CheckRunner) -> None:
         w0rep = grp.weyl_representative(w0, vals[(1, 0)])
         return w0rep * ev(w, cdata, vals) * w0rep.transpose()
 
-    for s in _instance_words(cdata)["w0"]:
-        w = DoubleWord.from_string(s)
-        runner.run_pointwise(
-            w,
-            lambda vals, w=w: conjugated(vals, w),
-            lambda vals, w=w: ev(*_star_eval_args(w, cdata, vals)))
+    def starred(vals, w):
+        target, moved = star_transport(w, cdata, vals)
+        return ev(target, cdata, moved)
 
-
-def _star_eval_args(w, cdata, vals):
-    tw, tv = star_transport(w, cdata, vals)
-    return tw, cdata, tv
+    for w in runner.instances:
+        runner.run_pointwise(w, lambda vals, w=w: conjugated(vals, w),
+                             lambda vals, w=w: starred(vals, w))
 
 
 def _tau_product_check(runner: _CheckRunner) -> None:
     cdata = runner.cdata
-    for s in _instance_words(cdata)["tau_prod"]:
-        w = DoubleWord.from_string(s)
-        cut = len(w) // 2
+    for w in runner.instances:
         ctx = make_context(w, cdata)
 
-        def lhs(vals, ctx=ctx):
-            return grp.gauss_g0(ev_hat(ctx, vals))
-
-        def rhs(vals, w=w, cut=cut):
-            (lw, lv), _ = mapmod.split_point(w, vals, cut, cdata.rank)
+        def rhs(vals, w=w):
+            (lw, lv), _ = mapmod.split_point(w, vals, len(w) // 2, cdata.rank)
             sw, sv = star_transport(lw, cdata, lv)
             return tau_product(sw, cdata, sv)
 
-        runner.run_pointwise(w, lhs, rhs, equal=_values_equal)
+        _same_values(runner, w, lambda vals, ctx=ctx: grp.gauss_g0(ev_hat(ctx, vals)), rhs)
 
 
 def _t_lemma(runner: _CheckRunner) -> None:
@@ -631,14 +636,10 @@ def _t_lemma(runner: _CheckRunner) -> None:
     realizations are conjugate by a transport between the bases, which the
     twisted evaluations intertwine)."""
     cdata = runner.cdata
-    inst = _instance_words(cdata)
-    word = DoubleWord.from_string(inst["braid_word"])
+    word, = runner.instances
     j = abs(word.letters[0])
     single = mapmod.artin_T(word, j, cdata)
-    inv = single.inverse()
-    runner.run_pointwise(word,
-                         lambda vals, a=single, b=inv: b.apply(a.apply(vals)),
-                         lambda vals: vals, equal=_values_equal)
+    _round_trip(runner, word, single)
     if cdata.rank >= 2:
         w0 = weyl.longest_element(cdata)
         alt_rest = next(rw for rw in weyl.reduced_words(w0) if rw != w0.reduced_word())
@@ -646,85 +647,51 @@ def _t_lemma(runner: _CheckRunner) -> None:
             mapmod._artin_base_word(cdata, j, tuple(range(1, cdata.rank + 1)))
             .letters[:w0.length()] + alt_rest)
         other = mapmod.artin_T(word, j, cdata, base=alt_base)
-        runner.run_pointwise(word,
-                             lambda vals, m=single: m.apply(vals),
-                             lambda vals, m=other: m.apply(vals),
-                             equal=_values_equal)
+        _same_values(runner, word, single.apply, other.apply)
 
 
 def _tormut(runner: _CheckRunner) -> None:
     cdata = runner.cdata
-    if cdata.rank == 1:
-        pairs = [("1", "1")]
-    else:
-        pairs = [("1,2,1", "2,1,2")]
-    for a, b in pairs:
-        src, tgt = DoubleWord.from_string(a), DoubleWord.from_string(b)
+    for src, tgt in runner.instances:
         zs = mapmod.zeta_map(src, cdata)
         zt = mapmod.zeta_map(tgt, cdata)
-        if src == tgt:
-            runner.run_pointwise(src,
-                                 lambda vals, z=zs: z.apply(vals),
-                                 lambda vals, z=zt: z.apply(vals),
-                                 equal=_values_equal)
-            continue
         mu = mapmod.path_transform(src, tgt, cdata, wordmod.D_KINDS)
         mu_sq = mapmod.path_transform(zs.target_word, zt.target_word, cdata,
                                       wordmod.D_KINDS)
-        runner.run_pointwise(
-            src,
-            lambda vals, z=zs, m=mu_sq: m.apply(z.apply(vals)),
-            lambda vals, z=zt, m=mu: z.apply(m.apply(vals)),
-            equal=_values_equal)
+        _same_values(runner, src, lambda vals, z=zs, m=mu_sq: m.apply(z.apply(vals)),
+                     lambda vals, z=zt, m=mu: z.apply(m.apply(vals)))
 
 
 def _dckp_cluster(runner: _CheckRunner) -> None:
     cdata = runner.cdata
-    for s in _instance_words(cdata)["dckp"]:
-        w = DoubleWord.from_string(s)
+    for w in runner.instances:
         j = abs(w.letters[0])
         ctx = make_context(w, cdata)
-        flipped = wordmod.l_move(w)
-        ctx_flip = make_context(flipped, cdata)
+        ctx_flip = make_context(wordmod.l_move(w), cdata)
         trop = mapmod.dmove_transform(w, wordmod.Move("tau_left", 0), cdata)
         tmap = mapmod.artin_T(w, j, cdata)
-        # factorization form
-        runner.run_pointwise(
-            w,
-            lambda vals, c=ctx, j=j: grp.dckp_T(ev_hat(c, vals), j),
-            lambda vals, c=ctx_flip, t=trop: ev_hat(c, t.apply(vals)))
-        # transport form
-        runner.run_pointwise(
-            w,
-            lambda vals, c=ctx, j=j: grp.dckp_T(ev_hat(c, vals), j),
-            lambda vals, c=ctx, t=tmap: ev_hat(c, t.apply(vals)))
+        # factorization form, then transport form
+        for c, t in ((ctx_flip, trop), (ctx, tmap)):
+            runner.run_pointwise(
+                w,
+                lambda vals, ctx=ctx, j=j: grp.dckp_T(ev_hat(ctx, vals), j),
+                lambda vals, c=c, t=t: ev_hat(c, t.apply(vals)))
 
 
 def _braid(runner: _CheckRunner) -> None:
     cdata = runner.cdata
-    inst = _instance_words(cdata)
+    w, = runner.instances
     if cdata.rank == 1:
         # one generator: braid relations are vacuous; check it is invertible
-        w = DoubleWord.from_string(inst["braid_word"])
-        t = mapmod.artin_T(w, 1, cdata)
-        tinv = t.inverse()
-        runner.run_pointwise(w,
-                             lambda vals, a=t, b=tinv: b.apply(a.apply(vals)),
-                             lambda vals: vals, equal=_values_equal)
+        _round_trip(runner, w, mapmod.artin_T(w, 1, cdata))
         return
-    w = DoubleWord.from_string(inst["braid_word"])
     m = cdata.m_order(1, 2)
-    seq_a = [1 if t % 2 == 0 else 2 for t in range(m)]
-    seq_b = [2 if t % 2 == 0 else 1 for t in range(m)]
-    lhs = mapmod.artin_T_word(w, seq_a, cdata)
-    rhs = mapmod.artin_T_word(w, seq_b, cdata)
-    runner.run_pointwise(w,
-                         lambda vals, m=lhs: m.apply(vals),
-                         lambda vals, m=rhs: m.apply(vals),
-                         equal=_values_equal)
+    lhs = mapmod.artin_T_word(w, [1 if t % 2 == 0 else 2 for t in range(m)], cdata)
+    rhs = mapmod.artin_T_word(w, [2 if t % 2 == 0 else 1 for t in range(m)], cdata)
+    _same_values(runner, w, lhs.apply, rhs.apply)
 
 
-def _ev_hat_brackets(runner: _CheckRunner, words: tuple[str, ...]) -> None:
+def _ev_hat_brackets(runner: _CheckRunner) -> None:
     """The six dual-structure brackets of the 2x2 entries of ev_hat, pulled
     back from the bracket seed of each rank-one word, against the golden
     table; one jet ev_hat per point gives all of them."""
@@ -732,8 +699,7 @@ def _ev_hat_brackets(runner: _CheckRunner, words: tuple[str, ...]) -> None:
     if runner.check.cartan_type != "A1":
         raise UnsupportedForType(f"{runner.check.name} runs on the rank-one data")
     cdata = runner.cdata
-    for s in words:
-        w = DoubleWord.from_string(s)
+    for w in runner.instances:
         ctx = make_context(w, cdata)
         eta = bracket_seed(seed_for_word(w, cdata))
 
@@ -747,14 +713,13 @@ def _ev_hat_brackets(runner: _CheckRunner, words: tuple[str, ...]) -> None:
             g = ev_hat(ctx, vals)
             return tuple(expect(g) for _, _, expect in bracket_table_entries())
 
-        runner.run_pointwise(w, lhs, rhs, equal=_values_equal)
+        _same_values(runner, w, lhs, rhs)
 
 
 def _sitrop(runner: _CheckRunner) -> None:
     cdata = runner.cdata
     rank = cdata.rank
-    for s in _instance_words(cdata)["sitrop"]:
-        w = DoubleWord.from_string(s)
+    for w in runner.instances:
         j = abs(w.letters[0])
         trop = mapmod.dmove_transform(w, wordmod.Move("tau_left", 0), cdata)
 
@@ -771,43 +736,33 @@ def _sitrop(runner: _CheckRunner) -> None:
 
 
 def _phi_rel(runner: _CheckRunner) -> None:
-    cdata = runner.cdata
-    rank = cdata.rank
-    w = DoubleWord(tuple([1] * 1))
+    rank = runner.cdata.rank
+    w, = runner.instances
 
     def lhs(vals):
         x = vals[(1, 0)]
-        out = []
-        for i in range(1, rank + 1):
-            out.append(grp.h_gen(rank, i, x) * grp.e_gen(rank, i, x)
-                       * grp.h_gen(rank, i, 1 / x))
-            out.append(grp.h_gen(rank, i, 1 / x) * grp.f_gen(rank, i, x)
-                       * grp.h_gen(rank, i, x))
-        return tuple(out)
+        return tuple(m for i in range(1, rank + 1) for m in (
+            grp.h_gen(rank, i, x) * grp.e_gen(rank, i, x) * grp.h_gen(rank, i, 1 / x),
+            grp.h_gen(rank, i, 1 / x) * grp.f_gen(rank, i, x) * grp.h_gen(rank, i, x)))
 
     def rhs(vals):
         x = vals[(1, 0)]
-        out = []
-        for i in range(1, rank + 1):
-            out.append(grp.x_pos(rank, i, x))
-            out.append(grp.x_neg(rank, i, x))
-        return tuple(out)
+        return tuple(m for i in range(1, rank + 1)
+                     for m in (grp.x_pos(rank, i, x), grp.x_neg(rank, i, x)))
 
-    runner.run_pointwise(w, lambda vals: tuple(lhs(vals)),
-                         lambda vals: tuple(rhs(vals)), equal=_values_equal)
+    _same_values(runner, w, lhs, rhs)
+
     # the reflection identity on the rank-one slice
     def lhs2(vals):
         x = vals[(1, 0)]
-        like = x
-        return grp.s_hat(rank, 1, like).transpose() * grp.x_neg(rank, 1, x)
+        return grp.s_hat(rank, 1, x).transpose() * grp.x_neg(rank, 1, x)
 
     def rhs2(vals):
         x = vals[(1, 0)]
-        m = grp.x_neg(rank, 1, -1 / x)
         h = [list(r) for r in grp.identity(rank + 1, x).rows]
         h[0][0] = x
         h[1][1] = 1 / x
-        return m * GroupMatrix(h) * grp.x_pos(rank, 1, 1 / x)
+        return grp.x_neg(rank, 1, -1 / x) * GroupMatrix(h) * grp.x_pos(rank, 1, 1 / x)
 
     runner.run_pointwise(w, lhs2, rhs2)
 
@@ -825,8 +780,10 @@ _CHECK_IMPLS = {
     "TORMUT": _tormut,
     "DCKP_CLUSTER": _dckp_cluster,
     "BRAID": _braid,
-    "PGL2_TABLE": lambda runner: _ev_hat_brackets(runner, ("-1,1", "1,1")),
+    "PGL2_TABLE": _ev_hat_brackets,
     "SITROP": _sitrop,
     "PHI_REL": _phi_rel,
-    "EVHAT_POISSON": lambda runner: _ev_hat_brackets(runner, ("-1,1", "1,1", "1")),
+    "EVHAT_POISSON": _ev_hat_brackets,
 }
+
+CHECK_NAMES = tuple(_CHECK_IMPLS)

@@ -220,6 +220,26 @@ def test_check_identity_refuses_its_trial_config_before_any_trial(monkeypatch, c
         evals.check_identity(check)
 
 
+def test_desk_instances_are_one_table_entry_per_type(monkeypatch):
+    """A type runs the matrix-level checks its entry in ``_INSTANCES``
+    lists, parsed once, and no other: a check it leaves out is unsupported
+    there, so ``verify --all`` skips it."""
+    assert evals.MATRIX_TYPES == tuple(evals._INSTANCES) == ("A1", "A2")
+    assert evals.CHECK_NAMES == tuple(evals._CHECK_IMPLS)
+    for checks in evals._INSTANCES.values():
+        for entries in checks.values():
+            for entry in entries:
+                pair = entry if isinstance(entry, tuple) else (entry,)
+                assert all(isinstance(w, DoubleWord) for w in pair)
+    monkeypatch.setitem(evals._INSTANCES, "A3", {"PHI_REL": (W("1"),),
+                                                  "W0_CONJ": (W("1,2,1,3,2,1"),)})
+    for name in ("PHI_REL", "W0_CONJ"):
+        rep = evals.check_identity(evals.IdentityCheck(name, "A3", trials=2))
+        assert rep.ok and rep.words, name
+    with pytest.raises(UnsupportedForType, match="BRAID has no desk instances for A3"):
+        evals.check_identity(evals.IdentityCheck("BRAID", "A3", trials=1))
+
+
 def test_seed_level_shadow_check():
     for label in ("A2", "B2", "G2"):
         rep = evals.check_identity(evals.IdentityCheck("BRAID", label, level="seed"))
