@@ -396,11 +396,11 @@ def theta(g: GroupMatrix) -> GroupMatrix:
 
 def gauss_g0(g: GroupMatrix) -> GroupMatrix:
     """The factor n_minus of g = n_plus * a * n_minus^{-1} (unipotent
-    n_plus/n_minus, diagonal a).  With J the reversal of rows, JgJ =
-    (J n_plus J)(J a J)(J n_minus^{-1} J) is the Gauss decomposition of g
-    reversed, so n_minus = J U^{-1} J for its upper factor U, inverted by
-    substitution on the transpose; NotInBigCell where a trailing minor of g
-    vanishes."""
+    n_plus/n_minus, diagonal a).  With J the order-reversing permutation,
+    JgJ = (J n_plus J)(J a J)(J n_minus^{-1} J) is the Gauss decomposition
+    of g with its rows and columns reversed, so n_minus = J U^{-1} J for its
+    upper factor U, inverted by substitution on the transpose; NotInBigCell
+    where a trailing minor of g vanishes."""
     n = g.n
     _, _, upper = gauss(GroupMatrix([row[::-1] for row in g.rows[::-1]]))
     lower_inv = lower_inverse(upper.transpose())  # the transpose of U^{-1}
