@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import evals, maps, seeds, words
 from . import cartan as weyl
-from .arith import DEFAULT_PRIME, is_probable_prime
+from .arith import DEFAULT_PRIME, TrialConfig
 from .errors import ClusterDualError, NoPath, UnsupportedForType
 from .words import DoubleWord
 
@@ -112,22 +112,21 @@ def _rng_seed(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not is_probable_prime(args.prime):
-        return _fail_config(f"{args.prime} is not prime")
+    rng_seed = _rng_seed(args)
+    try:
+        TrialConfig(args.prime, args.trials, rng_seed)
+    except ValueError as exc:
+        return _fail_config(str(exc))
     if args.prime < 2 ** 31 and not args.allow_small_prime:
         return _fail_config("prime below 2^31; pass --allow-small-prime to override")
-    if args.trials < 1:
-        return _fail_config("trials must be >= 1")
     names = list(evals.CHECK_NAMES) if args.all else [args.identity]
     if not args.all and args.identity not in evals.CHECK_NAMES:
         return _fail_config(f"unknown identity {args.identity!r}; "
                             f"choose from {', '.join(evals.CHECK_NAMES)}")
     reports = []
-    rng_seed = _rng_seed(args)
     for name in names:
         check = evals.IdentityCheck(name, args.type, trials=args.trials,
-                                    prime=args.prime, rng_seed=rng_seed,
-                                    level=args.level)
+                                    prime=args.prime, rng_seed=rng_seed)
         try:
             reports.append(evals.check_identity(check).to_json())
         except UnsupportedForType as exc:
@@ -135,11 +134,10 @@ def cmd_verify(args) -> int:
                 continue
             return _fail_config(str(exc))
     if not reports:
-        return _fail_config(f"no check runs on {args.type} at level {args.level}")
+        return _fail_config(f"no check runs on {args.type}")
     payload = {"reports": reports,
                "config": {"type": args.type, "prime": args.prime,
-                          "trials": args.trials, "rng_seed": rng_seed,
-                          "level": args.level}}
+                          "trials": args.trials, "rng_seed": rng_seed}}
     _emit(payload, args.out, args.format)
     failed = sum(len(r["failures"]) for r in reports)
     return EXIT_OK if failed == 0 else EXIT_FAILED
@@ -251,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     ver.add_argument("--allow-small-prime", action="store_true")
     ver.add_argument("--rng-seed", type=int, default=0)
-    ver.add_argument("--level", choices=("matrix", "seed"), default="matrix")
     ver.set_defaults(func=cmd_verify)
 
     comp = sub.add_parser("compute", parents=[common],

@@ -23,7 +23,8 @@ class UnsupportedType(ClusterDualError):
 
 class UnsupportedForType(ClusterDualError):
     """Operation requested for a Cartan type it is not implemented for
-    (matrix-level computations are restricted to type A)."""
+    (the matrix layer is type A only, and a check runs only on the types
+    that list desk instances for it)."""
 
 
 class InapplicableMove(ClusterDualError):

@@ -36,7 +36,6 @@ from typing import Callable, Optional
 from . import cartan as weyl
 from . import group as grp
 from . import maps as mapmod
-from . import seeds as seedmod
 from . import words as wordmod
 from .arith import TrialConfig, _trials, _values_equal
 from .cartan import CartanData, WeylElement
@@ -309,7 +308,6 @@ class IdentityCheck:
     trials: int = 20
     prime: int = TrialConfig().prime
     rng_seed: int = 0
-    level: str = "matrix"  # "matrix" | "seed" (BRAID only)
 
 
 def _parse(entry):
@@ -319,10 +317,11 @@ def _parse(entry):
     return tuple(map(DoubleWord.from_string, entry))
 
 
-# The desk instances of the matrix-level checks: per type and per check, the
-# words or (source, target) pairs it runs on, parsed once.  This is the one
-# place that says which types and checks have them; the matrix layer itself
-# works for any type-A rank.
+# The desk instances of the checks: per type and per check, the words or
+# (source, target) pairs it runs on, parsed once.  This is the one place that
+# says which checks run on which type; a check a type leaves out is
+# unsupported there.  The matrix layer itself works for any type-A rank; B2
+# runs the three checks that never reach it (T_LEMMA, TORMUT, BRAID).
 _INSTANCES = {label: {name: tuple(map(_parse, entries)) for name, entries in checks.items()}
               for label, checks in {
     "A1": {
@@ -360,9 +359,13 @@ _INSTANCES = {label: {name: tuple(map(_parse, entries)) for name, entries in che
         "SITROP": ["-1,2", "-2,1,2"],
         "PHI_REL": ["1"],
     },
+    "B2": {
+        "T_LEMMA": ["1,2,1,2,1,2,1,2"],
+        # the A2 pair 1,2,1 / 2,1,2 has no D-move path in B2
+        "TORMUT": [("1,2,1,2", "2,1,2,1")],
+        "BRAID": ["1,2,1,2,1,2,1,2"],
+    },
 }.items()}
-
-MATRIX_TYPES = tuple(_INSTANCES)
 
 
 def _record_text(value, render: Callable = repr) -> str:
@@ -392,16 +395,16 @@ class _CheckRunner:
     def __init__(self, check: IdentityCheck):
         self.check = check
         self.cdata = weyl.build_cartan(check.cartan_type)
-        self.report = Report(check.name, check.cartan_type, [], check.prime,
+        self.report = Report(check.name, self.cdata.type_label, [], check.prime,
                              check.trials)
 
     @property
     def instances(self) -> tuple:
         """The check's desk instances on its type (``_INSTANCES``)."""
-        found = _INSTANCES.get(self.check.cartan_type, {}).get(self.check.name)
+        label = self.cdata.type_label
+        found = _INSTANCES.get(label, {}).get(self.check.name)
         if found is None:
-            raise UnsupportedForType(
-                f"{self.check.name} has no desk instances for {self.check.cartan_type}")
+            raise UnsupportedForType(f"{self.check.name} has no desk instances for {label}")
         return found
 
     def run_pointwise(self, word: DoubleWord, lhs: Callable, rhs: Callable,
@@ -450,61 +453,12 @@ def _ev_hat_intertwines(runner: _CheckRunner, ctx_s: EvalContext, ctx_t: EvalCon
 def check_identity(check: IdentityCheck) -> Report:
     if check.name not in _CHECK_IMPLS:
         raise ValueError(f"unknown identity {check.name!r}")
-    if check.level not in ("matrix", "seed"):
-        raise ValueError(f"unknown level {check.level!r} (matrix or seed)")
     TrialConfig(check.prime, check.trials, check.rng_seed)  # refuses a composite, trials < 1
     start = time.monotonic()
     runner = _CheckRunner(check)
-    if check.level == "seed":
-        # the one seed-level shadow is the braid move's
-        if check.name != "BRAID":
-            raise UnsupportedForType(f"{check.name} has no seed-level shadow (only BRAID has one)")
-        _seed_shadow(runner)
-    else:
-        if check.cartan_type not in _INSTANCES:
-            hint = "; use --level seed for rank-2 shadows" if runner.cdata.rank == 2 else ""
-            raise UnsupportedForType(
-                f"no matrix-level desk instances for {check.cartan_type} "
-                f"(type-A group layer plus configured words needed){hint}")
-        _CHECK_IMPLS[check.name](runner)
+    _CHECK_IMPLS[check.name](runner)
     runner.report.elapsed_ms = int((time.monotonic() - start) * 1000)
     return runner.report
-
-
-def rank2_minimal_words(cdata: CartanData) -> list[DoubleWord]:
-    """The one-sign alternating words a full-width braid move applies to."""
-    m = cdata.m_order(1, 2)
-    out = []
-    for i, j in ((1, 2), (2, 1)):
-        letters = tuple(i if t % 2 == 0 else j for t in range(m))
-        out.append(DoubleWord(letters))
-        out.append(DoubleWord(tuple(-x for x in letters)))
-    return out
-
-
-def _seed_shadow(runner: _CheckRunner) -> None:
-    """Exhaustive seed transport along braid moves of rank-2 types: the
-    mutation sequence of the full-width d-move carries the seed of the word
-    onto the seed of the rewritten word, up to the move's relabeling."""
-    cdata = runner.cdata
-    if cdata.rank != 2:
-        raise UnsupportedForType("seed-level shadows are rank-2 checks")
-    for w in rank2_minimal_words(cdata):
-        runner.report.words.append(w.to_string())
-        kind = "positive_d" if w.letters[0] > 0 else "negative_d"
-        mv = wordmod.Move(kind, 0, cdata.m_order(1, 2))
-        target = wordmod.apply_move(w, mv, cdata)
-        seed = seed_for_word(w, cdata)
-        # a d-move induces regular mutations only, never a tropical one
-        for ix, _ in mapmod._move_mutations(w, mv, cdata):
-            seed = seedmod.mutate_seed(seed, ix)
-        sigma = wordmod.index_map(w, mv, cdata)
-        expected = seed_for_word(target, cdata)
-        got = seedmod.relabel_seed(seed, sigma, expected.counts)
-        if got != expected:
-            runner.report.failures.append({
-                "word": w.to_string(), "target": target.to_string(),
-                "detail": "seed transport mismatch"})
 
 
 def _fg_mutation(runner: _CheckRunner) -> None:
@@ -696,7 +650,7 @@ def _ev_hat_brackets(runner: _CheckRunner) -> None:
     back from the bracket seed of each rank-one word, against the golden
     table; one jet ev_hat per point gives all of them."""
     from .golden import bracket_table_entries
-    if runner.check.cartan_type != "A1":
+    if runner.cdata.type_label != "A1":
         raise UnsupportedForType(f"{runner.check.name} runs on the rank-one data")
     cdata = runner.cdata
     for w in runner.instances:

@@ -21,3 +21,14 @@ def rational_point(word, cdata, rng, bound=30):
 
 def type_data(label: str):
     return weyl.build_cartan(label)
+
+
+def rank2_minimal_words(cdata) -> list[DoubleWord]:
+    """The one-sign alternating words a full-width braid move applies to."""
+    m = cdata.m_order(1, 2)
+    out = []
+    for i, j in ((1, 2), (2, 1)):
+        letters = tuple(i if t % 2 == 0 else j for t in range(m))
+        out.append(DoubleWord(letters))
+        out.append(DoubleWord(tuple(-x for x in letters)))
+    return out

@@ -15,7 +15,7 @@ from cluster_dual.arith import DEFAULT_PRIME, SECOND_PRIME, TrialConfig, maps_eq
 from cluster_dual.errors import SingularPoint
 from cluster_dual.words import DoubleWord, Move
 
-from conftest import W, rational_point
+from conftest import W, rank2_minimal_words, rational_point
 
 A1 = weyl.build_cartan("A1")
 A2 = weyl.build_cartan("A2")
@@ -258,7 +258,7 @@ def test_criterion_8_seed_shadows_exhaustive():
     ok = True
     for label in ("B2", "G2"):
         cdata = weyl.build_cartan(label)
-        for word in evals.rank2_minimal_words(cdata):
+        for word in rank2_minimal_words(cdata):
             kind = "positive_d" if word.letters[0] > 0 else "negative_d"
             mv = Move(kind, 0, cdata.m_order(1, 2))
             target = words.apply_move(word, mv, cdata)
@@ -282,11 +282,11 @@ def test_criterion_9_full_identity_suite():
                 evals.IdentityCheck(name, label, trials=5, rng_seed=9))
             if not rep.ok:
                 failures.append((name, label, len(rep.failures)))
-    for label in ("B2", "G2"):
+    for name in evals._INSTANCES["B2"]:
         rep = evals.check_identity(
-            evals.IdentityCheck("BRAID", label, level="seed"))
+            evals.IdentityCheck(name, "B2", trials=5, rng_seed=9))
         if not rep.ok:
-            failures.append(("SEED_SHADOW", label, len(rep.failures)))
+            failures.append((name, "B2", len(rep.failures)))
     print(f"\n[acceptance] suite failures: {failures}")
     _announce("9 (sixteen-check suite at desk scale)", not failures, started)
 

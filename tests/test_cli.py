@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -31,14 +32,10 @@ def test_verify_config_errors(capsys):
     assert run(["verify", "NOT_A_CHECK", "--type", "A1"], capsys)[0] == 2
     assert run(["verify", "PHI_REL", "--prime", "10"], capsys)[0] == 2
     assert run(["verify", "PHI_REL", "--prime", "97"], capsys)[0] == 2  # < 2^31
-    assert run(["verify", "BRAID", "--type", "G2", "--level", "matrix",
-                "--trials", "1"], capsys)[0] == 2
-    # the seed-level hint is given only where the seed level runs: rank 2
     code, _, err = run(["verify", "BRAID", "--type", "A3"], capsys)
-    assert code == 2 and "no matrix-level desk instances" in err
-    assert "--level seed" not in err
-    code, _, err = run(["verify", "BRAID", "--type", "B2"], capsys)
-    assert code == 2 and "use --level seed for rank-2 shadows" in err
+    assert code == 2 and "BRAID has no desk instances for A3" in err
+    code, _, err = run(["verify", "BRAID", "--type", "G2", "--trials", "1"], capsys)
+    assert code == 2 and err == "error: BRAID has no desk instances for G2\n"
     assert run(["verify"], capsys)[0] == 2
 
 
@@ -58,22 +55,54 @@ def test_verify_small_prime_override(capsys):
     assert code == 0
 
 
-def test_verify_seed_level(capsys):
-    code, stdout, _ = run(["verify", "BRAID", "--type", "G2", "--level", "seed"],
-                          capsys)
+def test_verify_braid_on_b2(capsys):
+    assert run(["verify", "BRAID", "--type", "B2", "--trials", "3"], capsys)[0] == 0
+
+
+def test_verify_all_on_b2_runs_its_map_level_checks(capsys):
+    """B2 runs the checks that never reach the type-A matrix layer, and
+    only those."""
+    code, stdout, _ = run(["verify", "--all", "--type", "B2", "--trials", "3"], capsys)
     assert code == 0
+    assert [r["name"] for r in json.loads(stdout)["reports"]] == ["T_LEMMA", "TORMUT", "BRAID"]
+    code, _, err = run(["verify", "TWIST", "--type", "B2"], capsys)
+    assert code == 2 and "TWIST has no desk instances for B2" in err
 
 
-def test_verify_seed_level_runs_only_the_braid_shadow(capsys):
-    code, stdout, _ = run(["verify", "--all", "--type", "B2", "--level", "seed"], capsys)
+# sha256 of the `verify --all --type B2` payload at 3 trials, rng seed 0 and
+# the default prime, with every elapsed_ms removed.
+B2_REPORT_SHA256 = "fd9b6157f0b19156f5b4decbadfd4e07db19eb5bc48248638689bd389865bd8b"
+
+
+def test_verify_all_on_b2_pinned(tmp_path, capsys):
+    out = tmp_path / "B2.json"
+    code, _, _ = run(["verify", "--all", "--type", "B2", "--trials", "3",
+                      "--rng-seed", "0", "--out", str(out)], capsys)
     assert code == 0
-    assert [r["name"] for r in json.loads(stdout)["reports"]] == ["BRAID"]
-    code, _, err = run(["verify", "TWIST", "--type", "B2", "--level", "seed"], capsys)
-    assert code == 2 and "TWIST has no seed-level shadow" in err
+    data = json.loads(out.read_text())
+    for report in data["reports"]:
+        del report["elapsed_ms"]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == B2_REPORT_SHA256
 
 
-@pytest.mark.parametrize("args", [["--type", "B2"], ["--type", "A3"],
-                                  ["--type", "A1", "--level", "seed"]])
+def test_verify_normalizes_the_type_label(capsys):
+    """A lower-case label runs what its upper-case form runs, as
+    ``compute`` accepts it."""
+    payloads = []
+    for label in ("a2", "A2"):
+        code, stdout, _ = run(["verify", "--all", "--type", label, "--trials", "1"], capsys)
+        assert code == 0
+        payload = json.loads(stdout)
+        for report in payload["reports"]:
+            del report["elapsed_ms"]
+        payloads.append(payload["reports"])
+    assert payloads[0] == payloads[1]
+    assert {r["cartan_type"] for r in payloads[0]} == {"A2"}
+    assert run(["verify", "PHI_REL", "--type", "a1", "--trials", "1"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("args", [["--type", "G2"], ["--type", "A3"], ["--type", "D4"]])
 def test_verify_all_without_a_runnable_check_is_a_config_error(args, capsys):
     code, stdout, err = run(["verify", "--all", *args], capsys)
     assert code == 2 and stdout == ""

@@ -195,8 +195,7 @@ def test_check_identity_reports():
     with pytest.raises(UnsupportedForType):
         evals.check_identity(evals.IdentityCheck("PGL2_TABLE", "A2", trials=1))
     for bad in (evals.IdentityCheck("NOT_A_CHECK", "A1"),
-                evals.IdentityCheck("BRAID", "A2", trials=0),
-                evals.IdentityCheck("BRAID", "A2", level="sede")):
+                evals.IdentityCheck("BRAID", "A2", trials=0)):
         with pytest.raises(ValueError):
             evals.check_identity(bad)
 
@@ -224,7 +223,7 @@ def test_desk_instances_are_one_table_entry_per_type(monkeypatch):
     """A type runs the matrix-level checks its entry in ``_INSTANCES``
     lists, parsed once, and no other: a check it leaves out is unsupported
     there, so ``verify --all`` skips it."""
-    assert evals.MATRIX_TYPES == tuple(evals._INSTANCES) == ("A1", "A2")
+    assert tuple(evals._INSTANCES) == ("A1", "A2", "B2")
     assert evals.CHECK_NAMES == tuple(evals._CHECK_IMPLS)
     for checks in evals._INSTANCES.values():
         for entries in checks.values():
@@ -240,10 +239,14 @@ def test_desk_instances_are_one_table_entry_per_type(monkeypatch):
         evals.check_identity(evals.IdentityCheck("BRAID", "A3", trials=1))
 
 
-def test_seed_level_shadow_check():
-    for label in ("A2", "B2", "G2"):
-        rep = evals.check_identity(evals.IdentityCheck("BRAID", label, level="seed"))
-        assert rep.ok, label
+def test_b2_map_level_checks():
+    """B2's entry holds the checks that build and compare maps without the
+    type-A matrix layer: the Artin generators' base independence, the
+    twist sections against the move transport, and the braid relation."""
+    assert tuple(evals._INSTANCES["B2"]) == ("T_LEMMA", "TORMUT", "BRAID")
+    for name in evals._INSTANCES["B2"]:
+        rep = evals.check_identity(evals.IdentityCheck(name, "B2", trials=3))
+        assert rep.ok and rep.words and rep.cartan_type == "B2", name
 
 
 def test_frozen_variables_central(rng):

@@ -13,7 +13,7 @@ from cluster_dual.errors import (FrozenDirection, InapplicableMove, InvariantVio
                                  PreconditionFailed, SingularPoint)
 from cluster_dual.words import Move
 
-from conftest import W, rational_point
+from conftest import W, rank2_minimal_words, rational_point
 
 
 A1 = weyl.build_cartan("A1")
@@ -544,6 +544,42 @@ def test_b2_artin_generators_are_poisson(text, j):
     torus."""
     cfg = TrialConfig(trials=3, rng_seed=6)
     assert maps.is_poisson_map(maps.artin_T(W(text), j, B2), cfg).is_equal
+
+
+def _elementary_maps(cdata):
+    """Every single-move map of a word of length at most 3 but the dual
+    move, the full-width d-move of each minimal word, and every saltation
+    of a word of length l(w0) + 1."""
+    alphabet = [x for i in range(1, cdata.rank + 1) for x in (i, -i)]
+    short = [words.DoubleWord(letters) for n in range(1, 4)
+             for letters in itertools.product(alphabet, repeat=n)]
+    for w in short:
+        for mv in words.applicable_moves(w, cdata):
+            if mv.kind != "dual":
+                yield maps.dmove_transform(w, mv, cdata)
+    for w in rank2_minimal_words(cdata):
+        kind = "positive_d" if w.letters[0] > 0 else "negative_d"
+        yield maps.dmove_transform(w, Move(kind, 0, len(w)), cdata)
+    n = weyl.longest_element(cdata).length() + 1
+    for letters in itertools.product(alphabet, repeat=n):
+        w = words.DoubleWord(letters)
+        if words.applicable_moves(w, cdata, ("dual",)):
+            yield maps.dual_move_map(w, cdata)
+
+
+@pytest.mark.parametrize("label", ["B2", "G2"])
+def test_elementary_maps_are_poisson(label):
+    """Outside the simply-laced types every elementary map -- a tau flip, a
+    mixed 2-move, a full-width d-move, a saltation -- is a Poisson map of
+    the eps_hat brackets, which carry the symmetrizers."""
+    cdata = weyl.build_cartan(label)
+    cfg = TrialConfig(trials=1, rng_seed=6)
+    count = 0
+    for m in _elementary_maps(cdata):
+        assert maps.is_poisson_map(m, cfg).is_equal, (m.source_word.to_string(),
+                                                       m.target_word.to_string())
+        count += 1
+    assert count == 252
 
 
 # ---------------------------------------------------------------------------
