@@ -85,8 +85,11 @@ def _emit(payload, out: str | None, fmt: str) -> None:
     else:
         text = _render_text(payload)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise _BadInput(f"cannot write --out {out}: {exc.strerror or exc}") from None
     print(text)
 
 
@@ -123,9 +126,10 @@ def cmd_verify(args) -> int:
     if not args.all and args.identity not in evals.CHECK_NAMES:
         return _fail_config(f"unknown identity {args.identity!r}; "
                             f"choose from {', '.join(evals.CHECK_NAMES)}")
+    label = weyl.build_cartan(args.type).type_label
     reports = []
     for name in names:
-        check = evals.IdentityCheck(name, args.type, trials=args.trials,
+        check = evals.IdentityCheck(name, label, trials=args.trials,
                                     prime=args.prime, rng_seed=rng_seed)
         try:
             reports.append(evals.check_identity(check).to_json())
@@ -134,9 +138,9 @@ def cmd_verify(args) -> int:
                 continue
             return _fail_config(str(exc))
     if not reports:
-        return _fail_config(f"no check runs on {args.type}")
+        return _fail_config(f"no check runs on {label}")
     payload = {"reports": reports,
-               "config": {"type": args.type, "prime": args.prime,
+               "config": {"type": label, "prime": args.prime,
                           "trials": args.trials, "rng_seed": rng_seed}}
     _emit(payload, args.out, args.format)
     failed = sum(len(r["failures"]) for r in reports)

@@ -838,9 +838,7 @@ def xi_saltation(w: DoubleWord, cdata: CartanData) -> RationalMap:
 # ---------------------------------------------------------------------------
 
 def mu_hat(source: DoubleWord, target: DoubleWord, cdata: CartanData,
-           v: WeylElement,
-           w1_source: Optional[WeylElement] = None,
-           w1_target: Optional[WeylElement] = None) -> RationalMap:
+           v: WeylElement) -> RationalMap:
     """The birational Poisson isomorphism between the bracket tori of two
     words of D(v): restricted cluster transformations along d-moves, the
     identity along right tau moves, saltations along dual moves.
@@ -852,13 +850,11 @@ def mu_hat(source: DoubleWord, target: DoubleWord, cdata: CartanData,
     are explored.
     """
     classes = []
-    for w, w1 in ((source, w1_source), (target, w1_target)):
-        if w1 is None:
-            found = wordmod.canonical_class(w, cdata, v)
-            if found is None:
-                raise PreconditionFailed(f"{w.to_string()} not in D(v)")
-            w1 = found[0].w1
-        classes.append(w1)
+    for w in (source, target):
+        found = wordmod.canonical_class(w, cdata, v)
+        if found is None:
+            raise PreconditionFailed(f"{w.to_string()} not in D(v)")
+        classes.append(found[0].w1)
     return _mu_hat(cdata, source, target, v, *classes)
 
 
@@ -898,8 +894,6 @@ def _ball(cdata: CartanData, v: WeylElement,
     return wordmod._Ball(anchor, lambda state: _dhat_edges(cdata, v, *state))
 
 
-# Bounded: all 160 A2 artin-T maps and their inverses need 320 entries.
-@functools.lru_cache(maxsize=1024)
 def _mu_hat(cdata: CartanData, source: DoubleWord, target: DoubleWord,
             v: WeylElement, w1_source: WeylElement, w1_target: WeylElement,
             anchored: str = "") -> RationalMap:
@@ -950,12 +944,11 @@ def artin_T(w: DoubleWord, j: int, cdata: CartanData,
     The subset I must be stable under the star involution; the resulting map
     does not depend on the admissible base word chosen.
     """
-    return artin_T_word(w, (j,), cdata, subset, None if base is None else (base,))
+    return _artin_T_word(cdata, w, (j,), _subset(cdata, subset), base)
 
 
 def artin_T_word(w: DoubleWord, letters: Sequence[int], cdata: CartanData,
-                 subset: Optional[Sequence[int]] = None,
-                 bases: Optional[Sequence[DoubleWord]] = None) -> RationalMap:
+                 subset: Optional[Sequence[int]] = None) -> RationalMap:
     """Composite of Artin generators along a word (leftmost letter first) on
     the bracket torus of w in D(w0(I)), as one chain of base-to-base
     transports:
@@ -972,22 +965,26 @@ def artin_T_word(w: DoubleWord, letters: Sequence[int], cdata: CartanData,
     Every leg ends at a base word or its flip, so it is read off that
     word's cached search (``_ball``) rather than a fresh one.
 
-    ``bases`` gives each letter's base word, a word of R(w0(I), w0) starting
-    with the barred letter (by default ``_artin_base_word``).  Composites
-    are cached, so a repeated build returns the same map, whose program is
-    then already compiled.
+    Each letter's base word is ``_artin_base_word``.  Composites are
+    cached, so a repeated build returns the same map, whose program is then
+    already compiled.
     """
-    subset = tuple(subset) if subset is not None else tuple(range(1, cdata.rank + 1))
-    return _artin_T_word(cdata, w, tuple(letters), subset,
-                         None if bases is None else tuple(bases))
+    return _artin_T_word(cdata, w, tuple(letters), _subset(cdata, subset), None)
+
+
+def _subset(cdata: CartanData, subset: Optional[Sequence[int]]) -> tuple[int, ...]:
+    """The subset I as a cache key; by default every letter."""
+    return tuple(subset) if subset is not None else tuple(range(1, cdata.rank + 1))
 
 
 # Bounded: all 160 A2 artin-T maps fit.  A check run again in one process
 # reads its composites, with their compiled programs, from here.
 @functools.lru_cache(maxsize=256)
 def _artin_T_word(cdata: CartanData, w: DoubleWord, letters: tuple[int, ...],
-                  subset: tuple[int, ...], bases: Optional[tuple[DoubleWord, ...]]
-                  ) -> RationalMap:
+                  subset: tuple[int, ...], base: Optional[DoubleWord]) -> RationalMap:
+    """``artin_T_word``; ``base``, given with one letter, replaces its
+    default base word (a word of R(w0(I), w0) starting with the barred
+    letter)."""
     if not all(1 <= i <= cdata.rank for i in subset):
         raise PreconditionFailed(f"subset {subset} has letters outside 1..{cdata.rank}")
     star = weyl.star_involution(cdata)
@@ -996,8 +993,7 @@ def _artin_T_word(cdata: CartanData, w: DoubleWord, letters: tuple[int, ...],
     for j in letters:
         if j not in subset:
             raise PreconditionFailed(f"{j} is not in the subset")
-    if bases is None:
-        bases = [_artin_base_word(cdata, j, subset) for j in letters]
+    bases = [_artin_base_word(cdata, j, subset) for j in letters] if base is None else [base]
     w0I = weyl.longest_element(cdata, subset)
     found = wordmod.canonical_class(w, cdata, w0I)
     if found is None:
@@ -1063,22 +1059,13 @@ def poisson_bracket_at(seed: Seed, f: Callable, g: Callable, values: Assignment)
     return bracket_matrix_at(seed, lambda jets: (f(jets), g(jets)), values)[0][1]
 
 
-def is_poisson_map(m: RationalMap, cfg: TrialConfig,
-                   source_bracket: Optional[Seed] = None,
-                   target_bracket: Optional[Seed] = None) -> Verdict:
+def is_poisson_map(m: RationalMap, cfg: TrialConfig) -> Verdict:
     """Check that m intertwines the log-canonical brackets: for all pairs,
     {m* x'_a, m* x'_b}_source = eps_hat'_ab (m* x'_a)(m* x'_b) at random
     prime-field points.  One jet pass of m per point gives every bracket."""
-    src = source_bracket
-    if src is None:
-        src = seed_for_word(m.source_word, m.cdata)
-        if m.restricted:
-            src = bracket_seed(src)
-    tgt = target_bracket
-    if tgt is None:
-        tgt = seed_for_word(m.target_word, m.cdata)
-        if m.restricted:
-            tgt = bracket_seed(tgt)
+    src, tgt = (seed_for_word(word, m.cdata) for word in (m.source_word, m.target_word))
+    if m.restricted:
+        src, tgt = bracket_seed(src), bracket_seed(tgt)
     src_ixs = wordmod.seed_indices(m.source_word, m.cdata.rank)
     tgt_ixs = wordmod.seed_indices(m.target_word, m.cdata.rank)
     pairs = [(a, b) for a in range(len(tgt_ixs)) for b in range(a + 1, len(tgt_ixs))]

@@ -131,23 +131,17 @@ class Move:
         return {"kind": self.kind, "pos": self.pos, "order": self.order}
 
 
-def _d_window_ok(w: DoubleWord, pos: int, order: int, sign: int, cdata: CartanData) -> bool:
-    if pos < 0 or pos + order > len(w):
-        return False
-    if order < 2:
-        return False
-    window = w.letters[pos:pos + order]
-    if any((x > 0) != (sign > 0) for x in window):
-        return False
-    i, j = abs(window[0]), abs(window[1])
-    if i == j:
-        return False
-    if cdata.m_order(i, j) != order:
-        return False
-    for t, x in enumerate(window):
-        if abs(x) != (i if t % 2 == 0 else j):
-            return False
-    return True
+def _d_order(letters: tuple[int, ...], p: int, positive: bool, cdata: CartanData) -> int:
+    """The order m_ij of the d-move window of the given sign at p, or 0 when
+    there is none: two letters of that sign on distinct wires i, j, then the
+    rest of the m_ij letters in bounds, of that sign and alternating."""
+    if p < 0 or p + 1 >= len(letters):
+        return 0
+    a, b = letters[p], letters[p + 1]
+    if (a > 0) != positive or (b > 0) != positive or a == b:
+        return 0
+    order = cdata.m_order(abs(a), abs(b))
+    return order if letters[p + 2:p + order] == ((a, b) * order)[2:order] else 0
 
 
 def dual_block_length(cdata: CartanData) -> int:
@@ -189,16 +183,12 @@ def applicable_moves(w: DoubleWord, cdata: CartanData,
         for p in range(n - 1):
             if (letters[p] > 0) != (letters[p + 1] > 0):
                 out.append(Move("mixed2", p, 2))
-    for kind, sign in (("positive_d", 1), ("negative_d", -1)):
+    for kind, positive in (("positive_d", True), ("negative_d", False)):
         if kind not in kinds:
             continue
         for p in range(n - 1):
-            a, b = letters[p], letters[p + 1]
-            if (a > 0) != (sign > 0) or (b > 0) != (sign > 0) or a == b:
-                continue
-            order = cdata.m_order(abs(a), abs(b))
-            # the rest of the window in bounds, of a's sign and alternating
-            if letters[p + 2:p + order] == ((a, b) * order)[2:order]:
+            order = _d_order(letters, p, positive, cdata)
+            if order:
                 out.append(Move(kind, p, order))
     if "tau_left" in kinds and n >= 1:
         out.append(Move("tau_left", 0))
@@ -223,7 +213,8 @@ def apply_move(w: DoubleWord, move: Move, cdata: CartanData) -> DoubleWord:
     if move.kind in ("positive_d", "negative_d"):
         _check_letters(w, cdata)
         sign = 1 if move.kind == "positive_d" else -1
-        if not _d_window_ok(w, move.pos, move.order, sign, cdata):
+        order = _d_order(w.letters, move.pos, sign > 0, cdata)
+        if order == 0 or order != move.order:
             raise InapplicableMove(f"{move.kind}({move.order}) at {move.pos} in {w.to_string()}")
         p, m = move.pos, move.order
         i, j = abs(letters[p]), abs(letters[p + 1])

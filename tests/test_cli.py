@@ -41,7 +41,7 @@ def test_verify_config_errors(capsys):
 
 def test_verify_rank_one_tables(monkeypatch, capsys):
     code, _, err = run(["verify", "PGL2_TABLE", "--type", "A2", "--trials", "1"], capsys)
-    assert code == 2 and "PGL2_TABLE runs on the rank-one data" in err
+    assert code == 2 and "PGL2_TABLE has no desk instances for A2" in err
     # under --all the rank-one tables are skipped on other types
     monkeypatch.setattr(evals, "CHECK_NAMES", ("PGL2_TABLE", "PHI_REL", "EVHAT_POISSON"))
     code, stdout, _ = run(["verify", "--all", "--type", "A2", "--trials", "1"], capsys)
@@ -88,7 +88,8 @@ def test_verify_all_on_b2_pinned(tmp_path, capsys):
 
 def test_verify_normalizes_the_type_label(capsys):
     """A lower-case label runs what its upper-case form runs, as
-    ``compute`` accepts it."""
+    ``compute`` accepts it, and the payload, config included, names the
+    type by its normalized label."""
     payloads = []
     for label in ("a2", "A2"):
         code, stdout, _ = run(["verify", "--all", "--type", label, "--trials", "1"], capsys)
@@ -96,9 +97,10 @@ def test_verify_normalizes_the_type_label(capsys):
         payload = json.loads(stdout)
         for report in payload["reports"]:
             del report["elapsed_ms"]
-        payloads.append(payload["reports"])
+        payloads.append(payload)
     assert payloads[0] == payloads[1]
-    assert {r["cartan_type"] for r in payloads[0]} == {"A2"}
+    assert payloads[0]["config"]["type"] == "A2"
+    assert {r["cartan_type"] for r in payloads[0]["reports"]} == {"A2"}
     assert run(["verify", "PHI_REL", "--type", "a1", "--trials", "1"], capsys)[0] == 0
 
 
@@ -107,6 +109,18 @@ def test_verify_all_without_a_runnable_check_is_a_config_error(args, capsys):
     code, stdout, err = run(["verify", "--all", *args], capsys)
     assert code == 2 and stdout == ""
     assert err.startswith("error: no check runs on") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "PHI_REL", "--type", "A1", "--trials", "1"],
+    ["compute", "seed", "--word", "1", "--type", "A1"]])
+def test_unwritable_out_is_a_config_error(args, tmp_path, capsys):
+    """An --out path that cannot be opened is a configuration error, not a
+    failed identity: exit 2, one error line naming the path, no payload."""
+    out = tmp_path / "missing" / "r.json"
+    code, stdout, err = run([*args, "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: cannot write --out {out}") and err.count("\n") == 1
 
 
 def test_verify_determinism(tmp_path, capsys):

@@ -37,6 +37,12 @@ def test_apply_move_examples():
         words.apply_move(W("1,1"), Move("mixed2", 0, 2), a1)
     with pytest.raises(InapplicableMove):
         words.apply_move(W("1,2"), Move("positive_d", 0, 3), a2)
+    # a d-move must name its window's order and sign: no window, order 0;
+    # the order-3 window 1,2,1 as order 2; a positive window as negative
+    for text, move in (("1,2", Move("positive_d", 0)), ("1,2,1", Move("positive_d", 0, 2)),
+                       ("1,2,1", Move("negative_d", 0, 3))):
+        with pytest.raises(InapplicableMove):
+            words.apply_move(W(text), move, a2)
 
 
 def test_dual_move_examples():
