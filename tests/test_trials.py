@@ -35,6 +35,33 @@ def test_matrix_reports_pinned():
     assert digest == MATRIX_REPORTS_SHA256
 
 
+# sha256 of the reports of every A1 and A2 check of the instance table at
+# the primes 5, 7, 11 and 13, 4 trials, rng seed 0, with elapsed_ms removed.
+# At these primes singular draws are frequent: 2802 draws are redrawn, and
+# 33 trials exhaust their retry budget.
+SMALL_PRIME_REPORTS_SHA256 = "62b14b622b7ec41f9e0b65e2fe315cda63f1e4c9b41daab30f26a96940c6a458"
+
+
+def test_matrix_reports_pinned_at_small_primes():
+    payload, skipped, failures = [], 0, []
+    for label in ("A1", "A2"):
+        for name in evals._INSTANCES[label]:
+            for prime in (5, 7, 11, 13):
+                rep = evals.check_identity(
+                    evals.IdentityCheck(name, label, trials=4, prime=prime, rng_seed=0))
+                data = rep.to_json()
+                del data["elapsed_ms"]
+                payload.append(data)
+                skipped += rep.skipped
+                failures += rep.failures
+    assert skipped == 2802
+    assert failures and all(
+        fail["detail"] == "retry budget exhausted (degenerate domain)" for fail in failures)
+    assert len(failures) == 33
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == SMALL_PRIME_REPORTS_SHA256
+
+
 # sha256 of the `verify --all` payloads for A1 and A2 at the default prime
 # 2^61 - 1, 3 trials, rng seed 0, with every elapsed_ms removed.
 DEFAULT_PRIME_REPORTS_SHA256 = "5b8ea72ee81b9381af063e7d7c3eb439d5fceab58ef99ffa2d847959de40c555"
