@@ -22,7 +22,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DivisionByZero, IndexOutOfRange, SingularPoint
 
@@ -154,6 +154,24 @@ class Fp:
 
     def __bool__(self):
         return self.value != 0
+
+
+def _fp_prime(scalars: Iterable) -> Optional[int]:
+    """The modulus p when every scalar is an Fp mod p, else None."""
+    p = None
+    for x in scalars:
+        if type(x) is not Fp or (p is not None and x.p != p):
+            return None
+        p = x.p
+    return p
+
+
+def _fp_of_residue(value: int, p: int) -> Fp:
+    """The Fp of a residue already reduced mod p, built without __init__."""
+    out = _new(Fp)
+    out.value = value
+    out.p = p
+    return out
 
 
 def _inverse_mod(value: int, p: int) -> int:

@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
+from . import arith
 from . import cartan as weyl
 from . import group as grp
 from . import maps as mapmod
@@ -65,49 +66,83 @@ def _ev_moves(w: DoubleWord, rank: int, values: Assignment) -> list[tuple]:
     return moves
 
 
-def _moves_product(moves: list[tuple], rank: int, values: Assignment) -> GroupMatrix:
+def _residues(values: Assignment, p: Optional[int]) -> Assignment:
+    """The point's residues mod p, or the point itself when p is None."""
+    return values if p is None else {ix: x.value for ix, x in values.items()}
+
+
+def _residue_point(values: Assignment) -> tuple[Optional[int], Assignment]:
+    """The point in the matrix layer's residue form (see ``group``): its
+    residues and p when every coordinate is an Fp mod p, else the point
+    and None."""
+    p = arith._fp_prime(values.values())
+    return p, _residues(values, p)
+
+
+def _moves_rows(moves: list[tuple], rank: int, values: Assignment,
+                p: Optional[int]) -> list[list]:
     """The product of generator moves, column move by column move from the
     identity over the field of the values."""
     like = next(iter(values.values()), Fraction(1))
-    rows = [list(row) for row in grp.identity(rank + 1, like).rows]
-    for move in moves:
-        grp.right_multiply(rows, *move)
-    return GroupMatrix(rows)
+    rows = grp._identity_rows(rank + 1, like, p)
+    for kind, i, x in moves:
+        grp.right_multiply(rows, kind, i, x, p)
+    return rows
+
+
+def _inner_rows(public: Callable, body: Callable, p: Optional[int], *args) -> list[list]:
+    """The rows of an evaluation inside a composite: on residues its body,
+    and off F_p the public function itself, today's scalar path (a wrapper
+    installed on it sees the call)."""
+    if p is None:
+        return [list(row) for row in public(*args).rows]
+    return body(*args, p)
+
+
+def _ev(w: DoubleWord, cdata: CartanData, values: Assignment, p: Optional[int]) -> list[list]:
+    rank = grp.require_type_a(cdata)
+    return _moves_rows(_ev_moves(w, rank, values), rank, values, p)
 
 
 def ev(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMatrix:
     """Letter-by-letter evaluation of a torus point in the adjoint group."""
-    rank = grp.require_type_a(cdata)
-    return _moves_product(_ev_moves(w, rank, values), rank, values)
+    p, values = _residue_point(values)
+    return grp._matrix(_ev(w, cdata, values, p), p)
 
 
 def _strip_frozen_torus(rows: list[list], w: DoubleWord, rank: int,
-                        values: Assignment) -> None:
+                        values: Assignment, p: Optional[int]) -> None:
     """Right-multiply ``rows`` in place by the inverse of the frozen torus."""
     for j in range(1, rank + 1):
-        grp.right_multiply(rows, "H", j, 1 / values[(j, w.count(j))])
+        grp.right_multiply(rows, "H", j, grp._reciprocal(values[(j, w.count(j))], p), p)
+
+
+def _ev_red(w: DoubleWord, cdata: CartanData, values: Assignment,
+            p: Optional[int]) -> list[list]:
+    rows = _inner_rows(ev, _ev, p, w, cdata, values)
+    _strip_frozen_torus(rows, w, cdata.rank, values, p)
+    return rows
 
 
 def ev_red(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMatrix:
     """Evaluation with the right Cartan part stripped."""
-    rank = grp.require_type_a(cdata)
-    rows = [list(row) for row in ev(w, cdata, values).rows]
-    _strip_frozen_torus(rows, w, rank, values)
-    return GroupMatrix(rows)
+    p, values = _residue_point(values)
+    return grp._matrix(_ev_red(w, cdata, values, p), p)
 
 
 def frozen_torus(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMatrix:
     """Product of H^j at the right frozen values."""
     rank = grp.require_type_a(cdata)
-    return _moves_product([("H", j, values[(j, w.count(j))]) for j in range(1, rank + 1)],
-                          rank, values)
+    p, values = _residue_point(values)
+    moves = [("H", j, values[(j, w.count(j))]) for j in range(1, rank + 1)]
+    return grp._matrix(_moves_rows(moves, rank, values, p), p)
 
 
-def _times_representative(rows: list[list], w: WeylElement) -> None:
+def _times_representative(rows: list[list], w: WeylElement, p: Optional[int]) -> None:
     """Right-multiply ``rows`` in place by the representative of w, column
     move by column move along its reduced word."""
     for i in w.reduced_word():
-        grp.right_multiply(rows, "s", i)
+        grp.right_multiply(rows, "s", i, None, p)
 
 
 @dataclass(frozen=True)
@@ -151,46 +186,51 @@ def make_context(w: DoubleWord, cdata: CartanData,
 
 
 def _ev_parts(ctx: EvalContext, values: Assignment
-              ) -> tuple[Assignment, Assignment, list[tuple], GroupMatrix]:
-    """The point on the factored word i1 i2, the point of i1 and the moves
-    of ev(i1), and the right projection P = gauss_leq0(ev_red(i2) rep(w2 w0)).
-    The one-sided evaluations are R = ev(i1) P and L = ev(i1) theta(Q) with
-    Q = gauss_leq0(theta(P) rep(w0)): L's inner right factor is P itself,
-    because the split puts 1 in the glued slots of i2."""
+              ) -> tuple[Assignment, Optional[int], Assignment, list[tuple], list[list]]:
+    """The point on the factored word i1 i2 and its modulus p (None off
+    F_p), then in residue form when p is set: the point of i1, the moves of
+    ev(i1), and the rows of ev_red(i2) rep(w2 w0), whose projection is
+    P = gauss_leq0(ev_red(i2) rep(w2 w0)).  The one-sided evaluations are
+    R = ev(i1) P and L = ev(i1) theta(Q) with Q = gauss_leq0(theta(P) rep(w0)):
+    L's inner right factor is P itself, because the split puts 1 in the
+    glued slots of i2."""
     cdata = ctx.cdata
     rank = grp.require_type_a(cdata)
     if ctx.transport is not None:
         values = ctx.transport.apply(values)
+    p = arith._fp_prime(values.values())
     (lw, lv), (rw, rv) = mapmod.split_point(ctx.factored_word, values, ctx.cut, rank)
-    right = [list(row) for row in ev_red(rw, cdata, rv).rows]
-    _times_representative(right, ctx.w2 * weyl.longest_element(cdata))
-    moves = _ev_moves(lw, rank, lv)
-    return values, lv, moves, grp.gauss_leq0(GroupMatrix(right))
+    right = _inner_rows(ev_red, _ev_red, p, rw, cdata, _residues(rv, p))
+    _times_representative(right, ctx.w2 * weyl.longest_element(cdata), p)
+    lv = _residues(lv, p)
+    return values, p, lv, _ev_moves(lw, rank, lv), right
 
 
 def _ev_factored(ctx: EvalContext, values: Assignment
                  ) -> tuple[Assignment, GroupMatrix, GroupMatrix]:
     """The point on the factored word i1 i2, ev(i1) and the right projection
     P (see ``_ev_parts``)."""
-    values, lv, moves, proj = _ev_parts(ctx, values)
-    return values, _moves_product(moves, ctx.cdata.rank, lv), proj
+    values, p, lv, moves, right = _ev_parts(ctx, values)
+    return (values, grp._matrix(_moves_rows(moves, ctx.cdata.rank, lv, p), p),
+            grp._matrix(grp._leq0(right, p), p))
 
 
-def _theta_q(proj_inv: GroupMatrix, cdata: CartanData) -> GroupMatrix:
+def _theta_q(proj_inv: list[list], cdata: CartanData, p: Optional[int]) -> list[list]:
     """theta(Q) with Q = gauss_leq0(theta(P) rep(w0)), from P^{-1}.  P and Q
     are lower triangular, so both thetas come from substitution inverses."""
-    inner = [list(row) for row in grp.theta_from_inverse(proj_inv).rows]
-    _times_representative(inner, weyl.longest_element(cdata))
-    lower = grp.gauss_leq0(GroupMatrix(inner))
-    return grp.theta_from_inverse(grp.lower_inverse(lower))
+    inner = grp._theta_rows(proj_inv, p)
+    _times_representative(inner, weyl.longest_element(cdata), p)
+    _, lower_inv = grp._leq0_and_inverse(inner, p)
+    return grp._theta_rows(lower_inv, p)
 
 
 def ev_LR(ctx: EvalContext, values: Assignment, side: str) -> GroupMatrix:
     """One-sided evaluations; ``side`` is "L" or "R"."""
-    values, first, proj = _ev_factored(ctx, values)
+    _, first, proj = _ev_factored(ctx, values)
     if side != "L":
         return first * proj
-    return first * _theta_q(grp.lower_inverse(proj), ctx.cdata)
+    p, proj_inv = grp._residue_form(grp.lower_inverse(proj))
+    return first * grp._matrix(_theta_q(proj_inv, ctx.cdata, p), p)
 
 
 def ev_hat(ctx: EvalContext, values: Assignment) -> GroupMatrix:
@@ -203,19 +243,19 @@ def ev_hat(ctx: EvalContext, values: Assignment) -> GroupMatrix:
     M takes column moves and one dense product.  ev(i1) is never formed: its
     inverse is right-multiplied as the inverse column moves in reverse
     letter order, and it is left-multiplied as row moves."""
-    values, _, moves, proj = _ev_parts(ctx, values)
+    values, p, _, moves, right = _ev_parts(ctx, values)
     cdata = ctx.cdata
-    proj_inv = grp.lower_inverse(proj)
-    rows = [list(row) for row in _theta_q(proj_inv, cdata).rows]
-    _strip_frozen_torus(rows, ctx.factored_word, cdata.rank, values)
-    _times_representative(rows, weyl.longest_element(cdata))
-    rows = [list(row) for row in (GroupMatrix(rows) * proj_inv).rows]
+    _, proj_inv = grp._leq0_and_inverse(right, p)
+    rows = _theta_q(proj_inv, cdata, p)
+    _strip_frozen_torus(rows, ctx.factored_word, cdata.rank, _residues(values, p), p)
+    _times_representative(rows, weyl.longest_element(cdata), p)
+    rows = grp._product(rows, proj_inv, p)
     for kind, i, x in reversed(moves):
         if kind == "H":
-            grp.right_multiply(rows, "H", i, 1 / x)
+            grp.right_multiply(rows, "H", i, grp._reciprocal(x, p), p)
         else:
-            grp.right_multiply(rows, kind + "_inv", i)
-    return GroupMatrix(grp.left_multiply(rows, moves))
+            grp.right_multiply(rows, kind + "_inv", i, None, p)
+    return grp._matrix(grp.left_multiply(rows, moves, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +302,19 @@ def tau_product(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMa
     # tropical op; the k-th parameter is read just before it
     program = mapmod._zeta_maps(cdata, w)[0].program
     flips = [n for n, op in enumerate(program) if op[0] == "tropical"]
-    params, start = [], 0
-    for letter, flip in zip(letters, flips):
+    params, start = {}, 0
+    for k, (letter, flip) in enumerate(zip(letters, flips), 1):
         values = mapmod.run_program(program[start:flip], values)
-        params.append(-values[(letter, 0)])
+        params[k] = -values[(letter, 0)]
         start = flip
-    out = grp.identity(rank + 1, like)
-    for k, param in enumerate(params, 1):
-        rep = grp.word_representative(rank, letters[k:], like)
+    p, params = _residue_point(params)
+    out = grp._identity_rows(rank + 1, like, p)
+    for k, param in params.items():
+        rep = grp._representative_rows(rank, letters[k:], like, p)
         # a signed permutation's inverse is its transpose
-        out = out * rep.transpose() * grp.x_neg(rank, letters[k - 1], param) * rep
-    return out
+        for factor in (grp._transpose(rep), grp._x_neg_rows(rank, letters[k - 1], param, p), rep):
+            out = grp._product(out, factor, p)
+    return grp._matrix(out, p)
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +515,31 @@ def _fg_mutation(runner: _CheckRunner) -> None:
 def _descending(cdata: CartanData, w: DoubleWord) -> Callable:
     """vals -> the descending Gauss projection of ev(w) rep(v^{-1}), v the
     element the plain letters of w spell."""
-    vi = weyl.from_word(cdata, w.positive_subword).inverse()
-    return lambda vals: grp.gauss_leq0(
-        ev(w, cdata, vals) * grp.weyl_representative(vi, vals[(1, 0)]))
+    rank = grp.require_type_a(cdata)
+    letters = weyl.from_word(cdata, w.positive_subword).inverse().reduced_word()
+
+    def project(vals):
+        like = vals[(1, 0)]
+        p, vals = _residue_point(vals)
+        rows = grp._product(_inner_rows(ev, _ev, p, w, cdata, vals),
+                            grp._representative_rows(rank, letters, like, p), p)
+        return grp._matrix(grp._leq0(rows, p), p)
+    return project
 
 
 def _ascending(cdata: CartanData, w: DoubleWord) -> Callable:
     """vals -> the ascending Gauss projection of rep(u)^T ev(w), u the
     element the barred letters of w spell."""
-    u = weyl.from_word(cdata, w.negative_subword)
-    return lambda vals: grp.gauss_geq0(
-        grp.weyl_representative(u, vals[(1, 0)]).transpose() * ev(w, cdata, vals))
+    rank = grp.require_type_a(cdata)
+    letters = weyl.from_word(cdata, w.negative_subword).reduced_word()
+
+    def project(vals):
+        like = vals[(1, 0)]
+        p, vals = _residue_point(vals)
+        rows = grp._product(grp._transpose(grp._representative_rows(rank, letters, like, p)),
+                            _inner_rows(ev, _ev, p, w, cdata, vals), p)
+        return grp._matrix(grp._geq0(rows, p), p)
+    return project
 
 
 def _twist(runner: _CheckRunner) -> None:

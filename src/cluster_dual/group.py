@@ -19,13 +19,24 @@ cells and total positivity", arXiv:math/9802056), so ``right_multiply``
 builds them column by column, inverts them factor by factor, and
 ``left_multiply`` applies them as row operations; the dense product stays
 for products of two general matrices.
+
+When every entry is an ``Fp`` of one prime p, the matrix functions compute
+on the residue form: rows of plain ints reduced mod p, with p passed
+alongside.  The kernels (column and row moves, dense product, elimination,
+substitution inverse) take the modulus, and ``p=None`` runs the scalar
+code on ``Fraction``, ``Fp`` or jet entries, which stays the reference.  A
+public function enters the residue form once and lifts its result back to
+``Fp`` entries once; ``projective_eq`` and the dense product of two
+matrices pick their form the same way.  On residues the lower Gauss factor
+and its inverse come from one elimination, each pivot inverted once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
+from . import arith
 from .arith import Jet, _is_nonzero, _one_like, _zero_like, jet_const
 from .cartan import CartanData, WeylElement
 from .errors import InvalidParameter, NotInBigCell, SingularPoint, UnsupportedForType
@@ -51,8 +62,14 @@ class GroupMatrix:
             " ".join(str(x) for x in row) for row in self.rows) + ")"
 
     def __mul__(self, other: "GroupMatrix") -> "GroupMatrix":
+        """The dense product; on residues when every entry of both factors
+        is an Fp mod one p."""
         n = self.n
         a, b = self.rows, other.rows
+        p = arith._fp_prime(x for m in (a, b) for row in m for x in row)
+        if p is not None:
+            return _matrix(_product([[x.value for x in row] for row in a],
+                                    [[x.value for x in row] for row in b], p), p)
         return GroupMatrix([
             [sum((a[i][k] * b[k][j] for k in range(n)),
                  start=_zero_like(a[i][0])) for j in range(n)]
@@ -116,20 +133,76 @@ class GroupMatrix:
         return det
 
 
+# ---------------------------------------------------------------------------
+# The residue form, and the scalar kernels that take the modulus
+# ---------------------------------------------------------------------------
+
+def _residue_form(g: GroupMatrix) -> tuple[Optional[int], list[list]]:
+    """p and the rows of g as residues mod p when every entry is an Fp mod
+    p, else None and its rows; the rows are new mutable lists."""
+    p = arith._fp_prime(x for row in g.rows for x in row)
+    if p is None:
+        return None, [list(row) for row in g.rows]
+    return p, [[x.value for x in row] for row in g.rows]
+
+
+def _matrix(rows: Sequence[Sequence], p: Optional[int]) -> GroupMatrix:
+    """Rows as a GroupMatrix, residues lifted to Fp entries mod p."""
+    if p is None:
+        return GroupMatrix(rows)
+    fp = arith._fp_of_residue
+    return GroupMatrix([[fp(x, p) for x in row] for row in rows])
+
+
+def _reciprocal(x, p: Optional[int]):
+    return 1 / x if p is None else arith._inverse_mod(x, p)
+
+
+def _neg(x, p: Optional[int]):
+    return -x if p is None else -x % p
+
+
+def _transpose(rows: Sequence[Sequence]) -> list[list]:
+    return [list(col) for col in zip(*rows)]
+
+
+def _identity_rows(n: int, like, p: Optional[int]) -> list[list]:
+    if p is None:
+        return [list(row) for row in identity(n, like).rows]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _product(a: Sequence[Sequence], b: Sequence[Sequence], p: Optional[int]) -> list[list]:
+    """The dense product a * b: ``GroupMatrix.__mul__`` off F_p."""
+    if p is None:
+        return [list(row) for row in (GroupMatrix(a) * GroupMatrix(b)).rows]
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+
+
+def _lower_inverse(rows: Sequence[Sequence], p: Optional[int]) -> list[list]:
+    n = len(rows)
+    zero = _zero_like(rows[0][0]) if p is None else 0
+    out: list[list] = []
+    for i, row in enumerate(rows):
+        if not _is_nonzero(row[i]):
+            raise SingularPoint("matrix not invertible")
+        d = _reciprocal(row[i], p)
+        if p is None:
+            out.append([-sum((row[k] * out[k][j] for k in range(j, i)), start=zero) * d
+                        for j in range(i)] + [d] + [zero] * (n - 1 - i))
+        else:
+            out.append([-sum(row[k] * out[k][j] for k in range(j, i)) * d % p
+                        for j in range(i)] + [d] + [0] * (n - 1 - i))
+    return out
+
+
 def lower_inverse(m: GroupMatrix) -> GroupMatrix:
     """Inverse of a lower triangular matrix by forward substitution, one
     scalar inversion per row; SingularPoint on a zero diagonal entry.  Only
     the lower triangle of m is read."""
-    n = m.n
-    zero = _zero_like(m[0][0])
-    out: list[list] = []
-    for i, row in enumerate(m.rows):
-        if not _is_nonzero(row[i]):
-            raise SingularPoint("matrix not invertible")
-        d = 1 / row[i]
-        out.append([-sum((row[k] * out[k][j] for k in range(j, i)), start=zero) * d
-                    for j in range(i)] + [d] + [zero] * (n - 1 - i))
-    return GroupMatrix(out)
+    p, rows = _residue_form(m)
+    return _matrix(_lower_inverse(rows, p), p)
 
 
 def identity(n: int, like=Fraction(1)) -> GroupMatrix:
@@ -142,20 +215,23 @@ def projective_eq(g: GroupMatrix, h: GroupMatrix) -> bool:
     """g == lambda h for some nonzero scalar lambda."""
     if g.n != h.n:
         return False
+    a = [x for row in g.rows for x in row]
+    b = [y for row in h.rows for y in row]
+    p = arith._fp_prime(a + b)
+    if p is not None:
+        a, b = [x.value for x in a], [y.value for y in b]
     lam = None
-    for i in range(g.n):
-        for j in range(g.n):
-            gz, hz = _is_nonzero(g[i][j]), _is_nonzero(h[i][j])
-            if gz != hz:
-                return False
-            if gz and lam is None:
-                lam = g[i][j] / h[i][j]
+    for x, y in zip(a, b):
+        xz, yz = _is_nonzero(x), _is_nonzero(y)
+        if xz != yz:
+            return False
+        if xz and lam is None:
+            lam = x / y if p is None else x * arith._inverse_mod(y, p) % p
     if lam is None:
         return True
-    for i in range(g.n):
-        for j in range(g.n):
-            if g[i][j] != lam * h[i][j]:
-                return False
+    for x, y in zip(a, b):
+        if x != (lam * y if p is None else lam * y % p):
+            return False
     return True
 
 
@@ -247,7 +323,8 @@ def _lift_jet_rows(rows: list[list]) -> None:
             row[:] = [x if type(x) is Jet else jet_const(x, dim) for x in row]
 
 
-def right_multiply(rows: list[list], kind: str, i: int, x=None) -> None:
+def right_multiply(rows: list[list], kind: str, i: int, x=None,
+                   p: Optional[int] = None) -> None:
     """Multiply the matrix ``rows`` (a list of mutable rows) on the right by
     one generator, in place, by a column operation:
 
@@ -258,11 +335,14 @@ def right_multiply(rows: list[list], kind: str, i: int, x=None) -> None:
     - "H", by H^i(x): scale the first i columns by x;
     - "s", by s_hat(i): map columns (i-1, i) to (i, -(i-1)).
 
-    Every entry equals the dense product's in value and type."""
+    Every entry equals the dense product's in value and type.  With a
+    modulus p, rows and x are residues mod p, and the written columns are
+    reduced."""
     _require_range(i, len(rows) - 1)
     if kind == "H":
         _require_torus_parameter(x)
-    _lift_jet_rows(rows)
+    if p is None:
+        _lift_jet_rows(rows)
     if kind == "E":
         for row in rows:
             row[i] = row[i - 1] + row[i]
@@ -284,13 +364,19 @@ def right_multiply(rows: list[list], kind: str, i: int, x=None) -> None:
             row[i - 1], row[i] = row[i], -row[i - 1]
     else:
         raise InvalidParameter(f"unknown generator kind {kind!r}")
+    if p is not None:
+        written = range(i) if kind == "H" else (i - 1,) if kind[0] == "F" else (i,)
+        for row in rows:
+            for c in written:
+                row[c] %= p
 
 
 # the transposed generators: E^T = F and H^T = H
 _TRANSPOSED = {"E": "F", "F": "E", "E_inv": "F_inv", "F_inv": "E_inv", "H": "H"}
 
 
-def left_multiply(rows: list[list], moves: Sequence[tuple]) -> list[list]:
+def left_multiply(rows: list[list], moves: Sequence[tuple],
+                  p: Optional[int] = None) -> list[list]:
     """The product of the generator moves (kind, i, x), in order, times the
     matrix ``rows``, as row operations: the transpose is right-multiplied by
     the transposed generators in reverse order, then transposed back.  Any
@@ -300,7 +386,7 @@ def left_multiply(rows: list[list], moves: Sequence[tuple]) -> list[list]:
     for kind, i, x in reversed(moves):
         if kind not in _TRANSPOSED:
             raise InvalidParameter(f"no row move for generator kind {kind!r}")
-        right_multiply(cols, _TRANSPOSED[kind], i, x)
+        right_multiply(cols, _TRANSPOSED[kind], i, x, p)
     return [list(row) for row in zip(*cols)]
 
 
@@ -311,11 +397,16 @@ def require_type_a(cdata: CartanData) -> int:
     return cdata.rank
 
 
-def word_representative(rank: int, letters: Sequence[int], like=Fraction(1)) -> GroupMatrix:
-    rows = [list(row) for row in identity(rank + 1, like).rows]
+def _representative_rows(rank: int, letters: Sequence[int], like,
+                         p: Optional[int]) -> list[list]:
+    rows = _identity_rows(rank + 1, like, p)
     for i in letters:
-        right_multiply(rows, "s", i)
-    return GroupMatrix(rows)
+        right_multiply(rows, "s", i, None, p)
+    return rows
+
+
+def word_representative(rank: int, letters: Sequence[int], like=Fraction(1)) -> GroupMatrix:
+    return GroupMatrix(_representative_rows(rank, letters, like, None))
 
 
 def weyl_representative(w: WeylElement, like=Fraction(1)) -> GroupMatrix:
@@ -323,67 +414,116 @@ def weyl_representative(w: WeylElement, like=Fraction(1)) -> GroupMatrix:
     return word_representative(rank, w.reduced_word(), like)
 
 
-def _eliminate(g: GroupMatrix) -> tuple[list[list], list[list], list]:
+def _eliminate(g: Sequence[Sequence], p: Optional[int] = None
+               ) -> tuple[list[list], list[list], list]:
     """Row elimination without row exchanges: the unitriangular lower
     factor, the reduced (upper triangular) rows and the inverted pivots;
     NotInBigCell(k) when the k-th leading principal minor vanishes."""
-    n = g.n
-    one = _one_like(g[0][0])
-    zero = _zero_like(g[0][0])
-    mat = [list(row) for row in g.rows]
+    mat = [list(row) for row in g]
+    n = len(mat)
+    one, zero = (_one_like(mat[0][0]), _zero_like(mat[0][0])) if p is None else (1, 0)
     lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
     inverted = []
     for col in range(n):
         if not _is_nonzero(mat[col][col]):
             raise NotInBigCell(col)
-        inv = 1 / mat[col][col]
+        inv = _reciprocal(mat[col][col], p)
         inverted.append(inv)
         for r in range(col + 1, n):
             if mat[r][col] != 0:
-                f = mat[r][col] * inv
+                if p is None:
+                    f = mat[r][col] * inv
+                    mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
+                else:
+                    f = mat[r][col] * inv % p
+                    mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[col])]
                 lower[r][col] = f
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
     return lower, mat, inverted
+
+
+def _gauss(rows: Sequence[Sequence], p: Optional[int]
+           ) -> tuple[list[list], list[list], list[list]]:
+    n = len(rows)
+    zero = _zero_like(rows[0][0]) if p is None else 0
+    lower, mat, inverted = _eliminate(rows, p)
+    diag = [[mat[i][i] if i == j else zero for j in range(n)] for i in range(n)]
+    upper = [[(mat[i][j] * inverted[i] if p is None else mat[i][j] * inverted[i] % p)
+              if j >= i else zero for j in range(n)] for i in range(n)]
+    return lower, diag, upper
 
 
 def gauss(g: GroupMatrix) -> tuple[GroupMatrix, GroupMatrix, GroupMatrix]:
     """LDU factorization g = lower * diag * upper with unitriangular outer
     factors; NotInBigCell(k) when the k-th leading principal minor vanishes.
     No row exchanges: pivots are exactly the ratios of leading minors."""
-    n = g.n
-    zero = _zero_like(g[0][0])
-    lower, mat, inverted = _eliminate(g)
-    diag = [[mat[i][i] if i == j else zero for j in range(n)] for i in range(n)]
-    upper = [[mat[i][j] * inverted[i] if j >= i else zero for j in range(n)]
-             for i in range(n)]
-    return GroupMatrix(lower), GroupMatrix(diag), GroupMatrix(upper)
+    p, rows = _residue_form(g)
+    return tuple(_matrix(factor, p) for factor in _gauss(rows, p))
 
 
-def _scale_columns(m: GroupMatrix, scales: Sequence) -> GroupMatrix:
-    """m times diag(scales): column c scaled by scales[c]."""
-    rows = [list(row) for row in m.rows]
+def _scale_columns(rows: Sequence[Sequence], scales: Sequence,
+                   p: Optional[int]) -> list[list]:
+    """rows times diag(scales): column c scaled by scales[c]."""
+    if p is not None:
+        return [[x * s % p for x, s in zip(row, scales)] for row in rows]
+    rows = [list(row) for row in rows]
     _lift_jet_rows(rows)
-    return GroupMatrix([[x * scales[c] for c, x in enumerate(row)] for row in rows])
+    return [[x * scales[c] for c, x in enumerate(row)] for row in rows]
+
+
+def _leq0(rows: Sequence[Sequence], p: Optional[int]) -> list[list]:
+    lower, mat, _ = _eliminate(rows, p)
+    return _scale_columns(lower, [mat[c][c] for c in range(len(mat))], p)
+
+
+def _leq0_and_inverse(rows: Sequence[Sequence], p: Optional[int]
+                      ) -> tuple[list[list], list[list]]:
+    """lower * diag of the Gauss decomposition and its inverse.  Off F_p
+    these are ``gauss_leq0`` and ``lower_inverse`` of its result.  On
+    residues the inverse is diag^{-1} * lower^{-1}: the elimination's
+    inverted pivots scale the rows of the unitriangular inverse, which needs
+    no division, so each pivot is inverted once."""
+    if p is None:
+        leq0 = gauss_leq0(GroupMatrix(rows))
+        return [list(row) for row in leq0.rows], [list(row) for row in lower_inverse(leq0).rows]
+    lower, mat, inverted = _eliminate(rows, p)
+    n = len(mat)
+    unit_inv: list[list] = []
+    for i in range(n):
+        unit_inv.append([-sum(lower[i][k] * unit_inv[k][j] for k in range(j, i)) % p
+                         for j in range(i)] + [1] + [0] * (n - 1 - i))
+    return (_scale_columns(lower, [mat[c][c] for c in range(n)], p),
+            [[x * d % p for x in row] for row, d in zip(unit_inv, inverted)])
 
 
 def gauss_leq0(g: GroupMatrix) -> GroupMatrix:
     """lower * diag of the Gauss decomposition; the upper factor is never built."""
-    lower, mat, _ = _eliminate(g)
-    return _scale_columns(GroupMatrix(lower), [mat[c][c] for c in range(g.n)])
+    p, rows = _residue_form(g)
+    return _matrix(_leq0(rows, p), p)
+
+
+def _geq0(rows: Sequence[Sequence], p: Optional[int]) -> list[list]:
+    # diag * upper, by scaling the rows of upper
+    _, diag, upper = _gauss(rows, p)
+    scales = [diag[c][c] for c in range(len(rows))]
+    return _transpose(_scale_columns(_transpose(upper), scales, p))
 
 
 def gauss_geq0(g: GroupMatrix) -> GroupMatrix:
-    # diag * upper, by scaling the rows of upper
-    _, diag, upper = gauss(g)
-    return _scale_columns(upper.transpose(), [diag[c][c] for c in range(g.n)]).transpose()
+    p, rows = _residue_form(g)
+    return _matrix(_geq0(rows, p), p)
+
+
+def _theta_rows(g_inv: Sequence[Sequence], p: Optional[int]) -> list[list]:
+    n = len(g_inv)
+    return [[g_inv[j][i] if (i + j) % 2 == 0 else _neg(g_inv[j][i], p)
+             for j in range(n)] for i in range(n)]
 
 
 def theta_from_inverse(g_inv: GroupMatrix) -> GroupMatrix:
     """theta(g) read off g^{-1}: its transpose, with the entries (i, j) of
     odd i + j negated."""
-    n = g_inv.n
-    return GroupMatrix([[g_inv[j][i] if (i + j) % 2 == 0 else -g_inv[j][i]
-                         for j in range(n)] for i in range(n)])
+    p, rows = _residue_form(g_inv)
+    return _matrix(_theta_rows(rows, p), p)
 
 
 def theta(g: GroupMatrix) -> GroupMatrix:
@@ -394,6 +534,13 @@ def theta(g: GroupMatrix) -> GroupMatrix:
     return theta_from_inverse(g.inverse())
 
 
+def _g0(rows: Sequence[Sequence], p: Optional[int]) -> list[list]:
+    n = len(rows)
+    _, _, upper = _gauss([row[::-1] for row in rows[::-1]], p)
+    lower_inv = _lower_inverse(_transpose(upper), p)  # the transpose of U^{-1}
+    return [[lower_inv[n - 1 - j][n - 1 - i] for j in range(n)] for i in range(n)]
+
+
 def gauss_g0(g: GroupMatrix) -> GroupMatrix:
     """The factor n_minus of g = n_plus * a * n_minus^{-1} (unipotent
     n_plus/n_minus, diagonal a).  With J the order-reversing permutation,
@@ -401,11 +548,8 @@ def gauss_g0(g: GroupMatrix) -> GroupMatrix:
     of g with its rows and columns reversed, so n_minus = J U^{-1} J for its
     upper factor U, inverted by substitution on the transpose; NotInBigCell
     where a trailing minor of g vanishes."""
-    n = g.n
-    _, _, upper = gauss(GroupMatrix([row[::-1] for row in g.rows[::-1]]))
-    lower_inv = lower_inverse(upper.transpose())  # the transpose of U^{-1}
-    return GroupMatrix([[lower_inv[n - 1 - j][n - 1 - i] for j in range(n)]
-                        for i in range(n)])
+    p, rows = _residue_form(g)
+    return _matrix(_g0(rows, p), p)
 
 
 def xi_and_ddminus(g: GroupMatrix, j: int) -> tuple[GroupMatrix, GroupMatrix]:
@@ -421,12 +565,25 @@ def xi_and_ddminus(g: GroupMatrix, j: int) -> tuple[GroupMatrix, GroupMatrix]:
     return n_minus, x_neg(rank, j, -c)
 
 
+def _x_neg_rows(rank: int, i: int, t, p: Optional[int]) -> Sequence[Sequence]:
+    if p is None:
+        return x_neg(rank, i, t).rows
+    _require_range(i, rank)
+    rows = _identity_rows(rank + 1, None, p)
+    rows[i][i - 1] = t
+    return rows
+
+
 def dckp_T(g: GroupMatrix, j: int) -> GroupMatrix:
     """The dressing-type Poisson automorphism on the big-cell factorization:
     conjugation by u = s_hat(j) * b_j, with u^{-1} = b_j^{-1} * s_hat(j)^T
-    (b_j = x_neg(j, -c), and the signed permutation s_hat(j) is orthogonal)."""
+    (b_j = x_neg(j, -c) with c the (j+1, j) entry of n_minus, see
+    ``xi_and_ddminus``; the signed permutation s_hat(j) is orthogonal)."""
     rank = g.n - 1
-    n_minus, b = xi_and_ddminus(g, j)
-    rep = s_hat(rank, j, g[0][0])
-    u_inv = x_neg(rank, j, n_minus[j][j - 1]) * rep.transpose()
-    return rep * b * g * u_inv
+    _require_range(j, rank)
+    p, rows = _residue_form(g)
+    c = _g0(rows, p)[j][j - 1]
+    rep = _representative_rows(rank, (j,), g[0][0], p)
+    u = _product(rep, _x_neg_rows(rank, j, _neg(c, p), p), p)
+    u_inv = _product(_x_neg_rows(rank, j, c, p), _transpose(rep), p)
+    return _matrix(_product(_product(u, rows, p), u_inv, p), p)

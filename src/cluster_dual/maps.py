@@ -660,21 +660,11 @@ class _FpPairs:
         return dict(out)
 
 
-def _fp_prime(values: Assignment) -> Optional[int]:
-    """The prime p when every coordinate is an Fp mod p, else None."""
-    p = None
-    for x in values.values():
-        if type(x) is not Fp or (p is not None and x.p != p):
-            return None
-        p = x.p
-    return p
-
-
 def run_program(program: Sequence[Op], values: Assignment) -> Assignment:
     """A program at a point, on a copy of it: on residue pairs when every
     coordinate is an Fp of one prime, else on the scalars themselves
     (rationals, jets, mixed points)."""
-    p = _fp_prime(values) if program else None
+    p = arith._fp_prime(values.values()) if program else None
     return (_SCALARS if p is None else _FpPairs(p)).run(program, values)
 
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from cluster_dual import cartan as weyl
 from cluster_dual import arith, cli, evals, golden, group as grp, maps, seeds, words
-from cluster_dual.arith import DEFAULT_PRIME, Fp, jet_point
-from cluster_dual.errors import (InvalidParameter, NotInBigCell, PreconditionFailed,
+from cluster_dual.arith import DEFAULT_PRIME, Fp, Jet, jet_const, jet_point
+from cluster_dual.errors import (ClusterDualError, DivisionByZero, InvalidParameter,
+                                 NotInBigCell, PreconditionFailed,
                                  SingularPoint, UnsupportedForType)
 from cluster_dual.group import GroupMatrix
 from cluster_dual.words import DoubleWord
@@ -600,3 +601,146 @@ def test_ev_hat_values_pinned(capsys):
         assert cli.main(["compute", "ev-hat", "--word", word, "--type", "A2",
                          "--point", point]) == 0
         assert json.loads(capsys.readouterr().out) == {"class": klass, "matrix": matrix}
+
+
+# ---------------------------------------------------------------------------
+# The residue path: F_p points through the matrix layer on plain residues
+# ---------------------------------------------------------------------------
+
+def test_fp_ev_hat_inverts_each_pivot_once(monkeypatch):
+    """One warm F_p ev_hat on 1,2,1,1,2,1 inverts 2 frozen values of ev_red(i2),
+    3 pivots in each of its two Gauss projections, 2 frozen values of T^{-1}
+    and the 5 torus parameters of ev(i1): 15 modular inversions.  Inverting
+    the projections again by substitution would add 3 each.  The transported
+    word 1,2,1,-1 adds the transport's one inversion and has 3 torus
+    parameters in ev(i1): 14."""
+    cases = []
+    for text in ("1,2,1,1,2,1", "1,2,1,-1"):
+        ctx = evals.make_context(W(text), A2)
+        vals = maps.random_assignment(W(text), A2, random.Random(text), DEFAULT_PRIME)
+        evals.ev_hat(ctx, vals)  # builds the transport's program
+        cases.append((ctx, vals))
+    calls = []
+    real = arith._inverse_mod
+    monkeypatch.setattr(arith, "_inverse_mod", lambda v, p: calls.append(v) or real(v, p))
+    counts = []
+    for ctx, vals in cases:
+        calls.clear()
+        evals.ev_hat(ctx, vals)
+        counts.append(len(calls))
+    assert counts == [15, 14]
+
+
+_RESIDUE_WORDS = [("A1", text) for text in ("1", "1,1", "-1,1", "1,-1", "-1,-1")] + [
+    ("A2", text) for text in ("1,2,1", "-1,1,2,1", "1,2,1,-1", "1,2,1,1,2,1",
+                              "-1,-2,-1,1,2,1")]
+# a negative reduced word of the longest element, for tau_product
+_TAU_WORDS = {"A1": "-1", "A2": "-2,-1,-2"}
+
+
+def _as_jets(arg):
+    """A point or a matrix over F_p lifted to jets with zero partials, which
+    keeps every evaluation on the scalar path."""
+    if isinstance(arg, dict):
+        return {ix: jet_const(x, 1) for ix, x in arg.items()}
+    if isinstance(arg, GroupMatrix):
+        return GroupMatrix([[jet_const(x, 1) for x in row] for row in arg.rows])
+    return arg
+
+
+def _scalar_outcome(fn):
+    try:
+        result = fn()
+    except (ClusterDualError, ArithmeticError) as exc:
+        return type(exc)
+    if isinstance(result, GroupMatrix):
+        return GroupMatrix([[x.value if type(x) is Jet else x for x in row]
+                            for row in result.rows])
+    return result
+
+
+def _residue_matches_scalar(fn, *args):
+    """fn at F_p arguments (the residue path) against fn at their jet lifts
+    with the values taken (the scalar path): the same entries of the same
+    types, or the same exception class.  Returns the residue outcome."""
+    got = _scalar_outcome(lambda: fn(*args))
+    want = _scalar_outcome(lambda: fn(*map(_as_jets, args)))
+    if isinstance(got, type) or isinstance(want, type):
+        assert got is want, (fn.__name__, got, want)
+    elif isinstance(got, GroupMatrix):
+        assert all(type(x) is Fp for row in got.rows for x in row), fn.__name__
+        _assert_same_entries(got, want)
+    else:
+        assert got == want, fn.__name__
+    return got
+
+
+def _residue_cases(label, text, prime, rng, singular):
+    """Every function with a residue path, on the word's point, its matrices
+    and a random matrix (with a repeated row when ``singular``) over the
+    integers mod ``prime``; the outcomes, in order."""
+    cdata, word = weyl.build_cartan(label), W(text)
+    vals = maps.random_assignment(word, cdata, rng, prime)
+    ctx = evals.make_context(word, cdata)
+    outcomes = [_residue_matches_scalar(fn, word, cdata, vals) for fn in (evals.ev, evals.ev_red)]
+    hat = _residue_matches_scalar(evals.ev_hat, ctx, vals)
+    outcomes.append(hat)
+    n = cdata.rank + 1
+    rows = [[Fp(rng.randrange(prime), prime) for _ in range(n)] for _ in range(n)]
+    if singular:
+        rows[-1] = rows[0]
+    matrices = [GroupMatrix(rows), evals.ev(word, cdata, vals)]
+    if isinstance(hat, GroupMatrix):
+        matrices.append(hat)
+    for g in matrices:
+        for fn in (grp.gauss_leq0, grp.gauss_geq0, grp.gauss_g0):
+            outcomes.append(_residue_matches_scalar(fn, g))
+        for j in range(1, n):
+            outcomes.append(_residue_matches_scalar(grp.dckp_T, g, j))
+        outcomes.append(_residue_matches_scalar(GroupMatrix.__mul__, g, GroupMatrix(rows)))
+        scaled = g.scale(Fp(rng.randrange(1, prime), prime))
+        for h in (scaled, GroupMatrix(rows)):
+            outcomes.append(_residue_matches_scalar(grp.projective_eq, g, h))
+    tau_word = W(_TAU_WORDS[label])
+    tau_vals = maps.random_assignment(tau_word, cdata, rng, prime)
+    outcomes.append(_residue_matches_scalar(evals.tau_product, tau_word, cdata, tau_vals))
+    return outcomes
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(_RESIDUE_WORDS), st.sampled_from((97, DEFAULT_PRIME)),
+       st.integers(0, 2**32), st.booleans())
+def test_residue_path_matches_the_scalar_path(case, prime, seed, singular):
+    label, text = case
+    _residue_cases(label, text, prime, random.Random(seed), singular)
+
+
+def test_composite_modulus_raises_where_the_scalar_path_does():
+    """Mod 91 = 7 * 13 a nonzero residue need not be invertible: the residue
+    path raises DivisionByZero exactly where the scalar path does."""
+    outcomes = []
+    for k, (label, text) in enumerate(_RESIDUE_WORDS):
+        for trial in range(3):
+            rng = random.Random(f"mod 91:{k}:{trial}")
+            outcomes += _residue_cases(label, text, 91, rng, trial == 2)
+    assert DivisionByZero in outcomes
+
+
+def test_a_point_mixing_two_primes_raises():
+    word = W("1,2,1,1,2,1")
+    ctx = evals.make_context(word, A2)
+    vals = maps.random_assignment(word, A2, random.Random("mixed"), DEFAULT_PRIME)
+    vals[(1, 0)] = Fp(5, 97)
+    for fn, args in ((evals.ev, (word, A2, vals)), (evals.ev_red, (word, A2, vals)),
+                     (evals.ev_hat, (ctx, vals))):
+        with pytest.raises(ValueError, match="mixed primes"):
+            fn(*args)
+    g, h = (evals.ev(word, A2, {ix: Fp(x.value, prime) for ix, x in vals.items()})
+            for prime in (97, DEFAULT_PRIME))
+    mixed = GroupMatrix([g.rows[0], *h.rows[1:]])
+    for fn, args in ((grp.projective_eq, (g, h)), (GroupMatrix.__mul__, (g, h)),
+                     (grp.gauss_leq0, (mixed,)), (grp.gauss_g0, (mixed,)),
+                     (grp.dckp_T, (mixed, 1))):
+        with pytest.raises(ValueError, match="mixed primes"):
+            fn(*args)
