@@ -92,8 +92,8 @@ def _moves_rows(moves: list[tuple], rank: int, values: Assignment,
 
 def _inner_rows(public: Callable, body: Callable, p: Optional[int], *args) -> list[list]:
     """The rows of an evaluation inside a composite: on residues its body,
-    and off F_p the public function itself, today's scalar path (a wrapper
-    installed on it sees the call)."""
+    and off F_p the public function itself, so that a wrapper installed on
+    it sees every scalar-path call."""
     if p is None:
         return [list(row) for row in public(*args).rows]
     return body(*args, p)
