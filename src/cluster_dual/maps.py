@@ -848,40 +848,86 @@ def mu_hat(source: DoubleWord, target: DoubleWord, cdata: CartanData,
     return _mu_hat(cdata, source, target, v, *classes)
 
 
-# Bounded: verify --all --type A2 derives the edges of 756 states and the B2
-# Artin generators about 1 700 more.  A G2 generator expands about 14 000,
-# few of which a later search meets again.
-@functools.lru_cache(maxsize=4096)
-def _dhat_edges(cdata: CartanData, v: WeylElement, word: DoubleWord, w1: WeylElement
-                ) -> tuple[tuple[Move, tuple[DoubleWord, WeylElement]], ...]:
-    """The edges out of the (word, w1) state of D(v), in ``applicable_moves``
-    order: class-coherent dhat moves whose target word lies in its class.
-    D-moves and right tau moves keep w1; a dual move needs w1 to be its
-    required class and trades it for its resulting one.  Cached, so every
-    ball and search over D(v) derives a state's edges once."""
-    out = []
-    for mv in wordmod.applicable_moves(word, cdata, wordmod.DHAT_KINDS):
-        out_w1 = w1
-        if mv.kind == "dual":
-            req, out_w1 = wordmod.dual_move_classes(word, cdata)
-            if req != w1:
-                continue
-        nxt = wordmod.apply_move(word, mv, cdata)
-        if wordmod.is_in_dv(nxt, cdata, v, out_w1):
-            out.append((mv, (nxt, out_w1)))
-    return tuple(out)
+# Bounded: verify --all --type A2 derives the edges of 756 states, and
+# --type B2 of 3 886.  The two G2 generators derive 23 496, few of which a
+# later search meets again.
+_EDGE_STATES = 4096
+
+
+class _DhatGraph:
+    """The class-coherent dhat move graph over D(v), on numbered states.  A
+    (letters, w1) state gets the next int the first time a search reaches
+    it, and its edges are held as (move, target number) pairs in
+    ``applicable_moves`` order: d-moves, mixed 2-moves and right tau moves
+    keep w1, a dual move needs w1 to be its required class and trades it for
+    its resulting one, and a target outside its class is no edge.  Every
+    ball and search over D(v) runs ``words._Ball`` over the numbers, so a
+    state costs one derivation of its edges and int lookups after that.
+
+    The edges of at most ``_EDGE_STATES`` states are held, the most recently
+    used.  The numbering grows with the states the searches reach; ``trim``
+    drops it between searches once it holds more than a search may expand.
+    The graph is symmetric: a dual edge's reverse is the dual move at its
+    image, with the class pair swapped."""
+
+    def __init__(self, cdata: CartanData, v: WeylElement):
+        self.cdata, self.v = cdata, v
+        self._numbers: dict[tuple[tuple[int, ...], WeylElement], int] = {}
+        self._states: list[tuple[tuple[int, ...], WeylElement]] = []
+        self.edges = functools.lru_cache(maxsize=_EDGE_STATES)(self._derive)
+
+    def number(self, letters: tuple[int, ...], w1: WeylElement) -> int:
+        state = (letters, w1)
+        n = self._numbers.get(state)
+        if n is None:
+            n = self._numbers[state] = len(self._states)
+            self._states.append(state)
+        return n
+
+    def trim(self) -> None:
+        """Between searches: drop the numbering and the edges, and every
+        cached ball, whose states are numbers, once more than
+        ``words._MAX_STATES`` states are numbered."""
+        if len(self._states) > wordmod._MAX_STATES:
+            self._numbers.clear()
+            self._states.clear()
+            self.edges.cache_clear()
+            _ball.cache_clear()
+
+    def _derive(self, n: int) -> tuple[tuple[Move, int], ...]:
+        """The edges out of state n, worked out on its letters.  A mixed
+        2-move keeps both one-sign subwords, and so the class: its target
+        needs no class test."""
+        cdata, v = self.cdata, self.v
+        letters, w1 = self._states[n]
+        out = []
+        for mv in wordmod._moves_at(letters, cdata, wordmod.DHAT_KINDS):
+            out_w1 = w1
+            if mv.kind == "dual":
+                req, out_w1 = wordmod.dual_move_classes(DoubleWord(letters), cdata)
+                if req != w1:
+                    continue
+            nxt = wordmod._rewrite(letters, mv, cdata)
+            if mv.kind == "mixed2" or wordmod._letter_cuts(nxt, cdata, v, out_w1):
+                out.append((mv, self.number(nxt, out_w1)))
+        return tuple(out)
+
+
+# Bounded: verify --all --type A2 searches over two D(v), the Artin
+# generators of each subset I over D(w0(I)).
+@functools.lru_cache(maxsize=4)
+def _graph(cdata: CartanData, v: WeylElement) -> _DhatGraph:
+    """The one numbered dhat graph over D(v)."""
+    return _DhatGraph(cdata, v)
 
 
 # Bounded: the Artin composer anchors on two states per letter and subset,
 # four for all of A2.
 @functools.lru_cache(maxsize=16)
-def _ball(cdata: CartanData, v: WeylElement,
-          anchor: tuple[DoubleWord, WeylElement]) -> wordmod._Ball:
-    """The breadth-first ball of the class-coherent dhat move graph over
-    D(v) around one (word, w1) state, grown across the searches that share
-    that end.  The graph is symmetric: a dual edge's reverse is the dual
-    move at its image, with the class pair swapped."""
-    return wordmod._Ball(anchor, lambda state: _dhat_edges(cdata, v, *state))
+def _ball(graph: _DhatGraph, anchor: int) -> wordmod._Ball:
+    """The breadth-first ball of a dhat graph around one numbered state,
+    grown across the searches that share that end."""
+    return wordmod._Ball(anchor, graph.edges)
 
 
 def _mu_hat(cdata: CartanData, source: DoubleWord, target: DoubleWord,
@@ -895,15 +941,19 @@ def _mu_hat(cdata: CartanData, source: DoubleWord, target: DoubleWord,
     if not wordmod.is_in_dv(source, cdata, v, w1_source):
         raise PreconditionFailed(
             f"{source.to_string()} is not a ({w1_source.reduced_word()},*) word of D(v)")
-    start, goal = (source, w1_source), (target, w1_target)
     if not wordmod.is_in_dv(target, cdata, v, w1_target):
         path = None  # no edge enters a state outside its class
-    elif anchored == "source":
-        path = _ball(cdata, v, start).path_from(goal)
-    elif anchored == "target":
-        path = _ball(cdata, v, goal).path_to(start)
     else:
-        path = wordmod._search(start, goal, lambda state: _dhat_edges(cdata, v, *state))
+        graph = _graph(cdata, v)
+        graph.trim()
+        start = graph.number(source.letters, w1_source)
+        goal = graph.number(target.letters, w1_target)
+        if anchored == "source":
+            path = _ball(graph, start).path_from(goal)
+        elif anchored == "target":
+            path = _ball(graph, goal).path_to(start)
+        else:
+            path = wordmod._search(start, goal, graph.edges)
     if path is None:
         raise NoPath(f"no coherent dhat path {source.to_string()} -> {target.to_string()}")
     return _along(source, path, cdata, restricted=True)
@@ -931,8 +981,9 @@ def artin_T(w: DoubleWord, j: int, cdata: CartanData,
     the base word), transport back.  This is the one-letter case of
     ``artin_T_word``.
 
-    The subset I must be stable under the star involution; the resulting map
-    does not depend on the admissible base word chosen.
+    A subset I other than the whole alphabet must be fixed pointwise by the
+    star involution; the resulting map does not depend on the admissible
+    base word chosen.
     """
     return _artin_T_word(cdata, w, (j,), _subset(cdata, subset), base)
 
@@ -980,6 +1031,12 @@ def _artin_T_word(cdata: CartanData, w: DoubleWord, letters: tuple[int, ...],
     star = weyl.star_involution(cdata)
     if sorted(star[i] for i in subset) != sorted(subset):
         raise PreconditionFailed("subset must be star-stable")
+    # a leg's class target takes the star of w0, which is the star of w0(I)
+    # on the whole alphabet but not on a subset whose letters it moves
+    moved = sorted({i for i in subset if star[i] != i})
+    if moved and len(set(subset)) < cdata.rank:
+        raise PreconditionFailed(
+            f"subset {subset} is not fixed pointwise by the star: it moves {moved}")
     for j in letters:
         if j not in subset:
             raise PreconditionFailed(f"{j} is not in the subset")

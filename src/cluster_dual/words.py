@@ -144,6 +144,8 @@ def _d_order(letters: tuple[int, ...], p: int, positive: bool, cdata: CartanData
     return order if letters[p + 2:p + order] == ((a, b) * order)[2:order] else 0
 
 
+# Bounded by the types in use.
+@functools.lru_cache(maxsize=64)
 def dual_block_length(cdata: CartanData) -> int:
     return weyl.longest_element(cdata).length()
 
@@ -151,8 +153,12 @@ def dual_block_length(cdata: CartanData) -> int:
 def _dual_ok(w: DoubleWord, cdata: CartanData) -> bool:
     """Core/inverse-core dual-move shapes only: the trailing w0 block has one
     sign and the letter just before it has the opposite sign."""
+    return _dual_ok_letters(w.letters, cdata)
+
+
+def _dual_ok_letters(letters: tuple[int, ...], cdata: CartanData) -> bool:
     L = dual_block_length(cdata)
-    return len(w) > L and _dual_tail_ok(cdata, w.letters[-L - 1:])
+    return len(letters) > L and _dual_tail_ok(cdata, letters[-L - 1:])
 
 
 # Bounded: a search meets few distinct tails of l(w0) + 1 letters.
@@ -175,74 +181,91 @@ def _check_letters(w: DoubleWord, cdata: CartanData) -> None:
 def applicable_moves(w: DoubleWord, cdata: CartanData,
                      kinds: Iterable[str] = ALL_MOVE_KINDS) -> list[Move]:
     _check_letters(w, cdata)
-    kinds = tuple(kinds)
-    out: list[Move] = []
-    letters = w.letters
+    return list(_moves_at(w.letters, cdata, tuple(kinds)))
+
+
+# Bounded by the move kinds times the window starts and orders of the
+# words in use.
+@functools.lru_cache(maxsize=4096)
+def _move(kind: str, pos: int, order: int = 0) -> Move:
+    """The one Move of each label: a search stores its edges' labels, and
+    equal labels share one object."""
+    return Move(kind, pos, order)
+
+
+def _moves_at(letters: tuple[int, ...], cdata: CartanData, kinds: tuple[str, ...]):
+    """The moves applicable to letters already checked against the type,
+    in ``applicable_moves`` order: mixed 2-moves, positive then negative
+    d-moves, left and right tau moves, the dual move."""
     n = len(letters)
     if "mixed2" in kinds:
         for p in range(n - 1):
             if (letters[p] > 0) != (letters[p + 1] > 0):
-                out.append(Move("mixed2", p, 2))
+                yield _move("mixed2", p, 2)
     for kind, positive in (("positive_d", True), ("negative_d", False)):
         if kind not in kinds:
             continue
         for p in range(n - 1):
             order = _d_order(letters, p, positive, cdata)
             if order:
-                out.append(Move(kind, p, order))
+                yield _move(kind, p, order)
     if "tau_left" in kinds and n >= 1:
-        out.append(Move("tau_left", 0))
+        yield _move("tau_left", 0)
     if "tau_right" in kinds and n >= 1:
-        out.append(Move("tau_right", n - 1))
-    if "dual" in kinds and _dual_ok(w, cdata):
-        out.append(Move("dual", n - 1 - dual_block_length(cdata)))
-    return out
+        yield _move("tau_right", n - 1)
+    if "dual" in kinds and _dual_ok_letters(letters, cdata):
+        yield _move("dual", n - 1 - dual_block_length(cdata))
+
+
+def _rewrite(letters: tuple[int, ...], move: Move, cdata: CartanData) -> tuple[int, ...]:
+    """The letters after a move known to apply: the one statement of each
+    move's rewrite, read by ``apply_move`` and by the move-graph search."""
+    kind = move.kind
+    if kind == "mixed2":
+        p = move.pos
+        return letters[:p] + (letters[p + 1], letters[p]) + letters[p + 2:]
+    if kind == "positive_d" or kind == "negative_d":
+        p, m = move.pos, move.order
+        # the window a,b,a,... becomes b,a,b,...
+        return letters[:p] + ((letters[p + 1], letters[p]) * m)[:m] + letters[p + m:]
+    if kind == "tau_left":
+        return (-letters[0],) + letters[1:]
+    if kind == "tau_right":
+        return letters[:-1] + (-letters[-1],)
+    # dual: the moving letter k becomes the bar of k*, the block reverses
+    # and flips
+    L = dual_block_length(cdata)
+    moving = letters[-L - 1]
+    star = weyl.star_involution(cdata)
+    return (letters[:-L - 1] + (-_signed(star[abs(moving)], moving > 0),)
+            + tuple(-x for x in reversed(letters[-L:])))
 
 
 def apply_move(w: DoubleWord, move: Move, cdata: CartanData) -> DoubleWord:
     """The word after the move.  D-moves and the dual move read the type and
     reject letters beyond the rank; mixed 2-moves and tau moves, most of the
     edges of a move search, read no type data and go unchecked."""
-    letters = list(w.letters)
-    if move.kind == "mixed2":
+    letters = w.letters
+    kind = move.kind
+    if kind == "mixed2":
         p = move.pos
         if p < 0 or p + 1 >= len(letters) or (letters[p] > 0) == (letters[p + 1] > 0):
             raise InapplicableMove(f"mixed2 at {p} in {w.to_string()}")
-        letters[p], letters[p + 1] = letters[p + 1], letters[p]
-        return DoubleWord(tuple(letters))
-    if move.kind in ("positive_d", "negative_d"):
+    elif kind in ("positive_d", "negative_d"):
         _check_letters(w, cdata)
-        sign = 1 if move.kind == "positive_d" else -1
-        order = _d_order(w.letters, move.pos, sign > 0, cdata)
+        order = _d_order(letters, move.pos, kind == "positive_d", cdata)
         if order == 0 or order != move.order:
-            raise InapplicableMove(f"{move.kind}({move.order}) at {move.pos} in {w.to_string()}")
-        p, m = move.pos, move.order
-        i, j = abs(letters[p]), abs(letters[p + 1])
-        for t in range(m):
-            letters[p + t] = sign * (j if t % 2 == 0 else i)
-        return DoubleWord(tuple(letters))
-    if move.kind == "tau_left":
+            raise InapplicableMove(f"{kind}({move.order}) at {move.pos} in {w.to_string()}")
+    elif kind in ("tau_left", "tau_right"):
         if not letters:
             raise InapplicableMove("tau on empty word")
-        letters[0] = -letters[0]
-        return DoubleWord(tuple(letters))
-    if move.kind == "tau_right":
-        if not letters:
-            raise InapplicableMove("tau on empty word")
-        letters[-1] = -letters[-1]
-        return DoubleWord(tuple(letters))
-    if move.kind == "dual":
+    elif kind == "dual":
         _check_letters(w, cdata)
         if not _dual_ok(w, cdata):
             raise InapplicableMove(f"dual move on {w.to_string()}")
-        L = dual_block_length(cdata)
-        block = letters[-L:]
-        moving = letters[-L - 1]
-        star = weyl.star_involution(cdata)
-        new_letter = -_signed(star[abs(moving)], moving > 0)
-        flipped = [-x for x in reversed(block)]
-        return DoubleWord(tuple(letters[:-L - 1] + [new_letter] + flipped))
-    raise InapplicableMove(f"unknown move kind {move.kind!r}")
+    else:
+        raise InapplicableMove(f"unknown move kind {kind!r}")
+    return DoubleWord(_rewrite(letters, move, cdata))
 
 
 def _signed(wire: int, positive: bool) -> int:
@@ -280,9 +303,11 @@ def index_map(w: DoubleWord, move: Move, cdata: CartanData) -> dict[SeedIndex, S
 # States one breadth-first ball may expand, added up over every query it
 # answers; a query that needs more raises NoPath.  A ball thus holds at most
 # 1 + _MAX_STATES * (most edges out of one state) states: the expanded ones
-# and their successors not expanded yet.  Edges are not held here: the move
-# graph's edge table, maps._dhat_edges, holds the edges of at most its
-# maxsize states, shared by every ball and search over D(v).
+# and their successors not expanded yet.  Edges are not held here: over D(v)
+# the numbered move graph, maps._DhatGraph, holds the edges of at most
+# maps._EDGE_STATES states, shared by every ball and search over it, and
+# drops its numbering between searches once it numbers more than
+# _MAX_STATES states.
 _MAX_STATES = 200_000
 
 
@@ -510,17 +535,19 @@ def _factor(cdata: CartanData, n1, p1, n2, p2,
 
 # Bounded: verify --all --type A2 asks about 150 distinct keys.
 @functools.lru_cache(maxsize=4096)
-def _subword_cuts(cdata: CartanData, shuffle: DoubleWord,
+def _subword_cuts(cdata: CartanData, shuffle: tuple[int, ...],
                   v: Optional[WeylElement] = None, w1: Optional[WeylElement] = None
                   ) -> tuple[tuple[int, TrivialDecomposition, DoubleWord], ...]:
-    """Every cut of the one-sign subwords of a bars-first word that factors
-    them as a trivial (w1,w2)_v-word i1 i2, as (cut of the barred subword,
+    """Every cut of the one-sign subwords of a bars-first word, given by its
+    letters, that factors them as a trivial (w1,w2)_v-word i1 i2, as (cut
+    of the barred subword,
     decomposition, bars-first trivial word).  A cut of the barred subword
     fixes the length of p2, and a pinned w1 fixes that cut (n1 is a reduced
     word of (w1*)^{-1}).  This is the one class cache: a word's classes
     depend only on its one-sign subwords, which mixed 2-moves, most of the
     edges of a class search, keep; its bars-first shuffle spells them."""
-    neg, pos = shuffle.negative_subword, shuffle.positive_subword
+    neg = tuple(-x for x in shuffle if x < 0)
+    pos = tuple(x for x in shuffle if x > 0)
     w0_length = weyl.longest_element(cdata).length()
     out = []
     for ncut in range(len(neg) + 1) if w1 is None else (w1.length(),):
@@ -539,8 +566,15 @@ def _cuts_of(w: DoubleWord, cdata: CartanData, v: Optional[WeylElement],
              w1: Optional[WeylElement]):
     """``_subword_cuts`` of w's bars-first shuffle, once its letters pass."""
     _check_letters(w, cdata)
-    shuffle = tuple(sorted(w.letters, key=(0).__lt__))  # stable: bars first, order kept
-    return _subword_cuts(cdata, DoubleWord(shuffle), v, w1)
+    return _letter_cuts(w.letters, cdata, v, w1)
+
+
+def _letter_cuts(letters: tuple[int, ...], cdata: CartanData, v: Optional[WeylElement],
+                 w1: Optional[WeylElement]):
+    """``_subword_cuts`` of the bars-first shuffle of letters already checked
+    against the type."""
+    shuffle = tuple(sorted(letters, key=(0).__lt__))  # stable: bars first, order kept
+    return _subword_cuts(cdata, shuffle, v, w1)
 
 
 def _class_cuts(w: DoubleWord, cdata: CartanData,

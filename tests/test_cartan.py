@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -148,3 +149,39 @@ def test_descent_stripping_round_trip():
             word = w.reduced_word()
             assert weyl.from_word(cdata, word) == w
             assert weyl.is_reduced(cdata, word)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
+def test_memoized_products_are_the_plain_products(label):
+    """``from_word`` and ``WeylElement.inverse`` answer from memos; every
+    word up to length l(w0) + 1 gets the plain product of its simple
+    reflections, and its inverse is the product of the reversed word."""
+    cdata = weyl.build_cartan(label)
+
+    def plain(word):
+        w = weyl.identity_element(cdata)
+        for i in word:
+            w = w * weyl.simple(cdata, i)
+        return w
+
+    longest = weyl.longest_element(cdata).length() + 1
+    for length in range(longest + 1):
+        for word in itertools.product(range(1, cdata.rank + 1), repeat=length):
+            w = weyl.from_word(cdata, word)
+            assert w == plain(word) and hash(w) == hash(plain(word))
+            assert weyl.from_word(cdata, list(word)) is w
+            assert w.inverse() == plain(word[::-1])
+            assert w.inverse() is w.inverse()
+
+
+def test_cartan_data_built_directly_equals_the_built_one():
+    """A CartanData's hash is computed once and reads only its matrices, so
+    one spelled out by hand equals and hashes like ``build_cartan``'s, and
+    so do the Weyl elements of the two."""
+    for label, a, d in (("A2", ((2, -1), (-1, 2)), (1, 1)),
+                        ("G2", ((2, -1), (-3, 2)), (3, 1))):
+        built, direct = weyl.build_cartan(label), weyl.CartanData(label, a, d)
+        assert direct == built and hash(direct) == hash(built)
+        for i in (1, 2):
+            assert weyl.simple(direct, i) == weyl.simple(built, i)
+            assert hash(weyl.simple(direct, i)) == hash(weyl.simple(built, i))

@@ -17,18 +17,20 @@ def test_no_assert_statement_in_src():
     assert found == []
 
 
+def unbounded(decorator) -> bool:
+    """``lru_cache(maxsize=None)`` or ``cache``."""
+    if isinstance(decorator, ast.Call):
+        name = ast.unparse(decorator.func)
+        return name.endswith("lru_cache") and any(
+            kw.arg == "maxsize" and isinstance(kw.value, ast.Constant)
+            and kw.value.value is None for kw in decorator.keywords)
+    return ast.unparse(decorator).split(".")[-1] == "cache"
+
+
 def _unbounded_word_caches(tree: ast.AST) -> list[str]:
     """Functions with a DoubleWord-annotated parameter decorated by
     ``lru_cache(maxsize=None)`` or ``cache``: word-keyed caches without a
     bound."""
-    def unbounded(decorator) -> bool:
-        if isinstance(decorator, ast.Call):
-            name = ast.unparse(decorator.func)
-            return name.endswith("lru_cache") and any(
-                kw.arg == "maxsize" and isinstance(kw.value, ast.Constant)
-                and kw.value.value is None for kw in decorator.keywords)
-        return ast.unparse(decorator).split(".")[-1] == "cache"
-
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -49,4 +51,43 @@ def test_no_unbounded_cache_keyed_by_a_word():
     found = [f"{path.relative_to(SRC)}:{name}"
              for path in sorted(SRC.rglob("*.py"))
              for name in _unbounded_word_caches(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def _unbounded_search_caches(tree: ast.Module) -> list[str]:
+    """Caches without a bound that a move-graph search fills: module-level
+    functions with a parameter annotated by a word's letters
+    (``tuple[int, ...]``) or a ``WeylElement``, methods of ``WeylElement``,
+    and any ``lru_cache(maxsize=None)`` applied by a call."""
+    keyed = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if any(a.annotation is not None and ast.unparse(a.annotation)
+                   in ("tuple[int, ...]", "WeylElement") for a in args):
+                keyed.append(node)
+        elif isinstance(node, ast.ClassDef) and node.name == "WeylElement":
+            keyed += [f for f in node.body if isinstance(f, ast.FunctionDef)]
+    found = [f"{f.name}:{f.lineno}" for f in keyed if any(map(unbounded, f.decorator_list))]
+    found += [f"call:{node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Call)
+              and unbounded(node.func)]
+    return found
+
+
+def test_no_unbounded_search_cache():
+    """Every memo of the numbered move graph and of the class test under it
+    is bounded: the letters and Weyl element memos, the per-graph edge
+    tables and the graph and ball caches."""
+    planted = ast.parse(
+        "@functools.lru_cache(maxsize=None)\ndef a(cdata, letters: tuple[int, ...]): pass\n"
+        "@functools.cache\ndef b(w: WeylElement): pass\n"
+        "class WeylElement:\n    @functools.cache\n    def c(self): pass\n"
+        "edges = functools.lru_cache(maxsize=None)(derive)\n"
+        "@functools.lru_cache(maxsize=64)\ndef d(w: WeylElement): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef e(cdata: CartanData): pass\n")
+    assert _unbounded_search_caches(planted) == ["a:2", "b:4", "c:7", "call:8"]
+    found = [f"{path.relative_to(SRC)}:{name}"
+             for path in sorted(SRC.rglob("*.py"))
+             for name in _unbounded_search_caches(ast.parse(path.read_text(), str(path)))]
     assert found == []

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -201,11 +202,13 @@ def test_anchored_build_resumes_after_an_abort(monkeypatch):
     cached and whole: once the bound is restored the same ball answers with
     the fresh-search path."""
     assert 0 < maps._ball.cache_info().maxsize <= 64
+    assert 0 < maps._graph.cache_info().maxsize <= 64
     w0 = weyl.longest_element(A2)
     w = W("-1,-2,-1,1,2,1")
-    start = (w, words.canonical_class(w, A2, w0)[0].w1)
-    anchor = (words.l_move(maps._artin_base_word(A2, 1, (1, 2))),
+    start = (w.letters, words.canonical_class(w, A2, w0)[0].w1)
+    anchor = (words.l_move(maps._artin_base_word(A2, 1, (1, 2))).letters,
               w0 * weyl.simple(A2, weyl.star(A2, 1)))
+    maps._graph.cache_clear()
     maps._ball.cache_clear()
     maps._artin_T_word.cache_clear()
     bound = words._MAX_STATES
@@ -214,18 +217,42 @@ def test_anchored_build_resumes_after_an_abort(monkeypatch):
         maps.artin_T(w, 1, A2)
     monkeypatch.setattr(words, "_MAX_STATES", bound)
     assert maps._ball.cache_info().currsize == 1
-    ball = maps._ball(A2, w0, anchor)
+    graph = maps._graph(A2, w0)
+    start, anchor = graph.number(*start), graph.number(*anchor)
+    ball = maps._ball(graph, anchor)
     assert maps._ball.cache_info().currsize == 1
-    assert ball.path_to(start) == words._search(
-        start, anchor, lambda state: maps._dhat_edges(A2, w0, *state))
+    assert ball.path_to(start) == words._search(start, anchor, graph.edges)
     built = _steps(maps.artin_T(w, 1, A2))
     maps._artin_T_word.cache_clear()
     _build_legs_one_shot(monkeypatch)
     assert built == _steps(maps.artin_T(w, 1, A2))
 
 
+def test_graph_drops_its_numbering_past_the_search_bound(monkeypatch):
+    """Once a graph numbers more states than one search may expand, the
+    next search drops the numbering, the edges and the cached balls, and
+    still takes the same path."""
+    w0 = weyl.longest_element(A2)
+    w = W("-1,-2,-1,1,2,1")
+    maps._graph.cache_clear()
+    maps._ball.cache_clear()
+    maps._artin_T_word.cache_clear()
+    built = _steps(maps.artin_T(w, 1, A2))
+    graph = maps._graph(A2, w0)
+    numbered = len(graph._states)
+    assert maps._ball.cache_info().currsize == 2 and numbered > 100
+    monkeypatch.setattr(words, "_MAX_STATES", numbered)
+    graph.trim()
+    assert len(graph._states) == numbered and maps._ball.cache_info().currsize == 2
+    monkeypatch.setattr(words, "_MAX_STATES", numbered - 1)
+    maps._artin_T_word.cache_clear()
+    assert _steps(maps.artin_T(w, 1, A2)) == built
+    assert maps._graph(A2, w0) is graph
+    assert maps._ball.cache_info().hits == 0  # both balls grown again
+
+
 def _fresh_edges(cdata, v, word, w1):
-    """The edges of the (word, w1) state derived afresh, as ``_dhat_edges``
+    """The edges of the (word, w1) state derived afresh, as ``_DhatGraph``
     documents them: every dhat move, the class pair of a dual move, and the
     per-word class test of the target."""
     out = []
@@ -241,31 +268,95 @@ def _fresh_edges(cdata, v, word, w1):
     return tuple(out)
 
 
+def _decoded_edges(graph, n):
+    """The edges of numbered state n, with (word, w1) targets."""
+    return tuple((mv, (words.DoubleWord(graph._states[m][0]), graph._states[m][1]))
+                 for mv, m in graph.edges(n))
+
+
 def test_dhat_edges_match_a_fresh_derivation(monkeypatch):
-    """The cached edge table gives every state of the A2 D(w0) component and
+    """The numbered graph gives every state of the A2 D(w0) component and
     every state of a B2 ball the edges an uncached derivation finds."""
-    assert maps._dhat_edges.cache_info().maxsize is not None
     b2 = weyl.build_cartan("B2")
+    maps._graph.cache_clear()
     states = []
     for cdata, word, bound in ((A2, W("-1,-2,-1,1,2,1"), words._MAX_STATES),
                                (b2, W("-1,-2,-1,-2,1,2,1,2"), 300)):
         v = weyl.longest_element(cdata)
-        anchor = (word, words.canonical_class(word, cdata, v)[0].w1)
-        ball = words._Ball(anchor, lambda state, cdata=cdata, v=v:
-                           maps._dhat_edges(cdata, v, *state))
+        graph = maps._graph(cdata, v)
+        assert graph.edges.cache_info().maxsize is not None
+        anchor = graph.number(word.letters, words.canonical_class(word, cdata, v)[0].w1)
+        ball = words._Ball(anchor, graph.edges)
         monkeypatch.setattr(words, "_MAX_STATES", bound)
         if cdata is A2:
             assert ball.path_from(None) is None  # the whole component
         else:
             with pytest.raises(NoPath):
                 ball.path_from(None)
-        states += [(cdata, v, state) for state in ball._parent]
-    cached = [maps._dhat_edges(cdata, v, *state) for cdata, v, state in states]
+        states += [(cdata, v, graph, n) for n in ball._parent]
+    cached = [_decoded_edges(graph, n) for _, _, graph, n in states]
     assert len(states) > 1000
     assert {mv.kind for edges in cached for mv, _ in edges} == set(words.DHAT_KINDS)
     monkeypatch.setattr(words, "_subword_cuts", words._subword_cuts.__wrapped__)
-    for (cdata, v, state), edges in zip(states, cached):
-        assert edges == _fresh_edges(cdata, v, *state), state
+    for (cdata, v, graph, n), edges in zip(states, cached):
+        word, w1 = graph._states[n]
+        assert edges == _fresh_edges(cdata, v, words.DoubleWord(word), w1), (word, w1)
+
+
+def _fresh_search(edges, start, goal):
+    """The least shortest path from start to goal in edge order, by a
+    breadth-first search over (word, w1) states: the first edge to reach a
+    state is kept."""
+    parent = {start: None}
+    queue = collections.deque([start])
+    while queue and goal not in parent:
+        state = queue.popleft()
+        for mv, nxt in edges(state):
+            if nxt not in parent:
+                parent[nxt] = (state, mv)
+                queue.append(nxt)
+    path = []
+    while parent[goal] is not None:
+        goal, mv = parent[goal]
+        path.append(mv)
+    return path[::-1]
+
+
+def test_mu_hat_paths_are_the_fresh_search_paths():
+    """One-shot and both anchored ``_mu_hat`` modes take the path a plain
+    breadth-first search over freshly derived (word, w1) edges finds: on the
+    two A2 MU_HAT pairs and on 50 seeded random state pairs of the A2 D(w0)
+    component."""
+    memo = {}
+
+    def edges(cdata, v):
+        def of(state):
+            key = (cdata, v, state)
+            if key not in memo:
+                memo[key] = _fresh_edges(cdata, v, *state)
+            return memo[key]
+        return of
+
+    cases = []
+    for source, target in evals._INSTANCES["A2"]["MU_HAT"]:
+        v = evals.make_context(source, A2).v
+        cases.append((v, *((w, words.canonical_class(w, A2, v)[0].w1)
+                           for w in (source, target))))
+    w0 = weyl.longest_element(A2)
+    word = W("-1,-2,-1,1,2,1")
+    anchor = (word, words.canonical_class(word, A2, w0)[0].w1)
+    component = [anchor]
+    for state in component:
+        component += [nxt for _, nxt in edges(A2, w0)(state) if nxt not in component]
+    assert len(component) > 700
+    pick = random.Random(26)
+    cases += [(w0, *pick.sample(component, 2)) for _ in range(50)]
+    for v, start, goal in cases:
+        want = _steps(maps._along(start[0], _fresh_search(edges(A2, v), start, goal),
+                                  A2, restricted=True))
+        for anchored in ("", "source", "target"):
+            got = maps._mu_hat(A2, start[0], goal[0], v, start[1], goal[1], anchored)
+            assert _steps(got) == want, (start, goal, anchored)
 
 
 def test_anchored_mu_hat_checks_the_goal_class_before_growing_a_ball():
@@ -309,6 +400,23 @@ def test_artin_T_rejects_subset_letters_outside_the_rank():
             maps.artin_T(W("1,2,1,1,2,1"), 1, A2, subset=subset)
     with pytest.raises(PreconditionFailed, match="star-stable"):
         maps.artin_T(W("1,2,1,1,2,1"), 1, A2, subset=(1,))
+
+
+def test_artin_T_refuses_a_subset_the_star_moves(monkeypatch):
+    """A subset other than the whole alphabet must be fixed pointwise by the
+    star.  On A3 the star swaps 1 and 3, so {1, 3} is refused before any
+    class lookup or search; {2}, which it fixes, builds."""
+    a3 = weyl.build_cartan("A3")
+    w = W("-2,1,2,3,1,2,1")
+    with monkeypatch.context() as patched:
+        for name in ("canonical_class", "is_in_dv"):
+            patched.setattr(words, name, lambda *args: pytest.fail("class lookup"))
+        patched.setattr(maps, "_graph", lambda *args: pytest.fail("search"))
+        for j in (1, 3):
+            with pytest.raises(PreconditionFailed,
+                               match=r"fixed pointwise by the star: it moves \[1, 3\]"):
+                maps.artin_T(w, j, a3, subset=(1, 3))
+    assert len(maps.artin_T(w, 2, a3, subset=(2,)).steps) == 35
 
 
 def test_warm_artin_rebuild_asks_no_class_question(monkeypatch):
