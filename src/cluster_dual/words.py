@@ -540,12 +540,12 @@ def _subword_cuts(cdata: CartanData, shuffle: tuple[int, ...],
                   ) -> tuple[tuple[int, TrivialDecomposition, DoubleWord], ...]:
     """Every cut of the one-sign subwords of a bars-first word, given by its
     letters, that factors them as a trivial (w1,w2)_v-word i1 i2, as (cut
-    of the barred subword,
-    decomposition, bars-first trivial word).  A cut of the barred subword
-    fixes the length of p2, and a pinned w1 fixes that cut (n1 is a reduced
-    word of (w1*)^{-1}).  This is the one class cache: a word's classes
-    depend only on its one-sign subwords, which mixed 2-moves, most of the
-    edges of a class search, keep; its bars-first shuffle spells them."""
+    of the barred subword, decomposition, bars-first trivial word).  A cut
+    of the barred subword fixes the length of p2, and a pinned w1 fixes
+    that cut (n1 is a reduced word of (w1*)^{-1}).  This is the one class
+    cache: a word's classes depend only on its one-sign subwords, which
+    mixed 2-moves, most of the edges of a class search, keep; its
+    bars-first shuffle spells them."""
     neg = tuple(-x for x in shuffle if x < 0)
     pos = tuple(x for x in shuffle if x > 0)
     w0_length = weyl.longest_element(cdata).length()

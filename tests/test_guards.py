@@ -17,7 +17,7 @@ def test_no_assert_statement_in_src():
     assert found == []
 
 
-def unbounded(decorator) -> bool:
+def _is_unbounded(decorator) -> bool:
     """``lru_cache(maxsize=None)`` or ``cache``."""
     if isinstance(decorator, ast.Call):
         name = ast.unparse(decorator.func)
@@ -36,7 +36,7 @@ def _unbounded_word_caches(tree: ast.AST) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
             if any(a.annotation is not None and "DoubleWord" in ast.unparse(a.annotation)
-                   for a in args) and any(map(unbounded, node.decorator_list)):
+                   for a in args) and any(map(_is_unbounded, node.decorator_list)):
                 found.append(f"{node.name}:{node.lineno}")
     return found
 
@@ -68,10 +68,10 @@ def _unbounded_search_caches(tree: ast.Module) -> list[str]:
                 keyed.append(node)
         elif isinstance(node, ast.ClassDef) and node.name == "WeylElement":
             keyed += [f for f in node.body if isinstance(f, ast.FunctionDef)]
-    found = [f"{f.name}:{f.lineno}" for f in keyed if any(map(unbounded, f.decorator_list))]
+    found = [f"{f.name}:{f.lineno}" for f in keyed if any(map(_is_unbounded, f.decorator_list))]
     found += [f"call:{node.lineno}" for node in ast.walk(tree)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Call)
-              and unbounded(node.func)]
+              and _is_unbounded(node.func)]
     return found
 
 
