@@ -217,8 +217,8 @@ def cmd_words(args) -> int:
         return _fail_config(f"unknown move set {args.moves!r}")
     try:
         path = words.move_path(source, target, cdata, kinds)
-    except NoPath:
-        print("no path", file=sys.stderr)
+    except NoPath as exc:
+        print(f"no path: {exc}", file=sys.stderr)
         return EXIT_FAILED
     chain = []
     cur = source

@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -318,16 +318,21 @@ class Step:
 
 @dataclass(frozen=True)
 class MoveStep(Step):
-    """A single word move with its induced mutations and relabeling."""
+    """A single word move with its induced mutations and relabeling; its target
+    word is derived on first read and kept in a field, not a ``__dict__``."""
 
     cdata: CartanData
     word_before: DoubleWord
     move: Move
     restricted: bool
+    _after: Optional[DoubleWord] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def word_after(self) -> DoubleWord:
-        return wordmod.apply_move(self.word_before, self.move, self.cdata)
+        if self._after is None:
+            after = wordmod.apply_move(self.word_before, self.move, self.cdata)
+            object.__setattr__(self, "_after", after)
+        return self._after
 
     def ops(self) -> tuple[Op, ...]:
         mutations, sigma = _move_plan(self.cdata, self.word_before, self.move, self.restricted)
@@ -512,7 +517,7 @@ class XiCoreStep(Step):
     cdata: CartanData
     word_before: DoubleWord
 
-    @property
+    @functools.cached_property
     def word_after(self) -> DoubleWord:
         return _core_plan(self.cdata, self.word_before).target
 
@@ -693,13 +698,16 @@ class RationalMap:
     def __call__(self, values: Assignment) -> Assignment:
         return self.apply(values)
 
-    def then(self, other: "RationalMap") -> "RationalMap":
-        if self.target_word != other.source_word:
-            raise PreconditionFailed(
-                f"{self.target_word.to_string()} != {other.source_word.to_string()}")
-        return RationalMap(self.cdata, self.source_word, other.target_word,
-                           self.steps + other.steps,
-                           self.restricted and other.restricted)
+    def then(self, *others: "RationalMap") -> "RationalMap":
+        """This map followed by others in turn: every seam checked, steps joined once."""
+        maps = (self, *others)
+        for a, b in zip(maps, others):
+            if a.target_word != b.source_word:
+                raise PreconditionFailed(
+                    f"{a.target_word.to_string()} != {b.source_word.to_string()}")
+        return RationalMap(self.cdata, self.source_word, maps[-1].target_word,
+                           tuple(s for m in maps for s in m.steps),
+                           all(m.restricted for m in maps))
 
     def inverse(self) -> "RationalMap":
         return RationalMap(self.cdata, self.target_word, self.source_word,
@@ -732,10 +740,10 @@ def _along(w: DoubleWord, moves: Iterable[Move], cdata: CartanData,
            restricted: bool = False) -> RationalMap:
     """Composite of the move transformations along a chain of moves from w,
     first move first."""
-    out = identity_map(w, cdata, restricted)
+    legs = [identity_map(w, cdata, restricted)]
     for mv in moves:
-        out = out.then(dmove_transform(out.target_word, mv, cdata, restricted))
-    return out
+        legs.append(dmove_transform(legs[-1].target_word, mv, cdata, restricted))
+    return legs[0].then(*legs[1:])
 
 
 def path_transform(source: DoubleWord, target: DoubleWord, cdata: CartanData,
@@ -757,21 +765,17 @@ def zeta_map(w: DoubleWord, cdata: CartanData) -> RationalMap:
     right tau flip, then the bar migrates left to the bar block); for a
     negative word from the head (left tau flip, migration right)."""
     n = len(w)
-    if wordmod.is_positive_reduced(w, cdata):
-        positive = True
-    elif wordmod.is_negative_reduced(w, cdata):
-        positive = False
-    else:
-        raise PreconditionFailed("zeta needs a one-sign reduced word")
     moves = []
-    if positive:
+    if wordmod.is_positive_reduced(w, cdata):
         for k in range(n, 0, -1):  # barring letter i_k
             moves.append(Move("tau_right", n - 1))
             moves += [Move("mixed2", p, 2) for p in range(n - 2, n - k - 1, -1)]
-    else:
+    elif wordmod.is_negative_reduced(w, cdata):
         for k in range(1, n + 1):  # unbarring letter j_k
             moves.append(Move("tau_left", 0))
             moves += [Move("mixed2", p, 2) for p in range(n - k)]
+    else:
+        raise PreconditionFailed("zeta needs a one-sign reduced word")
     return _along(w, moves, cdata)
 
 
@@ -792,10 +796,8 @@ def dual_move_map(w: DoubleWord, cdata: CartanData) -> RationalMap:
     letter migrates through the block (restricted mixed 2-moves), the core
     acts, and the starred letter migrates back."""
     L = wordmod.dual_block_length(cdata)
-    if not wordmod._dual_ok(w, cdata):
-        raise InapplicableMove(f"no dual move at {w.to_string()}")
     n = len(w)
-    target = wordmod.apply_move(w, Move("dual", n - 1 - L), cdata)
+    target = wordmod.apply_move(w, Move("dual", n - 1 - L), cdata)  # raises if none applies
     if w.letters[-1] < 0:
         # shape B: ... k [negative w0 block]: inverse of the shape-A map at the image
         fwd = dual_move_map(target, cdata)
@@ -810,8 +812,7 @@ def dual_move_map(w: DoubleWord, cdata: CartanData) -> RationalMap:
     # migrate the new positive letter k* back to the block front
     back = _along(core.word_after, [Move("mixed2", p, 2) for p in range(n - 2, n - L - 2, -1)],
                   cdata, restricted=True)
-    out = to_end.then(RationalMap(cdata, core.word_before, core.word_after, (core,), True))
-    out = out.then(back)
+    out = to_end.then(RationalMap(cdata, core.word_before, core.word_after, (core,), True), back)
     if out.target_word != target:
         raise InvariantViolation(
             f"dual move map ends at {out.target_word.to_string()}, not {target.to_string()}")
@@ -1046,19 +1047,20 @@ def _artin_T_word(cdata: CartanData, w: DoubleWord, letters: tuple[int, ...],
     if found is None:
         raise PreconditionFailed(f"{w.to_string()} is not in D(w0(I))")
     w_class = w1 = found[0].w1
-    out = identity_map(w, cdata, restricted=True)
+    legs = [identity_map(w, cdata, restricted=True)]
     for j, base in zip(letters, bases, strict=True):
         flipped = wordmod.l_move(base)  # starts with the positive letter j
         # the moving letter leaves the class of the base word, w0(I)
-        out = out.then(_mu_hat(cdata, out.target_word, flipped, w0I,
-                               w1, w0I * weyl.simple(cdata, star[j]), "target"))
+        legs.append(_mu_hat(cdata, legs[-1].target_word, flipped, w0I,
+                            w1, w0I * weyl.simple(cdata, star[j]), "target"))
         trop = MoveStep(cdata, flipped, Move("tau_left", 0), restricted=False)
         if trop.word_after != base:
             raise InvariantViolation(f"bar flip of {flipped.to_string()} misses the base word")
-        out = out.then(RationalMap(cdata, flipped, base, (trop,), True))
+        legs.append(RationalMap(cdata, flipped, base, (trop,), True))
         w1 = w0I
-    return out.then(_mu_hat(cdata, out.target_word, w, w0I, w1, w_class,
-                            "source" if letters else ""))
+    legs.append(_mu_hat(cdata, legs[-1].target_word, w, w0I, w1, w_class,
+                        "source" if letters else ""))
+    return legs[0].then(*legs[1:])
 
 
 # ---------------------------------------------------------------------------

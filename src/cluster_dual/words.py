@@ -219,7 +219,7 @@ def _moves_at(letters: tuple[int, ...], cdata: CartanData, kinds: tuple[str, ...
 
 def _rewrite(letters: tuple[int, ...], move: Move, cdata: CartanData) -> tuple[int, ...]:
     """The letters after a move known to apply: the one statement of each
-    move's rewrite, read by ``apply_move`` and by the move-graph search."""
+    move's rewrite, read by ``apply_move`` and by the move searches."""
     kind = move.kind
     if kind == "mixed2":
         p = move.pos
@@ -397,17 +397,17 @@ def _search(start, goal, successors) -> Optional[list]:
 
 def move_path(source: DoubleWord, target: DoubleWord, cdata: CartanData,
               kinds: Iterable[str] = ALL_MOVE_KINDS) -> list[Move]:
-    """Shortest chain of moves from source to target.  Raises NoPath when
-    the component is exhausted or the search bound is reached."""
+    """Shortest chain of moves from source to target, searched over letters.
+    Raises NoPath when the component is exhausted or the bound is reached."""
     kinds = tuple(kinds)
     for end in (source, target):
         _check_letters(end, cdata)
 
-    def successors(w: DoubleWord):
-        for mv in applicable_moves(w, cdata, kinds):
-            yield mv, apply_move(w, mv, cdata)
+    def successors(letters: tuple[int, ...]):
+        for mv in _moves_at(letters, cdata, kinds):
+            yield mv, _rewrite(letters, mv, cdata)
 
-    path = _search(source, target, successors)
+    path = _search(source.letters, target.letters, successors)
     if path is None:
         raise NoPath(f"no {kinds} path {source.to_string()} -> {target.to_string()}")
     return path
@@ -648,7 +648,7 @@ def dual_move_classes(w: DoubleWord, cdata: CartanData
     (w1, e) class with w1 spelled by the negative subword up to and
     including the moving letter; the image lands in the class where that
     letter is gone and the flipped block contributes the longest element on
-    the second factor.  The opposite shape is the reverse edge.
+    the second factor.  The opposite shape is the reverse edge, its pair swapped.
     """
     L = dual_block_length(cdata)
     if not _dual_ok(w, cdata):
@@ -660,9 +660,7 @@ def dual_move_classes(w: DoubleWord, cdata: CartanData
         u_prefix = weyl.from_word(cdata, DoubleWord(w.letters[:-L - 1]).negative_subword)
         tgt_w1 = weyl.star_element(u_prefix.inverse())
         return src_w1, tgt_w1
-    target = apply_move(w, Move("dual", len(w) - 1 - L), cdata)
-    src_of_reverse, tgt_of_reverse = dual_move_classes(target, cdata)
-    return tgt_of_reverse, src_of_reverse
+    return dual_move_classes(apply_move(w, Move("dual", len(w) - 1 - L), cdata), cdata)[::-1]
 
 
 @dataclass(frozen=True)

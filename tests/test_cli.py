@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cluster_dual import cli, evals
+from cluster_dual import cli, evals, words
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -224,6 +224,18 @@ def test_words_path_examples(capsys):
     code, _, err = run(["words", "path", "--from", "1", "--to=-1",
                         "--type", "A1", "--moves", "mixed2"], capsys)
     assert code == 1
+
+
+def test_words_path_says_when_the_search_bound_stopped_it(monkeypatch, capsys):
+    """A search that reaches the state bound is reported as such, not as
+    a missing path; the exit code is 1 either way."""
+    code, _, err = run(["words", "path", "--from", "1", "--to=-1",
+                        "--type", "A1", "--moves", "mixed2"], capsys)
+    assert (code, err) == (1, "no path: no ('mixed2',) path 1 -> -1\n")
+    monkeypatch.setattr(words, "_MAX_STATES", 0)
+    code, stdout, err = run(["words", "path", "--from", "1,2,1", "--to", "2,1,2",
+                             "--type", "A2", "--moves", "d"], capsys)
+    assert (code, stdout, err) == (1, "", "no path: search aborted after 0 states\n")
 
 
 @pytest.mark.parametrize("spaced,glued", [

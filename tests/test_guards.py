@@ -91,3 +91,43 @@ def test_no_unbounded_search_cache():
              for path in sorted(SRC.rglob("*.py"))
              for name in _unbounded_search_caches(ast.parse(path.read_text(), str(path)))]
     assert found == []
+
+
+def _folded_compositions(tree: ast.AST) -> list[str]:
+    """Assignments ``x = x.then(...)`` inside a loop: a map joined one leg
+    at a time, each ``then`` copying every step joined so far."""
+    found = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Attribute)
+                    and node.value.func.attr == "then"
+                    and any(ast.unparse(t) == ast.unparse(node.value.func.value)
+                            for t in node.targets)):
+                found.add(f"{ast.unparse(node.targets[0])}:{node.lineno}")
+    return sorted(found)
+
+
+def test_maps_are_joined_once():
+    """No map in the library is folded one ``then`` at a time: legs are
+    collected and joined by one call."""
+    planted = ast.parse(
+        "def along(w, moves, cdata, restricted=False):\n"
+        "    out = identity_map(w, cdata, restricted)\n"
+        "    for mv in moves:\n"
+        "        out = out.then(dmove_transform(out.target_word, mv, cdata, restricted))\n"
+        "    return out\n"
+        "while legs:\n"
+        "    for leg in legs:\n"
+        "        self.m = self.m.then(leg)\n"
+        "out = out.then(back)\n"
+        "for leg in legs:\n"
+        "    out = first.then(leg)\n"
+        "out = legs[0].then(*legs[1:])\n")
+    assert _folded_compositions(planted) == ["out:4", "self.m:8"]
+    found = [f"{path.relative_to(SRC)}:{name}"
+             for path in sorted(SRC.rglob("*.py"))
+             for name in _folded_compositions(ast.parse(path.read_text(), str(path)))]
+    assert found == []

@@ -754,6 +754,72 @@ def test_lowered_steps_match_seed_level_chain():
     assert singular  # small rationals reach 1 + x_k = 0
 
 
+def _counting(monkeypatch, owner, name):
+    """Wrap owner.name to count its calls; returns the counter."""
+    calls = collections.Counter()
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_then_joins_every_leg_at_once():
+    """``a.then(b, c)`` is ``a.then(b).then(c)``: the same steps, words and
+    restriction (restricted only when every leg is).  A seam that does not
+    meet raises PreconditionFailed naming both words, the second seam as
+    the first."""
+    w = W("1,2,1,-1")
+    legs, at = [], w
+    for restricted in (True, False, True):
+        move = words.applicable_moves(at, A2, words.D_KINDS)[0]
+        legs.append(maps.dmove_transform(at, move, A2, restricted))
+        at = legs[-1].target_word
+    a, b, c = legs
+    joined = a.then(b, c)
+    assert joined == a.then(b).then(c)
+    assert (joined.source_word, joined.target_word, joined.restricted) == (w, at, False)
+    assert joined.steps == a.steps + b.steps + c.steps
+    assert a.then() == a
+    assert a.then(maps.identity_map(a.target_word, A2, True)).restricted
+    with pytest.raises(PreconditionFailed) as first:
+        a.then(c)
+    assert str(first.value) == f"{a.target_word.to_string()} != {c.source_word.to_string()}"
+    with pytest.raises(PreconditionFailed) as second:
+        a.then(b, a)
+    assert str(second.value) == f"{b.target_word.to_string()} != {a.source_word.to_string()}"
+
+
+def test_step_words_are_derived_once(monkeypatch):
+    """A step works out its target word on its first read and keeps it."""
+    applies = _counting(monkeypatch, words, "apply_move")
+    step = maps.MoveStep(A2, W("1,2,1,-1"), Move("positive_d", 0, 3), False)
+    assert applies["apply_move"] == 0  # lazy: built before it is read
+    assert step.word_after == step.word_after == W("2,1,2,-1")
+    assert applies["apply_move"] == 1
+    plans = _counting(monkeypatch, maps, "_core_plan")
+    core = maps.XiCoreStep(A2, W("-1,1,2,1,-2"))
+    assert core.word_after == core.word_after
+    assert plans["_core_plan"] == 1
+
+
+def test_cold_artin_map_reads_its_words_back(monkeypatch):
+    """After a cold build, inversion and description read the words the
+    steps derived while the map was built: no move is applied again."""
+    maps._artin_T_word.cache_clear()
+    m = maps.artin_T(W("-1,-2,-1,1,2,1"), 1, A2)
+    assert sum(isinstance(step, maps.MoveStep) for step in m.steps) == 16
+    applies = _counting(monkeypatch, words, "apply_move")
+    back = m.inverse()
+    described = m.describe()
+    assert applies["apply_move"] == 0
+    assert len(described) == len(back.steps) == len(m.steps)
+    assert [d["target"] for d in described[:-1]] == [d["source"] for d in described[1:]]
+
+
 def test_lowered_steps_keep_their_errors(monkeypatch):
     # x_k = 0 and 1 + x_k = 0 at a regular mutation, x_k = 0 at a tropical one
     step = maps.MoveStep(A1, W("-1,1"), Move("mixed2", 0, 2), False)

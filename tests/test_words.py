@@ -1,4 +1,6 @@
+import collections
 import itertools
+import random
 
 import pytest
 
@@ -69,6 +71,81 @@ def test_move_path_examples():
     assert len(path) == 1 and path[0].order == 3
     with pytest.raises(NoPath):
         words.move_path(W("-1,1"), W("1,-1"), a1, ("positive_d",))
+
+
+def _word_level_path(source, target, cdata, kinds, applicable, apply):
+    """The reference search: breadth-first over DoubleWord states, each
+    expanded through ``applicable_moves`` and ``apply_move`` (passed in),
+    the first edge to reach a state kept, the same bound and messages."""
+    parent = {source: None}
+    queue = collections.deque([source])
+    expanded = 0
+    while target not in parent:
+        if not queue:
+            raise NoPath(f"no {kinds} path {source.to_string()} -> {target.to_string()}")
+        if expanded >= words._MAX_STATES:
+            raise NoPath(f"search aborted after {words._MAX_STATES} states")
+        w = queue.popleft()
+        expanded += 1
+        for mv in applicable(w, cdata, kinds):
+            nxt = apply(w, mv, cdata)
+            if nxt not in parent:
+                parent[nxt] = (w, mv)
+                queue.append(nxt)
+    path, state = [], target
+    while parent[state] is not None:
+        state, mv = parent[state]
+        path.append(mv)
+    return path[::-1]
+
+
+@pytest.mark.parametrize("kinds", [words.D_KINDS, ("mixed2",), words.DHAT_KINDS,
+                                   words.ALL_MOVE_KINDS])
+@pytest.mark.parametrize("type_label", ["A2", "B2"])
+def test_move_path_is_the_word_level_search(type_label, kinds, monkeypatch):
+    """``move_path`` searches letter tuples through the one move kernel and
+    finds the move list, or the NoPath, of a breadth-first search over
+    words built from ``applicable_moves`` and ``apply_move``, which it never
+    calls.  Targets are random walks from the source (a path exists) or
+    random words of its length; every third case runs under a small bound,
+    so the search may abort."""
+    cdata = weyl.build_cartan(type_label)
+    applicable, apply, bound = words.applicable_moves, words.apply_move, words._MAX_STATES
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("move_path called the word-level move functions")
+
+    monkeypatch.setattr(words, "applicable_moves", refuse)
+    monkeypatch.setattr(words, "apply_move", refuse)
+    rng = random.Random(f"move-path:{type_label}:{kinds}")
+    outcomes = collections.Counter()
+
+    def random_word(n):
+        return DoubleWord(tuple(rng.choice((-1, 1)) * rng.randint(1, cdata.rank)
+                                for _ in range(n)))
+
+    for case in range(30):
+        source = random_word(rng.randint(2, 6))
+        if case % 2:
+            target = random_word(len(source))
+        else:
+            target = source
+            for _ in range(rng.randint(0, 8)):
+                moves = applicable(target, cdata, kinds)
+                if moves:
+                    target = apply(target, rng.choice(moves), cdata)
+        monkeypatch.setattr(words, "_MAX_STATES", 12 if case % 3 == 0 else bound)
+        try:
+            want = _word_level_path(source, target, cdata, kinds, applicable, apply)
+        except NoPath as exc:
+            with pytest.raises(NoPath) as got:
+                words.move_path(source, target, cdata, kinds)
+            assert str(got.value) == str(exc), (source, target)
+            outcomes["aborted" if "aborted" in str(exc) else "exhausted"] += 1
+        else:
+            assert words.move_path(source, target, cdata, kinds) == want, (source, target)
+            outcomes["path"] += 1
+    assert outcomes["path"] and outcomes["exhausted"], outcomes
 
 
 def _word_graph(cdata, kinds=words.D_KINDS):
