@@ -9,6 +9,10 @@ Scalars come in three flavours, all exact:
 - ``Jet`` for first-order jets ``value + sum_i partials[i] * eps_i``,
   which turn any exact evaluation into an exact gradient computation
   (the Leibniz rule holds on the nose, no finite differences anywhere).
+  A jet over F_p (value and partials Fp of one prime) stores int residues
+  and computes on them, as ``Fp``'s same-prime fast path does; a jet over
+  Q or at a mixed point stores its scalars and keeps the reference rules,
+  which also take every operation the residues do not.
 
 A "rational map" in this module is simply a callable taking a tuple of
 scalars and returning a tuple of scalars; it must raise
@@ -30,7 +34,7 @@ from .errors import DivisionByZero, IndexOutOfRange, SingularPoint
 # accepted on input and coerced.
 Scalar = Union[Fraction, "Fp", "Jet", int]
 
-# An Fp without __init__: the fast paths below fill in a reduced value.
+# An Fp or Jet without __init__: the fast paths below fill in reduced values.
 _new = object.__new__
 
 
@@ -181,18 +185,59 @@ def _inverse_mod(value: int, p: int) -> int:
         raise DivisionByZero(f"{value} is not invertible mod {p}") from None
 
 
+def _unit_inverse(x: Optional[int], p: int) -> Optional[int]:
+    """1/x mod p for a residue x that is a unit, else None."""
+    if x:
+        try:
+            return pow(x, -1, p)
+        except ValueError:
+            pass
+    return None
+
+
+def _jet_of_residues(value: int, partials: tuple, p: int) -> "Jet":
+    """The Jet of residues already reduced mod p, built without __init__."""
+    out = _new(Jet)
+    out._v = value
+    out._d = partials
+    out._p = p
+    return out
+
+
 class Jet:
     """First-order jet: a value together with one partial per tracked coordinate.
 
     Arithmetic satisfies the Leibniz rule exactly; division requires a
     nonzero value part.  The partials live in the same field as the value.
+
+    When the value and every partial are Fp of one prime p (``_fp_prime``),
+    the jet stores their residues as ints, and p; ``value`` and ``partials``
+    still read back as Fp.  An operation on two such jets, or on one and an
+    int, Fp or Fraction of its field, then takes one pass over the ints.
+    Every other jet (over Q, or at a mixed point) stores its scalars, and
+    every other operation, a failing one included, runs the reference rules
+    after the fast paths below.
     """
 
-    __slots__ = ("value", "partials")
+    __slots__ = ("_v", "_d", "_p")
 
     def __init__(self, value, partials: tuple):
-        self.value = value
-        self.partials = tuple(partials)
+        partials = tuple(partials)
+        p = _fp_prime((value, *partials))
+        if p is None:
+            self._v, self._d, self._p = value, partials, None
+        else:
+            self._v, self._d, self._p = value.value, tuple(a.value for a in partials), p
+
+    @property
+    def value(self):
+        p = self._p
+        return self._v if p is None else _fp_of_residue(self._v, p)
+
+    @property
+    def partials(self) -> tuple:
+        p = self._p
+        return self._d if p is None else tuple([_fp_of_residue(a, p) for a in self._d])
 
     def __repr__(self):
         return f"Jet({self.value}; {self.partials})"
@@ -206,7 +251,33 @@ class Jet:
                        tuple(zero for _ in self.partials))
         return NotImplemented
 
+    def _operand(self, other):
+        """other's value and partials as residues mod this jet's p, with no
+        partials for an int, an Fp mod p or a Fraction whose denominator is
+        a unit mod p; None when the reference rules take it."""
+        p = self._p
+        t = type(other)
+        if p is None:
+            return None
+        if t is Jet:
+            return (other._v, other._d) if other._p == p else None
+        if t is int:
+            return other % p, None
+        if t is Fp:
+            return (other.value, None) if other.p == p else None
+        if t is Fraction:
+            try:
+                return other.numerator * pow(other.denominator, -1, p) % p, None
+            except ValueError:
+                return None
+        return None
+
     def __add__(self, other):
+        o = self._operand(other)
+        if o is not None:
+            p, (b, db) = self._p, o
+            d = self._d if db is None else tuple([(x + y) % p for x, y in zip(self._d, db)])
+            return _jet_of_residues((self._v + b) % p, d, p)
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
@@ -216,17 +287,37 @@ class Jet:
     __radd__ = __add__
 
     def __neg__(self):
+        p = self._p
+        if p is not None:
+            return _jet_of_residues(-self._v % p, tuple([-x % p for x in self._d]), p)
         return Jet(-self.value, tuple(-a for a in self.partials))
 
     def __sub__(self, other):
+        o = self._operand(other)
+        if o is not None:
+            p, (b, db) = self._p, o
+            d = self._d if db is None else tuple([(x - y) % p for x, y in zip(self._d, db)])
+            return _jet_of_residues((self._v - b) % p, d, p)
         o = self._lift(other)
         return NotImplemented if o is NotImplemented else self + (-o)
 
     def __rsub__(self, other):
+        o = self._operand(other)
+        if o is not None and o[1] is None:
+            p = self._p
+            return _jet_of_residues((o[0] - self._v) % p, tuple([-x % p for x in self._d]), p)
         o = self._lift(other)
         return NotImplemented if o is NotImplemented else o + (-self)
 
     def __mul__(self, other):
+        o = self._operand(other)
+        if o is not None:
+            p, a, (b, db) = self._p, self._v, o
+            if db is None:
+                d = tuple([x * b % p for x in self._d])
+            else:
+                d = tuple([(x * b + a * y) % p for x, y in zip(self._d, db)])
+            return _jet_of_residues(a * b % p, d, p)
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
@@ -237,6 +328,16 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        o = self._operand(other)
+        inv = None if o is None else _unit_inverse(o[0], self._p)
+        if inv is not None:
+            p, db = self._p, o[1]
+            v = self._v * inv % p
+            if db is None:
+                d = tuple([x * inv % p for x in self._d])
+            else:
+                d = tuple([(x - v * y) * inv % p for x, y in zip(self._d, db)])
+            return _jet_of_residues(v, d, p)
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
@@ -248,13 +349,38 @@ class Jet:
                             for a, b in zip(self.partials, o.partials)))
 
     def __rtruediv__(self, other):
+        o = self._operand(other)
+        inv = None if o is None or o[1] is not None else _unit_inverse(self._v, self._p)
+        if inv is not None:
+            p = self._p
+            v = o[0] * inv % p
+            c = -v * inv % p
+            return _jet_of_residues(v, tuple([x * c % p for x in self._d]), p)
         o = self._lift(other)
         return NotImplemented if o is NotImplemented else o / self
 
     def __pow__(self, n: int):
         return spow(self, n)
 
+    def _power(self, n: int) -> Optional["Jet"]:
+        """self**n for n != 0 on residues: the value to the n and the
+        partials times n v^(n-1); None when n < 0 and the value is no unit."""
+        p, base = self._p, self._v
+        if n < 0:
+            base = _unit_inverse(base, p)
+            if base is None:
+                return None
+        top = pow(base, abs(n) - 1, p)
+        c = n * (top if n > 0 else top * base * base) % p
+        return _jet_of_residues(top * base % p, tuple([x * c % p for x in self._d]), p)
+
     def __eq__(self, other):
+        p = self._p
+        if p is not None:
+            if type(other) is Jet and other._p == p:
+                return self._v == other._v and self._d == other._d
+            if type(other) is int:
+                return self._v == other % p and not any(self._d)
         if isinstance(other, Jet):
             return self.value == other.value and self.partials == other.partials
         return self.value == other and all(not _is_nonzero(a) for a in self.partials)
@@ -263,7 +389,7 @@ class Jet:
         return hash((self.value, self.partials))
 
     def __bool__(self):
-        return _is_nonzero(self.value)
+        return self._v != 0 if self._p is not None else _is_nonzero(self._v)
 
 
 def _coerce_int(n: int, like):
@@ -286,7 +412,7 @@ def _is_nonzero(x) -> bool:
     if isinstance(x, Fp):
         return x.value != 0
     if isinstance(x, Jet):
-        return _is_nonzero(x.value)
+        return bool(x)
     return x != 0
 
 
@@ -294,6 +420,10 @@ def spow(x, n: int):
     """x**n for any scalar, with negative exponents meaning exact inversion."""
     if n == 0:
         return _one_like(x)
+    if type(x) is Jet and x._p is not None:
+        out = x._power(n)
+        if out is not None:
+            return out
     if n < 0:
         x = _one_like(x) / x
         n = -n
@@ -317,6 +447,9 @@ def jet_lift(point: Sequence, coordinate_index: int) -> Jet:
 
 def jet_const(value, dim: int) -> Jet:
     """Lift a constant: all partials vanish."""
+    p = _fp_prime((value,))
+    if p is not None:
+        return _jet_of_residues(value.value, (0,) * dim, p)
     zero = _coerce_int(0, value)
     return Jet(value, tuple(zero for _ in range(dim)))
 

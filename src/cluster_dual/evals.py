@@ -695,6 +695,10 @@ def _ev_hat_brackets(runner: _CheckRunner) -> None:
     table; one jet ev_hat per point gives all of them."""
     from .golden import bracket_table_entries
     cdata = runner.cdata
+    table = bracket_table_entries()
+    # the row-major positions of each pair of entries among the four
+    positions = [(2 * r1 + c1, 2 * r2 + c2) for (r1, c1), (r2, c2), _ in table]
+    expects = [expect for _, _, expect in table]
     for w in runner.instances:
         ctx = make_context(w, cdata)
         eta = bracket_seed(seed_for_word(w, cdata))
@@ -702,12 +706,11 @@ def _ev_hat_brackets(runner: _CheckRunner) -> None:
         def lhs(vals, ctx=ctx, eta=eta):
             entries = lambda jets: [x for row in ev_hat(ctx, jets).rows for x in row]
             br = mapmod.bracket_matrix_at(eta, entries, vals)
-            return tuple(br[2 * r1 + c1][2 * r2 + c2]
-                         for (r1, c1), (r2, c2), _ in bracket_table_entries())
+            return tuple(br[s][t] for s, t in positions)
 
         def rhs(vals, ctx=ctx):
             g = ev_hat(ctx, vals)
-            return tuple(expect(g) for _, _, expect in bracket_table_entries())
+            return tuple(expect(g) for expect in expects)
 
         _same_values(runner, w, lhs, rhs)
 

@@ -78,13 +78,15 @@ def bracket_table_entries() -> list[tuple[tuple[int, int], tuple[int, int], Call
     out = []
     for row in data()["bracket_table"]:
         a, b = tuple(row["a"]), tuple(row["b"])
+        terms = tuple((Fraction(*term["c"]), tuple(map(tuple, term["factors"])))
+                      for term in row["rhs"])
 
-        def expect(g, rhs=row["rhs"]):
+        def expect(g, terms=terms):
+            one = spow(g[0][0], 0)
             total = g[0][0] - g[0][0]
-            for term in rhs:
-                num, den = term["c"]
-                val = Fraction(num, den) * spow(g[0][0], 0)
-                for (r, c) in term["factors"]:
+            for coefficient, factors in terms:
+                val = one if coefficient == 1 else -one if coefficient == -1 else coefficient * one
+                for (r, c) in factors:
                     val = val * g[r][c]
                 total = total + val
             return total

@@ -1074,24 +1074,31 @@ def bracket_matrix_at(seed: Seed, fn: Callable, values: Assignment) -> tuple:
 
     fn takes a jet-valued assignment and returns a sequence of jets.  It runs
     once, at the point lifted to jets; every bracket is read off the
-    partials of that one pass."""
+    partials of that one pass, the form applied to each function's partials
+    once."""
     ixs = sorted(values.keys())
     point = [values[ix] for ix in ixs]
     partials = [f.partials for f in fn(dict(zip(ixs, jet_point(point))))]
-    form = []
+    form = []  # (s, [(t, c_st), ...]) for each row s of the form with a term
     for s, i in enumerate(ixs):
+        row = []
         for t, j in enumerate(ixs):
             e = seed.eps_hat(i, j)
             if e != 0:
-                form.append((s, t, e * values[i] * values[j]))
+                row.append((t, e * values[i] * values[j]))
+        if row:
+            form.append((s, row))
     # the field's zero, for a seed without brackets
     zero = None if form else spow(point[0], 0) - spow(point[0], 0)
 
-    def bracket(da, db):
-        terms = [c * da[s] * db[t] for s, t, c in form]
+    def total(terms):
         return sum(terms[1:], terms[0]) if terms else zero
 
-    return tuple(tuple(bracket(da, db) for db in partials) for da in partials)
+    # the form applied to each db once: sum_t c_st db[t] for every row s
+    applied = [[(s, total([c * db[t] for t, c in row])) for s, row in form]
+               for db in partials]
+    return tuple(tuple(total([da[s] * x for s, x in w]) for w in applied)
+                 for da in partials)
 
 
 def poisson_bracket_at(seed: Seed, f: Callable, g: Callable, values: Assignment):

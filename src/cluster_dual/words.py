@@ -45,7 +45,7 @@ class DoubleWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        if any(x == 0 for x in self.letters):
+        if 0 in self.letters:
             raise ValueError("letters are nonzero signed integers")
 
     @staticmethod

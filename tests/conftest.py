@@ -1,6 +1,9 @@
 import random
+from unittest import mock
+
 import pytest
 
+from cluster_dual import arith
 from cluster_dual import cartan as weyl
 from cluster_dual import maps
 from cluster_dual.words import DoubleWord
@@ -13,6 +16,12 @@ def rng():
 
 def W(text: str) -> DoubleWord:
     return DoubleWord.from_string(text)
+
+
+def reference_jets():
+    """A context in which every jet holds its scalars and runs the reference
+    rules, as jets over Q and at mixed points do: no jet stores residues."""
+    return mock.patch.object(arith, "_fp_prime", lambda scalars: None)
 
 
 def rational_point(word, cdata, rng, bound=30):

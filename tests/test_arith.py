@@ -5,10 +5,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cluster_dual.arith import (DEFAULT_PRIME, Fp, TrialConfig,
+from cluster_dual import arith
+from cluster_dual.arith import (DEFAULT_PRIME, Fp, Jet, TrialConfig,
                                 is_probable_prime, jet_const, jet_lift,
                                 jet_point, maps_equal_probabilistic, spow)
 from cluster_dual.errors import DivisionByZero, IndexOutOfRange, SingularPoint
+
+from conftest import reference_jets
 
 
 def test_rational_examples():
@@ -254,3 +257,108 @@ def test_composite_modulus_raises_on_every_division_route(modulus, factor):
     for divide in routes:
         with pytest.raises(DivisionByZero):
             divide()
+
+
+# ---------------------------------------------------------------------------
+# Jets over F_p: residue storage against the reference rules
+# ---------------------------------------------------------------------------
+
+def _make(spec):
+    """An operand from its spec: ("jet", p, value, partials), ("int", n),
+    ("fp", p, n) or ("fraction", num, den)."""
+    kind = spec[0]
+    if kind == "jet":
+        _, p, value, partials = spec
+        return Jet(Fp(value, p), tuple(Fp(a, p) for a in partials))
+    if kind == "fp":
+        return Fp(spec[2], spec[1])
+    if kind == "fraction":
+        return F(spec[1], spec[2])
+    return spec[1]
+
+
+@st.composite
+def jet_cases(draw):
+    """A prime p, a jet over F_p, a second operand and which side the jet
+    takes: a jet of the same field, an int, an Fp, a Fraction (its
+    denominator may be a multiple of p), or a jet or Fp of another prime."""
+    p = draw(st.sampled_from(PRIMES))
+    q = 101 if p == 97 else 97
+    dim = draw(st.integers(0, 3))
+    residue = st.one_of(st.integers(0, 2), st.integers(p - 2, p - 1), st.integers(0, p - 1))
+
+    def jets(prime, values):
+        return st.builds(lambda v, d: ("jet", prime, v, tuple(d)),
+                         values, st.lists(values, min_size=dim, max_size=dim))
+
+    other = draw(st.one_of(
+        jets(p, residue),
+        st.integers(-3 * p, 3 * p).map(lambda n: ("int", n)),
+        residue.map(lambda n: ("fp", p, n)),
+        st.builds(lambda n, d: ("fraction", n, d), st.integers(-p * p, p * p),
+                  st.one_of(st.integers(1, 3 * p), st.integers(1, 3).map(lambda k: k * p))),
+        jets(q, st.integers(0, q - 1)),
+        st.integers(0, q - 1).map(lambda n: ("fp", q, n))))
+    return p, draw(jets(p, residue)), other, draw(st.booleans())
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ArithmeticError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+def _assert_same_jet_outcome(got, want, p):
+    """The same exception and message, or the same result: of the same type,
+    a jet's value and partials of the same types and values, and the same
+    repr and hash; a residue-backed jet stores residues mod p."""
+    assert type(got) is type(want), (got, want)
+    if type(want) is Jet:
+        assert got._p == p and want._p is None
+        assert type(got.value) is type(want.value) and got.value == want.value
+        assert [type(a) for a in got.partials] == [type(a) for a in want.partials]
+        assert got.partials == want.partials
+        assert repr(got) == repr(want) and hash(got) == hash(want) and got == want
+    else:
+        assert got == want
+
+
+@SCALAR_SETTINGS
+@given(jet_cases())
+def test_residue_jets_follow_the_reference_rules(case):
+    """Every jet operator, with a jet, an int, an Fp or a Fraction on either
+    side, and every power from -3 to 3, gives on residue-backed jets what
+    the reference rules give on jets of Fp parts: the same value and
+    partials, or DivisionByZero at a zero-value divisor, or ValueError at a
+    mixed prime."""
+    p, jet_spec, other_spec, swap = case
+    ops = [lambda a, b, op=op: op(b, a) if swap else op(a, b) for op in _BINARY]
+    ops += [lambda a, b: -a]
+    ops += [lambda a, b, n=n: arith.spow(a, n) for n in range(-3, 4)]
+    ops += [lambda a, b, n=n: a ** n for n in (-2, 2)]
+    got = [_outcome(lambda: op(_make(jet_spec), _make(other_spec))) for op in ops]
+    with reference_jets():
+        want = [_outcome(lambda: op(_make(jet_spec), _make(other_spec))) for op in ops]
+    for g, w in zip(got, want, strict=True):
+        _assert_same_jet_outcome(g, w, p)
+
+
+def test_residue_jet_storage_and_errors():
+    x, y = arith.jet_point((Fp(3, 97), Fp(0, 97)))
+    assert (x._p, x._v, x._d) == (97, 3, (1, 0))
+    assert x.value == Fp(3, 97) and x.partials == (Fp(1, 97), Fp(0, 97))
+    assert repr(x) == "Jet(Fp(3 mod 97); (Fp(1 mod 97), Fp(0 mod 97)))"
+    assert arith.jet_const(Fp(5, 97), 2)._d == (0, 0)
+    # a jet over Q, or at a mixed point, holds its scalars
+    assert Jet(F(3), (F(1),))._p is None and Jet(Fp(3, 97), (Fp(1, 101),))._p is None
+    assert y != 0 and not y and y - y == 0
+    for divide in (lambda: x / y, lambda: 1 / y, lambda: arith.spow(y, -1),
+                   lambda: x / 0, lambda: x / Fp(0, 97), lambda: x / F(97, 2)):
+        with pytest.raises(DivisionByZero):
+            divide()
+    z = arith.jet_lift((Fp(3, 101), Fp(1, 101)), 0)
+    for op in _BINARY:
+        for lhs, rhs in ((x, z), (z, x), (x, Fp(2, 101)), (Fp(2, 101), x)):
+            with pytest.raises(ValueError, match="mixed primes"):
+                op(lhs, rhs)

@@ -1,3 +1,4 @@
+import contextlib
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,8 @@ from cluster_dual.arith import Fp, Jet
 from cluster_dual.errors import (InvalidParameter, NotInBigCell, SingularPoint,
                                  UnsupportedForType)
 from cluster_dual.group import GroupMatrix
+
+from conftest import reference_jets
 
 
 def test_generators_rank_one():
@@ -109,6 +112,32 @@ def test_elimination_clears_zero_value_jets():
     lower, diag, upper = grp.gauss(m)
     assert lower * diag * upper == m
     assert GroupMatrix([[J(1, 0), J(1, 0)], [J(0, 1), J(1, 0)]]).det() == J(1, 96)
+
+
+@pytest.mark.parametrize("storage", ["residues", "reference"])
+def test_elimination_clears_zero_value_jets_on_either_storage(storage):
+    """test_elimination_clears_zero_value_jets on residue-backed jets and on
+    the reference rules: != 0 still means "not exactly zero", so an entry of
+    value 0 with a nonzero partial is eliminated, while a pivot still needs
+    a nonzero value."""
+    with (reference_jets() if storage == "reference" else contextlib.nullcontext()):
+        def J(value, partial):
+            return Jet(Fp(value, 97), (Fp(partial, 97),))
+
+        assert J(0, 1)._p == (97 if storage == "residues" else None)
+        assert J(0, 1) != 0 and not J(0, 1) and J(0, 0) == 0
+        m = GroupMatrix([[J(1, 0), J(0, 0)], [J(0, 1), J(1, 0)]])
+        assert m * m.inverse() == grp.identity(2, J(1, 0))
+        lower, diag, upper = grp.gauss(m)
+        assert lower * diag * upper == m
+        assert lower[1][0] == J(0, 1)
+        assert GroupMatrix([[J(1, 0), J(1, 0)], [J(0, 1), J(1, 0)]]).det() == J(1, 96)
+        # the first column has no entry of nonzero value
+        no_pivot = GroupMatrix([[J(0, 1), J(1, 0)], [J(0, 2), J(1, 0)]])
+        with pytest.raises(SingularPoint):
+            no_pivot.inverse()
+        with pytest.raises(NotInBigCell):
+            grp.gauss(no_pivot)
 
 
 def test_theta():

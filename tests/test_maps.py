@@ -14,7 +14,7 @@ from cluster_dual.errors import (FrozenDirection, InapplicableMove, InvariantVio
                                  PreconditionFailed, SingularPoint)
 from cluster_dual.words import Move
 
-from conftest import W, rank2_minimal_words, rational_point
+from conftest import W, rank2_minimal_words, rational_point, reference_jets
 
 
 A1 = weyl.build_cartan("A1")
@@ -575,6 +575,56 @@ def test_bracket_matrix_matches_pairwise_on_map_targets():
         tgt_ixs = words.seed_indices(m.target_word, m.cdata.rank)
         images = lambda jets, m=m, ixs=tgt_ixs: [m.apply(jets)[ix] for ix in ixs]
         assert _matrix_matches_pairwise(src, images, m.source_word, m.cdata, rng, rounds=3) >= 4
+
+
+def _brackets_or_error(seed, fn, vals):
+    try:
+        return maps.bracket_matrix_at(seed, fn, vals)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def test_bracket_matrix_same_on_residue_and_reference_jets():
+    """bracket_matrix_at on residue-backed jets against the reference rules
+    on jets of Fp parts, entry by entry (type, value and repr) or the same
+    exception, at seeded points mod 97 and mod 2^61-1: ev_hat on the A1
+    words and on A2 1,2,1,-1 and 1,2,1,1,2,1, and elementary A2 and B2 maps."""
+    cases = []
+    for cdata, texts in ((A1, ("-1,1", "1,1", "1")), (A2, ("1,2,1,-1", "1,2,1,1,2,1"))):
+        for text in texts:
+            ctx = evals.make_context(W(text), cdata)
+            eta = seeds.bracket_seed(seeds.seed_for_word(W(text), cdata))
+            cases.append((W(text), cdata, eta, lambda jets, ctx=ctx: [
+                x for row in evals.ev_hat(ctx, jets).rows for x in row]))
+    for text, move, cdata in (("1,2,1,-1", Move("positive_d", 0, 3), A2),
+                              ("1,-2,1", Move("mixed2", 1, 2), A2),
+                              ("1,2,1,2", Move("positive_d", 0, 4), B2),
+                              ("1,2,1,2", Move("tau_left", 0), B2),
+                              ("-1,1,2", Move("mixed2", 0, 2), B2)):
+        m = maps.dmove_transform(W(text), move, cdata)
+        tgt_ixs = words.seed_indices(m.target_word, cdata.rank)
+        cases.append((W(text), cdata, seeds.seed_for_word(W(text), cdata),
+                      lambda jets, m=m, ixs=tgt_ixs: [m.apply(jets)[ix] for ix in ixs]))
+    rng = random.Random("bracket-matrix:storage")
+    outcomes = collections.Counter()
+    for word, cdata, seed, fn in cases:
+        for prime in (97, DEFAULT_PRIME) * 3:
+            vals = maps.random_assignment(word, cdata, rng, prime)
+            storage = []
+            got = _brackets_or_error(
+                seed, lambda jets: storage.append(next(iter(jets.values()))._p) or fn(jets), vals)
+            with reference_jets():
+                want = _brackets_or_error(seed, fn, vals)
+            assert storage == [prime]
+            if isinstance(want, tuple) and isinstance(want[0], type):
+                assert got == want
+                outcomes["error"] += 1
+                continue
+            for row_g, row_w in zip(got, want, strict=True):
+                for a, b in zip(row_g, row_w, strict=True):
+                    assert type(a) is type(b) and a == b and repr(a) == repr(b)
+            outcomes["brackets"] += 1
+    assert outcomes == {"brackets": 59, "error": 1}
 
 
 def test_is_poisson_map_one_jet_pass_per_point():

@@ -24,6 +24,12 @@ def test_classify_examples():
     assert kind == "reduced" and u == weyl.simple(a2, 1) and v.length() == 2
 
 
+def test_zero_letter_is_refused():
+    with pytest.raises(ValueError, match="letters are nonzero"):
+        DoubleWord((1, 0, 2))
+    assert DoubleWord((1, -2, 2)).letters == (1, -2, 2)
+
+
 def test_bar_is_involution():
     w = W("1,-2,1")
     assert w.bar().bar() == w
