@@ -90,15 +90,6 @@ def _moves_rows(moves: list[tuple], rank: int, values: Assignment,
     return rows
 
 
-def _inner_rows(public: Callable, body: Callable, p: Optional[int], *args) -> list[list]:
-    """The rows of an evaluation inside a composite: on residues its body,
-    and off F_p the public function itself, so that a wrapper installed on
-    it sees every scalar-path call."""
-    if p is None:
-        return [list(row) for row in public(*args).rows]
-    return body(*args, p)
-
-
 def _ev(w: DoubleWord, cdata: CartanData, values: Assignment, p: Optional[int]) -> list[list]:
     rank = grp.require_type_a(cdata)
     return _moves_rows(_ev_moves(w, rank, values), rank, values, p)
@@ -119,7 +110,7 @@ def _strip_frozen_torus(rows: list[list], w: DoubleWord, rank: int,
 
 def _ev_red(w: DoubleWord, cdata: CartanData, values: Assignment,
             p: Optional[int]) -> list[list]:
-    rows = _inner_rows(ev, _ev, p, w, cdata, values)
+    rows = _ev(w, cdata, values, p)
     _strip_frozen_torus(rows, w, cdata.rank, values, p)
     return rows
 
@@ -200,7 +191,7 @@ def _ev_parts(ctx: EvalContext, values: Assignment
         values = ctx.transport.apply(values)
     p = arith._fp_prime(values.values())
     (lw, lv), (rw, rv) = mapmod.split_point(ctx.factored_word, values, ctx.cut, rank)
-    right = _inner_rows(ev_red, _ev_red, p, rw, cdata, _residues(rv, p))
+    right = _ev_red(rw, cdata, _residues(rv, p), p)
     _times_representative(right, ctx.w2 * weyl.longest_element(cdata), p)
     lv = _residues(lv, p)
     return values, p, lv, _ev_moves(lw, rank, lv), right
@@ -225,12 +216,11 @@ def _theta_q(proj_inv: list[list], cdata: CartanData, p: Optional[int]) -> list[
 
 
 def ev_LR(ctx: EvalContext, values: Assignment, side: str) -> GroupMatrix:
-    """One-sided evaluations; ``side`` is "L" or "R"."""
-    _, first, proj = _ev_factored(ctx, values)
-    if side != "L":
-        return first * proj
-    p, proj_inv = grp._residue_form(grp.lower_inverse(proj))
-    return first * grp._matrix(_theta_q(proj_inv, ctx.cdata, p), p)
+    """One-sided evaluations; ``side`` is "L" or "R" (see ``_ev_parts``)."""
+    _, p, lv, moves, right = _ev_parts(ctx, values)
+    proj, proj_inv = grp._leq0_and_inverse(right, p)
+    inner = _theta_q(proj_inv, ctx.cdata, p) if side == "L" else proj
+    return grp._matrix(grp._product(_moves_rows(moves, ctx.cdata.rank, lv, p), inner, p), p)
 
 
 def ev_hat(ctx: EvalContext, values: Assignment) -> GroupMatrix:
@@ -521,7 +511,7 @@ def _descending(cdata: CartanData, w: DoubleWord) -> Callable:
     def project(vals):
         like = vals[(1, 0)]
         p, vals = _residue_point(vals)
-        rows = grp._product(_inner_rows(ev, _ev, p, w, cdata, vals),
+        rows = grp._product(_ev(w, cdata, vals, p),
                             grp._representative_rows(rank, letters, like, p), p)
         return grp._matrix(grp._leq0(rows, p), p)
     return project
@@ -537,7 +527,7 @@ def _ascending(cdata: CartanData, w: DoubleWord) -> Callable:
         like = vals[(1, 0)]
         p, vals = _residue_point(vals)
         rows = grp._product(grp._transpose(grp._representative_rows(rank, letters, like, p)),
-                            _inner_rows(ev, _ev, p, w, cdata, vals), p)
+                            _ev(w, cdata, vals, p), p)
         return grp._matrix(grp._geq0(rows, p), p)
     return project
 

@@ -22,13 +22,14 @@ for products of two general matrices.
 
 When every entry is an ``Fp`` of one prime p, the matrix functions compute
 on the residue form: rows of plain ints reduced mod p, with p passed
-alongside.  The kernels (column and row moves, dense product, elimination,
-substitution inverse) take the modulus, and ``p=None`` runs the scalar
-code on ``Fraction``, ``Fp`` or jet entries, which stays the reference.  A
-public function enters the residue form once and lifts its result back to
-``Fp`` entries once; ``projective_eq`` and the dense product of two
-matrices pick their form the same way.  On residues the lower Gauss factor
-and its inverse come from one elimination, each pivot inverted once.
+alongside.  Each operation (column and row moves, identity and root
+elements, dense product, elimination, substitution inverse) is one kernel
+that takes the modulus, and ``p=None`` runs it on ``Fraction``, ``Fp`` or
+jet entries; both forms of a composite call the kernels directly.  A public
+function enters the residue form once and lifts its result back to ``Fp``
+entries once; ``projective_eq`` and the dense product pick their form the
+same way.  In both forms the lower Gauss factor and its inverse come from
+one elimination, each pivot inverted once.
 """
 
 from __future__ import annotations
@@ -64,17 +65,11 @@ class GroupMatrix:
     def __mul__(self, other: "GroupMatrix") -> "GroupMatrix":
         """The dense product; on residues when every entry of both factors
         is an Fp mod one p."""
-        n = self.n
         a, b = self.rows, other.rows
         p = arith._fp_prime(x for m in (a, b) for row in m for x in row)
         if p is not None:
-            return _matrix(_product([[x.value for x in row] for row in a],
-                                    [[x.value for x in row] for row in b], p), p)
-        return GroupMatrix([
-            [sum((a[i][k] * b[k][j] for k in range(n)),
-                 start=_zero_like(a[i][0])) for j in range(n)]
-            for i in range(n)
-        ])
+            a, b = ([[x.value for x in row] for row in m] for m in (a, b))
+        return _matrix(_product(a, b, p), p)
 
     def __eq__(self, other):
         return isinstance(other, GroupMatrix) and self.rows == other.rows
@@ -134,7 +129,7 @@ class GroupMatrix:
 
 
 # ---------------------------------------------------------------------------
-# The residue form, and the scalar kernels that take the modulus
+# The residue form, and the kernels that run both forms
 # ---------------------------------------------------------------------------
 
 def _residue_form(g: GroupMatrix) -> tuple[Optional[int], list[list]]:
@@ -167,33 +162,35 @@ def _transpose(rows: Sequence[Sequence]) -> list[list]:
 
 
 def _identity_rows(n: int, like, p: Optional[int]) -> list[list]:
-    if p is None:
-        return [list(row) for row in identity(n, like).rows]
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    """The identity over the field of ``like``, or over residues mod p."""
+    one, zero = (_one_like(like), _zero_like(like)) if p is None else (1, 0)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def _product(a: Sequence[Sequence], b: Sequence[Sequence], p: Optional[int]) -> list[list]:
-    """The dense product a * b: ``GroupMatrix.__mul__`` off F_p."""
-    if p is None:
-        return [list(row) for row in (GroupMatrix(a) * GroupMatrix(b)).rows]
+    """The dense product a * b; off F_p each entry's sum starts at the zero
+    of its row's first entry."""
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+    if p is not None:
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+    return [[sum((x * y for x, y in zip(row, col)), start=_zero_like(row[0])) for col in cols]
+            for row in a]
 
 
-def _lower_inverse(rows: Sequence[Sequence], p: Optional[int]) -> list[list]:
+def _lower_inverse(rows: Sequence[Sequence], reciprocals: Sequence,
+                   p: Optional[int]) -> list[list]:
+    """Inverse of the lower triangular ``rows`` by forward substitution,
+    given the reciprocals of its diagonal; only the lower triangle is read."""
     n = len(rows)
     zero = _zero_like(rows[0][0]) if p is None else 0
     out: list[list] = []
-    for i, row in enumerate(rows):
-        if not _is_nonzero(row[i]):
-            raise SingularPoint("matrix not invertible")
-        d = _reciprocal(row[i], p)
+    for i, (row, d) in enumerate(zip(rows, reciprocals)):
         if p is None:
-            out.append([-sum((row[k] * out[k][j] for k in range(j, i)), start=zero) * d
-                        for j in range(i)] + [d] + [zero] * (n - 1 - i))
+            below = [-sum((row[k] * out[k][j] for k in range(j, i)), start=zero) * d
+                     for j in range(i)]
         else:
-            out.append([-sum(row[k] * out[k][j] for k in range(j, i)) * d % p
-                        for j in range(i)] + [d] + [0] * (n - 1 - i))
+            below = [-sum(row[k] * out[k][j] for k in range(j, i)) * d % p for j in range(i)]
+        out.append(below + [d] + [zero] * (n - 1 - i))
     return out
 
 
@@ -202,13 +199,14 @@ def lower_inverse(m: GroupMatrix) -> GroupMatrix:
     scalar inversion per row; SingularPoint on a zero diagonal entry.  Only
     the lower triangle of m is read."""
     p, rows = _residue_form(m)
-    return _matrix(_lower_inverse(rows, p), p)
+    diagonal = [row[i] for i, row in enumerate(rows)]
+    if not all(map(_is_nonzero, diagonal)):
+        raise SingularPoint("matrix not invertible")
+    return _matrix(_lower_inverse(rows, [_reciprocal(x, p) for x in diagonal], p), p)
 
 
 def identity(n: int, like=Fraction(1)) -> GroupMatrix:
-    one = _one_like(like)
-    zero = _zero_like(like)
-    return GroupMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+    return GroupMatrix(_identity_rows(n, like, None))
 
 
 def projective_eq(g: GroupMatrix, h: GroupMatrix) -> bool:
@@ -245,18 +243,21 @@ def _require_torus_parameter(x):
         raise InvalidParameter("torus parameter must be nonzero")
 
 
-def e_gen(rank: int, i: int, like=Fraction(1)) -> GroupMatrix:
+def _x_neg_rows(rank: int, i: int, t, p: Optional[int]) -> list[list]:
+    """The rows of x_neg(i, t): the identity with t at (i, i-1).  Its
+    transpose is x_pos(i, t)."""
     _require_range(i, rank)
-    m = [list(row) for row in identity(rank + 1, like).rows]
-    m[i - 1][i] = _one_like(like)
-    return GroupMatrix(m)
+    rows = _identity_rows(rank + 1, t, p)
+    rows[i][i - 1] = t
+    return rows
+
+
+def e_gen(rank: int, i: int, like=Fraction(1)) -> GroupMatrix:
+    return GroupMatrix(_transpose(_x_neg_rows(rank, i, _one_like(like), None)))
 
 
 def f_gen(rank: int, i: int, like=Fraction(1)) -> GroupMatrix:
-    _require_range(i, rank)
-    m = [list(row) for row in identity(rank + 1, like).rows]
-    m[i][i - 1] = _one_like(like)
-    return GroupMatrix(m)
+    return GroupMatrix(_x_neg_rows(rank, i, _one_like(like), None))
 
 
 def h_gen(rank: int, i: int, x) -> GroupMatrix:
@@ -264,31 +265,25 @@ def h_gen(rank: int, i: int, x) -> GroupMatrix:
     diag(x,...,x,1,...,1) with i leading x's."""
     _require_range(i, rank)
     _require_torus_parameter(x)
-    one = _one_like(x)
-    zero = _zero_like(x)
-    return GroupMatrix([[(x if r < i else one) if r == c else zero
-                         for c in range(rank + 1)] for r in range(rank + 1)])
+    rows = _identity_rows(rank + 1, x, None)
+    for r in range(i):
+        rows[r][r] = x
+    return GroupMatrix(rows)
 
 
 def x_pos(rank: int, i: int, t) -> GroupMatrix:
-    _require_range(i, rank)
-    m = [list(row) for row in identity(rank + 1, _one_like(t)).rows]
-    m[i - 1][i] = t
-    return GroupMatrix(m)
+    return GroupMatrix(_transpose(_x_neg_rows(rank, i, t, None)))
 
 
 def x_neg(rank: int, i: int, t) -> GroupMatrix:
-    _require_range(i, rank)
-    m = [list(row) for row in identity(rank + 1, _one_like(t)).rows]
-    m[i][i - 1] = t
-    return GroupMatrix(m)
+    return GroupMatrix(_x_neg_rows(rank, i, t, None))
 
 
 def s_hat(rank: int, i: int, like=Fraction(1)) -> GroupMatrix:
     """Representative of the simple reflection: 2x2 block [[0,-1],[1,0]]."""
     _require_range(i, rank)
     one = _one_like(like)
-    m = [list(row) for row in identity(rank + 1, like).rows]
+    m = _identity_rows(rank + 1, like, None)
     m[i - 1][i - 1] = _zero_like(like)
     m[i][i] = _zero_like(like)
     m[i - 1][i] = -one
@@ -317,9 +312,9 @@ def _lift_jet_rows(rows: list[list]) -> None:
     jet is all jets; column operations touch only some entries and lift the
     rest here."""
     for row in rows:
-        kinds = set(map(type, row))
-        if Jet in kinds and len(kinds) > 1:
-            dim = len(next(x for x in row if type(x) is Jet).partials)
+        jets = [x for x in row if type(x) is Jet]
+        if jets and len(jets) < len(row):
+            dim = len(jets[0]._d)
             row[:] = [x if type(x) is Jet else jet_const(x, dim) for x in row]
 
 
@@ -421,8 +416,7 @@ def _eliminate(g: Sequence[Sequence], p: Optional[int] = None
     NotInBigCell(k) when the k-th leading principal minor vanishes."""
     mat = [list(row) for row in g]
     n = len(mat)
-    one, zero = (_one_like(mat[0][0]), _zero_like(mat[0][0])) if p is None else (1, 0)
-    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    lower = _identity_rows(n, mat[0][0], p)
     inverted = []
     for col in range(n):
         if not _is_nonzero(mat[col][col]):
@@ -477,22 +471,12 @@ def _leq0(rows: Sequence[Sequence], p: Optional[int]) -> list[list]:
 
 def _leq0_and_inverse(rows: Sequence[Sequence], p: Optional[int]
                       ) -> tuple[list[list], list[list]]:
-    """lower * diag of the Gauss decomposition and its inverse.  Off F_p
-    these are ``gauss_leq0`` and ``lower_inverse`` of its result.  On
-    residues the inverse is diag^{-1} * lower^{-1}: the elimination's
-    inverted pivots scale the rows of the unitriangular inverse, which needs
-    no division, so each pivot is inverted once."""
-    if p is None:
-        leq0 = gauss_leq0(GroupMatrix(rows))
-        return [list(row) for row in leq0.rows], [list(row) for row in lower_inverse(leq0).rows]
+    """lower * diag of the Gauss decomposition and its inverse, the
+    substitution inverse with the pivots the elimination inverted as the
+    reciprocals of the diagonal: each pivot is inverted once."""
     lower, mat, inverted = _eliminate(rows, p)
-    n = len(mat)
-    unit_inv: list[list] = []
-    for i in range(n):
-        unit_inv.append([-sum(lower[i][k] * unit_inv[k][j] for k in range(j, i)) % p
-                         for j in range(i)] + [1] + [0] * (n - 1 - i))
-    return (_scale_columns(lower, [mat[c][c] for c in range(n)], p),
-            [[x * d % p for x in row] for row, d in zip(unit_inv, inverted)])
+    leq0 = _scale_columns(lower, [mat[c][c] for c in range(len(mat))], p)
+    return leq0, _lower_inverse(leq0, inverted, p)
 
 
 def gauss_leq0(g: GroupMatrix) -> GroupMatrix:
@@ -537,7 +521,8 @@ def theta(g: GroupMatrix) -> GroupMatrix:
 def _g0(rows: Sequence[Sequence], p: Optional[int]) -> list[list]:
     n = len(rows)
     _, _, upper = _gauss([row[::-1] for row in rows[::-1]], p)
-    lower_inv = _lower_inverse(_transpose(upper), p)  # the transpose of U^{-1}
+    # the transpose of U^{-1}; U's unit diagonal holds its own reciprocals
+    lower_inv = _lower_inverse(_transpose(upper), [upper[i][i] for i in range(n)], p)
     return [[lower_inv[n - 1 - j][n - 1 - i] for j in range(n)] for i in range(n)]
 
 
@@ -563,15 +548,6 @@ def xi_and_ddminus(g: GroupMatrix, j: int) -> tuple[GroupMatrix, GroupMatrix]:
     n_minus = gauss_g0(g)
     c = n_minus[j][j - 1]
     return n_minus, x_neg(rank, j, -c)
-
-
-def _x_neg_rows(rank: int, i: int, t, p: Optional[int]) -> Sequence[Sequence]:
-    if p is None:
-        return x_neg(rank, i, t).rows
-    _require_range(i, rank)
-    rows = _identity_rows(rank + 1, None, p)
-    rows[i][i - 1] = t
-    return rows
 
 
 def dckp_T(g: GroupMatrix, j: int) -> GroupMatrix:

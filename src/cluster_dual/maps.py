@@ -1080,12 +1080,10 @@ def bracket_matrix_at(seed: Seed, fn: Callable, values: Assignment) -> tuple:
     point = [values[ix] for ix in ixs]
     partials = [f.partials for f in fn(dict(zip(ixs, jet_point(point))))]
     form = []  # (s, [(t, c_st), ...]) for each row s of the form with a term
+    eps_hat_rows = seed.eps_hat_rows
     for s, i in enumerate(ixs):
-        row = []
-        for t, j in enumerate(ixs):
-            e = seed.eps_hat(i, j)
-            if e != 0:
-                row.append((t, e * values[i] * values[j]))
+        eps_i = eps_hat_rows.get(i, {})
+        row = [(t, eps_i[j] * values[i] * values[j]) for t, j in enumerate(ixs) if j in eps_i]
         if row:
             form.append((s, row))
     # the field's zero, for a seed without brackets
@@ -1134,10 +1132,11 @@ def is_poisson_map(m: RationalMap, cfg: TrialConfig) -> Verdict:
         brackets = bracket_matrix_at(src, pullbacks, dict(zip(src_ixs, point)))
         return tuple(brackets[a][b] for a, b in pairs)
 
+    coefficients = [tgt.eps_hat(tgt_ixs[a], tgt_ixs[b]) for a, b in pairs]
+
     def rhs(point: tuple) -> tuple:
         image = pullbacks(dict(zip(src_ixs, point)))
-        return tuple(tgt.eps_hat(tgt_ixs[a], tgt_ixs[b]) * image[a] * image[b]
-                     for a, b in pairs)
+        return tuple(e * image[a] * image[b] for e, (a, b) in zip(coefficients, pairs))
 
     return maps_equal_probabilistic(lhs, rhs, len(src_ixs), cfg)
 

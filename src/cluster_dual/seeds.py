@@ -83,6 +83,15 @@ class Seed:
         # eps_ij / d_j, the form a regular X-mutation keeps (Fock-Goncharov)
         return self.eps(i, j) / self.d(j)
 
+    @functools.cached_property
+    def eps_hat_rows(self) -> dict[SeedIndex, dict[SeedIndex, Fraction]]:
+        """{i: {j: eps_hat_ij}} over the nonzero entries, for the bracket form."""
+        rows: dict = {}
+        for (i, j), v in self.epsilon.items():
+            if v != 0:
+                rows.setdefault(i, {})[j] = v / self.d(j)
+        return rows
+
     def cover_sets_of(self, k: SeedIndex) -> frozenset[SeedIndex]:
         """I0(k): union of the cover sets containing k."""
         covers = [c for c in (self.cover_left, self.cover_right) if k in c]

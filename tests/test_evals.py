@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import random
@@ -16,7 +17,7 @@ from cluster_dual.errors import (ClusterDualError, DivisionByZero, InvalidParame
 from cluster_dual.group import GroupMatrix
 from cluster_dual.words import DoubleWord
 
-from conftest import W, rational_point
+from conftest import W, rational_point, reference_jets
 
 A1 = weyl.build_cartan("A1")
 A2 = weyl.build_cartan("A2")
@@ -274,27 +275,40 @@ def test_ev_one_sided_factors_rank_one():
         [[t, F(0)], [F(0), F(1)]])
 
 
-def test_ev_hat_projects_the_right_factor_once(rng, monkeypatch):
-    calls = {"ev": 0, "ev_red": 0, "gauss_leq0": 0}
+def _field_point(word, cdata, rng, field):
+    """A point of the word's torus over Q, F_p or first-order jets over F_p."""
+    if field == "Q":
+        return rational_point(word, cdata, rng)
+    values = maps.random_assignment(word, cdata, rng, DEFAULT_PRIME)
+    if field == "jet":
+        values = dict(zip(values, jet_point(list(values.values()))))
+    return values
 
-    def counted(module, name):
-        original = getattr(module, name)
 
-        def wrapper(*args):
+def _count_calls(monkeypatch, calls, *targets):
+    """Count the calls of each (owner, name) into ``calls[name]``."""
+    for owner, name in targets:
+        original = getattr(owner, name)
+
+        def wrapper(*args, original=original, name=name):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counted(evals, "ev")
-    counted(evals, "ev_red")
-    counted(grp, "gauss_leq0")
-    for text in ("-1,1", "1,1", "1"):
-        ctx = evals.make_context(W(text), A1)
-        calls.update(dict.fromkeys(calls, 0))
-        evals.ev_hat(ctx, rational_point(W(text), A1, rng))
-        # ev only inside the one ev_red(i2): ev(i1) is never formed
-        assert calls == {"ev": 1, "ev_red": 1, "gauss_leq0": 2}, text
+
+def test_ev_hat_projects_the_right_factor_once(rng, monkeypatch):
+    calls = {"_ev": 0, "_ev_red": 0, "_eliminate": 0}
+    _count_calls(monkeypatch, calls, (evals, "_ev"), (evals, "_ev_red"), (grp, "_eliminate"))
+    for field in ("Q", "Fp", "jet"):
+        for text in ("-1,1", "1,1", "1"):
+            ctx = evals.make_context(W(text), A1)
+            values = _field_point(W(text), A1, rng, field)
+            calls.update(dict.fromkeys(calls, 0))
+            evals.ev_hat(ctx, values)
+            # ev only inside the one ev_red(i2): ev(i1) is never formed; one
+            # elimination projects P, one projects Q
+            assert calls == {"_ev": 1, "_ev_red": 1, "_eliminate": 2}, (field, text)
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +458,13 @@ def test_ev_rejects_a_letter_beyond_the_rank():
 
 def test_structured_products_make_no_dense_product(rng, monkeypatch):
     calls = []
-    dense = GroupMatrix.__mul__
+    dense = grp._product
 
-    def counted(self, other):
-        calls.append(other)
-        return dense(self, other)
+    def counted(a, b, p):
+        calls.append(b)
+        return dense(a, b, p)
 
-    monkeypatch.setattr(GroupMatrix, "__mul__", counted)
+    monkeypatch.setattr(grp, "_product", counted)
     word = W("1,-2,1,2,-1")
     vals = rational_point(word, A2, rng)
     evals.ev(word, A2, vals)
@@ -524,27 +538,115 @@ def test_ev_hat_matches_the_dense_formula(case, field, seed):
 
 
 def test_ev_hat_runs_no_inverse_and_one_dense_product(rng, monkeypatch):
-    calls = {"inverse": 0, "__mul__": 0}
+    calls = {"inverse": 0, "_product": 0}
+    _count_calls(monkeypatch, calls, (GroupMatrix, "inverse"), (grp, "_product"))
+    for field in ("Q", "Fp", "jet"):
+        for label, texts in _EV_HAT_WORDS.items():
+            cdata = weyl.build_cartan(label)
+            for text in texts:
+                ctx = evals.make_context(W(text), cdata)
+                vals = _field_point(W(text), cdata, rng, field)
+                calls.update(dict.fromkeys(calls, 0))
+                evals.ev_hat(ctx, vals)
+                assert calls == {"inverse": 0, "_product": 1}, (field, text)
 
-    def counted(name):
-        dense = getattr(GroupMatrix, name)
 
-        def wrapper(self, *args):
-            calls[name] += 1
-            return dense(self, *args)
+def _scalar_form_outcomes(cases):
+    """ev_hat and dckp_T of it, tau_product, and the TWIST/TROP_GEOM
+    projections, at each case's points."""
+    out = []
+    for cdata, ctx, hat_vals, tau_word, tau_vals, proj_word, proj_vals in cases:
+        hat = evals.ev_hat(ctx, hat_vals)
+        out += [hat, *(grp.dckp_T(hat, j) for j in range(1, cdata.rank + 1)),
+                evals.tau_product(tau_word, cdata, tau_vals),
+                evals._descending(cdata, proj_word)(proj_vals),
+                evals._ascending(cdata, proj_word)(proj_vals)]
+    return out
 
-        monkeypatch.setattr(GroupMatrix, name, wrapper)
 
-    counted("inverse")
-    counted("__mul__")
+def test_scalar_form_runs_on_the_kernels(rng, monkeypatch):
+    """At Q and jet points the composites compute through the private
+    kernels: with the public evaluations, Gauss projection, substitution
+    inverse, identity, root element and dense product made to fail, they
+    give what they give with them in place."""
+    cases = []
+    # a DCKP_CLUSTER word or a word of D(w0) whose ev_hat is in the big cell,
+    # then a TROP_GEOM word
+    for label, hat_text, proj_text in (("A1", "1,1", "1"), ("A1", "-1,1", "-1,1"),
+                                       ("A2", "1,2,1,1,2,1", "1,2"),
+                                       ("A2", "-1,-2,-1,1,2,1", "-1,2,1")):
+        cdata = weyl.build_cartan(label)
+        ctx = evals.make_context(W(hat_text), cdata)
+        tau_word, proj_word = W(_TAU_WORDS[label]), W(proj_text)
+        for field in ("Q", "jet"):
+            cases.append((cdata, ctx, _field_point(W(hat_text), cdata, rng, field),
+                          tau_word, _field_point(tau_word, cdata, rng, field),
+                          proj_word, _field_point(proj_word, cdata, rng, field)))
+    want = _scalar_form_outcomes(cases)
+
+    def refuse(*args):
+        raise AssertionError("a public matrix function ran inside a composite")
+
+    for owner, name in ((evals, "ev"), (evals, "ev_red"), (grp, "gauss_leq0"),
+                        (grp, "lower_inverse"), (grp, "identity"), (grp, "x_neg"),
+                        (GroupMatrix, "__mul__")):
+        monkeypatch.setattr(owner, name, refuse)
+    got = _scalar_form_outcomes(cases)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _assert_same_entries(g, w)
+
+
+def _leq0_and_inverse(g):
+    p, rows = grp._residue_form(g)
+    return tuple(grp._matrix(m, p) for m in grp._leq0_and_inverse(rows, p))
+
+
+def _public_leq0_and_inverse(g):
+    leq0 = grp.gauss_leq0(g)
+    return leq0, grp.lower_inverse(leq0)
+
+
+def _leq0_cases(rng, field):
+    """Evaluations and their products with rep(w0) at points over ``field``,
+    rep(w0) itself, outside the big cell, and a matrix whose second leading
+    minor vanishes."""
+    out = []
     for label, texts in _EV_HAT_WORDS.items():
         cdata = weyl.build_cartan(label)
         for text in texts:
-            ctx = evals.make_context(W(text), cdata)
-            vals = rational_point(W(text), cdata, rng)
-            calls.update(dict.fromkeys(calls, 0))
-            evals.ev_hat(ctx, vals)
-            assert calls == {"inverse": 0, "__mul__": 1}, text
+            g = evals.ev(W(text), cdata, _field_point(W(text), cdata, rng, field))
+            rep = grp.weyl_representative(weyl.longest_element(cdata), g[0][0])
+            out += [g, g * rep, rep]
+            rows = [list(row) for row in g.rows]
+            rows[1] = [x * 3 for x in rows[0]]
+            out.append(GroupMatrix(rows))
+    return out
+
+
+def test_leq0_and_inverse_matches_gauss_leq0_and_lower_inverse(rng):
+    """The pair ``ev_hat`` projects with equals gauss_leq0 and lower_inverse
+    of its result, entry by entry with types, or raises NotInBigCell at the
+    same pivot, over Q, F_p and jets, and over F_p and jets again with no
+    residue form (``reference_jets``), so the scalar form runs on Fp entries
+    and on jets storing their scalars."""
+    fields = [(field, None) for field in ("Q", "Fp", "jet")] + [
+        (field, reference_jets) for field in ("Fp", "jet")]
+    seen = set()
+    for field, context in fields:
+        with context() if context else contextlib.nullcontext():
+            for g in _leq0_cases(rng, field):
+                try:
+                    want = _public_leq0_and_inverse(g)
+                except NotInBigCell as exc:
+                    with pytest.raises(NotInBigCell) as info:
+                        _leq0_and_inverse(g)
+                    assert info.value.minor_index == exc.minor_index
+                    seen.add(exc.minor_index)
+                    continue
+                for got, expected in zip(_leq0_and_inverse(g), want, strict=True):
+                    _assert_same_entries(got, expected)
+    assert seen == {0, 1}
 
 
 def _pinned_entry(x):
