@@ -631,9 +631,8 @@ def _t_lemma(runner: _CheckRunner) -> None:
     if cdata.rank >= 2:
         w0 = weyl.longest_element(cdata)
         alt_rest = next(rw for rw in weyl.reduced_words(w0) if rw != w0.reduced_word())
-        alt_base = DoubleWord(
-            mapmod._artin_base_word(cdata, j, tuple(range(1, cdata.rank + 1)))
-            .letters[:w0.length()] + alt_rest)
+        alt_base = DoubleWord(mapmod._artin_base_word(cdata, j).letters[:w0.length()]
+                              + alt_rest)
         other = mapmod.artin_T(word, j, cdata, base=alt_base)
         _same_values(runner, word, single.apply, other.apply)
 

@@ -915,15 +915,15 @@ class _DhatGraph:
 
 
 # Bounded: verify --all --type A2 searches over two D(v), the Artin
-# generators of each subset I over D(w0(I)).
+# generators over D(w0).
 @functools.lru_cache(maxsize=4)
 def _graph(cdata: CartanData, v: WeylElement) -> _DhatGraph:
     """The one numbered dhat graph over D(v)."""
     return _DhatGraph(cdata, v)
 
 
-# Bounded: the Artin composer anchors on two states per letter and subset,
-# four for all of A2.
+# Bounded: the Artin composer anchors on two states per letter, four for
+# A2.
 @functools.lru_cache(maxsize=16)
 def _ball(graph: _DhatGraph, anchor: int) -> wordmod._Ball:
     """The breadth-first ball of a dhat graph around one numbered state,
@@ -964,35 +964,28 @@ def _mu_hat(cdata: CartanData, source: DoubleWord, target: DoubleWord,
 # Artin group generators
 # ---------------------------------------------------------------------------
 
-def _artin_base_word(cdata: CartanData, j: int, subset: Sequence[int]) -> DoubleWord:
-    """A word of R(w0(I), w0) starting with the barred letter j."""
-    w0I = weyl.longest_element(cdata, subset)
-    sj = weyl.simple(cdata, j)
-    rest = (sj * w0I).reduced_word()
-    negatives = (-j,) + tuple(-x for x in rest)
-    positives = weyl.longest_element(cdata).reduced_word()
-    return DoubleWord(negatives + positives)
+def _artin_base_word(cdata: CartanData, j: int) -> DoubleWord:
+    """The word (-j, barred s_j w0)(w0) of R(w0, w0), starting with the
+    barred letter j."""
+    w0 = weyl.longest_element(cdata)
+    rest = (weyl.simple(cdata, j) * w0).reduced_word()
+    return DoubleWord((-j,) + tuple(-x for x in rest) + w0.reduced_word())
 
 
 def artin_T(w: DoubleWord, j: int, cdata: CartanData,
-            subset: Optional[Sequence[int]] = None,
             base: Optional[DoubleWord] = None) -> RationalMap:
-    """The Artin generator on the bracket torus of w in D(w0(I)): transport to
+    """The Artin generator on the bracket torus of w in D(w0): transport to
     the flipped base word, apply the left tropical mutation (which restores
     the base word), transport back.  This is the one-letter case of
-    ``artin_T_word``.
-
-    A subset I other than the whole alphabet must be fixed pointwise by the
-    star involution; the resulting map does not depend on the admissible
-    base word chosen.
+    ``artin_T_word``; the map does not depend on the admissible base word
+    chosen.
     """
-    return _artin_T_word(cdata, w, (j,), _subset(cdata, subset), base)
+    return _artin_T_word(cdata, w, (j,), base)
 
 
-def artin_T_word(w: DoubleWord, letters: Sequence[int], cdata: CartanData,
-                 subset: Optional[Sequence[int]] = None) -> RationalMap:
+def artin_T_word(w: DoubleWord, letters: Sequence[int], cdata: CartanData) -> RationalMap:
     """Composite of Artin generators along a word (leftmost letter first) on
-    the bracket torus of w in D(w0(I)), as one chain of base-to-base
+    the bracket torus of w in D(w0), as one chain of base-to-base
     transports:
 
         mu_hat(w -> flipped_a1), bar flip, mu_hat(base_a1 -> flipped_a2),
@@ -1002,8 +995,8 @@ def artin_T_word(w: DoubleWord, letters: Sequence[int], cdata: CartanData,
     and the left bar flip (a tropical mutation) returns it to base_j.  The
     product of the generators would go base_a -> w -> flipped_b between two
     letters; ``mu_hat`` does not depend on the path, so that stretch is the
-    one transport base_a -> flipped_b, between the classes w0(I) and
-    w0(I) s_{b*}.  With one letter the chain is the generator itself.
+    one transport base_a -> flipped_b, between the classes w0 and
+    w0 s_{b*}.  With one letter the chain is the generator itself.
     Every leg ends at a base word or its flip, so it is read off that
     word's cached search (``_ball``) rather than a fresh one.
 
@@ -1011,54 +1004,39 @@ def artin_T_word(w: DoubleWord, letters: Sequence[int], cdata: CartanData,
     cached, so a repeated build returns the same map, whose program is then
     already compiled.
     """
-    return _artin_T_word(cdata, w, tuple(letters), _subset(cdata, subset), None)
-
-
-def _subset(cdata: CartanData, subset: Optional[Sequence[int]]) -> tuple[int, ...]:
-    """The subset I as a cache key; by default every letter."""
-    return tuple(subset) if subset is not None else tuple(range(1, cdata.rank + 1))
+    return _artin_T_word(cdata, w, tuple(letters), None)
 
 
 # Bounded: all 160 A2 artin-T maps fit.  A check run again in one process
 # reads its composites, with their compiled programs, from here.
 @functools.lru_cache(maxsize=256)
 def _artin_T_word(cdata: CartanData, w: DoubleWord, letters: tuple[int, ...],
-                  subset: tuple[int, ...], base: Optional[DoubleWord]) -> RationalMap:
+                  base: Optional[DoubleWord]) -> RationalMap:
     """``artin_T_word``; ``base``, given with one letter, replaces its
-    default base word (a word of R(w0(I), w0) starting with the barred
+    default base word (a word of R(w0, w0) starting with the barred
     letter)."""
-    if not all(1 <= i <= cdata.rank for i in subset):
-        raise PreconditionFailed(f"subset {subset} has letters outside 1..{cdata.rank}")
-    star = weyl.star_involution(cdata)
-    if sorted(star[i] for i in subset) != sorted(subset):
-        raise PreconditionFailed("subset must be star-stable")
-    # a leg's class target takes the star of w0, which is the star of w0(I)
-    # on the whole alphabet but not on a subset whose letters it moves
-    moved = sorted({i for i in subset if star[i] != i})
-    if moved and len(set(subset)) < cdata.rank:
-        raise PreconditionFailed(
-            f"subset {subset} is not fixed pointwise by the star: it moves {moved}")
     for j in letters:
-        if j not in subset:
-            raise PreconditionFailed(f"{j} is not in the subset")
-    bases = [_artin_base_word(cdata, j, subset) for j in letters] if base is None else [base]
-    w0I = weyl.longest_element(cdata, subset)
-    found = wordmod.canonical_class(w, cdata, w0I)
+        if not 1 <= j <= cdata.rank:
+            raise PreconditionFailed(f"generator index {j} outside 1..{cdata.rank}")
+    bases = [_artin_base_word(cdata, j) for j in letters] if base is None else [base]
+    w0 = weyl.longest_element(cdata)
+    found = wordmod.canonical_class(w, cdata, w0)
     if found is None:
-        raise PreconditionFailed(f"{w.to_string()} is not in D(w0(I))")
+        raise PreconditionFailed(f"{w.to_string()} is not in D(w0)")
+    star = weyl.star_involution(cdata)
     w_class = w1 = found[0].w1
     legs = [identity_map(w, cdata, restricted=True)]
     for j, base in zip(letters, bases, strict=True):
         flipped = wordmod.l_move(base)  # starts with the positive letter j
-        # the moving letter leaves the class of the base word, w0(I)
-        legs.append(_mu_hat(cdata, legs[-1].target_word, flipped, w0I,
-                            w1, w0I * weyl.simple(cdata, star[j]), "target"))
+        # the moving letter leaves the class of the base word, w0
+        legs.append(_mu_hat(cdata, legs[-1].target_word, flipped, w0,
+                            w1, w0 * weyl.simple(cdata, star[j]), "target"))
         trop = MoveStep(cdata, flipped, Move("tau_left", 0), restricted=False)
         if trop.word_after != base:
             raise InvariantViolation(f"bar flip of {flipped.to_string()} misses the base word")
         legs.append(RationalMap(cdata, flipped, base, (trop,), True))
-        w1 = w0I
-    legs.append(_mu_hat(cdata, legs[-1].target_word, w, w0I, w1, w_class,
+        w1 = w0
+    legs.append(_mu_hat(cdata, legs[-1].target_word, w, w0, w1, w_class,
                         "source" if letters else ""))
     return legs[0].then(*legs[1:])
 
@@ -1149,12 +1127,12 @@ def random_assignment(w: DoubleWord, cdata: CartanData, rng: random.Random,
                       prime: Optional[int] = None, bound: int = 40) -> Assignment:
     """Random torus point: nonzero residues mod a prime, or small nonzero
     rationals when prime is None."""
+    ixs = wordmod.seed_indices(w, cdata.rank)
+    if prime is not None:
+        return dict(zip(ixs, arith.random_point_fp(len(ixs), prime, rng)))
     out: Assignment = {}
-    for ix in wordmod.seed_indices(w, cdata.rank):
-        if prime is not None:
-            out[ix] = Fp(rng.randrange(1, prime), prime)
-        else:
-            num = rng.choice([n for n in range(-bound, bound + 1) if n != 0])
-            den = rng.randrange(1, bound)
-            out[ix] = Fraction(num, den)
+    for ix in ixs:
+        num = rng.choice([n for n in range(-bound, bound + 1) if n != 0])
+        den = rng.randrange(1, bound)
+        out[ix] = Fraction(num, den)
     return out

@@ -179,6 +179,13 @@ def test_compute_artin_t_at_a_zero_frozen_coordinate(word, j, slot, capsys):
     assert err == "error: SingularPoint: zero right-frozen coordinate at the saltation core\n"
 
 
+def test_compute_artin_t_refuses_a_generator_index_outside_the_rank(capsys):
+    code, stdout, err = run(["compute", "artin-T", "--word", "1,2,1,1,2,1", "--type", "A2",
+                             "--j", "3", "--point", "2,3,5,7,11,13,17,19"], capsys)
+    assert code == 2 and stdout == ""
+    assert err == "error: PreconditionFailed: generator index 3 outside 1..2\n"
+
+
 def test_compute_ev_hat_example(capsys):
     code, stdout, _ = run(["compute", "ev-hat", "--word=-1,1", "--type", "A1",
                            "--point", "1,1,1"], capsys)

@@ -206,7 +206,7 @@ def test_anchored_build_resumes_after_an_abort(monkeypatch):
     w0 = weyl.longest_element(A2)
     w = W("-1,-2,-1,1,2,1")
     start = (w.letters, words.canonical_class(w, A2, w0)[0].w1)
-    anchor = (words.l_move(maps._artin_base_word(A2, 1, (1, 2))).letters,
+    anchor = (words.l_move(maps._artin_base_word(A2, 1)).letters,
               w0 * weyl.simple(A2, weyl.star(A2, 1)))
     maps._graph.cache_clear()
     maps._ball.cache_clear()
@@ -394,29 +394,21 @@ def test_artin_T_base_word_independence(rng):
         assert default.apply(vals) == other.apply(vals)
 
 
-def test_artin_T_rejects_subset_letters_outside_the_rank():
-    for subset in ((1, 5), (0, 1, 2)):
-        with pytest.raises(PreconditionFailed, match=r"outside 1\.\.2"):
-            maps.artin_T(W("1,2,1,1,2,1"), 1, A2, subset=subset)
-    with pytest.raises(PreconditionFailed, match="star-stable"):
-        maps.artin_T(W("1,2,1,1,2,1"), 1, A2, subset=(1,))
-
-
-def test_artin_T_refuses_a_subset_the_star_moves(monkeypatch):
-    """A subset other than the whole alphabet must be fixed pointwise by the
-    star.  On A3 the star swaps 1 and 3, so {1, 3} is refused before any
-    class lookup or search; {2}, which it fixes, builds."""
-    a3 = weyl.build_cartan("A3")
-    w = W("-2,1,2,3,1,2,1")
-    with monkeypatch.context() as patched:
-        for name in ("canonical_class", "is_in_dv"):
-            patched.setattr(words, name, lambda *args: pytest.fail("class lookup"))
-        patched.setattr(maps, "_graph", lambda *args: pytest.fail("search"))
-        for j in (1, 3):
-            with pytest.raises(PreconditionFailed,
-                               match=r"fixed pointwise by the star: it moves \[1, 3\]"):
-                maps.artin_T(w, j, a3, subset=(1, 3))
-    assert len(maps.artin_T(w, 2, a3, subset=(2,)).steps) == 35
+def test_artin_T_refuses_a_generator_index_outside_the_rank(monkeypatch):
+    """A generator index outside 1..rank is refused before any base word,
+    class lookup or search, with or without a base word given."""
+    cases = [(A1, W("1,1"), W("-1,1")), (A2, W("1,2,1,1,2,1"), W("-1,-2,-1,1,2,1"))]
+    monkeypatch.setattr(maps, "_artin_base_word", lambda *args: pytest.fail("base word"))
+    monkeypatch.setattr(words, "canonical_class", lambda *args: pytest.fail("class lookup"))
+    monkeypatch.setattr(maps, "_graph", lambda *args: pytest.fail("search"))
+    for cdata, w, base in cases:
+        for j in (0, -1, cdata.rank + 1):
+            match = rf"generator index {j} outside 1\.\.{cdata.rank}"
+            for build in (lambda: maps.artin_T(w, j, cdata),
+                          lambda: maps.artin_T(w, j, cdata, base=base),
+                          lambda: maps.artin_T_word(w, (1, j), cdata)):
+                with pytest.raises(PreconditionFailed, match=match):
+                    build()
 
 
 def test_warm_artin_rebuild_asks_no_class_question(monkeypatch):
