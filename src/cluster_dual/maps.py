@@ -11,11 +11,14 @@ on the whole point, with no split, glue or recount.
 A map is evaluated through its program, compiled on its first evaluation
 and kept on the map: the flat tuple of its move steps' mutations and
 relabelings and its saltation core steps with their plans, so no plan is
-looked up per point.  One interpreter runs it, in one of two arithmetics:
-the scalars' own, the reference, for rationals, jets and mixed points; or,
-when every coordinate is an ``Fp`` of one prime, residue pairs (num, den),
-so no op inverts (x_k goes to den/num, 1 + x_k is (num + den)/den) and one
-modular inversion ends the run for all coordinates (Montgomery's trick).
+looked up per point.  One interpreter runs it, in one of three
+arithmetics: the scalars' own, the reference, for ints, jets and mixed
+points; when every coordinate is exactly a ``Fraction``, reduced pairs of
+ints (num, den), each product the cross-gcd one of ``Fraction``; or, when
+every coordinate is an ``Fp`` of one prime, residue pairs (num, den), and
+one modular inversion ends the run for all coordinates (Montgomery's
+trick).  On pairs no op inverts: x_k goes to den/num, 1 + x_k is
+(num + den)/den.
 
 Supported steps:
 
@@ -46,6 +49,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import arith
@@ -119,9 +123,10 @@ def _tropical_mutation(seed: Seed, k: SeedIndex, positive_letter: bool) -> Mutat
 
 
 class _Scalars:
-    """The scalars' own arithmetic, the reference: it serves rationals, jets
-    and mixed points.  The scalars are immutable, so an op updates an
-    assignment in place by replacing its values, and a copy is the value."""
+    """The scalars' own arithmetic, the reference that ``Step.apply`` runs;
+    maps run on it at ints, jets and mixed points.  The scalars are
+    immutable, so an op updates an assignment in place by replacing its
+    values, and a copy is the value."""
 
     @staticmethod
     def mutate(values: Assignment, mutation: Mutation) -> None:
@@ -571,7 +576,7 @@ class XiCoreInverseStep(Step):
 
 
 # ---------------------------------------------------------------------------
-# Programs: a map lowered once, run by one interpreter in one of two
+# Programs: a map lowered once, run by one interpreter in one of three
 # arithmetics
 # ---------------------------------------------------------------------------
 
@@ -665,12 +670,94 @@ class _FpPairs:
         return dict(out)
 
 
+def _scale(v: list, c: int, f: int) -> None:
+    """v = [a, b] times c/f in place, both in lowest terms with b > 0 and f
+    nonzero: the two cross-gcds of ``Fraction``'s product, then the sign
+    moved to the numerator, so v stays in lowest terms."""
+    a, b = v
+    g = gcd(a, f)
+    if g > 1:
+        a //= g
+        f //= g
+    g = gcd(c, b)
+    if g > 1:
+        c //= g
+        b //= g
+    if f < 0:
+        v[0], v[1] = -a * c, -b * f
+    else:
+        v[0], v[1] = a * c, b * f
+
+
+class _QPairs:
+    """Rational arithmetic on reduced integer pairs: a coordinate is a list
+    [num, den] in lowest terms with den > 0, so no op inverts and no
+    ``Fraction`` is built before the end.  Ops update the lists in place, as
+    on residue pairs."""
+
+    __slots__ = ()
+    copy = list
+
+    @staticmethod
+    def mutate(pairs: dict, mutation: Mutation) -> None:
+        kind, k, exponents = mutation
+        xk = pairs[k]
+        n, d = xk
+        if not n:
+            raise SingularPoint(f"zero coordinate at {kind} mutation index")
+        # the factors (num, den) of a positive and of a negative unit exponent,
+        # each in lowest terms: x_k = n/d for a tropical mutation,
+        # x_k/(1 + x_k) = n/s and 1 + x_k = s/d for a regular one
+        if kind == "tropical":
+            up, down = (n, d), (d, n)
+        elif exponents:
+            s = n + d
+            if not s:
+                raise SingularPoint("1 + x_k vanishes with a nonzero exponent")
+            up, down = (n, s), (s, d)
+        xk[0], xk[1] = (d, n) if n > 0 else (-d, -n)
+        for ix, e in exponents:
+            c, f = up if e > 0 else down
+            if e != 1 and e != -1:
+                c, f = c ** abs(e), f ** abs(e)
+            _scale(pairs[ix], c, f)
+
+    @staticmethod
+    def mul(a: list, b: list) -> list:
+        _scale(a, b[0], b[1])
+        return a
+
+    @staticmethod
+    def div(a: list, b: list) -> list:
+        _scale(a, b[1], b[0])
+        return a
+
+    one = staticmethod(lambda x: [1, 1])
+    nonzero = operator.itemgetter(0)
+
+    def run(self, program: Sequence[Op], values: Assignment) -> Assignment:
+        """The program on reduced pairs, then one Fraction per coordinate."""
+        pairs = _interpret(self, program,
+                           {ix: [x.numerator, x.denominator] for ix, x in values.items()})
+        return {ix: Fraction(n, d) for ix, (n, d) in pairs.items()}
+
+
+_QPAIRS = _QPairs()
+
+
 def run_program(program: Sequence[Op], values: Assignment) -> Assignment:
     """A program at a point, on a copy of it: on residue pairs when every
-    coordinate is an Fp of one prime, else on the scalars themselves
-    (rationals, jets, mixed points)."""
-    p = arith._fp_prime(values.values()) if program else None
-    return (_SCALARS if p is None else _FpPairs(p)).run(program, values)
+    coordinate is an Fp of one prime, on reduced integer pairs when every
+    coordinate's type is exactly Fraction, else on the scalars themselves
+    (ints, jets, mixed points)."""
+    if not program:
+        return _SCALARS.run(program, values)
+    p = arith._fp_prime(values.values())
+    if p is not None:
+        return _FpPairs(p).run(program, values)
+    if all(type(x) is Fraction for x in values.values()):
+        return _QPAIRS.run(program, values)
+    return _SCALARS.run(program, values)
 
 
 @dataclass(frozen=True)
@@ -1130,9 +1217,10 @@ def random_assignment(w: DoubleWord, cdata: CartanData, rng: random.Random,
     ixs = wordmod.seed_indices(w, cdata.rank)
     if prime is not None:
         return dict(zip(ixs, arith.random_point_fp(len(ixs), prime, rng)))
+    nums = [n for n in range(-bound, bound + 1) if n != 0]
     out: Assignment = {}
     for ix in ixs:
-        num = rng.choice([n for n in range(-bound, bound + 1) if n != 0])
+        num = rng.choice(nums)
         den = rng.randrange(1, bound)
         out[ix] = Fraction(num, den)
     return out

@@ -1050,7 +1050,7 @@ def _stepwise(m, values):
     return values
 
 
-def _fp_outcome(f, values):
+def _image_or_error(f, values):
     """The image as (index, value) pairs in dict order, or the error type."""
     try:
         return list(f(values).items())
@@ -1058,14 +1058,10 @@ def _fp_outcome(f, values):
         return type(exc).__name__
 
 
-def test_fp_interpreter_matches_stepwise_evaluation():
-    """``RationalMap.apply`` at an F_p point, which runs the F_p interpreter,
-    gives what the steps' own generic ``apply`` gives one after the other:
-    the same image in the same key order, or the same error type.  Checked
-    at p = 2^61 - 1 and p = 97, at random points and at points with one zero
-    coordinate, on T_j and its inverse for all 160 compute-a2 pairs, both A2
-    braid composites, the A1 and A2 saltations and the B2 composite of
-    2,1,2,1."""
+def _interpreter_cases():
+    """(cdata, source word, map) for T_j on all 160 compute-a2 pairs, both
+    A2 braid composites, the A1 and A2 saltations and the B2 composite of
+    2,1,2,1, and for the inverse of each; and the two saltations apart."""
     reduced = ((1, 2, 1), (2, 1, 2))
     cases = []
     for neg, pos in itertools.product(reduced, reduced):
@@ -1080,16 +1076,35 @@ def test_fp_interpreter_matches_stepwise_evaluation():
     saltations = [(A1, W("-1,1"), maps.xi_saltation(W("-1,1"), A1)),
                   (A2, W("-1,1,2,1"), maps.xi_saltation(W("-1,1,2,1"), A2))]
     cases += saltations
-    b2 = weyl.build_cartan("B2")
     b2_word = W("-1,-2,-1,-2,1,2,1,2")
-    cases.append((b2, b2_word, maps.artin_T_word(b2_word, (2, 1, 2, 1), b2)))
+    cases.append((B2, b2_word, maps.artin_T_word(b2_word, (2, 1, 2, 1), B2)))
     cases += [(cdata, m.target_word, m.inverse()) for cdata, _, m in cases]
+    return cases, saltations
+
+
+def _core_step_maps(saltations):
+    """Each saltation core step alone, as a one-step map."""
+    for cdata, _, m in saltations:
+        for step in m.steps + m.inverse().steps:
+            if isinstance(step, (maps.XiCoreStep, maps.XiCoreInverseStep)):
+                yield cdata, maps.RationalMap(cdata, step.word_before, step.word_after, (step,))
+
+
+def test_fp_interpreter_matches_stepwise_evaluation():
+    """``RationalMap.apply`` at an F_p point, which runs the F_p interpreter,
+    gives what the steps' own generic ``apply`` gives one after the other:
+    the same image in the same key order, or the same error type.  Checked
+    at p = 2^61 - 1 and p = 97, at random points and at points with one zero
+    coordinate, on T_j and its inverse for all 160 compute-a2 pairs, both A2
+    braid composites, the A1 and A2 saltations and the B2 composite of
+    2,1,2,1."""
+    cases, saltations = _interpreter_cases()
     rng = random.Random("fp interpreter")
     outcomes = set()
 
     def check(m, values):
-        want = _fp_outcome(lambda v: _stepwise(m, v), values)
-        assert _fp_outcome(m.apply, values) == want, (m.describe(), values)
+        want = _image_or_error(lambda v: _stepwise(m, v), values)
+        assert _image_or_error(m.apply, values) == want, (m.describe(), values)
         outcomes.add(want if isinstance(want, str) else "image")
 
     for cdata, word, m in cases:
@@ -1099,14 +1114,84 @@ def test_fp_interpreter_matches_stepwise_evaluation():
             check(m, {**values, rng.choice(list(values)): arith.Fp(0, prime)})
     # each saltation core step alone, with a zero in each slot in turn: the
     # divisions of both core steps see a zero there
-    for cdata, _, m in saltations:
-        for step in m.steps + m.inverse().steps:
-            if isinstance(step, (maps.XiCoreStep, maps.XiCoreInverseStep)):
-                one = maps.RationalMap(cdata, step.word_before, step.word_after, (step,))
-                values = maps.random_assignment(step.word_before, cdata, rng, 97)
-                for ix in values:
-                    check(one, {**values, ix: arith.Fp(0, 97)})
+    for cdata, one in _core_step_maps(saltations):
+        values = maps.random_assignment(one.source_word, cdata, rng, 97)
+        for ix in values:
+            check(one, {**values, ix: arith.Fp(0, 97)})
     assert outcomes == {"image", "SingularPoint"}
+
+
+def test_q_interpreter_matches_stepwise_evaluation():
+    """``RationalMap.apply`` at a rational point, which runs the reduced
+    integer pairs, gives what the steps' own generic ``apply`` gives one
+    after the other: the same values in the same key order, every one a
+    ``Fraction``, or the same error type.  Checked at random points, at
+    points with one zero coordinate and at points with one coordinate -1,
+    where 1 + x_k vanishes, on the maps of the F_p check above."""
+    cases, saltations = _interpreter_cases()
+    rng = random.Random("q interpreter")
+    outcomes = set()
+
+    def check(m, values):
+        want = _image_or_error(lambda v: _stepwise(m, v), values)
+        got = _image_or_error(m.apply, values)
+        assert got == want, (m.describe(), values)
+        if isinstance(want, str):
+            outcomes.add(want)
+        else:
+            assert all(type(x) is F for _, x in got), (m.describe(), values)
+            outcomes.add("image")
+
+    for cdata, word, m in cases:
+        check(m, maps.random_assignment(word, cdata, rng))
+        for special in (F(0), F(-1)):
+            values = maps.random_assignment(word, cdata, rng)
+            check(m, {**values, rng.choice(list(values)): special})
+    for cdata, one in _core_step_maps(saltations):
+        values = maps.random_assignment(one.source_word, cdata, rng)
+        for ix in values:
+            for special in (F(0), F(-1)):
+                check(one, {**values, ix: special})
+    assert outcomes == {"image", "SingularPoint"}
+
+
+def test_rational_points_run_on_pairs_and_others_on_the_scalars(monkeypatch):
+    """``run_program`` runs a point whose every coordinate is exactly a
+    ``Fraction`` on reduced integer pairs, without the scalars' own
+    mutation; a point with an int coordinate, a jet point over Q and a
+    mixed Fp and Fraction point run on the scalars, with their types."""
+    word = W("-1,-2,-1,1,2,1")
+    tmap = maps.artin_T(word, 1, A2)
+    xi = maps.xi_saltation(W("-1,1,2,1"), A2)
+    rng = random.Random("dispatch")
+    cases = []
+    for m in (tmap, tmap.inverse(), xi, xi.inverse()):
+        values = maps.random_assignment(m.source_word, A2, rng)
+        ixs = list(values)
+        others = [{**values, ixs[0]: 2}, {**values, ixs[-1]: arith.Fp(3, 97)},
+                  dict(zip(ixs, jet_point([values[ix] for ix in ixs])))]
+        cases.append((m, values, maps._SCALARS.run(m.program, values),
+                      [(v, maps._SCALARS.run(m.program, v)) for v in others]))
+
+    def fail(*args):
+        raise AssertionError("wrong arithmetic")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(maps._SCALARS, "mutate", fail)
+        for m, values, want, _ in cases:
+            got = m.apply(values)
+            assert list(got.items()) == list(want.items())
+            assert all(type(x) is F for x in got.values())
+    for owner in (maps._QPairs, maps._FpPairs):
+        monkeypatch.setattr(owner, "mutate", fail)
+    kinds = set()
+    for m, _, _, others in cases:
+        for values, want in others:
+            got = m.apply(values)
+            assert list(got.items()) == list(want.items())
+            assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
+            kinds |= {type(x) for x in got.values()}
+    assert kinds >= {F, arith.Fp, Jet}
 
 
 @pytest.mark.parametrize("prime", [None, 97])
@@ -1125,34 +1210,38 @@ def test_core_steps_raise_singular_point_at_a_zero_divisor(prime):
     cases += [("core_inverse", bare._replace(exponent=e), bare.target, copied_to[top],
                "zero divisor in the inverse saltation core")
               for e, top in ((1, bare.boundary), (-1, bare.boundary), (-1, bare.k_top))]
+    pairs = maps._QPAIRS if prime is None else maps._FpPairs(prime)
     for kind, plan, word, zero, message in cases:
         values = maps.random_assignment(word, A2, random.Random(kind), prime)
         values[zero] = values[zero] * 0
-        with pytest.raises(SingularPoint, match=message):
-            maps._SCALARS.run(((kind, plan),), values)
-        if prime is not None:
+        for ar in (maps._SCALARS, pairs):
             with pytest.raises(SingularPoint, match=message):
-                maps._FpPairs(prime).run(((kind, plan),), values)
+                ar.run(((kind, plan),), values)
 
 
 @pytest.mark.parametrize("prime", [None, DEFAULT_PRIME])
 def test_singular_mutations_keep_their_messages(prime):
     """x_k = 0 stops either kind of mutation, and 1 + x_k = 0 a regular one
-    with any nonzero exponent, whatever its sign."""
+    with any nonzero exponent, whatever its sign: on the scalars and on
+    pairs."""
     def scalar(n):
         return F(n) if prime is None else arith.Fp(n, prime)
 
+    pairs = maps._QPAIRS if prime is None else maps._FpPairs(prime)
     vals = {(1, 0): scalar(2), (1, 1): scalar(3), (1, 2): scalar(5)}
-    for kind in ("regular", "tropical"):
-        with pytest.raises(SingularPoint, match=f"^zero coordinate at {kind} mutation index$"):
-            maps._apply_mutation({**vals, (1, 1): scalar(0)}, (kind, (1, 1), (((1, 0), 1),)))
-    for e in (2, 1, -1, -2):
-        with pytest.raises(SingularPoint, match=r"^1 \+ x_k vanishes with a nonzero exponent$"):
-            maps._apply_mutation({**vals, (1, 1): scalar(-1)}, ("regular", (1, 1), (((1, 0), e),)))
-    # a tropical mutation does not see 1 + x_k, and nor does one without exponents
-    minus_one = {**vals, (1, 1): scalar(-1)}
-    assert maps._apply_mutation(minus_one, ("tropical", (1, 1), (((1, 0), -1),)))[(1, 0)] == -2
-    assert maps._apply_mutation(minus_one, ("regular", (1, 1), ()))[(1, 1)] == -1
+    for apply in (maps._apply_mutation, lambda v, mutation: pairs.run((mutation,), v)):
+        for kind in ("regular", "tropical"):
+            with pytest.raises(SingularPoint,
+                               match=f"^zero coordinate at {kind} mutation index$"):
+                apply({**vals, (1, 1): scalar(0)}, (kind, (1, 1), (((1, 0), 1),)))
+        for e in (2, 1, -1, -2):
+            with pytest.raises(SingularPoint,
+                               match=r"^1 \+ x_k vanishes with a nonzero exponent$"):
+                apply({**vals, (1, 1): scalar(-1)}, ("regular", (1, 1), (((1, 0), e),)))
+        # a tropical mutation does not see 1 + x_k, and nor does one without exponents
+        minus_one = {**vals, (1, 1): scalar(-1)}
+        assert apply(minus_one, ("tropical", (1, 1), (((1, 0), -1),)))[(1, 0)] == -2
+        assert apply(minus_one, ("regular", (1, 1), ()))[(1, 1)] == -1
 
 
 # Four (word, j) pairs of the compute-a2 benchmark: shuffles of a barred and a
