@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InvariantViolation, UnsupportedType
 
@@ -279,20 +279,12 @@ def reduced_words(w: WeylElement) -> set[tuple[int, ...]]:
     return set(rec(w))
 
 
-def longest_element(cartan: CartanData, subset: Optional[Sequence[int]] = None) -> WeylElement:
-    """Longest element of the parabolic subgroup generated by ``subset``
-    (the full group when subset is None).  Computed once per type and
-    subset: every spelling of one subset returns the same object."""
-    letters = range(1, cartan.rank + 1) if subset is None else subset
-    return _longest_element(cartan, tuple(sorted(set(letters))))
-
-
-# Bounded by the subsets of the simple letters of the types in use.
-@functools.lru_cache(maxsize=256)
-def _longest_element(cartan: CartanData, letters: tuple[int, ...]) -> WeylElement:
+@functools.lru_cache(maxsize=None)
+def longest_element(cartan: CartanData) -> WeylElement:
+    """Longest element of the Weyl group, computed once per type."""
     w = identity_element(cartan)
     while True:
-        for i in letters:
+        for i in range(1, cartan.rank + 1):
             # ascend while w(alpha_i) is still positive
             col = w.act_on_root(tuple(1 if k == i - 1 else 0 for k in range(cartan.rank)))
             if all(c >= 0 for c in col):

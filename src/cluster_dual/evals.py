@@ -290,7 +290,7 @@ def tau_product(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMa
     like = next(iter(values.values()), Fraction(1))
     # stage k of the zeta map opens with a left tau flip, the program's k-th
     # tropical op; the k-th parameter is read just before it
-    program = mapmod._zeta_maps(cdata, w)[0].program
+    program = mapmod._zeta_map(cdata, w).program
     flips = [n for n, op in enumerate(program) if op[0] == "tropical"]
     params, start = {}, 0
     for k, (letter, flip) in enumerate(zip(letters, flips), 1):

@@ -11,11 +11,11 @@ on the whole point, with no split, glue or recount.
 A map is evaluated through its program, compiled on its first evaluation
 and kept on the map: the flat tuple of its move steps' mutations and
 relabelings and its saltation core steps with their plans, so no plan is
-looked up per point.  One interpreter runs it, in one of three
-arithmetics: the scalars' own, the reference, for ints, jets and mixed
-points; when every coordinate is exactly a ``Fraction``, reduced pairs of
-ints (num, den), each product the cross-gcd one of ``Fraction``; or, when
-every coordinate is an ``Fp`` of one prime, residue pairs (num, den), and
+looked up per point.  One interpreter runs it, on the scalars' own
+arithmetic, the reference, for jets and mixed points, or on pairs (num,
+den): over Q when every coordinate is exactly an int or a ``Fraction``,
+ints in lowest terms with each product the cross-gcd one of ``Fraction``;
+over F_p when every coordinate is an ``Fp`` of one prime, residues, and
 one modular inversion ends the run for all coordinates (Montgomery's
 trick).  On pairs no op inverts: x_k goes to den/num, 1 + x_k is
 (num + den)/den.
@@ -124,7 +124,7 @@ def _tropical_mutation(seed: Seed, k: SeedIndex, positive_letter: bool) -> Mutat
 
 class _Scalars:
     """The scalars' own arithmetic, the reference that ``Step.apply`` runs;
-    maps run on it at ints, jets and mixed points.  The scalars are
+    maps run on it at jets and mixed points.  The scalars are
     immutable, so an op updates an assignment in place by replacing its
     values, and a copy is the value."""
 
@@ -394,7 +394,8 @@ def _core_plan(cdata: CartanData, w: DoubleWord) -> _CorePlan:
     regular ones sit off them.  So the zeta plan sends each top to a
     monomial in the tops times a factor free of them, and the power of the
     moved wire's block top in the starred wire's is an integer pass over the
-    plan; the inverse core needs it to be +-1.  Each fact is checked here."""
+    plan; the inverse core needs it to be +-1.  Each fact is checked here.
+    The inverse zeta plan is the zeta plan undone, not a second lowering."""
     L = wordmod.dual_block_length(cdata)
     block = DoubleWord(w.letters[-L - 1:-1])
     kbar = w.letters[-1]
@@ -414,23 +415,25 @@ def _core_plan(cdata: CartanData, w: DoubleWord) -> _CorePlan:
     def shift(ix: SeedIndex) -> SeedIndex:
         return (ix[0], base[ix[0]] + ix[1])
 
-    def lower(zmap: RationalMap) -> tuple[Mutation, ...]:
-        plan = []
-        for step in zmap.steps:
-            mutations, sigma = _move_plan(cdata, step.word_before, step.move, step.restricted)
-            if sigma is not None:
-                raise InvariantViolation(f"zeta step {step.move.describe()} relabels slots")
-            for kind, ix, exponents in mutations:
-                moved = [jx for jx, _ in exponents]
-                if ix[1] == 0 or (at_top(ix) if kind == "regular"
-                                  else not all(map(at_top, [ix, *moved]))):
-                    raise InvariantViolation(
-                        f"zeta {kind} mutation at {ix} of {block.to_string()} "
-                        "breaks the bottom and top structure")
-                plan.append((kind, shift(ix), tuple((shift(jx), e) for jx, e in exponents)))
-        return tuple(plan)
-
-    zmap, zmap_inverse = _zeta_maps(cdata, block)
+    zeta = []
+    for step in _zeta_map(cdata, block).steps:
+        mutations, sigma = _move_plan(cdata, step.word_before, step.move, step.restricted)
+        if sigma is not None:
+            raise InvariantViolation(f"zeta step {step.move.describe()} relabels slots")
+        for kind, ix, exponents in mutations:
+            moved = [jx for jx, _ in exponents]
+            if ix[1] == 0 or (at_top(ix) if kind == "regular"
+                              else not all(map(at_top, [ix, *moved]))):
+                raise InvariantViolation(
+                    f"zeta {kind} mutation at {ix} of {block.to_string()} "
+                    "breaks the bottom and top structure")
+            zeta.append((kind, shift(ix), tuple((shift(jx), e) for jx, e in exponents)))
+    # the zeta plan undone op by op, last op first: a regular mutation by
+    # itself with negated exponents, a tropical one by itself.  It touches
+    # the slots the zeta plan does, so the checks above cover it too
+    zeta_inverse = tuple((kind, ix, exponents if kind == "tropical"
+                          else tuple((jx, -e) for jx, e in exponents))
+                         for kind, ix, exponents in reversed(zeta))
     mid = {wire: base[wire] + top[wire] for wire in wires}
     layout = []
     for wire in wires:
@@ -443,7 +446,6 @@ def _core_plan(cdata: CartanData, w: DoubleWord) -> _CorePlan:
     sources = {s for s, _ in frozen}
     body = tuple((wire, c) for wire in wires for c in range(mid[wire] + 1)
                  if (wire, c) not in sources)
-    zeta = lower(zmap)
     boundary, unknown = (ks, mid[ks]), (k, mid[k])
     power = {unknown: 1}
     for kind, ix, exponents in zeta:
@@ -454,7 +456,7 @@ def _core_plan(cdata: CartanData, w: DoubleWord) -> _CorePlan:
                 power[jx] = power.get(jx, 0) + e * old
     if abs(power.get(boundary, 0)) != 1:
         raise InvariantViolation("starred block-top exponent must be +-1")
-    return _CorePlan(target, zeta, lower(zmap_inverse), tuple(layout), frozen, body,
+    return _CorePlan(target, tuple(zeta), zeta_inverse, tuple(layout), frozen, body,
                      boundary, unknown, (k, mid[k] + 1), power[boundary])
 
 
@@ -576,8 +578,8 @@ class XiCoreInverseStep(Step):
 
 
 # ---------------------------------------------------------------------------
-# Programs: a map lowered once, run by one interpreter in one of three
-# arithmetics
+# Programs: a map lowered once, run by one interpreter on the scalars or on
+# pairs over Q or F_p
 # ---------------------------------------------------------------------------
 
 def _interpret(ar, program: Sequence[Op], values: dict) -> dict:
@@ -596,78 +598,6 @@ def _interpret(ar, program: Sequence[Op], values: dict) -> dict:
         else:
             mutate(values, op)
     return values
-
-
-class _FpPairs:
-    """F_p arithmetic on residue pairs: a coordinate is a list [num, den]
-    mod p with den nonzero, standing for num/den, so no op inverts.  Ops
-    update the lists in place, so every list belongs to one slot of one
-    assignment; the core steps copy a value that lands in two."""
-
-    __slots__ = ("p",)
-    copy = list
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def mutate(self, pairs: dict, mutation: Mutation) -> None:
-        p = self.p
-        kind, k, exponents = mutation
-        xk = pairs[k]
-        n, d = xk
-        if not n:
-            raise SingularPoint(f"zero coordinate at {kind} mutation index")
-        # the factors (num, den) of a positive and of a negative unit exponent:
-        # x_k = n/d for a tropical mutation, x_k/(1 + x_k) = n/s and
-        # 1 + x_k = s/d for a regular one
-        if kind == "tropical":
-            up, down = (n, d), (d, n)
-        elif exponents:
-            s = (n + d) % p
-            if not s:
-                raise SingularPoint("1 + x_k vanishes with a nonzero exponent")
-            up, down = (n, s), (s, d)
-        xk[0], xk[1] = d, n
-        for ix, e in exponents:
-            a, b = up if e > 0 else down
-            if e != 1 and e != -1:
-                a, b = pow(a, abs(e), p), pow(b, abs(e), p)
-            v = pairs[ix]
-            v[0] = v[0] * a % p
-            v[1] = v[1] * b % p
-
-    def mul(self, a: list, b: list) -> list:
-        a[0] = a[0] * b[0] % self.p
-        a[1] = a[1] * b[1] % self.p
-        return a
-
-    def div(self, a: list, b: list) -> list:
-        a[0] = a[0] * b[1] % self.p
-        a[1] = a[1] * b[0] % self.p
-        return a
-
-    one = staticmethod(lambda x: [1, 1])
-    nonzero = operator.itemgetter(0)  # a pair is nonzero with its numerator
-
-    def run(self, program: Sequence[Op], values: Assignment) -> Assignment:
-        """The program on residue pairs, then every coordinate divided out
-        with one modular inversion of the product of the denominators
-        (Montgomery's trick)."""
-        p = self.p
-        pairs = _interpret(self, program, {ix: [x.value, 1] for ix, x in values.items()})
-        entries = list(pairs.items())
-        prefix = []
-        product = 1
-        for _, (_, d) in entries:
-            product = product * d % p
-            prefix.append(product)
-        inv = arith._inverse_mod(product, p)  # 1 / (d_0 ... d_i), i from the last
-        out = [None] * len(entries)
-        for i in range(len(entries) - 1, -1, -1):
-            ix, (n, d) = entries[i]
-            out[i] = (ix, Fp(n * (inv * prefix[i - 1] if i else inv), p))
-            inv = inv * d % p
-        return dict(out)
 
 
 def _scale(v: list, c: int, f: int) -> None:
@@ -689,74 +619,113 @@ def _scale(v: list, c: int, f: int) -> None:
         v[0], v[1] = a * c, b * f
 
 
-class _QPairs:
-    """Rational arithmetic on reduced integer pairs: a coordinate is a list
-    [num, den] in lowest terms with den > 0, so no op inverts and no
-    ``Fraction`` is built before the end.  Ops update the lists in place, as
-    on residue pairs."""
+class _Pairs:
+    """Map evaluation on pairs: a coordinate is a list [num, den] standing
+    for num/den, so no op inverts.  Over Q (p None) the pair is of ints in
+    lowest terms with den > 0, and each product is ``_scale``; over F_p (p
+    a prime) it is of residues mod p with den nonzero.  Ops update the
+    lists in place, so every list belongs to one slot of one assignment;
+    the core steps copy a value that lands in two."""
 
-    __slots__ = ()
+    __slots__ = ("p",)
     copy = list
 
-    @staticmethod
-    def mutate(pairs: dict, mutation: Mutation) -> None:
+    def __init__(self, p: Optional[int]):
+        self.p = p
+
+    def mutate(self, pairs: dict, mutation: Mutation) -> None:
+        p = self.p
         kind, k, exponents = mutation
         xk = pairs[k]
         n, d = xk
         if not n:
             raise SingularPoint(f"zero coordinate at {kind} mutation index")
         # the factors (num, den) of a positive and of a negative unit exponent,
-        # each in lowest terms: x_k = n/d for a tropical mutation,
+        # each in lowest terms over Q: x_k = n/d for a tropical mutation,
         # x_k/(1 + x_k) = n/s and 1 + x_k = s/d for a regular one
         if kind == "tropical":
             up, down = (n, d), (d, n)
         elif exponents:
-            s = n + d
+            s = n + d if p is None else (n + d) % p
             if not s:
                 raise SingularPoint("1 + x_k vanishes with a nonzero exponent")
             up, down = (n, s), (s, d)
-        xk[0], xk[1] = (d, n) if n > 0 else (-d, -n)
+        # the sign moves to the numerator; a residue is never negative
+        if n > 0:
+            xk[0], xk[1] = d, n
+        else:
+            xk[0], xk[1] = -d, -n
+        # the field is picked once per mutation, not once per exponent
+        if p is None:
+            for ix, e in exponents:
+                c, f = up if e > 0 else down
+                if e != 1 and e != -1:
+                    c, f = pow(c, abs(e), p), pow(f, abs(e), p)
+                _scale(pairs[ix], c, f)
+            return
         for ix, e in exponents:
             c, f = up if e > 0 else down
             if e != 1 and e != -1:
-                c, f = c ** abs(e), f ** abs(e)
-            _scale(pairs[ix], c, f)
+                c, f = pow(c, abs(e), p), pow(f, abs(e), p)
+            v = pairs[ix]
+            v[0] = v[0] * c % p
+            v[1] = v[1] * f % p
 
-    @staticmethod
-    def mul(a: list, b: list) -> list:
-        _scale(a, b[0], b[1])
-        return a
+    def _times(self, v: list, c: int, f: int) -> list:
+        """v times c/f in place."""
+        p = self.p
+        if p is None:
+            _scale(v, c, f)
+        else:
+            v[0] = v[0] * c % p
+            v[1] = v[1] * f % p
+        return v
 
-    @staticmethod
-    def div(a: list, b: list) -> list:
-        _scale(a, b[1], b[0])
-        return a
+    def mul(self, a: list, b: list) -> list:
+        return self._times(a, b[0], b[1])
+
+    def div(self, a: list, b: list) -> list:
+        return self._times(a, b[1], b[0])
 
     one = staticmethod(lambda x: [1, 1])
-    nonzero = operator.itemgetter(0)
+    nonzero = operator.itemgetter(0)  # a pair is nonzero with its numerator
 
     def run(self, program: Sequence[Op], values: Assignment) -> Assignment:
-        """The program on reduced pairs, then one Fraction per coordinate."""
-        pairs = _interpret(self, program,
-                           {ix: [x.numerator, x.denominator] for ix, x in values.items()})
-        return {ix: Fraction(n, d) for ix, (n, d) in pairs.items()}
-
-
-_QPAIRS = _QPairs()
+        """The program on pairs.  Over Q an int n enters as [n, 1], and one
+        Fraction per coordinate ends the run; over F_p every coordinate is
+        divided out with one modular inversion of the product of the
+        denominators (Montgomery's trick)."""
+        p = self.p
+        if p is None:
+            pairs = _interpret(self, program,
+                               {ix: [x.numerator, x.denominator] for ix, x in values.items()})
+            return {ix: Fraction(n, d) for ix, (n, d) in pairs.items()}
+        pairs = _interpret(self, program, {ix: [x.value, 1] for ix, x in values.items()})
+        entries = list(pairs.items())
+        prefix = []
+        product = 1
+        for _, (_, d) in entries:
+            product = product * d % p
+            prefix.append(product)
+        inv = arith._inverse_mod(product, p)  # 1 / (d_0 ... d_i), i from the last
+        out = [None] * len(entries)
+        for i in range(len(entries) - 1, -1, -1):
+            ix, (n, d) = entries[i]
+            out[i] = (ix, Fp(n * (inv * prefix[i - 1] if i else inv), p))
+            inv = inv * d % p
+        return dict(out)
 
 
 def run_program(program: Sequence[Op], values: Assignment) -> Assignment:
     """A program at a point, on a copy of it: on residue pairs when every
-    coordinate is an Fp of one prime, on reduced integer pairs when every
-    coordinate's type is exactly Fraction, else on the scalars themselves
-    (ints, jets, mixed points)."""
+    coordinate is an Fp of one prime, on rational pairs when every
+    coordinate's type is exactly int or Fraction, else on the scalars
+    themselves (jets, mixed points)."""
     if not program:
         return _SCALARS.run(program, values)
     p = arith._fp_prime(values.values())
-    if p is not None:
-        return _FpPairs(p).run(program, values)
-    if all(type(x) is Fraction for x in values.values()):
-        return _QPAIRS.run(program, values)
+    if p is not None or all(type(x) is Fraction or type(x) is int for x in values.values()):
+        return _Pairs(p).run(program, values)
     return _SCALARS.run(program, values)
 
 
@@ -867,11 +836,10 @@ def zeta_map(w: DoubleWord, cdata: CartanData) -> RationalMap:
 
 
 @functools.lru_cache(maxsize=64)
-def _zeta_maps(cdata: CartanData, block: DoubleWord) -> tuple[RationalMap, RationalMap]:
-    """The zeta map of a saltation block and its inverse, built once per
-    block rather than once per point."""
-    zmap = zeta_map(block, cdata)
-    return zmap, zmap.inverse()
+def _zeta_map(cdata: CartanData, block: DoubleWord) -> RationalMap:
+    """The zeta map of a saltation block, built once per block rather than
+    once per point."""
+    return zeta_map(block, cdata)
 
 
 # ---------------------------------------------------------------------------

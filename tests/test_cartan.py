@@ -61,15 +61,10 @@ def test_longest_element_length_is_root_count(label, n_roots):
     assert len(weyl.positive_roots(cdata)) == n_roots
 
 
-def test_longest_element_is_computed_once_per_subset():
+def test_longest_element_is_computed_once_per_type():
     a3 = weyl.build_cartan("A3")
     w0 = weyl.longest_element(a3)
     assert weyl.longest_element(a3) is w0
-    assert weyl.longest_element(a3, (1, 2, 3)) is w0
-    assert weyl.longest_element(a3, [1, 2, 3]) is w0
-    w0_13 = weyl.longest_element(a3, (1, 3))
-    assert weyl.longest_element(a3, [1, 3]) is w0_13
-    assert weyl.longest_element(a3, (3, 1)) is w0_13
 
 
 def test_reduced_words_examples():
@@ -81,16 +76,6 @@ def test_reduced_words_examples():
     assert w0.length() == 3 and len(weyl.reduced_words(w0)) == 2
     # exhaustively: the full group has 6 elements
     assert sum(1 for _ in weyl.weyl_iter(a2)) == 6
-
-
-def test_longest_element_of_subsets():
-    a1 = weyl.build_cartan("A1")
-    assert weyl.longest_element(a1, (1,)) == weyl.simple(a1, 1)
-    a3 = weyl.build_cartan("A3")
-    w = weyl.longest_element(a3, (1, 3))
-    assert w == weyl.from_word(a3, (1, 3)) and w.length() == 2
-    for j in (1, 3):
-        assert j in [word[0] for word in weyl.reduced_words(w)]
 
 
 def test_parabolic_longest_has_every_first_letter():

@@ -133,7 +133,7 @@ def test_tau_product_reconstructs_lower_factor(rng):
 
 
 def test_tau_product_builds_no_zeta_map_per_point(rng, monkeypatch):
-    maps._zeta_maps.cache_clear()
+    maps._zeta_map.cache_clear()
     word = W("1,2,1,1,2,1")
 
     def starred_left_factor():
@@ -150,7 +150,7 @@ def test_tau_product_builds_no_zeta_map_per_point(rng, monkeypatch):
     for _ in range(3):
         sw, sv = starred_left_factor()
         evals.tau_product(sw, A2, sv)
-    assert maps._zeta_maps.cache_info().misses == 1
+    assert maps._zeta_map.cache_info().misses == 1
 
 
 def test_tau_product_runs_one_inversion_per_program_slice(monkeypatch):

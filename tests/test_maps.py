@@ -900,7 +900,7 @@ def test_lowered_steps_keep_their_errors(monkeypatch):
 
 def test_zeta_maps_built_with_the_map(rng, monkeypatch):
     maps._core_plan.cache_clear()
-    maps._zeta_maps.cache_clear()
+    maps._zeta_map.cache_clear()
     w = W("-1,1,2,1")
     xi = maps.xi_saltation(w, A2)
     back = xi.inverse()
@@ -912,7 +912,25 @@ def test_zeta_maps_built_with_the_map(rng, monkeypatch):
     for _ in range(3):
         vals = rational_point(w, A2, rng)
         assert back.apply(xi.apply(vals)) == vals
-    assert maps._zeta_maps.cache_info().misses == 1
+    assert maps._zeta_map.cache_info().misses == 1
+
+
+def test_inverse_zeta_plan_is_the_lowered_inverse_zeta_map():
+    """The core plan undoes its zeta plan op by op instead of lowering the
+    inverse zeta map; the two agree on every reduced word of w0 in A1, A2,
+    B2 and G2, with each trailing barred letter."""
+    blocks = 0
+    for label in ("A1", "A2", "B2", "G2"):
+        cdata = weyl.build_cartan(label)
+        for letters in weyl.reduced_words(weyl.longest_element(cdata)):
+            block = words.DoubleWord(letters)
+            zmap = maps.zeta_map(block, cdata)
+            for k in range(1, cdata.rank + 1):
+                plan = maps._core_plan(cdata, words.DoubleWord(letters + (-k,)))
+                assert plan.zeta == zmap.program
+                assert plan.zeta_inverse == zmap.inverse().program, (label, letters)
+            blocks += 1
+    assert blocks == 7
 
 
 @pytest.mark.parametrize("mutation", [
@@ -1017,8 +1035,11 @@ def test_a_tropical_mutation_is_the_sole_mutation_of_a_tau_move():
 
 def test_one_modular_inversion_per_mutation(monkeypatch):
     """Applying a map at an F_p point makes one modular inversion, for all
-    its coordinates at once: both A2 braid composites, their inverses, and
-    one-step programs of hand-built mutations with exponents of either sign."""
+    its coordinates at once: both A2 braid composites and their inverses.
+    One-step programs of hand-built mutations of either kind, with exponents
+    +-1, +-2 and +-3, run on the pairs over F_97 and F_(2^61-1) with one
+    inversion, and over Q at points with negative coordinates with none,
+    and give the reference's values in its key order."""
     calls = []
     real = arith._inverse_mod
     monkeypatch.setattr(arith, "_inverse_mod", lambda v, p: calls.append(v) or real(v, p))
@@ -1033,15 +1054,23 @@ def test_one_modular_inversion_per_mutation(monkeypatch):
             calls.clear()
             f.apply(values)
             assert len(calls) == 1, letters
-    vals = {(1, 0): arith.Fp(2, DEFAULT_PRIME), (1, 1): arith.Fp(3, DEFAULT_PRIME),
-            (1, 2): arith.Fp(5, DEFAULT_PRIME)}
+    points = [(prime, {(1, 0): arith.Fp(2, prime), (1, 1): arith.Fp(3, prime),
+                       (1, 2): arith.Fp(5, prime)}) for prime in (97, DEFAULT_PRIME)]
+    # x_k = -3/4 makes 1 + x_k positive, x_k = -3/2 negative
+    points += [(None, {(1, 0): F(-2, 5), (1, 1): xk, (1, 2): F(-5, 7)})
+               for xk in (F(-3, 4), F(-3, 2))]
     for exponents in ((((1, 0), -2), ((1, 2), 1)), (((1, 0), 2), ((1, 2), -1)),
+                      (((1, 0), 3), ((1, 2), -3)), (((1, 0), -3), ((1, 2), 2)),
                       (((1, 0), -1),), ()):
         for kind in ("tropical", "regular"):
-            calls.clear()
-            got = maps._FpPairs(DEFAULT_PRIME).run(((kind, (1, 1), exponents),), vals)
-            assert len(calls) == 1, (kind, exponents)
-            assert got == maps._apply_mutation(vals, (kind, (1, 1), exponents))
+            mutation = (kind, (1, 1), exponents)
+            for prime, vals in points:
+                calls.clear()
+                got = maps._Pairs(prime).run((mutation,), vals)
+                assert len(calls) == (prime is not None), (mutation, prime)
+                want = maps._apply_mutation(vals, mutation)
+                assert list(got.items()) == list(want.items()), (mutation, vals)
+                assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
 
 
 def _stepwise(m, values):
@@ -1156,10 +1185,12 @@ def test_q_interpreter_matches_stepwise_evaluation():
 
 
 def test_rational_points_run_on_pairs_and_others_on_the_scalars(monkeypatch):
-    """``run_program`` runs a point whose every coordinate is exactly a
-    ``Fraction`` on reduced integer pairs, without the scalars' own
-    mutation; a point with an int coordinate, a jet point over Q and a
-    mixed Fp and Fraction point run on the scalars, with their types."""
+    """``run_program`` runs a point whose every coordinate is exactly an
+    int or a ``Fraction`` on reduced integer pairs, without the scalars'
+    own mutation: a Fraction point, one with an int among its Fractions and
+    an all-int point give the image of the equal Fraction point, every value
+    a ``Fraction``.  A jet point over Q and a mixed Fp and Fraction point run
+    on the scalars, with their types."""
     word = W("-1,-2,-1,1,2,1")
     tmap = maps.artin_T(word, 1, A2)
     xi = maps.xi_saltation(W("-1,1,2,1"), A2)
@@ -1168,9 +1199,12 @@ def test_rational_points_run_on_pairs_and_others_on_the_scalars(monkeypatch):
     for m in (tmap, tmap.inverse(), xi, xi.inverse()):
         values = maps.random_assignment(m.source_word, A2, rng)
         ixs = list(values)
-        others = [{**values, ixs[0]: 2}, {**values, ixs[-1]: arith.Fp(3, 97)},
+        rationals = [values, {**values, ixs[0]: 2}, {ix: n + 2 for n, ix in enumerate(ixs)}]
+        others = [{**values, ixs[-1]: arith.Fp(3, 97)},
                   dict(zip(ixs, jet_point([values[ix] for ix in ixs])))]
-        cases.append((m, values, maps._SCALARS.run(m.program, values),
+        # an int n is the Fraction n
+        cases.append((m, [(v, maps._SCALARS.run(m.program, {ix: F(x) for ix, x in v.items()}))
+                          for v in rationals],
                       [(v, maps._SCALARS.run(m.program, v)) for v in others]))
 
     def fail(*args):
@@ -1178,14 +1212,14 @@ def test_rational_points_run_on_pairs_and_others_on_the_scalars(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(maps._SCALARS, "mutate", fail)
-        for m, values, want, _ in cases:
-            got = m.apply(values)
-            assert list(got.items()) == list(want.items())
-            assert all(type(x) is F for x in got.values())
-    for owner in (maps._QPairs, maps._FpPairs):
-        monkeypatch.setattr(owner, "mutate", fail)
+        for m, rationals, _ in cases:
+            for values, want in rationals:
+                got = m.apply(values)
+                assert list(got.items()) == list(want.items())
+                assert all(type(x) is F for x in got.values())
+    monkeypatch.setattr(maps._Pairs, "mutate", fail)
     kinds = set()
-    for m, _, _, others in cases:
+    for m, _, others in cases:
         for values, want in others:
             got = m.apply(values)
             assert list(got.items()) == list(want.items())
@@ -1210,7 +1244,7 @@ def test_core_steps_raise_singular_point_at_a_zero_divisor(prime):
     cases += [("core_inverse", bare._replace(exponent=e), bare.target, copied_to[top],
                "zero divisor in the inverse saltation core")
               for e, top in ((1, bare.boundary), (-1, bare.boundary), (-1, bare.k_top))]
-    pairs = maps._QPAIRS if prime is None else maps._FpPairs(prime)
+    pairs = maps._Pairs(prime)
     for kind, plan, word, zero, message in cases:
         values = maps.random_assignment(word, A2, random.Random(kind), prime)
         values[zero] = values[zero] * 0
@@ -1227,7 +1261,7 @@ def test_singular_mutations_keep_their_messages(prime):
     def scalar(n):
         return F(n) if prime is None else arith.Fp(n, prime)
 
-    pairs = maps._QPAIRS if prime is None else maps._FpPairs(prime)
+    pairs = maps._Pairs(prime)
     vals = {(1, 0): scalar(2), (1, 1): scalar(3), (1, 2): scalar(5)}
     for apply in (maps._apply_mutation, lambda v, mutation: pairs.run((mutation,), v)):
         for kind in ("regular", "tropical"):
