@@ -795,11 +795,23 @@ def dmove_transform(w: DoubleWord, move: Move, cdata: CartanData,
 def _along(w: DoubleWord, moves: Iterable[Move], cdata: CartanData,
            restricted: bool = False) -> RationalMap:
     """Composite of the move transformations along a chain of moves from w,
-    first move first."""
-    legs = [identity_map(w, cdata, restricted)]
+    first move first, assembled in one pass: a ``MoveStep`` per move, the
+    cached saltation's steps per dual move, and one map at the end, which is
+    restricted when the flag is and every saltation used is."""
+    steps: list[Step] = []
+    at = w
+    restricted_out = restricted
     for mv in moves:
-        legs.append(dmove_transform(legs[-1].target_word, mv, cdata, restricted))
-    return legs[0].then(*legs[1:])
+        if mv.kind == "dual":
+            salt = dual_move_map(at, cdata)
+            steps += salt.steps
+            restricted_out = restricted_out and salt.restricted
+            at = salt.target_word
+        else:
+            step = MoveStep(cdata, at, mv, restricted)
+            steps.append(step)
+            at = step.word_after
+    return RationalMap(cdata, w, at, tuple(steps), restricted_out)
 
 
 def path_transform(source: DoubleWord, target: DoubleWord, cdata: CartanData,
@@ -849,7 +861,18 @@ def _zeta_map(cdata: CartanData, block: DoubleWord) -> RationalMap:
 def dual_move_map(w: DoubleWord, cdata: CartanData) -> RationalMap:
     """The saltation attached to the dual move applicable at w: the moving
     letter migrates through the block (restricted mixed 2-moves), the core
-    acts, and the starred letter migrates back."""
+    acts, and the starred letter migrates back.  It depends on the word
+    only, so it is built once per word and shared (maps and steps are
+    frozen); a word with no dual move raises on every call."""
+    return _dual_move_map(cdata, w)
+
+
+# Bounded: 100 compute-a2 requests (and all 160 A2 artin-T maps) reach 20
+# distinct words, verify --all --type A2 16, --type B2 22 and the two G2
+# generators 2.
+@functools.lru_cache(maxsize=64)
+def _dual_move_map(cdata: CartanData, w: DoubleWord) -> RationalMap:
+    """``dual_move_map``, built once per word."""
     L = wordmod.dual_block_length(cdata)
     n = len(w)
     target = wordmod.apply_move(w, Move("dual", n - 1 - L), cdata)  # raises if none applies

@@ -900,6 +900,7 @@ def test_lowered_steps_keep_their_errors(monkeypatch):
 
 def test_zeta_maps_built_with_the_map(rng, monkeypatch):
     maps._core_plan.cache_clear()
+    maps._dual_move_map.cache_clear()
     maps._zeta_map.cache_clear()
     w = W("-1,1,2,1")
     xi = maps.xi_saltation(w, A2)
@@ -945,12 +946,14 @@ def test_core_plan_rejects_a_zeta_mutation_off_its_slots(monkeypatch, mutation):
     # no mutation sits at a bottom and only tropical ones touch the tops
     monkeypatch.setattr(maps, "_move_plan", lambda *args: ((mutation,), None))
     maps._core_plan.cache_clear()
+    maps._dual_move_map.cache_clear()
     try:
         with pytest.raises(InvariantViolation, match="bottom and top"):
             maps.xi_saltation(W("-1,1,2,1"), A2)
     finally:
         monkeypatch.undo()
         maps._core_plan.cache_clear()
+        maps._dual_move_map.cache_clear()
     assert maps.xi_saltation(W("-1,1,2,1"), A2).target_word == W("2,-1,-2,-1")
 
 
@@ -961,13 +964,71 @@ def test_core_plan_rejects_a_block_top_exponent_off_plus_minus_one(monkeypatch):
     mutation = ("tropical", (1, 2), (((2, 1), 2),))
     monkeypatch.setattr(maps, "_move_plan", lambda *args: ((mutation,), None))
     maps._core_plan.cache_clear()
+    maps._dual_move_map.cache_clear()
     try:
         with pytest.raises(InvariantViolation, match="exponent"):
             maps.xi_saltation(W("-1,1,2,1"), A2)
     finally:
         monkeypatch.undo()
         maps._core_plan.cache_clear()
+        maps._dual_move_map.cache_clear()
     assert maps.xi_saltation(W("-1,1,2,1"), A2).target_word == W("2,-1,-2,-1")
+
+
+def test_dual_move_map_is_built_once_per_word():
+    """Equal words share one saltation map; a word with no dual move raises
+    on every call, so no failure is kept."""
+    assert maps.dual_move_map(W("-1,1,2,1"), A2) is maps.dual_move_map(W("-1,1,2,1"), A2)
+    assert maps.xi_saltation(W("2,-1,-2,-1"), A2) is maps.dual_move_map(W("2,-1,-2,-1"), A2)
+    for _ in range(2):
+        with pytest.raises(InapplicableMove):
+            maps.dual_move_map(W("1,2,1"), A2)
+
+
+def _reference_along(w, moves, cdata, restricted=False):
+    """The composite joined from one leg per move: an identity leg, one
+    ``dmove_transform`` per move, one ``then`` at the end."""
+    legs = [maps.identity_map(w, cdata, restricted)]
+    for mv in moves:
+        legs.append(maps.dmove_transform(legs[-1].target_word, mv, cdata, restricted))
+    return legs[0].then(*legs[1:])
+
+
+def test_one_pass_along_matches_the_joined_legs(monkeypatch):
+    """Every A2 artin-T map on the 80 shuffle words, and the B2 generators on
+    (barred w0)(w0), built by the one-pass ``_along`` and by the joined legs:
+    the same steps, words, restriction and program."""
+    reduced = ((1, 2, 1), (2, 1, 2))
+    shuffles = []
+    for neg, pos in itertools.product(reduced, reduced):
+        for slots in itertools.combinations(range(6), 3):
+            it_neg, it_pos = iter(neg), iter(pos)
+            shuffles.append(words.DoubleWord(tuple(
+                -next(it_neg) if t in slots else next(it_pos) for t in range(6))))
+    cases = [(A2, w, j) for w in shuffles for j in (1, 2)]
+    cases += [(B2, W("-1,-2,-1,-2,1,2,1,2"), j) for j in (1, 2)]
+    assert len(cases) == 162
+
+    def build_all():
+        maps._artin_T_word.cache_clear()
+        maps._dual_move_map.cache_clear()
+        out = []
+        for cdata, w, j in cases:
+            m = maps.artin_T(w, j, cdata)
+            out.append((m.source_word, m.target_word, m.restricted, m.describe(), m.program))
+        return out
+
+    try:
+        monkeypatch.setattr(maps, "_along", _reference_along)
+        reference = build_all()
+        monkeypatch.undo()
+        one_pass = build_all()
+    finally:
+        monkeypatch.undo()
+        maps._artin_T_word.cache_clear()
+        maps._dual_move_map.cache_clear()
+    for case, want, got in zip(cases, reference, one_pass, strict=True):
+        assert got == want, case
 
 
 def test_saltation_core_runs_its_plan_without_word_work(rng, monkeypatch):
