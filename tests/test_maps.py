@@ -619,6 +619,68 @@ def test_bracket_matrix_same_on_residue_and_reference_jets():
     assert outcomes == {"brackets": 59, "error": 1}
 
 
+def _bracket_cases():
+    """(name, word, cdata, seed, fn): the ev_hat entries of A1 and A2 words
+    against their bracket seeds, and the target pullbacks of elementary maps
+    against the seed is_poisson_map reads."""
+    cases = []
+    for cdata, texts in ((A1, ("-1,1", "1,1", "1")), (A2, ("1,2,1", "-1,-2,-1,1,2,1"))):
+        for text in texts:
+            ctx = evals.make_context(W(text), cdata)
+            cases.append((f"ev_hat {text}", W(text), cdata,
+                          seeds.bracket_seed(seeds.seed_for_word(W(text), cdata)),
+                          lambda jets, ctx=ctx: [x for row in evals.ev_hat(ctx, jets).rows
+                                                 for x in row]))
+    for text, move, cdata in (("1,-2,1", Move("mixed2", 1, 2), A2),
+                              ("1,1", Move("tau_left", 0), A1),
+                              ("-1,1", Move("tau_right", 1), A1)):
+        m = maps.dmove_transform(W(text), move, cdata)
+        seed = seeds.seed_for_word(W(text), cdata)
+        tgt_ixs = words.seed_indices(m.target_word, cdata.rank)
+        cases.append((f"{move.kind} {text}", W(text), cdata,
+                      seeds.bracket_seed(seed) if m.restricted else seed,
+                      lambda jets, m=m, ixs=tgt_ixs: [m.apply(jets)[ix] for ix in ixs]))
+    return cases
+
+
+def _bracket_record(x):
+    return [type(x).__name__, x.value if isinstance(x, arith.Fp) else str(x),
+            getattr(x, "p", None)]
+
+
+def _bracket_records():
+    rng = random.Random("bracket values")
+    records = []
+    for name, word, cdata, seed, fn in _bracket_cases():
+        for off_torus in (False, False, False, True):
+            for prime in (97, DEFAULT_PRIME, None):
+                vals = maps.random_assignment(word, cdata, rng, prime, bound=9)
+                if off_torus:
+                    ix = rng.choice(sorted(vals))
+                    vals[ix] = vals[ix] * 0
+                try:
+                    got = [[_bracket_record(x) for x in row]
+                           for row in maps.bracket_matrix_at(seed, fn, vals)]
+                except (ArithmeticError, ValueError) as exc:
+                    got = [type(exc).__name__, str(exc)]
+                records.append([name, prime, off_torus, got])
+    return records
+
+
+# sha256 of the records above
+BRACKET_SHA256 = "18f367cdbd06b09208ef9669b6c69161a04f24dab28b222a88ab61985d966711"
+
+
+def test_bracket_values_pinned():
+    """Every bracket_matrix_at result of the ev_hat entries on A1 -1,1, 1,1
+    and 1 and A2 1,2,1 and -1,-2,-1,1,2,1, and of the target pullbacks of
+    the A2 mixed 2-move on 1,-2,1 and the A1 tau moves, at seeded points mod
+    97, mod 2^61-1 and over Q, and at such points with one coordinate zero:
+    each entry's type, value and prime, or the error's type and message."""
+    digest = hashlib.sha256(repr(_bracket_records()).encode()).hexdigest()
+    assert digest == BRACKET_SHA256
+
+
 def test_is_poisson_map_one_jet_pass_per_point():
     class Counted(maps.RationalMap):
         jet_passes = 0
