@@ -25,6 +25,7 @@ in exact rational arithmetic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 import sys
@@ -43,7 +44,7 @@ from .cartan import CartanData, WeylElement
 from .errors import PreconditionFailed, UnsupportedForType
 from .group import GroupMatrix
 from .maps import Assignment, RationalMap
-from .seeds import bracket_seed, seed_for_word
+from .seeds import Seed, bracket_seed, seed_for_word
 from .words import DoubleWord
 
 
@@ -678,19 +679,32 @@ def _braid(runner: _CheckRunner) -> None:
     _same_values(runner, w, lhs.apply, rhs.apply)
 
 
+# Bounded: the two bracket checks run on the three A1 words of ``_INSTANCES``.
+@functools.lru_cache(maxsize=16)
+def _bracket_seed(cdata: CartanData, w: DoubleWord) -> Seed:
+    """The bracket seed of a word, built once with its form plan."""
+    return bracket_seed(seed_for_word(w, cdata))
+
+
+@functools.lru_cache(maxsize=1)
+def _bracket_table() -> tuple[list, list]:
+    """The golden bracket table, read once: the row-major positions of each
+    pair of entries among the four, and the expected values."""
+    from .golden import bracket_table_entries
+    table = bracket_table_entries()
+    return ([(2 * r1 + c1, 2 * r2 + c2) for (r1, c1), (r2, c2), _ in table],
+            [expect for _, _, expect in table])
+
+
 def _ev_hat_brackets(runner: _CheckRunner) -> None:
     """The six dual-structure brackets of the 2x2 entries of ev_hat, pulled
     back from the bracket seed of each rank-one word, against the golden
     table; one jet ev_hat per point gives all of them."""
-    from .golden import bracket_table_entries
     cdata = runner.cdata
-    table = bracket_table_entries()
-    # the row-major positions of each pair of entries among the four
-    positions = [(2 * r1 + c1, 2 * r2 + c2) for (r1, c1), (r2, c2), _ in table]
-    expects = [expect for _, _, expect in table]
+    positions, expects = _bracket_table()
     for w in runner.instances:
         ctx = make_context(w, cdata)
-        eta = bracket_seed(seed_for_word(w, cdata))
+        eta = _bracket_seed(cdata, w)
 
         def lhs(vals, ctx=ctx, eta=eta):
             entries = lambda jets: [x for row in ev_hat(ctx, jets).rows for x in row]

@@ -56,8 +56,8 @@ from . import arith
 from . import cartan as weyl
 from . import seeds as seedmod
 from . import words as wordmod
-from .arith import (Fp, TrialConfig, Verdict, jet_point, spow, _is_nonzero,
-                    maps_equal_probabilistic)
+from .arith import (Fp, Jet, TrialConfig, Verdict, jet_point, spow, _is_nonzero,
+                    _zero_like, maps_equal_probabilistic)
 from .cartan import CartanData, WeylElement
 from .errors import (FrozenDirection, FrozenStructureViolation, InapplicableMove,
                      InvariantViolation, NoPath, PreconditionFailed, SingularPoint)
@@ -1128,38 +1128,63 @@ def bracket_matrix_at(seed: Seed, fn: Callable, values: Assignment) -> tuple:
     pullback of the seed's log-canonical form,
     sum over pairs of eps_hat_ij x_i x_j (d_i f_a)(d_j f_b).
 
-    fn takes a jet-valued assignment and returns a sequence of jets.  It runs
-    once, at the point lifted to jets; every bracket is read off the
-    partials of that one pass, the form applied to each function's partials
-    once."""
-    ixs = sorted(values.keys())
-    point = [values[ix] for ix in ixs]
-    partials = [f.partials for f in fn(dict(zip(ixs, jet_point(point))))]
-    form = []  # (s, [(t, c_st), ...]) for each row s of the form with a term
-    eps_hat_rows = seed.eps_hat_rows
-    for s, i in enumerate(ixs):
-        eps_i = eps_hat_rows.get(i, {})
-        row = [(t, eps_i[j] * values[i] * values[j]) for t, j in enumerate(ixs) if j in eps_i]
-        if row:
-            form.append((s, row))
-    # the field's zero, for a seed without brackets
-    zero = None if form else spow(point[0], 0) - spow(point[0], 0)
+    fn takes an assignment and returns a sequence of values.  It runs once,
+    at the point with the coordinates of the form's support
+    (``Seed.bracket_form``) lifted to jets and the others left as they are,
+    since only partials along the support meet the form; an output that is
+    not a jet has zero partials.  A seed without brackets runs fn at the point
+    itself, and every bracket is the field's zero.  The form is applied to
+    each function's partials once, on residues when the point and every
+    output are of one prime field (``_form_brackets``)."""
+    support, form = seed.bracket_form
+    point = {ix: values[ix] for ix in sorted(values)}
+    if not support:
+        n = len(fn(point))
+        zero = _zero_like(next(iter(point.values())))
+        return ((zero,) * n,) * n
+    xs = [values[ix] for ix in support]
+    point.update(zip(support, jet_point(xs)))
+    outputs = fn(point)
+    p = arith._fp_prime(xs)
+    if p is not None and all(type(f) is Jet and f._p == p or type(f) is Fp and f.p == p
+                             for f in outputs):
+        partials = [f._d if type(f) is Jet else None for f in outputs]
+        fp = arith._fp_of_residue
+        brackets = _form_brackets(form, [x.value for x in xs], partials, p)
+        return tuple(tuple(fp(x, p) for x in row) for row in brackets)
+    zeros = (_zero_like(xs[0]),) * len(xs)
+    partials = [f.partials if isinstance(f, Jet) else zeros for f in outputs]
+    return tuple(map(tuple, _form_brackets(form, xs, partials, None)))
 
-    def total(terms):
-        return sum(terms[1:], terms[0]) if terms else zero
 
-    # the form applied to each db once: sum_t c_st db[t] for every row s
-    applied = [[(s, total([c * db[t] for t, c in row])) for s, row in form]
-               for db in partials]
-    return tuple(tuple(total([da[s] * x for s, x in w]) for w in applied)
-                 for da in partials)
+def _form_brackets(form: tuple, xs: Sequence, partials: Sequence,
+                   p: Optional[int]) -> list[list]:
+    """{f_a, f_b} = sum_s da[s] sum_t c_st db[t] with c_st = eps_hat_st x_s x_t,
+    over the rows (s, ((t, eps_hat_st), ...)) of a nonempty form in support
+    positions: the form is applied to each db once.  With a modulus p, xs
+    and the partials are residues mod p, eps_hat is read mod p, a partial
+    None (an output that is not a jet) meets nothing, and the brackets are
+    residues; with p None every partial is a tuple of scalars."""
+    if p is None:
+        total = lambda terms: sum(terms[1:], terms[0])
+        rows = [(s, [(t, e * xs[s] * xs[t]) for t, e in row]) for s, row in form]
+        applied = [[(s, total([c * db[t] for t, c in row])) for s, row in rows]
+                   for db in partials]
+        return [[total([da[s] * x for s, x in w]) for w in applied] for da in partials]
+    inverse = arith._inverse_mod
+    rows = [(s, [(t, e.numerator * inverse(e.denominator % p, p) * xs[s] * xs[t] % p)
+                 for t, e in row]) for s, row in form]
+    applied = [None if db is None else [(s, sum(c * db[t] for t, c in row) % p)
+                                        for s, row in rows] for db in partials]
+    return [[0 if da is None or w is None else sum(da[s] * x for s, x in w) % p
+             for w in applied] for da in partials]
 
 
 def poisson_bracket_at(seed: Seed, f: Callable, g: Callable, values: Assignment):
     """{f, g} at a point: the two-function case of ``bracket_matrix_at``.
 
-    f and g take a jet-valued assignment and return a jet; a SeedIndex is
-    also accepted and means the corresponding coordinate function."""
+    f and g take an assignment and return a value; a SeedIndex is also
+    accepted and means the corresponding coordinate function."""
     def as_fun(h):
         if isinstance(h, tuple):
             return lambda a: a[h]

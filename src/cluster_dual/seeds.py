@@ -84,13 +84,18 @@ class Seed:
         return self.eps(i, j) / self.d(j)
 
     @functools.cached_property
-    def eps_hat_rows(self) -> dict[SeedIndex, dict[SeedIndex, Fraction]]:
-        """{i: {j: eps_hat_ij}} over the nonzero entries, for the bracket form."""
+    def bracket_form(self) -> tuple[tuple[SeedIndex, ...], tuple]:
+        """The plan of the bracket form, once per seed: its support (the
+        indices of its nonzero eps_hat entries, sorted) and its rows in
+        support positions, (s, ((t, eps_hat_st), ...)) in index order."""
         rows: dict = {}
         for (i, j), v in self.epsilon.items():
             if v != 0:
                 rows.setdefault(i, {})[j] = v / self.d(j)
-        return rows
+        support = tuple(sorted({ix for i, row in rows.items() for ix in (i, *row)}))
+        at = {ix: s for s, ix in enumerate(support)}
+        return support, tuple((at[i], tuple((at[j], rows[i][j]) for j in sorted(rows[i])))
+                              for i in sorted(rows))
 
     def cover_sets_of(self, k: SeedIndex) -> frozenset[SeedIndex]:
         """I0(k): union of the cover sets containing k."""

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -604,10 +605,11 @@ def test_bracket_matrix_same_on_residue_and_reference_jets():
             vals = maps.random_assignment(word, cdata, rng, prime)
             storage = []
             got = _brackets_or_error(
-                seed, lambda jets: storage.append(next(iter(jets.values()))._p) or fn(jets), vals)
+                seed, lambda jets: storage.append(
+                    {x._p for x in jets.values() if isinstance(x, Jet)}) or fn(jets), vals)
             with reference_jets():
                 want = _brackets_or_error(seed, fn, vals)
-            assert storage == [prime]
+            assert storage == [{prime} if seed.bracket_form[0] else set()]
             if isinstance(want, tuple) and isinstance(want[0], type):
                 assert got == want
                 outcomes["error"] += 1
@@ -686,7 +688,7 @@ def test_is_poisson_map_one_jet_pass_per_point():
         jet_passes = 0
 
         def apply(self, values):
-            if isinstance(next(iter(values.values())), Jet):
+            if any(isinstance(x, Jet) for x in values.values()):
                 Counted.jet_passes += 1
             return super().apply(values)
 
@@ -695,6 +697,101 @@ def test_is_poisson_map_one_jet_pass_per_point():
     cfg = TrialConfig(trials=4, rng_seed=2)
     assert maps.is_poisson_map(counted, cfg).is_equal
     assert Counted.jet_passes == cfg.trials
+
+
+def test_bracket_pass_lifts_only_the_form_support():
+    """fn sees jets exactly on the support of the bracket form: (1,0) and
+    (1,1) on A1 -1,1, and none on A1 1, whose form is empty, where fn runs
+    once at the point itself and every bracket is the field's zero."""
+    rng = random.Random("bracket-matrix:support")
+    for text, support in (("-1,1", {(1, 0), (1, 1)}), ("1", set())):
+        ctx = evals.make_context(W(text), A1)
+        eta = seeds.bracket_seed(seeds.seed_for_word(W(text), A1))
+        assert set(eta.bracket_form[0]) == support
+        for prime in (97, DEFAULT_PRIME, None):
+            vals = maps.random_assignment(W(text), A1, rng, prime)
+            seen = []
+
+            def entries(point):
+                seen.append({ix for ix, x in point.items() if isinstance(x, Jet)})
+                assert {ix: x for ix, x in point.items() if ix not in support} == {
+                    ix: x for ix, x in vals.items() if ix not in support}
+                return [x for row in evals.ev_hat(ctx, point).rows for x in row]
+
+            brackets = maps.bracket_matrix_at(eta, entries, vals)
+            assert seen == [support]
+            if not support:
+                zero = vals[(1, 0)] * 0
+                assert brackets == ((zero,) * 4,) * 4
+                assert {type(x) for row in brackets for x in row} == {type(zero)}
+
+
+def test_output_without_jet_has_zero_partials():
+    """A coordinate off the form's support stays a scalar, so its coordinate
+    function is an output that is not a jet: its brackets are the field's
+    zero, on residues and on the scalar form, at F_p and Q points."""
+    s = seeds.bracket_seed(seeds.seed_for_word(W("-1,1"), A1))
+    assert s.bracket_form[0] == ((1, 0), (1, 1))
+    for scalar in (F, lambda v: arith.Fp(v, 97), lambda v: arith.Fp(v, DEFAULT_PRIME)):
+        vals = {(1, 0): scalar(2), (1, 1): scalar(3), (1, 2): scalar(5)}
+        for form in (contextlib.nullcontext, reference_jets):
+            with form():
+                for f, g in (((1, 0), (1, 2)), ((1, 2), (1, 1)), ((1, 2), (1, 2))):
+                    br = maps.poisson_bracket_at(s, f, g, vals)
+                    assert type(br) is type(scalar(0)) and br == scalar(0)
+                br = maps.poisson_bracket_at(s, (1, 0), (1, 1), vals)
+                assert type(br) is type(scalar(0)) and br == scalar(6)
+
+
+def _mixed_cases():
+    a1 = evals.make_context(W("-1,1"), A1)
+    a2 = evals.make_context(W("1,2,1"), A2)
+    tmap = maps.artin_T(W("-1,-2,-1,1,2,1"), 1, A2)
+    return (("ev_hat -1,1", W("-1,1"), A1,
+             lambda pt: [x for row in evals.ev_hat(a1, pt).rows for x in row]),
+            ("ev_hat 1,2,1", W("1,2,1"), A2,
+             lambda pt: [x for row in evals.ev_hat(a2, pt).rows for x in row]),
+            ("artin_T", W("-1,-2,-1,1,2,1"), A2,
+             lambda pt: [x for _, x in sorted(tmap.apply(pt).items())]))
+
+
+def _outputs_or_error(fn, point):
+    try:
+        return fn(point)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_mixed_jet_points_match_the_all_jets_pass():
+    """With only some coordinates lifted to jets, ev_hat and an A2 Artin
+    generator give the all-jets pass's values, and its partials along the
+    lifted coordinates (zero for an output that is not a jet), or the same
+    error and message, at F_97, F_(2^61-1) and Q points, on and off the torus."""
+    rng = random.Random("bracket-matrix:mixed")
+    outcomes = collections.Counter()
+    for name, word, cdata, fn in _mixed_cases():
+        ixs = words.seed_indices(word, cdata.rank)
+        for prime in (97, DEFAULT_PRIME, None) * 4:
+            vals = maps.random_assignment(word, cdata, rng, prime, bound=9)
+            if rng.random() < 0.25:
+                vals[rng.choice(ixs)] *= rng.choice((0, -1))
+            lifted = sorted(rng.sample(ixs, rng.randrange(len(ixs) + 1)))
+            full = _outputs_or_error(fn, dict(zip(ixs, jet_point([vals[ix] for ix in ixs]))))
+            mixed = _outputs_or_error(
+                fn, {**vals, **dict(zip(lifted, jet_point([vals[ix] for ix in lifted])))})
+            if isinstance(full, tuple):
+                assert mixed == full, (name, prime, lifted)
+                outcomes["error"] += 1
+                continue
+            along = [ixs.index(ix) for ix in lifted]
+            for a, b in zip(full, mixed, strict=True):
+                value, partials = ((b.value, b.partials) if isinstance(b, Jet)
+                                   else (b, tuple(b * 0 for _ in along)))
+                assert type(value) is type(a.value) and value == a.value
+                assert [(type(x), x) for x in partials] == [
+                    (type(a.partials[t]), a.partials[t]) for t in along]
+                outcomes["non-jet" if partials and b is value else "values"] += 1
+    assert min(outcomes[k] for k in ("error", "values", "non-jet")) > 0
 
 
 def test_saltation_is_poisson():
