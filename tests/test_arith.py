@@ -1,4 +1,6 @@
+import hashlib
 import operator
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -362,3 +364,71 @@ def test_residue_jet_storage_and_errors():
         for lhs, rhs in ((x, z), (z, x), (x, Fp(2, 101)), (Fp(2, 101), x)):
             with pytest.raises(ValueError, match="mixed primes"):
                 op(lhs, rhs)
+
+
+def _jet_pin_operands(rng, p: int, dim: int) -> list:
+    """Operands of every kind a jet of F_p or of Q meets: ints, Fp of p and
+    of another prime, Fractions (a unit denominator, p dividing the
+    denominator, a numerator that is 0 mod p), jets of p and of another
+    prime, and jets over Q."""
+    q = 101 if p == 97 else 97
+
+    def residue(prime):
+        return rng.choice([0, 1, prime - 1, rng.randrange(prime)])
+
+    def fp_jet(prime):
+        return Jet(Fp(residue(prime), prime), tuple(Fp(residue(prime), prime) for _ in range(dim)))
+
+    def rational():
+        return F(rng.choice([0, 1, -2, rng.randrange(-50, 50)]), rng.randrange(1, 9))
+
+    unit_den = rng.choice([1, 2, p - 1, rng.randrange(1, p)])
+    return [rng.choice([0, 1, -1, p, -p, 2 * p + 1, rng.randrange(-3 * p, 3 * p)]),
+            Fp(residue(p), p), Fp(residue(q), q),
+            F(rng.randrange(-p * p, p * p), unit_den),
+            F(rng.choice([1, -1, 2, 7]), rng.randrange(1, 4) * p),
+            F(rng.choice([1, -1, 3]) * p, rng.choice([1, 2, 5])),
+            fp_jet(p), fp_jet(q), Jet(rational(), tuple(rational() for _ in range(dim)))]
+
+
+def _pin_record(x):
+    if type(x) is Jet:
+        return ["Jet", x._p, _pin_record(x.value), [_pin_record(a) for a in x.partials]]
+    return [type(x).__name__, repr(x)]
+
+
+def _jet_outcome_records():
+    """Each jet operator's outcome, on both sides, with negation and spow for
+    n from -3 to 3, on seeded jets over F_97, F_(2^61-1) and Q: the result's
+    record, or the error's type and message."""
+    rng = random.Random("jet outcomes")
+    records = []
+    for p in (97, DEFAULT_PRIME):
+        for _ in range(60):
+            dim = rng.randrange(4)
+            residue = lambda: rng.choice([0, 1, p - 1, rng.randrange(p)])
+            rational = lambda: F(rng.choice([0, 1, rng.randrange(-50, 50)]), rng.randrange(1, 9))
+            for jet in (Jet(Fp(residue(), p), tuple(Fp(residue(), p) for _ in range(dim))),
+                        Jet(rational(), tuple(rational() for _ in range(dim)))):
+                outcomes = [_outcome(lambda: -jet)]
+                outcomes += [_outcome(lambda n=n: spow(jet, n)) for n in range(-3, 4)]
+                for other in _jet_pin_operands(rng, p, dim):
+                    for op in _BINARY:
+                        outcomes.append(_outcome(lambda: op(jet, other)))
+                        outcomes.append(_outcome(lambda: op(other, jet)))
+                records.append([p, _pin_record(jet),
+                                [_pin_record(x) if not isinstance(x, tuple) else
+                                 [x[0].__name__, x[1]] for x in outcomes]])
+    return records
+
+
+# sha256 of the records above
+JET_OUTCOMES_SHA256 = "ce953c69986331e4449ea2ba4f51162d77016d74a6ad4124385a23cc5f0979c7"
+
+
+def test_jet_outcomes_pinned():
+    """Every jet operator's value, types and prime, or its error's type and
+    message, on residue jets and jets over Q against ints, Fp of p and of
+    another prime, Fractions and jets of every kind."""
+    digest = hashlib.sha256(repr(_jet_outcome_records()).encode()).hexdigest()
+    assert digest == JET_OUTCOMES_SHA256

@@ -62,6 +62,26 @@ def test_matrix_reports_pinned_at_small_primes():
     assert digest == SMALL_PRIME_REPORTS_SHA256
 
 
+# sha256 of the PGL2_TABLE and EVHAT_POISSON reports on A1 at the primes 2
+# and 3, 4 trials, rng seeds 0 and 7, with elapsed_ms removed.  Their jets
+# meet zero values and zero divisors at these primes.
+POISSON_SMALL_PRIME_REPORTS_SHA256 = "550961bd2e9cbf0432f50f427fafd67c9622b770a85144f86c40c417bb2702d4"
+
+
+def test_poisson_reports_pinned_at_primes_2_and_3():
+    payload = []
+    for prime in (2, 3):
+        for rng_seed in (0, 7):
+            for name in ("PGL2_TABLE", "EVHAT_POISSON"):
+                rep = evals.check_identity(
+                    evals.IdentityCheck(name, "A1", trials=4, prime=prime, rng_seed=rng_seed))
+                data = rep.to_json()
+                del data["elapsed_ms"]
+                payload.append(data)
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == POISSON_SMALL_PRIME_REPORTS_SHA256
+
+
 # sha256 of the `verify --all` payloads for A1 and A2 at the default prime
 # 2^61 - 1, 3 trials, rng seed 0, with every elapsed_ms removed.
 DEFAULT_PRIME_REPORTS_SHA256 = "5b8ea72ee81b9381af063e7d7c3eb439d5fceab58ef99ffa2d847959de40c555"
