@@ -9,10 +9,12 @@ Scalars come in three flavours, all exact:
 - ``Jet`` for first-order jets ``value + sum_i partials[i] * eps_i``,
   which turn any exact evaluation into an exact gradient computation
   (the Leibniz rule holds on the nose, no finite differences anywhere).
-  A jet over F_p (value and partials Fp of one prime) stores int residues
-  and computes on them, as ``Fp``'s same-prime fast path does; a jet over
-  Q or at a mixed point stores its scalars and keeps the reference rules,
-  which also take every operation the residues do not.
+  A jet over F_p (value and partials Fp of one prime) stores int residues;
+  a jet over Q or at a mixed point stores its scalars.  Each jet operation
+  is one kernel in two forms: on residues reduced mod p, when the jet
+  stores residues and the other operand belongs to its field, and on the
+  scalars' own arithmetic otherwise.  Ints mean Q: ``_reciprocal`` inverts
+  an int as a Fraction, never a float.
 
 A "rational map" in this module is simply a callable taking a tuple of
 scalars and returning a tuple of scalars; it must raise
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import random
+from math import gcd
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
@@ -185,23 +188,87 @@ def _inverse_mod(value: int, p: int) -> int:
         raise DivisionByZero(f"{value} is not invertible mod {p}") from None
 
 
-def _unit_inverse(x: Optional[int], p: int) -> Optional[int]:
-    """1/x mod p for a residue x that is a unit, else None."""
-    if x:
-        try:
-            return pow(x, -1, p)
-        except ValueError:
-            pass
-    return None
+def _reciprocal(x, p: Optional[int]):
+    """1/x: mod p for a residue x, else in x's own arithmetic, an int read as
+    a rational (``Fraction(1, x)``, never a float)."""
+    if p is not None:
+        return _inverse_mod(x, p)
+    return Fraction(1, x) if type(x) is int else 1 / x
 
 
-def _jet_of_residues(value: int, partials: tuple, p: int) -> "Jet":
-    """The Jet of residues already reduced mod p, built without __init__."""
+def _jet(value, partials, p: Optional[int]) -> "Jet":
+    """A kernel's result: a jet of scalars when p is None, else of residues
+    already reduced mod p, built without __init__."""
+    if p is None:
+        return Jet(value, partials)
     out = _new(Jet)
-    out._v = value
-    out._d = partials
-    out._p = p
+    out._v, out._d, out._p = value, tuple(partials), p
     return out
+
+
+def _divisor_inverse(b, p: Optional[int]):
+    """The reciprocal of a divisor's value b; DivisionByZero when b is zero."""
+    if p is not None and b:
+        return _inverse_mod(b, p)
+    if p is None and _is_nonzero(b):
+        return _reciprocal(b, p)
+    raise DivisionByZero("division by a jet with zero value")
+
+
+# The jet kernels, one per operator: on the values a, b and the partials da,
+# db of two operands, on residues reduced mod p in the same pass or, with p
+# None, on the scalars.  A constant's partials db are None on residues and
+# zeros on the scalars, where the kernels are the reference rules.
+
+def _add(p, a, da, b, db):
+    if p is None:
+        return _jet(a + b, [x + y for x, y in zip(da, db)], p)
+    return _jet((a + b) % p, da if db is None else [(x + y) % p for x, y in zip(da, db)], p)
+
+
+def _sub(p, a, da, b, db):
+    if p is None:
+        return _jet(a - b, [x - y for x, y in zip(da, db)], p)
+    return _jet((a - b) % p, da if db is None else [(x - y) % p for x, y in zip(da, db)], p)
+
+
+def _rsub(*operands):
+    return -_sub(*operands)
+
+
+def _mul(p, a, da, b, db):
+    if p is None:
+        return _jet(a * b, [x * b + a * y for x, y in zip(da, db)], p)
+    d = [x * b % p for x in da] if db is None else [(x * b + a * y) % p for x, y in zip(da, db)]
+    return _jet(a * b % p, d, p)
+
+
+def _div(p, a, da, b, db):
+    inv = _divisor_inverse(b, p)
+    if p is None:
+        v = a * inv
+        return _jet(v, [(x - v * y) * inv for x, y in zip(da, db)], p)
+    v = a * inv % p
+    d = [x * inv % p for x in da] if db is None else [(x - v * y) * inv % p for x, y in zip(da, db)]
+    return _jet(v, d, p)
+
+
+def _rdiv(p, a, da, b, db):
+    inv = _divisor_inverse(a, p)
+    if p is None:
+        v = b * inv
+        return _jet(v, [(y - v * x) * inv for x, y in zip(da, db)], p)
+    v, c = b * inv % p, -b * inv * inv % p
+    d = [x * c % p for x in da] if db is None else [(y - v * x) * inv % p for x, y in zip(da, db)]
+    return _jet(v, d, p)
+
+
+def _operator(kernel):
+    """The jet operator that runs kernel on this jet and another operand."""
+    def op(self, other):
+        o = self._operands(other)
+        return NotImplemented if o is None else kernel(*o)
+    return op
 
 
 class Jet:
@@ -212,11 +279,11 @@ class Jet:
 
     When the value and every partial are Fp of one prime p (``_fp_prime``),
     the jet stores their residues as ints, and p; ``value`` and ``partials``
-    still read back as Fp.  An operation on two such jets, or on one and an
-    int, Fp or Fraction of its field, then takes one pass over the ints.
-    Every other jet (over Q, or at a mixed point) stores its scalars, and
-    every other operation, a failing one included, runs the reference rules
-    after the fast paths below.
+    still read back as Fp.  Every other jet (over Q, or at a mixed point)
+    stores its scalars.  Each operator is one kernel in two forms: on
+    residues when this jet stores them and the other operand belongs to its
+    field (``_operands``), otherwise on the scalars.  A power is ``spow``'s
+    repeated products.
     """
 
     __slots__ = ("_v", "_d", "_p")
@@ -242,137 +309,47 @@ class Jet:
     def __repr__(self):
         return f"Jet({self.value}; {self.partials})"
 
-    def _lift(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return other
-        if isinstance(other, (int, Fraction, Fp)):
-            zero = _zero_like(self.value)
-            return Jet(other if not isinstance(other, int) else _coerce_int(other, self.value),
-                       tuple(zero for _ in self.partials))
-        return NotImplemented
+    def _operands(self, other):
+        """(p, a, da, b, db): the values and partials of this jet and other.
 
-    def _operand(self, other):
-        """other's value and partials as residues mod this jet's p, with no
-        partials for an int, an Fp mod p or a Fraction whose denominator is
-        a unit mod p; None when the reference rules take it."""
-        p = self._p
-        t = type(other)
-        if p is None:
-            return None
-        if t is Jet:
-            return (other._v, other._d) if other._p == p else None
-        if t is int:
-            return other % p, None
-        if t is Fp:
-            return (other.value, None) if other.p == p else None
-        if t is Fraction:
-            try:
-                return other.numerator * pow(other.denominator, -1, p) % p, None
-            except ValueError:
-                return None
-        return None
-
-    def __add__(self, other):
-        o = self._operand(other)
-        if o is not None:
-            p, (b, db) = self._p, o
-            d = self._d if db is None else tuple([(x + y) % p for x, y in zip(self._d, db)])
-            return _jet_of_residues((self._v + b) % p, d, p)
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet(self.value + o.value,
-                   tuple(a + b for a, b in zip(self.partials, o.partials)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
+        They are residues mod p when this jet stores residues and other is a
+        jet of p, an int, an Fp mod p or a Fraction whose residue is a unit;
+        otherwise scalars, with p None and an int read in this jet's field.
+        db is None for a constant on residues, zeros on the scalars.  None
+        for an operand that no jet takes."""
         p = self._p
         if p is not None:
-            return _jet_of_residues(-self._v % p, tuple([-x % p for x in self._d]), p)
-        return Jet(-self.value, tuple(-a for a in self.partials))
+            t = type(other)
+            if t is Jet and other._p == p:
+                return p, self._v, self._d, other._v, other._d
+            if t is int:
+                return p, self._v, self._d, other % p, None
+            if t is Fp and other.p == p:
+                return p, self._v, self._d, other.value, None
+            if t is Fraction and gcd(other.numerator * other.denominator, p) == 1:
+                b = other.numerator * pow(other.denominator, -1, p) % p
+                return p, self._v, self._d, b, None
+        a, da = self.value, self.partials
+        if isinstance(other, Jet):
+            return None, a, da, other.value, other.partials
+        if isinstance(other, (int, Fraction, Fp)):
+            b = _coerce_int(other, a) if isinstance(other, int) else other
+            return None, a, da, b, (_zero_like(a),) * len(da)
+        return None
 
-    def __sub__(self, other):
-        o = self._operand(other)
-        if o is not None:
-            p, (b, db) = self._p, o
-            d = self._d if db is None else tuple([(x - y) % p for x, y in zip(self._d, db)])
-            return _jet_of_residues((self._v - b) % p, d, p)
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else self + (-o)
+    __add__ = __radd__ = _operator(_add)
+    __sub__, __rsub__ = _operator(_sub), _operator(_rsub)
+    __mul__ = __rmul__ = _operator(_mul)
+    __truediv__, __rtruediv__ = _operator(_div), _operator(_rdiv)
 
-    def __rsub__(self, other):
-        o = self._operand(other)
-        if o is not None and o[1] is None:
-            p = self._p
-            return _jet_of_residues((o[0] - self._v) % p, tuple([-x % p for x in self._d]), p)
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else o + (-self)
-
-    def __mul__(self, other):
-        o = self._operand(other)
-        if o is not None:
-            p, a, (b, db) = self._p, self._v, o
-            if db is None:
-                d = tuple([x * b % p for x in self._d])
-            else:
-                d = tuple([(x * b + a * y) % p for x, y in zip(self._d, db)])
-            return _jet_of_residues(a * b % p, d, p)
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet(self.value * o.value,
-                   tuple(a * o.value + self.value * b
-                         for a, b in zip(self.partials, o.partials)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._operand(other)
-        inv = None if o is None else _unit_inverse(o[0], self._p)
-        if inv is not None:
-            p, db = self._p, o[1]
-            v = self._v * inv % p
-            if db is None:
-                d = tuple([x * inv % p for x in self._d])
-            else:
-                d = tuple([(x - v * y) * inv % p for x, y in zip(self._d, db)])
-            return _jet_of_residues(v, d, p)
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if not _is_nonzero(o.value):
-            raise DivisionByZero("division by a jet with zero value")
-        inv = 1 / o.value
-        v = self.value * inv
-        return Jet(v, tuple((a - v * b) * inv
-                            for a, b in zip(self.partials, o.partials)))
-
-    def __rtruediv__(self, other):
-        o = self._operand(other)
-        inv = None if o is None or o[1] is not None else _unit_inverse(self._v, self._p)
-        if inv is not None:
-            p = self._p
-            v = o[0] * inv % p
-            c = -v * inv % p
-            return _jet_of_residues(v, tuple([x * c % p for x in self._d]), p)
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else o / self
+    def __neg__(self):
+        p, v, d = self._p, self._v, self._d
+        if p is None:
+            return _jet(-v, [-x for x in d], p)
+        return _jet(-v % p, [-x % p for x in d], p)
 
     def __pow__(self, n: int):
         return spow(self, n)
-
-    def _power(self, n: int) -> Optional["Jet"]:
-        """self**n for n != 0 on residues: the value to the n and the
-        partials times n v^(n-1); None when n < 0 and the value is no unit."""
-        p, base = self._p, self._v
-        if n < 0:
-            base = _unit_inverse(base, p)
-            if base is None:
-                return None
-        top = pow(base, abs(n) - 1, p)
-        c = n * (top if n > 0 else top * base * base) % p
-        return _jet_of_residues(top * base % p, tuple([x * c % p for x in self._d]), p)
 
     def __eq__(self, other):
         p = self._p
@@ -420,12 +397,8 @@ def spow(x, n: int):
     """x**n for any scalar, with negative exponents meaning exact inversion."""
     if n == 0:
         return _one_like(x)
-    if type(x) is Jet and x._p is not None:
-        out = x._power(n)
-        if out is not None:
-            return out
     if n < 0:
-        x = _one_like(x) / x
+        x = _reciprocal(x, None)
         n = -n
     out = x
     for _ in range(n - 1):
@@ -449,9 +422,8 @@ def jet_const(value, dim: int) -> Jet:
     """Lift a constant: all partials vanish."""
     p = _fp_prime((value,))
     if p is not None:
-        return _jet_of_residues(value.value, (0,) * dim, p)
-    zero = _coerce_int(0, value)
-    return Jet(value, tuple(zero for _ in range(dim)))
+        return _jet(value.value, (0,) * dim, p)
+    return Jet(value, (_coerce_int(0, value),) * dim)
 
 
 def jet_point(point: Sequence) -> tuple:

@@ -264,7 +264,7 @@ def star_transport(w: DoubleWord, cdata: CartanData,
     for (wire, c) in wordmod.seed_indices(target, cdata.rank):
         n_t = target.count(wire)
         val = values[(star[wire], c)]
-        inv = 1 / val
+        inv = arith._reciprocal(val, None)
         if (c == 0) != (c == n_t):  # exactly one end of an occurring wire
             inv = -inv
         out[(wire, c)] = inv

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import arith
-from .arith import Jet, _is_nonzero, _one_like, _zero_like, jet_const
+from .arith import Jet, _is_nonzero, _one_like, _reciprocal, _zero_like, jet_const
 from .cartan import CartanData, WeylElement
 from .errors import InvalidParameter, NotInBigCell, SingularPoint, UnsupportedForType
 
@@ -100,7 +100,7 @@ class GroupMatrix:
             if pivot is None:
                 raise SingularPoint("matrix not invertible")
             aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = 1 / aug[col][col]
+            inv = _reciprocal(aug[col][col], None)
             aug[col] = [x * inv for x in aug[col]]
             for r in range(n):
                 if r != col and aug[r][col] != 0:
@@ -120,7 +120,7 @@ class GroupMatrix:
                 mat[col], mat[pivot] = mat[pivot], mat[col]
                 det = -det
             det = det * mat[col][col]
-            inv = 1 / mat[col][col]
+            inv = _reciprocal(mat[col][col], None)
             for r in range(col + 1, n):
                 if mat[r][col] != 0:
                     f = mat[r][col] * inv
@@ -147,10 +147,6 @@ def _matrix(rows: Sequence[Sequence], p: Optional[int]) -> GroupMatrix:
         return GroupMatrix(rows)
     fp = arith._fp_of_residue
     return GroupMatrix([[fp(x, p) for x in row] for row in rows])
-
-
-def _reciprocal(x, p: Optional[int]):
-    return 1 / x if p is None else arith._inverse_mod(x, p)
 
 
 def _neg(x, p: Optional[int]):
@@ -224,7 +220,8 @@ def projective_eq(g: GroupMatrix, h: GroupMatrix) -> bool:
         if xz != yz:
             return False
         if xz and lam is None:
-            lam = x / y if p is None else x * arith._inverse_mod(y, p) % p
+            lam = x * _reciprocal(y, p)
+            lam = lam if p is None else lam % p
     if lam is None:
         return True
     for x, y in zip(a, b):

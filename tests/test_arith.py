@@ -326,24 +326,148 @@ def _assert_same_jet_outcome(got, want, p):
         assert got == want
 
 
+def _leibniz(op, x, y, inverse):
+    """x op y for jets x, y given as (value, partials): the sum, difference,
+    product and quotient rules, with ``inverse`` the field's reciprocal;
+    DivisionByZero for a zero divisor."""
+    (a, da), (b, db) = x, y
+    if op is operator.add:
+        return a + b, [s + t for s, t in zip(da, db)]
+    if op is operator.sub:
+        return a - b, [s - t for s, t in zip(da, db)]
+    if op is operator.mul:
+        return a * b, [s * b + a * t for s, t in zip(da, db)]
+    if b == 0:
+        return DivisionByZero
+    inv = inverse(b)
+    return a * inv, [(s * b - a * t) * inv * inv for s, t in zip(da, db)]
+
+
+def _power_rule(x, n: int, inverse):
+    """x**n for a jet x = (value, partials): the value to the n and each
+    partial times n v^(n-1); the field's one for n = 0; DivisionByZero for
+    n < 0 at a zero value."""
+    a, da = x
+    if n == 0:
+        return 1
+    if n < 0 and a == 0:
+        return DivisionByZero
+    top = a ** (n - 1) if n > 0 else inverse(a) ** (1 - n)
+    return top * a, [n * top * s for s in da]
+
+
+def _residue_operand(spec, p: int, dim: int):
+    """An operand spec over F_p as (kind, value, partials): "field" with
+    residues; "pole" for a Fraction whose denominator p divides; "mixed",
+    with its own value, for a jet or Fp of another prime."""
+    kind = spec[0]
+    if kind in ("jet", "fp") and spec[1] != p:
+        return "mixed", spec[2], None
+    if kind == "jet":
+        return "field", spec[2] % p, [a % p for a in spec[3]]
+    if kind == "fraction":
+        x = F(spec[1], spec[2])
+        if x.denominator % p == 0:
+            return "pole", None, None
+        return "field", x.numerator * pow(x.denominator, -1, p) % p, [0] * dim
+    return "field", spec[-1] % p, [0] * dim
+
+
+def _expected_residue_outcome(op, lhs, rhs, p: int):
+    """The outcome the Leibniz rules on ints mod p give for op(lhs, rhs): a
+    (value, partials) pair of residues or an exception class.  Another
+    prime raises ValueError, after the zero check of a divisor; a pole
+    raises DivisionByZero, but dividing by it gives zero."""
+    kinds = (lhs[0], rhs[0])
+    if "mixed" in kinds:
+        return DivisionByZero if op is operator.truediv and rhs[1] == 0 else ValueError
+    if "pole" in kinds:
+        if op is operator.truediv and rhs[0] == "pole":
+            return 0, [0] * len(lhs[2])
+        return DivisionByZero
+    got = _leibniz(op, lhs[1:], rhs[1:], lambda b: pow(b, -1, p))
+    return got if got is DivisionByZero else (got[0] % p, [a % p for a in got[1]])
+
+
+def _assert_residue_outcome(got, want, p: int):
+    if isinstance(want, type):
+        assert type(got) is tuple and got[0] is want, (got, want)
+    elif isinstance(want, int):
+        assert type(got) is Fp and got.p == p and got.value == want % p
+    else:
+        assert type(got) is Jet and got._p == p, got
+        assert got._v == want[0] % p and got._d == tuple(a % p for a in want[1]), (got, want)
+        assert type(got.value) is Fp and all(type(a) is Fp for a in got.partials)
+
+
 @SCALAR_SETTINGS
 @given(jet_cases())
 def test_residue_jets_follow_the_reference_rules(case):
     """Every jet operator, with a jet, an int, an Fp or a Fraction on either
     side, and every power from -3 to 3, gives on residue-backed jets what
-    the reference rules give on jets of Fp parts: the same value and
-    partials, or DivisionByZero at a zero-value divisor, or ValueError at a
-    mixed prime."""
+    the Leibniz rules on ints mod p give: the reduced value and partials, or
+    DivisionByZero at a zero divisor or at a Fraction whose denominator p
+    divides, or ValueError at a mixed prime.  The reference rules on jets of
+    Fp parts give the same outcome."""
     p, jet_spec, other_spec, swap = case
     ops = [lambda a, b, op=op: op(b, a) if swap else op(a, b) for op in _BINARY]
     ops += [lambda a, b: -a]
     ops += [lambda a, b, n=n: arith.spow(a, n) for n in range(-3, 4)]
     ops += [lambda a, b, n=n: a ** n for n in (-2, 2)]
     got = [_outcome(lambda: op(_make(jet_spec), _make(other_spec))) for op in ops]
-    with reference_jets():
-        want = [_outcome(lambda: op(_make(jet_spec), _make(other_spec))) for op in ops]
+    jet = _residue_operand(jet_spec, p, len(jet_spec[3]))
+    other = _residue_operand(other_spec, p, len(jet_spec[3]))
+    lhs, rhs = (other, jet) if swap else (jet, other)
+    want = [_expected_residue_outcome(op, lhs, rhs, p) for op in _BINARY]
+    want += [(-jet[1], [-a for a in jet[2]])]
+    want += [_power_rule(jet[1:], n, lambda b: pow(b, -1, p)) for n in (*range(-3, 4), -2, 2)]
     for g, w in zip(got, want, strict=True):
+        _assert_residue_outcome(g, w, p)
+    with reference_jets():
+        reference = [_outcome(lambda: op(_make(jet_spec), _make(other_spec))) for op in ops]
+    for g, w in zip(got, reference, strict=True):
         _assert_same_jet_outcome(g, w, p)
+
+
+@st.composite
+def rational_jet_cases(draw):
+    """A jet over Q, a second operand (a jet over Q, an int or a Fraction)
+    and which side the jet takes."""
+    dim = draw(st.integers(0, 3))
+    rationals = st.one_of(st.just(F(0)), st.builds(F, st.integers(-30, 30), st.integers(1, 12)))
+    jets = st.builds(lambda v, d: (v, tuple(d)), rationals,
+                     st.lists(rationals, min_size=dim, max_size=dim))
+    other = draw(st.one_of(jets, st.integers(-5, 5), rationals))
+    return draw(jets), other, draw(st.booleans())
+
+
+@SCALAR_SETTINGS
+@given(rational_jet_cases())
+def test_rational_jets_follow_the_leibniz_rules(case):
+    """Every jet operator on jets over Q, with a jet, an int or a Fraction on
+    either side, and every power from -3 to 3, gives what the Leibniz rules
+    on Fractions give, every part a Fraction; DivisionByZero at a zero
+    divisor."""
+    (v, d), other, swap = case
+    make = lambda: (Jet(v, d), Jet(*other) if isinstance(other, tuple) else other)
+    operand = other if isinstance(other, tuple) else (F(other), [F(0)] * len(d))
+    lhs, rhs = (operand, (v, d)) if swap else ((v, d), operand)
+    inverse = lambda b: 1 / b
+    checks = [(lambda op=op: op(*make()[::-1]) if swap else op(*make()),
+               _leibniz(op, lhs, rhs, inverse)) for op in _BINARY]
+    checks += [(lambda: -make()[0], (-v, [-s for s in d]))]
+    checks += [(lambda n=n: spow(make()[0], n), _power_rule((v, d), n, inverse))
+               for n in range(-3, 4)]
+    for run, want in checks:
+        got = _outcome(run)
+        if isinstance(want, type):
+            assert type(got) is tuple and got[0] is want, (got, want)
+        elif isinstance(want, int):
+            assert type(got) is F and got == want
+        else:
+            assert type(got) is Jet and got._p is None, got
+            assert type(got.value) is F and all(type(a) is F for a in got.partials), got
+            assert (got.value, list(got.partials)) == (want[0], list(want[1])), (got, want)
 
 
 def test_residue_jet_storage_and_errors():

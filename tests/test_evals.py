@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import operator
 import random
 from fractions import Fraction as F
 
@@ -846,3 +847,46 @@ def test_a_point_mixing_two_primes_raises():
                      (grp.dckp_T, (mixed, 1))):
         with pytest.raises(ValueError, match="mixed primes"):
             fn(*args)
+
+
+def _entries(x):
+    """The scalars of a result: a matrix's entries, a pair's parts, a jet's
+    value and partials, or x itself."""
+    if isinstance(x, GroupMatrix):
+        return [y for row in x.rows for y in row]
+    if isinstance(x, (tuple, list)):
+        return [y for part in x for y in _entries(part)]
+    if isinstance(x, dict):
+        return _entries(list(x.values()))
+    if isinstance(x, Jet):
+        return [x.value, *x.partials]
+    return [x]
+
+
+def test_int_points_compute_over_q():
+    """An int point means Q: each scalar-form division gives the Fraction
+    point's result, every entry a Fraction, never a float."""
+    word = W("-1,1")
+    ctx = evals.make_context(word, A1)
+    eta = evals._bracket_seed(A1, word)
+    ixs = words.seed_indices(word, 1)
+    ints = dict(zip(ixs, (2, 3, 5)))
+    fracs = {ix: F(x) for ix, x in ints.items()}
+    calls = [
+        lambda v: maps.poisson_bracket_at(eta, lambda a: 1 / a[(1, 0)], (1, 1), v),
+        lambda v: evals.ev_hat(ctx, v),
+        lambda v: evals.star_transport(word, A1, v)[1],
+        lambda v: GroupMatrix([[v[(1, 0)], 1], [1, v[(1, 1)] - 2]]).inverse(),
+        lambda v: GroupMatrix([[v[(1, 0)], 1], [1, v[(1, 1)] - 2]]).det(),
+        lambda v: 1 / jet_point((v[(1, 0)], v[(1, 1)]))[0],
+        lambda v: operator.truediv(*jet_point((v[(1, 0)], v[(1, 2)]))),
+        lambda v: arith.spow(jet_point((v[(1, 0)],))[0], -2),
+    ]
+    assert maps.poisson_bracket_at(eta, lambda a: 1 / a[(1, 0)], (1, 1), ints) == F(-3, 2)
+    for call in calls:
+        got, want = call(ints), call(fracs)
+        assert got == want, call
+        assert all(type(x) is F for x in _entries(got)), got
+    # projectively equal, with a ratio that is no float
+    g, h = (GroupMatrix([[n, n], [0, 0]]) for n in (10 ** 17 + 1, 10 ** 17))
+    assert grp.projective_eq(g, h) and grp.projective_eq(h, g)
