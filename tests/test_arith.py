@@ -370,7 +370,7 @@ def _residue_operand(spec, p: int, dim: int):
         if x.denominator % p == 0:
             return "pole", None, None
         return "field", x.numerator * pow(x.denominator, -1, p) % p, [0] * dim
-    return "field", spec[-1] % p, [0] * dim
+    return "field", (spec[2] if kind == "fp" else spec[1]) % p, [0] * dim
 
 
 def _expected_residue_outcome(op, lhs, rhs, p: int):
