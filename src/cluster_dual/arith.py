@@ -487,7 +487,7 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of maps_equal_probabilistic."""
+    """Outcome of ``_verdict`` (maps_equal_probabilistic, is_poisson_map)."""
 
     status: str  # "equal" | "counterexample" | "inconclusive"
     point: tuple = ()
@@ -537,41 +537,55 @@ def _lift_rational(point):
     return tuple(lift(x) for x in point)
 
 
-def _evaluate(f, g, point):
+def _evaluate(sides, point):
     try:
-        return f(point), g(point)
+        return sides(point)
     except SingularPoint:
         return None
 
 
-def _trials(draw: Callable[[random.Random], object], f: Callable, g: Callable,
+def _trials(draw: Callable[[random.Random], object], sides: Callable,
             equal: Callable[[object, object], bool], trials: int, stream: str):
     """The randomized-trial engine: yield one ``_Trial`` per trial.
 
+    ``sides(point)`` gives both sides of the identity from one evaluation.
     Trial t draws from its own stream ``f"{stream}:{t}"``.  A draw at which
-    either side raises SingularPoint is redrawn; so is a mod-p disagreement
-    that exact re-evaluation at the rational lift of the point does not
-    confirm (Schwartz-Zippel: the disagreement was an artifact of p).  A
-    trial still undecided after ``_REDRAW_BUDGET`` draws is "exhausted".
+    sides raises SingularPoint is redrawn; so is a mod-p disagreement that
+    exact re-evaluation at the rational lift of the point does not confirm
+    (Schwartz-Zippel: the disagreement was an artifact of p).  A trial still
+    undecided after ``_REDRAW_BUDGET`` draws is "exhausted".
     """
     for trial in range(trials):
         rng = random.Random(f"{stream}:{trial}")
         for redraws in range(_REDRAW_BUDGET):
             point = draw(rng)
-            values = _evaluate(f, g, point)
+            values = _evaluate(sides, point)
             if values is None:
                 continue
             if equal(*values):
                 yield _Trial("equal", redraws)
                 break
             point = _lift_rational(point)
-            values = _evaluate(f, g, point)
+            values = _evaluate(sides, point)
             if values is None or equal(*values):
                 continue
             yield _Trial("counterexample", redraws, point, *values)
             break
         else:
             yield _Trial("exhausted", _REDRAW_BUDGET)
+
+
+def _verdict(sides: Callable[[tuple], tuple], domain_dim: int, cfg: TrialConfig) -> Verdict:
+    """The verdict of ``_trials`` on sides at random points of (F_p^x)^domain_dim."""
+    draw = lambda rng: random_point_fp(domain_dim, cfg.prime, rng)
+    for trial, outcome in enumerate(
+            _trials(draw, sides, _values_equal, cfg.trials, str(cfg.rng_seed))):
+        if outcome.status == "counterexample":
+            return Verdict("counterexample", outcome.point)
+        if outcome.status == "exhausted":
+            return Verdict("inconclusive",
+                           detail=f"retry budget exhausted at trial {trial}")
+    return Verdict("equal")
 
 
 def maps_equal_probabilistic(
@@ -588,12 +602,4 @@ def maps_equal_probabilistic(
     point before being reported, so a counterexample verdict is never a
     mod-p artifact.
     """
-    draw = lambda rng: random_point_fp(domain_dim, cfg.prime, rng)
-    for trial, outcome in enumerate(
-            _trials(draw, f, g, _values_equal, cfg.trials, str(cfg.rng_seed))):
-        if outcome.status == "counterexample":
-            return Verdict("counterexample", outcome.point)
-        if outcome.status == "exhausted":
-            return Verdict("inconclusive",
-                           detail=f"retry budget exhausted at trial {trial}")
-    return Verdict("equal")
+    return _verdict(lambda point: (f(point), g(point)), domain_dim, cfg)

@@ -443,6 +443,11 @@ class _CheckRunner:
                       equal: Optional[Callable] = None) -> None:
         """Compare lhs and rhs at random points of the word's torus with
         ``equal``, by default projective equality of matrices."""
+        self.run_sides(word, lambda vals: (lhs(vals), rhs(vals)), equal)
+
+    def run_sides(self, word: DoubleWord, sides: Callable,
+                  equal: Optional[Callable] = None) -> None:
+        """``run_pointwise`` on the two sides one call sides(vals) returns."""
         check, report = self.check, self.report
         text = word.to_string()
         report.words.append(text)
@@ -450,7 +455,7 @@ class _CheckRunner:
         # that wrappers installed on them apply
         draw = lambda rng: mapmod.random_assignment(word, self.cdata, rng, check.prime)
         equal = equal or grp.projective_eq
-        for outcome in _trials(draw, lhs, rhs, equal, check.trials,
+        for outcome in _trials(draw, sides, equal, check.trials,
                                f"{check.rng_seed}:{check.name}:{text}"):
             report.skipped += outcome.redraws
             if outcome.status == "counterexample":
@@ -699,23 +704,21 @@ def _bracket_table() -> tuple[list, list]:
 def _ev_hat_brackets(runner: _CheckRunner) -> None:
     """The six dual-structure brackets of the 2x2 entries of ev_hat, pulled
     back from the bracket seed of each rank-one word, against the golden
-    table; one jet ev_hat per point gives all of them."""
-    cdata = runner.cdata
+    table (read after the instances, which refuse a type without them); one
+    jet ev_hat per draw gives the brackets and the entries the table reads."""
+    cdata, instances = runner.cdata, runner.instances
     positions, expects = _bracket_table()
-    for w in runner.instances:
+    for w in instances:
         ctx = make_context(w, cdata)
         eta = _bracket_seed(cdata, w)
 
-        def lhs(vals, ctx=ctx, eta=eta):
+        def sides(vals, ctx=ctx, eta=eta):
             entries = lambda jets: [x for row in ev_hat(ctx, jets).rows for x in row]
-            br = mapmod.bracket_matrix_at(eta, entries, vals)
-            return tuple(br[s][t] for s, t in positions)
+            values, br = mapmod._pullback(eta, entries, vals)
+            return (tuple(br[s][t] for s, t in positions),
+                    tuple(expect((values[:2], values[2:])) for expect in expects))
 
-        def rhs(vals, ctx=ctx):
-            g = ev_hat(ctx, vals)
-            return tuple(expect(g) for expect in expects)
-
-        _same_values(runner, w, lhs, rhs)
+        runner.run_sides(w, sides, _values_equal)
 
 
 def _sitrop(runner: _CheckRunner) -> None:

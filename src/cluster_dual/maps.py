@@ -57,7 +57,7 @@ from . import cartan as weyl
 from . import seeds as seedmod
 from . import words as wordmod
 from .arith import (Fp, Jet, TrialConfig, Verdict, jet_point, spow, _is_nonzero,
-                    _zero_like, maps_equal_probabilistic)
+                    _zero_like)
 from .cartan import CartanData, WeylElement
 from .errors import (FrozenDirection, FrozenStructureViolation, InapplicableMove,
                      InvariantViolation, NoPath, PreconditionFailed, SingularPoint)
@@ -1128,33 +1128,40 @@ def bracket_matrix_at(seed: Seed, fn: Callable, values: Assignment) -> tuple:
     pullback of the seed's log-canonical form,
     sum over pairs of eps_hat_ij x_i x_j (d_i f_a)(d_j f_b).
 
-    fn takes an assignment and returns a sequence of values.  It runs once,
-    at the point with the coordinates of the form's support
+    fn takes an assignment and returns a sequence of values; it runs once
+    (``_pullback``), with the coordinates of the form's support
     (``Seed.bracket_form``) lifted to jets and the others left as they are,
-    since only partials along the support meet the form; an output that is
-    not a jet has zero partials.  A seed without brackets runs fn at the point
-    itself, and every bracket is the field's zero.  The form is applied to
-    each function's partials once, on residues when the point and every
-    output are of one prime field (``_form_brackets``)."""
+    since only partials along the support meet the form.  An output that is
+    not a jet has zero partials.  A seed without brackets runs fn at the
+    point itself, and every bracket is the field's zero.  The form is
+    applied to each function's partials once, on residues when the point
+    and every output are of one prime field (``_form_brackets``)."""
+    return _pullback(seed, fn, values)[1]
+
+
+def _pullback(seed: Seed, fn: Callable, values: Assignment) -> tuple[tuple, tuple]:
+    """The one pass of ``bracket_matrix_at``: the values of fn's outputs (a
+    jet's value, or the output itself) and their bracket matrix."""
     support, form = seed.bracket_form
     point = {ix: values[ix] for ix in sorted(values)}
     if not support:
-        n = len(fn(point))
+        outputs = tuple(fn(point))
         zero = _zero_like(next(iter(point.values())))
-        return ((zero,) * n,) * n
+        return outputs, ((zero,) * len(outputs),) * len(outputs)
     xs = [values[ix] for ix in support]
     point.update(zip(support, jet_point(xs)))
     outputs = fn(point)
+    plain = tuple(f.value if type(f) is Jet else f for f in outputs)
     p = arith._fp_prime(xs)
     if p is not None and all(type(f) is Jet and f._p == p or type(f) is Fp and f.p == p
                              for f in outputs):
         partials = [f._d if type(f) is Jet else None for f in outputs]
         fp = arith._fp_of_residue
         brackets = _form_brackets(form, [x.value for x in xs], partials, p)
-        return tuple(tuple(fp(x, p) for x in row) for row in brackets)
+        return plain, tuple(tuple(fp(x, p) for x in row) for row in brackets)
     zeros = (_zero_like(xs[0]),) * len(xs)
     partials = [f.partials if isinstance(f, Jet) else zeros for f in outputs]
-    return tuple(map(tuple, _form_brackets(form, xs, partials, None)))
+    return plain, tuple(map(tuple, _form_brackets(form, xs, partials, None)))
 
 
 def _form_brackets(form: tuple, xs: Sequence, partials: Sequence,
@@ -1197,29 +1204,25 @@ def poisson_bracket_at(seed: Seed, f: Callable, g: Callable, values: Assignment)
 def is_poisson_map(m: RationalMap, cfg: TrialConfig) -> Verdict:
     """Check that m intertwines the log-canonical brackets: for all pairs,
     {m* x'_a, m* x'_b}_source = eps_hat'_ab (m* x'_a)(m* x'_b) at random
-    prime-field points.  One jet pass of m per point gives every bracket."""
+    prime-field points.  One jet pass of m per point gives both sides."""
     src, tgt = (seed_for_word(word, m.cdata) for word in (m.source_word, m.target_word))
     if m.restricted:
         src, tgt = bracket_seed(src), bracket_seed(tgt)
     src_ixs = wordmod.seed_indices(m.source_word, m.cdata.rank)
     tgt_ixs = wordmod.seed_indices(m.target_word, m.cdata.rank)
     pairs = [(a, b) for a in range(len(tgt_ixs)) for b in range(a + 1, len(tgt_ixs))]
+    coefficients = [tgt.eps_hat(tgt_ixs[a], tgt_ixs[b]) for a, b in pairs]
 
     def pullbacks(values: Assignment) -> list:
         image = m.apply(values)
         return [image[ix] for ix in tgt_ixs]
 
-    def lhs(point: tuple) -> tuple:
-        brackets = bracket_matrix_at(src, pullbacks, dict(zip(src_ixs, point)))
-        return tuple(brackets[a][b] for a, b in pairs)
+    def sides(point: tuple) -> tuple:
+        image, brackets = _pullback(src, pullbacks, dict(zip(src_ixs, point)))
+        return (tuple(brackets[a][b] for a, b in pairs),
+                tuple(e * image[a] * image[b] for e, (a, b) in zip(coefficients, pairs)))
 
-    coefficients = [tgt.eps_hat(tgt_ixs[a], tgt_ixs[b]) for a, b in pairs]
-
-    def rhs(point: tuple) -> tuple:
-        image = pullbacks(dict(zip(src_ixs, point)))
-        return tuple(e * image[a] * image[b] for e, (a, b) in zip(coefficients, pairs))
-
-    return maps_equal_probabilistic(lhs, rhs, len(src_ixs), cfg)
+    return arith._verdict(sides, len(src_ixs), cfg)
 
 
 # ---------------------------------------------------------------------------

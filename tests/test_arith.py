@@ -283,7 +283,8 @@ def _make(spec):
 def jet_cases(draw):
     """A prime p, a jet over F_p, a second operand and which side the jet
     takes: a jet of the same field, an int, an Fp, a Fraction (its
-    denominator may be a multiple of p), or a jet or Fp of another prime."""
+    denominator may be a multiple of p), a nonzero Fraction whose numerator
+    p divides, or a jet or Fp of another prime."""
     p = draw(st.sampled_from(PRIMES))
     q = 101 if p == 97 else 97
     dim = draw(st.integers(0, 3))
@@ -299,6 +300,8 @@ def jet_cases(draw):
         residue.map(lambda n: ("fp", p, n)),
         st.builds(lambda n, d: ("fraction", n, d), st.integers(-p * p, p * p),
                   st.one_of(st.integers(1, 3 * p), st.integers(1, 3).map(lambda k: k * p))),
+        st.builds(lambda k, d: ("fraction", k * p, d), st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                  st.integers(1, p - 1)),
         jets(q, st.integers(0, q - 1)),
         st.integers(0, q - 1).map(lambda n: ("fp", q, n))))
     return p, draw(jets(p, residue)), other, draw(st.booleans())

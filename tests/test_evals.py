@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import json
 import operator
 import random
@@ -220,6 +221,64 @@ def test_check_identity_refuses_its_trial_config_before_any_trial(monkeypatch, c
     monkeypatch.setattr(evals, "_trials", no_trials)
     with pytest.raises(ValueError):
         evals.check_identity(check)
+
+
+def test_bracket_checks_reject_a_type_before_reading_the_golden_table(monkeypatch):
+    """PGL2_TABLE and EVHAT_POISSON look up their desk instances before the
+    golden bracket table, so a type without instances never parses it."""
+    def unread(*args, **kwargs):
+        raise AssertionError("the golden table was read")
+
+    monkeypatch.setattr(golden, "bracket_table_entries", unread)
+    evals._bracket_table.cache_clear()
+    for name in ("PGL2_TABLE", "EVHAT_POISSON"):
+        with pytest.raises(UnsupportedForType):
+            evals.check_identity(evals.IdentityCheck(name, "A2", trials=1))
+
+
+@pytest.mark.parametrize("prime, trials", [(DEFAULT_PRIME, 4), (97, 20)])
+@pytest.mark.parametrize("name", ["PGL2_TABLE", "EVHAT_POISSON"])
+def test_bracket_checks_evaluate_ev_hat_once_per_draw(monkeypatch, name, prime, trials):
+    """Both sides of a bracket check come from one jet ev_hat per draw: the
+    brackets, and the entries the golden values are read off."""
+    calls = []
+    ev_hat = evals.ev_hat
+    monkeypatch.setattr(evals, "ev_hat", lambda ctx, vals: calls.append(1) or ev_hat(ctx, vals))
+    rep = evals.check_identity(evals.IdentityCheck(name, "A1", trials=trials, prime=prime))
+    assert rep.ok
+    assert len(calls) == rep.trials * len(rep.words) + rep.skipped
+
+
+def _residue_fault(kernel, rows_of, r, c):
+    """kernel with 1 added, mod p, to entry (r, c) of the rows that
+    rows_of(result, arguments) picks, when it runs on residues mod p."""
+    signature = inspect.signature(kernel)
+
+    def faulty(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        arguments = signature.bind(*args, **kwargs).arguments
+        p = arguments.get("p")
+        if p is not None:
+            rows = rows_of(out, arguments)
+            rows[r][c] = (rows[r][c] + 1) % p
+        return out
+    return faulty
+
+
+@pytest.mark.parametrize("kernel, rows_of, r, c", [
+    ("_product", lambda out, _: out, 0, -1),
+    ("_eliminate", lambda out, _: out[0], -1, 0),
+    ("_lower_inverse", lambda out, _: out, -1, 0),
+    ("_theta_rows", lambda out, _: out, 0, -1),
+    ("right_multiply", lambda _, arguments: arguments["rows"], 0, 0),
+])
+def test_a1_checks_see_a_fault_in_each_residue_kernel(monkeypatch, kernel, rows_of, r, c):
+    """A fault in the residue form of a matrix kernel, which the scalar form
+    and jets never run, fails at least one A1 identity check."""
+    monkeypatch.setattr(grp, kernel, _residue_fault(getattr(grp, kernel), rows_of, r, c))
+    names = [name for name in evals.CHECK_NAMES if name in evals._INSTANCES["A1"]]
+    assert any(not evals.check_identity(evals.IdentityCheck(name, "A1", trials=1)).ok
+               for name in names)
 
 
 def test_desk_instances_are_one_table_entry_per_type(monkeypatch):

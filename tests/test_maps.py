@@ -684,12 +684,16 @@ def test_bracket_values_pinned():
 
 
 def test_is_poisson_map_one_jet_pass_per_point():
+    """Both sides of every draw come from one jet pass of the map: the
+    brackets, and the values they are compared to; no plain pass runs."""
     class Counted(maps.RationalMap):
-        jet_passes = 0
+        jet_passes = plain_passes = 0
 
         def apply(self, values):
             if any(isinstance(x, Jet) for x in values.values()):
                 Counted.jet_passes += 1
+            else:
+                Counted.plain_passes += 1
             return super().apply(values)
 
     mu = maps.dmove_transform(W("1,-2,1"), Move("mixed2", 1, 2), A2)
@@ -697,6 +701,7 @@ def test_is_poisson_map_one_jet_pass_per_point():
     cfg = TrialConfig(trials=4, rng_seed=2)
     assert maps.is_poisson_map(counted, cfg).is_equal
     assert Counted.jet_passes == cfg.trials
+    assert Counted.plain_passes == 0
 
 
 def test_bracket_pass_lifts_only_the_form_support():
