@@ -2,6 +2,7 @@ import hashlib
 import operator
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -259,6 +260,74 @@ def test_composite_modulus_raises_on_every_division_route(modulus, factor):
     for divide in routes:
         with pytest.raises(DivisionByZero):
             divide()
+
+
+def _fp_pin_operands(rng, p: int) -> list:
+    """Operands of every kind an Fp mod p meets: ints (negative ones and
+    multiples of p), bools, Fp of p and of another modulus, Fractions (a
+    unit, p dividing the denominator, a numerator that is 0 mod p, a
+    denominator of 3), jets of p and over Q, and non-scalars."""
+    q = 101 if p == 97 else 97
+
+    def residue(modulus):
+        return rng.choice([0, 1, modulus - 1, rng.randrange(modulus)])
+
+    def rational():
+        return F(rng.choice([0, 1, -2, rng.randrange(-50, 50)]), rng.randrange(1, 9))
+
+    unit_den = rng.choice([d for d in (1, 2, 7, p - 1, rng.randrange(1, 4 * p)) if gcd(d, p) == 1])
+    dim = rng.randrange(3)
+    return [rng.choice([0, 1, -1, p, -p, 2 * p + 1, rng.randrange(-3 * p, 3 * p)]),
+            rng.randrange(-3 * p, 0), rng.randrange(-2, 3) * p, rng.choice([True, False]),
+            Fp(residue(p), p), Fp(residue(q), q),
+            F(rng.randrange(-p * p, p * p), unit_den),
+            F(rng.choice([1, -1, 2, 7]), rng.randrange(1, 4) * p),
+            F(rng.choice([1, -1, 3]) * p, rng.choice([1, 2, 5])),
+            F(rng.choice([1, -1, 2]), 3),
+            Jet(Fp(residue(p), p), tuple(Fp(residue(p), p) for _ in range(dim))),
+            Jet(rational(), tuple(rational() for _ in range(dim))),
+            None, "ab"]
+
+
+def _fp_outcome(fn):
+    """The result's record, or the error's type and message."""
+    try:
+        return _pin_record(fn())
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def _fp_outcome_records():
+    """Each Fp operator's outcome, on both sides, with ==, negation, ** for n
+    from -3 to 3, inverse() and bool, on seeded Fp mod 2, 3, 97, 2^61-1 and
+    the composite 15: the result's type and repr (value and modulus), or the
+    error's type and message."""
+    rng = random.Random("fp outcomes")
+    records = []
+    for p in (2, 3, 97, DEFAULT_PRIME, 15):
+        for _ in range(40):
+            a = Fp(rng.choice([0, 1, p - 1, rng.randrange(p)]), p)
+            outcomes = [_fp_outcome(f) for f in (lambda: -a, a.inverse, lambda: bool(a))]
+            outcomes += [_fp_outcome(lambda n=n: a ** n) for n in range(-3, 4)]
+            for other in _fp_pin_operands(rng, p):
+                for op in (*_BINARY, operator.eq):
+                    outcomes.append(_fp_outcome(lambda: op(a, other)))
+                    outcomes.append(_fp_outcome(lambda: op(other, a)))
+            records.append([p, repr(a), outcomes])
+    return records
+
+
+# sha256 of the records above
+FP_OUTCOMES_SHA256 = "0a197a9df5b2f578e2eaf9f7cfdec7185f7d433711e4aa55d09565611c06b838"
+
+
+def test_fp_outcomes_pinned():
+    """Every Fp operator's result type, value and modulus, or its error's
+    type and message, against ints, bools, Fp of p and of another modulus,
+    Fractions, jets and non-scalars: the error and NotImplemented routes
+    that the agreement test above does not reach."""
+    digest = hashlib.sha256(repr(_fp_outcome_records()).encode()).hexdigest()
+    assert digest == FP_OUTCOMES_SHA256
 
 
 # ---------------------------------------------------------------------------
