@@ -16,6 +16,10 @@ Scalars come in three flavours, all exact:
   scalars' own arithmetic otherwise.  Ints mean Q: ``_reciprocal`` inverts
   an int as a Fraction, never a float.
 
+One reader, ``_residue``, reduces an int, an Fp or a Fraction mod p for
+every Fp operator, ``Fp.__eq__`` and ``Jet._operands``.  A scalar's own
+truth (``bool``) is its nonzero test.
+
 A "rational map" in this module is simply a callable taking a tuple of
 scalars and returning a tuple of scalars; it must raise
 :class:`~cluster_dual.errors.SingularPoint` when asked to evaluate on its
@@ -37,7 +41,7 @@ from .errors import DivisionByZero, IndexOutOfRange, SingularPoint
 # accepted on input and coerced.
 Scalar = Union[Fraction, "Fp", "Jet", int]
 
-# An Fp or Jet without __init__: the fast paths below fill in reduced values.
+# An Fp or Jet without __init__: its builders below fill in reduced values.
 _new = object.__new__
 
 
@@ -59,85 +63,50 @@ class Fp:
     def __repr__(self):
         return f"Fp({self.value} mod {self.p})"
 
-    def _lift(self, other) -> "Fp":
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            return other
-        if isinstance(other, int):
-            return Fp(other, self.p)
-        if isinstance(other, Fraction):
-            return Fp(other.numerator, self.p) / Fp(other.denominator, self.p)
-        return NotImplemented
-
-    # Fast path: an Fp operand of the same prime is combined in this one
-    # call, and the result built without __init__; every other operand goes
-    # through _lift, which rejects a mixed prime.
+    # Each operator reads the other operand's residue (``_residue``) and
+    # builds its result without __init__; an Fp of another modulus raises,
+    # and any other operand is left to its own reflected operator.
 
     def __add__(self, other):
         p = self.p
-        if type(other) is Fp and other.p == p:
-            out = _new(Fp)
-            out.value = (self.value + other.value) % p
-            out.p = p
-            return out
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else Fp(self.value + o.value, p)
+        b = _residue(other, p)
+        return _unread(other) if b is None else _fp_of_residue((self.value + b) % p, p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         p = self.p
-        if type(other) is Fp and other.p == p:
-            out = _new(Fp)
-            out.value = (self.value - other.value) % p
-            out.p = p
-            return out
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else Fp(self.value - o.value, p)
+        b = _residue(other, p)
+        return _unread(other) if b is None else _fp_of_residue((self.value - b) % p, p)
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else Fp(o.value - self.value, self.p)
+        p = self.p
+        b = _residue(other, p)
+        return _unread(other) if b is None else _fp_of_residue((b - self.value) % p, p)
 
     def __mul__(self, other):
         p = self.p
-        if type(other) is Fp and other.p == p:
-            out = _new(Fp)
-            out.value = self.value * other.value % p
-            out.p = p
-            return out
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else Fp(self.value * o.value, p)
+        b = _residue(other, p)
+        return _unread(other) if b is None else _fp_of_residue(self.value * b % p, p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fp(self.value * _inverse_mod(o.value, self.p), self.p)
+        p = self.p
+        b = _residue(other, p)
+        if b is None:
+            return _unread(other)
+        return _fp_of_residue(self.value * _inverse_mod(b, p) % p, p)
 
     def __rtruediv__(self, other):
-        # ``1 / x`` lands here with an int numerator, which needs no lift
         p = self.p
-        if type(other) is int:
-            num = other
-        else:
-            o = self._lift(other)
-            if o is NotImplemented:
-                return NotImplemented
-            num = o.value
-        out = _new(Fp)
-        out.value = num * _inverse_mod(self.value, p) % p
-        out.p = p
-        return out
+        b = _residue(other, p)
+        if b is None:
+            return _unread(other)
+        return _fp_of_residue(b * _inverse_mod(self.value, p) % p, p)
 
     def __neg__(self):
-        out = _new(Fp)
-        out.value = -self.value % self.p
-        out.p = self.p
-        return out
+        return _fp_of_residue(-self.value % self.p, self.p)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -150,17 +119,36 @@ class Fp:
     def __eq__(self, other):
         if isinstance(other, Fp):
             return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        if isinstance(other, Fraction):
-            return other.denominator % self.p != 0 and self == self._lift(other)
-        return NotImplemented
+        if isinstance(other, Fraction) and other.denominator % self.p == 0:
+            return False  # a pole mod p equals no residue
+        b = _residue(other, self.p)
+        return NotImplemented if b is None else self.value == b
 
     def __hash__(self):
         return hash((self.value, self.p))
 
     def __bool__(self):
         return self.value != 0
+
+
+def _residue(x, p: int) -> Optional[int]:
+    """The residue mod p of an int, of an Fp mod p or of a Fraction (its
+    denominator inverted mod p, DivisionByZero when that fails); None for
+    any other operand, an Fp of another modulus included."""
+    if isinstance(x, Fp):
+        return x.value if x.p == p else None
+    if isinstance(x, int):
+        return x % p
+    if isinstance(x, Fraction):
+        return x.numerator * _inverse_mod(x.denominator % p, p) % p
+    return None
+
+
+def _unread(other):
+    """An Fp operator's answer to an operand with no residue mod its p."""
+    if isinstance(other, Fp):
+        raise ValueError("mixed primes")
+    return NotImplemented
 
 
 def _fp_prime(scalars: Iterable) -> Optional[int]:
@@ -208,11 +196,9 @@ def _jet(value, partials, p: Optional[int]) -> "Jet":
 
 def _divisor_inverse(b, p: Optional[int]):
     """The reciprocal of a divisor's value b; DivisionByZero when b is zero."""
-    if p is not None and b:
-        return _inverse_mod(b, p)
-    if p is None and _is_nonzero(b):
-        return _reciprocal(b, p)
-    raise DivisionByZero("division by a jet with zero value")
+    if not b:
+        raise DivisionByZero("division by a jet with zero value")
+    return _reciprocal(b, p)
 
 
 # The jet kernels, one per operator: on the values a, b and the partials da,
@@ -319,16 +305,12 @@ class Jet:
         for an operand that no jet takes."""
         p = self._p
         if p is not None:
-            t = type(other)
-            if t is Jet and other._p == p:
+            if type(other) is Jet and other._p == p:
                 return p, self._v, self._d, other._v, other._d
-            if t is int:
-                return p, self._v, self._d, other % p, None
-            if t is Fp and other.p == p:
-                return p, self._v, self._d, other.value, None
-            if t is Fraction and gcd(other.numerator * other.denominator, p) == 1:
-                b = other.numerator * pow(other.denominator, -1, p) % p
-                return p, self._v, self._d, b, None
+            if type(other) is not Fraction or gcd(other.numerator * other.denominator, p) == 1:
+                b = _residue(other, p)
+                if b is not None:
+                    return p, self._v, self._d, b, None
         a, da = self.value, self.partials
         if isinstance(other, Jet):
             return None, a, da, other.value, other.partials
@@ -360,13 +342,13 @@ class Jet:
                 return self._v == other % p and not any(self._d)
         if isinstance(other, Jet):
             return self.value == other.value and self.partials == other.partials
-        return self.value == other and all(not _is_nonzero(a) for a in self.partials)
+        return self.value == other and not any(self.partials)
 
     def __hash__(self):
         return hash((self.value, self.partials))
 
     def __bool__(self):
-        return self._v != 0 if self._p is not None else _is_nonzero(self._v)
+        return bool(self._v)
 
 
 def _coerce_int(n: int, like):
@@ -378,19 +360,11 @@ def _coerce_int(n: int, like):
 
 
 def _zero_like(x):
-    return _coerce_int(0, x) if not isinstance(x, int) else Fraction(0)
+    return _coerce_int(0, x)
 
 
 def _one_like(x):
-    return _coerce_int(1, x) if not isinstance(x, int) else Fraction(1)
-
-
-def _is_nonzero(x) -> bool:
-    if isinstance(x, Fp):
-        return x.value != 0
-    if isinstance(x, Jet):
-        return bool(x)
-    return x != 0
+    return _coerce_int(1, x)
 
 
 def spow(x, n: int):

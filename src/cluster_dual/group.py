@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import arith
-from .arith import Jet, _is_nonzero, _one_like, _reciprocal, _zero_like, jet_const
+from .arith import Jet, _one_like, _reciprocal, _zero_like, jet_const
 from .cartan import CartanData, WeylElement
 from .errors import InvalidParameter, NotInBigCell, SingularPoint, UnsupportedForType
 
@@ -86,17 +86,17 @@ class GroupMatrix:
     def inverse(self) -> "GroupMatrix":
         """Exact Gauss-Jordan inverse; SingularPoint when not invertible.
 
-        A pivot needs an invertible value (``_is_nonzero``), but every entry
-        that is not exactly zero is eliminated: a jet with value 0 and
-        nonzero partials still carries derivatives.  ``det`` and ``gauss``
-        follow the same rule."""
+        A pivot needs an invertible value (the entry's own ``bool``), but
+        every entry that is not exactly zero is eliminated: a jet with value
+        0 and nonzero partials still carries derivatives.  ``det`` and
+        ``gauss`` follow the same rule."""
         n = self.n
         one = _one_like(self.rows[0][0])
         zero = _zero_like(self.rows[0][0])
         aug = [list(row) + [one if i == j else zero for j in range(n)]
                for i, row in enumerate(self.rows)]
         for col in range(n):
-            pivot = next((r for r in range(col, n) if _is_nonzero(aug[r][col])), None)
+            pivot = next((r for r in range(col, n) if aug[r][col]), None)
             if pivot is None:
                 raise SingularPoint("matrix not invertible")
             aug[col], aug[pivot] = aug[pivot], aug[col]
@@ -113,7 +113,7 @@ class GroupMatrix:
         mat = [list(row) for row in self.rows]
         det = _one_like(self.rows[0][0])
         for col in range(n):
-            pivot = next((r for r in range(col, n) if _is_nonzero(mat[r][col])), None)
+            pivot = next((r for r in range(col, n) if mat[r][col]), None)
             if pivot is None:
                 return _zero_like(self.rows[0][0])
             if pivot != col:
@@ -196,7 +196,7 @@ def lower_inverse(m: GroupMatrix) -> GroupMatrix:
     the lower triangle of m is read."""
     p, rows = _residue_form(m)
     diagonal = [row[i] for i, row in enumerate(rows)]
-    if not all(map(_is_nonzero, diagonal)):
+    if not all(diagonal):
         raise SingularPoint("matrix not invertible")
     return _matrix(_lower_inverse(rows, [_reciprocal(x, p) for x in diagonal], p), p)
 
@@ -216,7 +216,7 @@ def projective_eq(g: GroupMatrix, h: GroupMatrix) -> bool:
         a, b = [x.value for x in a], [y.value for y in b]
     lam = None
     for x, y in zip(a, b):
-        xz, yz = _is_nonzero(x), _is_nonzero(y)
+        xz, yz = bool(x), bool(y)
         if xz != yz:
             return False
         if xz and lam is None:
@@ -236,7 +236,7 @@ def _require_range(i: int, rank: int):
 
 
 def _require_torus_parameter(x):
-    if not _is_nonzero(x):
+    if not x:
         raise InvalidParameter("torus parameter must be nonzero")
 
 
@@ -416,7 +416,7 @@ def _eliminate(g: Sequence[Sequence], p: Optional[int] = None
     lower = _identity_rows(n, mat[0][0], p)
     inverted = []
     for col in range(n):
-        if not _is_nonzero(mat[col][col]):
+        if not mat[col][col]:
             raise NotInBigCell(col)
         inv = _reciprocal(mat[col][col], p)
         inverted.append(inv)

@@ -56,8 +56,7 @@ from . import arith
 from . import cartan as weyl
 from . import seeds as seedmod
 from . import words as wordmod
-from .arith import (Fp, Jet, TrialConfig, Verdict, jet_point, spow, _is_nonzero,
-                    _zero_like)
+from .arith import Fp, Jet, TrialConfig, Verdict, jet_point, spow, _zero_like
 from .cartan import CartanData, WeylElement
 from .errors import (FrozenDirection, FrozenStructureViolation, InapplicableMove,
                      InvariantViolation, NoPath, PreconditionFailed, SingularPoint)
@@ -135,7 +134,7 @@ class _Scalars:
         power of the 1/x_k at hand."""
         kind, k, exponents = mutation
         xk = values[k]
-        if not _is_nonzero(xk):
+        if not xk:
             raise SingularPoint(f"zero coordinate at {kind} mutation index")
         values[k] = inv = 1 / xk
         if kind == "tropical":
@@ -144,7 +143,7 @@ class _Scalars:
             return
         if exponents:
             one_plus = 1 + xk
-            if not _is_nonzero(one_plus):
+            if not one_plus:
                 raise SingularPoint("1 + x_k vanishes with a nonzero exponent")
         ratio = None
         for ix, e in exponents:
@@ -159,7 +158,7 @@ class _Scalars:
     mul = operator.mul
     div = operator.truediv
     one = staticmethod(lambda x: spow(x, 0))
-    nonzero = staticmethod(_is_nonzero)
+    nonzero = bool
 
     def run(self, program: Sequence[Op], values: Assignment) -> Assignment:
         return _interpret(self, program, dict(values))
@@ -1169,18 +1168,18 @@ def _form_brackets(form: tuple, xs: Sequence, partials: Sequence,
     """{f_a, f_b} = sum_s da[s] sum_t c_st db[t] with c_st = eps_hat_st x_s x_t,
     over the rows (s, ((t, eps_hat_st), ...)) of a nonempty form in support
     positions: the form is applied to each db once.  With a modulus p, xs
-    and the partials are residues mod p, eps_hat is read mod p, a partial
-    None (an output that is not a jet) meets nothing, and the brackets are
-    residues; with p None every partial is a tuple of scalars."""
+    and the partials are residues mod p, eps_hat is read mod p by
+    ``arith._residue``, a partial None (an output that is not a jet) meets
+    nothing, and the brackets are residues; with p None every partial is a
+    tuple of scalars."""
     if p is None:
         total = lambda terms: sum(terms[1:], terms[0])
         rows = [(s, [(t, e * xs[s] * xs[t]) for t, e in row]) for s, row in form]
         applied = [[(s, total([c * db[t] for t, c in row])) for s, row in rows]
                    for db in partials]
         return [[total([da[s] * x for s, x in w]) for w in applied] for da in partials]
-    inverse = arith._inverse_mod
-    rows = [(s, [(t, e.numerator * inverse(e.denominator % p, p) * xs[s] * xs[t] % p)
-                 for t, e in row]) for s, row in form]
+    residue = arith._residue
+    rows = [(s, [(t, residue(e, p) * xs[s] * xs[t] % p) for t, e in row]) for s, row in form]
     applied = [None if db is None else [(s, sum(c * db[t] for t, c in row) % p)
                                         for s, row in rows] for db in partials]
     return [[0 if da is None or w is None else sum(da[s] * x for s, x in w) % p

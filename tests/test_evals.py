@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from cluster_dual import cartan as weyl
 from cluster_dual import arith, cli, evals, golden, group as grp, maps, seeds, words
-from cluster_dual.arith import DEFAULT_PRIME, Fp, Jet, jet_const, jet_point
+from cluster_dual.arith import DEFAULT_PRIME, Fp, Jet, TrialConfig, jet_const, jet_point
 from cluster_dual.errors import (ClusterDualError, DivisionByZero, InvalidParameter,
                                  NotInBigCell, PreconditionFailed,
                                  SingularPoint, UnsupportedForType)
 from cluster_dual.group import GroupMatrix
-from cluster_dual.words import DoubleWord
+from cluster_dual.words import DoubleWord, Move
 
 from conftest import W, rational_point, reference_jets
 
@@ -279,6 +279,48 @@ def test_a1_checks_see_a_fault_in_each_residue_kernel(monkeypatch, kernel, rows_
     names = [name for name in evals.CHECK_NAMES if name in evals._INSTANCES["A1"]]
     assert any(not evals.check_identity(evals.IdentityCheck(name, "A1", trials=1)).ok
                for name in names)
+
+
+def _jet_residue_fault(kernel, where):
+    """kernel with 1 added, mod p, to its result's value or first partial
+    when it runs on residues mod p."""
+    def faulty(p, a, da, b, db):
+        out = kernel(p, a, da, b, db)
+        if p is None:
+            return out
+        v, d = out._v, list(out._d)
+        if where == "value":
+            v = (v + 1) % p
+        elif d:
+            d[0] = (d[0] + 1) % p
+        return arith._jet(v, d, p)
+    return faulty
+
+
+# Each jet operator and the kernel it runs.
+_JET_OPERATORS = {"__add__": "_add", "__radd__": "_add", "__sub__": "_sub",
+                  "__rsub__": "_rsub", "__mul__": "_mul", "__rmul__": "_mul",
+                  "__truediv__": "_div", "__rtruediv__": "_rdiv"}
+
+
+@pytest.mark.parametrize("where", ["value", "partial"])
+@pytest.mark.parametrize("kernel", ["_add", "_sub", "_mul", "_div", "_rdiv"])
+def test_checks_see_a_fault_in_each_residue_jet_kernel(monkeypatch, kernel, where):
+    """A fault in the residue form of a jet kernel fails a bracket check on
+    A1, or keeps is_poisson_map from "equal" on the A2 1,2,1 3-move or the
+    A1 1,-1 mixed 2-move.  The operators bind their kernels when Jet is
+    made, so each is rebuilt with ``_operator``; ``_rsub`` reads ``_sub``
+    from the module.  The Q lift of a draw runs the scalar form, so
+    is_poisson_map's verdict is "inconclusive", never a counterexample."""
+    monkeypatch.setattr(arith, kernel, _jet_residue_fault(getattr(arith, kernel), where))
+    for name, k in _JET_OPERATORS.items():
+        monkeypatch.setattr(Jet, name, arith._operator(getattr(arith, k)))
+    cfg = TrialConfig(trials=1)
+    moves = ((W("1,2,1"), Move("positive_d", 0, 3), A2), (W("1,-1"), Move("mixed2", 0, 2), A1))
+    assert (any(not evals.check_identity(evals.IdentityCheck(name, "A1", trials=1)).ok
+                for name in ("PGL2_TABLE", "EVHAT_POISSON"))
+            or any(not maps.is_poisson_map(maps.dmove_transform(*move), cfg).is_equal
+                   for move in moves))
 
 
 def test_desk_instances_are_one_table_entry_per_type(monkeypatch):
