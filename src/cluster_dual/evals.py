@@ -290,12 +290,14 @@ def tau_product(w: DoubleWord, cdata: CartanData, values: Assignment) -> GroupMa
         raise PreconditionFailed("tau product needs a word of the longest element")
     like = next(iter(values.values()), Fraction(1))
     # stage k of the zeta map opens with a left tau flip, the program's k-th
-    # tropical op; the k-th parameter is read just before it
+    # tropical op; the k-th parameter is read just before it.  Tau flips and
+    # mixed 2-moves keep each wire's count, so every stage has w's layout
     program = mapmod._zeta_map(cdata, w).program
+    layout = wordmod.seed_indices(w, rank)
     flips = [n for n, op in enumerate(program) if op[0] == "tropical"]
     params, start = {}, 0
     for k, (letter, flip) in enumerate(zip(letters, flips), 1):
-        values = mapmod.run_program(program[start:flip], values)
+        values = mapmod.run_program(program[start:flip], values, layout, layout)
         params[k] = -values[(letter, 0)]
         start = flip
     p, params = _residue_point(params)

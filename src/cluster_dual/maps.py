@@ -8,17 +8,22 @@ evaluating a point never builds a seed.  The saltation core is lowered the
 same way, once per word: its block's zeta map becomes one mutation plan run
 on the whole point, with no split, glue or recount.
 
-A map is evaluated through its program, compiled on its first evaluation
-and kept on the map: the flat tuple of its move steps' mutations and
-relabelings and its saltation core steps with their plans, so no plan is
-looked up per point.  One interpreter runs it, on the scalars' own
-arithmetic, the reference, for jets and mixed points, or on pairs (num,
-den): over Q when every coordinate is exactly an int or a ``Fraction``,
-ints in lowest terms with each product the cross-gcd one of ``Fraction``;
-over F_p when every coordinate is an ``Fp`` of one prime, residues, and
-one modular inversion ends the run for all coordinates (Montgomery's
-trick).  On pairs no op inverts: x_k goes to den/num, 1 + x_k is
-(num + den)/den.
+Each distinct step is then lowered once more, to positions: a coordinate
+is its place in ``seed_indices`` of the word the step starts from, so a
+point is a list of registers.  A mutation's index and exponents become
+ints, a relabeling one gather from the source layout to the target one,
+and a saltation core its frozen copies, zeta ops, layout gather and
+checked division or solve, all in positions.  A map's program is the
+concatenation of its steps' cached ops, kept on the map, so nothing is
+lowered per map or looked up per point.  One interpreter runs it, on the
+scalars' own arithmetic, the reference, for jets and mixed points, or on
+pairs (num, den) held as two int lists: over Q when every coordinate is
+exactly an int or a ``Fraction``, ints in lowest terms with each product
+the cross-gcd one of ``Fraction``; over F_p when every coordinate is an
+``Fp`` of one prime, residues, and one modular inversion ends the run for
+all coordinates (Montgomery's trick).  On pairs no op inverts: x_k goes to
+den/num, 1 + x_k is (num + den)/den.  A run reads the point in the source
+word's layout and keys the image by the target word's.
 
 Supported steps:
 
@@ -76,9 +81,12 @@ Assignment = dict[SeedIndex, object]
 # listed x_i to x_i x_k^{[e]_+} (1+x_k)^{-e}, a tropical one to x_i x_k^e.
 Mutation = tuple[str, SeedIndex, tuple[tuple[SeedIndex, int], ...]]
 
-# A program op (see ``RationalMap.program``): a lowered Mutation,
-# ("relabel", sigma) with sigma a dict of moved indices, or ("core", plan) and
-# ("core_inverse", plan) for a saltation core step and its inverse.
+# A program op (see ``RationalMap.program``), in positions of the layout
+# ``seed_indices`` gives the word its step starts from: a Mutation with k and
+# each exponent's index a position, ("relabel", gather) with gather[t] the
+# source position that target position t reads, or ("core", core) and
+# ("core_inverse", core) for a saltation core step and its inverse, core a
+# ``_CoreOps``.
 Op = tuple
 
 
@@ -121,14 +129,41 @@ def _tropical_mutation(seed: Seed, k: SeedIndex, positive_letter: bool) -> Mutat
     return ("tropical", k, tuple(exponents))
 
 
+def _at(mutation: Mutation, place: Callable[[SeedIndex], int]) -> Mutation:
+    """A mutation with its indices read as positions."""
+    kind, k, exponents = mutation
+    return (kind, place(k), tuple((place(ix), e) for ix, e in exponents))
+
+
+def _place(w: DoubleWord, rank: int) -> Callable[[SeedIndex], int]:
+    """The position of a slot in w's ``seed_indices`` layout: slot
+    (wire, c) sits c places after the first slot of its wire."""
+    counts = w.counts()
+    first, n = {}, 0
+    for wire in range(1, rank + 1):
+        first[wire] = n
+        n += counts.get(wire, 0) + 1
+    return lambda ix: first[ix[0]] + ix[1]
+
+
+class _Gather(tuple):
+    """Register positions read in order: entry t of a gathered list is
+    entry self[t] of the list read.  ``take`` reads them in one call; every
+    gather reads at least two positions, so it returns a tuple."""
+
+    def __new__(cls, order: Iterable[int]):
+        self = super().__new__(cls, order)
+        self.take = operator.itemgetter(*self)
+        return self
+
+
 class _Scalars:
     """The scalars' own arithmetic, the reference that ``Step.apply`` runs;
-    maps run on it at jets and mixed points.  The scalars are
-    immutable, so an op updates an assignment in place by replacing its
-    values, and a copy is the value."""
+    maps run on it at jets and mixed points.  The registers are one list of
+    values; the scalars are immutable, so an op replaces values in place."""
 
     @staticmethod
-    def mutate(values: Assignment, mutation: Mutation) -> None:
+    def mutate(values: list, mutation: Mutation) -> None:
         """x_k inverts, a positive exponent e multiplies by
         (x_k / (1 + x_k))^e, and a negative tropical exponent takes its
         power of the 1/x_k at hand."""
@@ -154,24 +189,38 @@ class _Scalars:
                 ratio = xk / one_plus
             values[ix] = values[ix] * spow(ratio, e)
 
-    copy = staticmethod(lambda x: x)
-    mul = operator.mul
-    div = operator.truediv
-    one = staticmethod(lambda x: spow(x, 0))
-    nonzero = bool
+    gather = staticmethod(lambda values, order: [*order.take(values)])
+    join = operator.add
+    nonzero = operator.getitem  # a scalar's own truth
 
-    def run(self, program: Sequence[Op], values: Assignment) -> Assignment:
-        return _interpret(self, program, dict(values))
+    @staticmethod
+    def mul(values: list, i: int, j: int) -> None:
+        values[i] = values[i] * values[j]
+
+    @staticmethod
+    def div(values: list, i: int, j: int) -> None:
+        values[i] = values[i] / values[j]
+
+    @staticmethod
+    def one(values: list, i: int, like: int) -> None:
+        values[i] = spow(values[like], 0)
+
+    def run(self, program: Sequence[Op], values: Assignment,
+            source: Sequence[SeedIndex], target: Sequence[SeedIndex]) -> Assignment:
+        """The program at a point read in the ``source`` layout, its image
+        keyed by ``target``."""
+        return dict(zip(target, _interpret(self, program, [values[ix] for ix in source])))
 
 
 _SCALARS = _Scalars()
 
 
-def _apply_mutation(values: Assignment, mutation: Mutation) -> Assignment:
-    """A mutation in the reference arithmetic, on a copy of the point."""
-    out = dict(values)
-    _SCALARS.mutate(out, mutation)
-    return out
+def _apply_mutation(values: Assignment, mutation: Mutation, ar=_SCALARS) -> Assignment:
+    """A mutation on named indices at a point, in the arithmetic ``ar`` (the
+    reference by default), laid out in the point's own key order."""
+    layout = list(values)
+    place = {ix: n for n, ix in enumerate(layout)}.__getitem__
+    return ar.run((_at(mutation, place),), values, layout, layout)
 
 
 def mutate_point(seed: Seed, values: Assignment, k: SeedIndex,
@@ -302,6 +351,28 @@ def _move_plan(cdata: CartanData, w: DoubleWord, move: Move, restricted: bool
     return tuple(mutations), (sigma or None)
 
 
+# Bounded like ``_move_plan``, whose entries it lowers.
+@functools.lru_cache(maxsize=4096)
+def _move_ops(cdata: CartanData, w: DoubleWord, move: Move, restricted: bool
+              ) -> tuple[Op, ...]:
+    """``_move_plan`` in positions of w's layout: its mutations, then its
+    relabeling as one gather into the target word's layout, whose slots are
+    the relabeled ones in ``seed_indices`` order."""
+    mutations, sigma = _move_plan(cdata, w, move, restricted)
+    if not mutations and sigma is None:
+        return ()
+    place = _place(w, cdata.rank)
+    ops = tuple(_at(mutation, place) for mutation in mutations)
+    if sigma is None:
+        return ops
+    source = wordmod.seed_indices(w, cdata.rank)
+    came_from = {sigma.get(ix, ix): ix for ix in source}
+    if len(came_from) != len(source):
+        raise InvariantViolation(f"{move.describe()} at {w.to_string()} relabels "
+                                 "two slots onto one")
+    return ops + (("relabel", _Gather(place(came_from[ix]) for ix in sorted(came_from))),)
+
+
 class Step:
     word_before: DoubleWord
     word_after: DoubleWord
@@ -311,7 +382,12 @@ class Step:
         raise NotImplementedError
 
     def apply(self, values: Assignment) -> Assignment:
-        raise NotImplementedError
+        """The step's ops at a point, in the reference arithmetic.  Each
+        step class keeps an ``apply`` of its own that calls this one, so
+        that a wrapper can be installed per class."""
+        rank = self.cdata.rank
+        return _SCALARS.run(self.ops(), values, wordmod.seed_indices(self.word_before, rank),
+                            wordmod.seed_indices(self.word_after, rank))
 
     def inverse(self) -> "Step":
         raise NotImplementedError
@@ -339,11 +415,10 @@ class MoveStep(Step):
         return self._after
 
     def ops(self) -> tuple[Op, ...]:
-        mutations, sigma = _move_plan(self.cdata, self.word_before, self.move, self.restricted)
-        return mutations if sigma is None else mutations + (("relabel", sigma),)
+        return _move_ops(self.cdata, self.word_before, self.move, self.restricted)
 
     def apply(self, values: Assignment) -> Assignment:
-        return _SCALARS.run(self.ops(), values)
+        return Step.apply(self, values)
 
     def inverse(self) -> "MoveStep":
         """The same move at the target word: every move a MoveStep carries
@@ -373,7 +448,6 @@ class _CorePlan(NamedTuple):
     # value it copies (None: it reads the zeta image)
     layout: tuple[tuple[SeedIndex, Optional[SeedIndex]], ...]
     frozen: tuple[tuple[SeedIndex, SeedIndex], ...]  # (source top, target top)
-    body: tuple[SeedIndex, ...]  # the other source slots, in output order
     boundary: SeedIndex  # the starred wire's block top
     unknown: SeedIndex   # the moved wire's block top
     k_top: SeedIndex     # the moved wire's source top
@@ -442,9 +516,6 @@ def _core_plan(cdata: CartanData, w: DoubleWord) -> _CorePlan:
         # top disappears, its source top descends
         layout.append(((wire, n_t), (wire, mid[wire] + (wire == k))))
     frozen = tuple((s, t) for t, s in layout if s is not None)
-    sources = {s for s, _ in frozen}
-    body = tuple((wire, c) for wire in wires for c in range(mid[wire] + 1)
-                 if (wire, c) not in sources)
     boundary, unknown = (ks, mid[ks]), (k, mid[k])
     power = {unknown: 1}
     for kind, ix, exponents in zeta:
@@ -455,56 +526,117 @@ def _core_plan(cdata: CartanData, w: DoubleWord) -> _CorePlan:
                 power[jx] = power.get(jx, 0) + e * old
     if abs(power.get(boundary, 0)) != 1:
         raise InvariantViolation("starred block-top exponent must be +-1")
-    return _CorePlan(target, tuple(zeta), zeta_inverse, tuple(layout), frozen, body,
+    return _CorePlan(target, tuple(zeta), zeta_inverse, tuple(layout), frozen,
                      boundary, unknown, (k, mid[k] + 1), power[boundary])
 
 
-def _core_forward(ar, plan: _CorePlan, values: dict) -> dict:
-    """The saltation core at a point, in the arithmetic ``ar``: the zeta
+class _CoreOps(NamedTuple):
+    """A ``_CorePlan`` in positions.  S is the layout of the source word
+    j' i+ kbar and T that of its target; a forward core reads S and writes
+    T, an inverse core the other way round.  Both work on S followed by
+    spare slots: a copy of each right-frozen source top, then (inverse
+    only) the glued value."""
+
+    zeta: tuple[Op, ...]          # on S
+    zeta_inverse: tuple[Op, ...]  # on S
+    # forward: S and the copies, read before the zeta plan; then each T
+    # slot from that list
+    keep: _Gather
+    layout: _Gather
+    # inverse: z, each S slot from T (a frozen top from its copy, the
+    # starred block top from its own slot), then each copy and the glued
+    # slot; x, z with the tops read back from their copies; and the image,
+    # S read from z joined with x: the tops from their copies, the unknown
+    # from where the solve on x left it
+    lift: _Gather
+    restore: _Gather
+    place: _Gather
+    boundary: int    # the starred wire's block top, in S
+    boundary_t: int  # the same slot in T
+    k_top: int       # the moved wire's source top, in S
+    k_top_t: int     # the T slot holding its frozen value
+    unknown: int     # the moved wire's block top, in S
+    glued: int       # the glued slot, after the copies
+    exponent: int    # power of unknown in boundary after zeta
+
+
+# Bounded like ``_core_plan``, whose entries it lowers.
+@functools.lru_cache(maxsize=256)
+def _core_ops(cdata: CartanData, w: DoubleWord) -> _CoreOps:
+    """``_core_plan`` at w in positions of the source and target layouts."""
+    plan = _core_plan(cdata, w)
+    source = wordmod.seed_indices(w, cdata.rank)
+    if [ix for ix, _ in plan.layout] != wordmod.seed_indices(plan.target, cdata.rank):
+        raise InvariantViolation(f"saltation core layout at {w.to_string()} "
+                                 "is not its target word's")
+    s, t = _place(w, cdata.rank), _place(plan.target, cdata.rank)
+    n, glued = len(source), len(source) + len(plan.frozen)
+    copied_to = dict(plan.frozen)
+    copy = {s(top): n + j for j, (top, _) in enumerate(plan.frozen)}
+    read_back = [copy.get(i, i) for i in range(n)]
+    lift = [t(copied_to.get(ix, ix)) for ix in source]
+    lift[s(plan.boundary)] = t(plan.boundary)
+    place = read_back[:]
+    # the solve leaves X in x's glued slot, or at exponent -1 in its
+    # starred block top
+    place[s(plan.unknown)] = glued + 1 + (glued if plan.exponent > 0 else s(plan.boundary))
+    return _CoreOps(
+        tuple(_at(mutation, s) for mutation in plan.zeta),
+        tuple(_at(mutation, s) for mutation in plan.zeta_inverse),
+        _Gather((*range(n), *(s(top) for top, _ in plan.frozen))),
+        _Gather(s(ix) if top is None else copy[s(top)] for ix, top in plan.layout),
+        _Gather((*lift, *(t(ix) for _, ix in plan.frozen), t(plan.boundary))),
+        _Gather((*read_back, *range(n, glued + 1))),
+        _Gather(place),
+        s(plan.boundary), t(plan.boundary), s(plan.k_top), t(copied_to[plan.k_top]),
+        s(plan.unknown), glued, plan.exponent)
+
+
+def _core_forward(ar, core: _CoreOps, regs):
+    """The saltation core on registers, in the arithmetic ``ar``: the zeta
     plan, the copies of the right-frozen values, and the boundary slot's
     division."""
-    copy, mutate = ar.copy, ar.mutate
     # the frozen values are copied before the zeta plan updates the point
-    frozen = {src: copy(values[src]) for src, _ in plan.frozen}
-    for mutation in plan.zeta:
-        mutate(values, mutation)
-    out = {ix: values[ix] if src is None else frozen[src] for ix, src in plan.layout}
+    regs = ar.gather(regs, core.keep)
+    mutate = ar.mutate
+    for mutation in core.zeta:
+        mutate(regs, mutation)
+    regs = ar.gather(regs, core.layout)
     # the starred wire's boundary slot divides by the moved wire's frozen value
-    divisor = frozen[plan.k_top]
-    if not ar.nonzero(divisor):
+    if not ar.nonzero(regs, core.k_top_t):
         raise SingularPoint("zero right-frozen coordinate at the saltation core")
-    out[plan.boundary] = ar.div(out[plan.boundary], divisor)
-    return out
+    ar.div(regs, core.boundary_t, core.k_top_t)
+    return regs
 
 
-def _core_inverse(ar, plan: _CorePlan, values: dict) -> dict:
-    """The inverse saltation core at a point, in the arithmetic ``ar`` (see
-    ``XiCoreInverseStep``)."""
-    copy, mutate = ar.copy, ar.mutate
-    # right-frozen slots copy back wire-preservingly
-    tops = {src: values[ix] for src, ix in plan.frozen}
-    k_top = tops[plan.k_top]
-    glued = ar.mul(copy(values[plan.boundary]), k_top)
+def _core_inverse(ar, core: _CoreOps, regs):
+    """The inverse saltation core on registers, in the arithmetic ``ar``
+    (see ``XiCoreInverseStep``)."""
+    mutate, glued = ar.mutate, core.glued
+    # right-frozen slots copy back wire-preservingly; the starred block top
+    # and the glued slot take the glued value, the starred block top times
+    # the moved wire's frozen value
+    z = ar.gather(regs, core.lift)
+    ar.mul(z, core.boundary, core.k_top)
+    ar.mul(z, glued, core.k_top)
     # the zeta image on the source slots, with the frozen copies standing
-    # in for the tops the forward core overwrote.  Both zeta passes run on
-    # copies: a frozen value may also fill a body slot, the tops return
-    # unchanged and glued is read again for the solve
-    z = {**{src: copy(v) for src, v in tops.items()},
-         **{ix: copy(values[ix]) for ix in plan.body}, plan.boundary: copy(glued)}
-    for mutation in plan.zeta_inverse:
+    # in for the tops the forward core overwrote
+    for mutation in core.zeta_inverse:
         mutate(z, mutation)
     # glued and interior slots are now exact; the moved wire's block top
     # is the one unknown X, solved from the starred wire's glued top
-    x = {**{ix: copy(v) for ix, v in z.items()},
-         **{src: copy(v) for src, v in tops.items()}, plan.unknown: ar.one(k_top)}
-    for mutation in plan.zeta:
+    x = ar.gather(z, core.restore)
+    ar.one(x, core.unknown, core.k_top)
+    for mutation in core.zeta:
         mutate(x, mutation)
-    c = x[plan.boundary]
-    if not ar.nonzero(c) or (plan.exponent < 0 and not ar.nonzero(glued)):
+    if not ar.nonzero(x, core.boundary) or (core.exponent < 0 and not ar.nonzero(x, glued)):
         raise SingularPoint("zero divisor in the inverse saltation core")
-    # X = (glued / c)^e with e = +-1
-    solved = ar.div(glued, c) if plan.exponent > 0 else ar.div(c, glued)
-    return {**z, **tops, plan.unknown: solved}
+    # X = (glued / c)^e with e = +-1, c the starred block top of x
+    if core.exponent > 0:
+        ar.div(x, glued, core.boundary)
+    else:
+        ar.div(x, core.boundary, glued)
+    return ar.gather(ar.join(z, x), core.place)
 
 
 @dataclass(frozen=True)
@@ -517,7 +649,7 @@ class XiCoreStep(Step):
     by the right-frozen value of wire k*, the top slot of wire k crosses to
     the new top slot of wire k*, and the remaining right-frozen slots keep
     their values.  Evaluation runs the plan ``_core_plan`` lowers once per
-    word.
+    word, in the positions ``_core_ops`` gives it.
     """
 
     cdata: CartanData
@@ -528,10 +660,10 @@ class XiCoreStep(Step):
         return _core_plan(self.cdata, self.word_before).target
 
     def ops(self) -> tuple[Op, ...]:
-        return (("core", _core_plan(self.cdata, self.word_before)),)
+        return (("core", _core_ops(self.cdata, self.word_before)),)
 
     def apply(self, values: Assignment) -> Assignment:
-        return _SCALARS.run(self.ops(), values)
+        return Step.apply(self, values)
 
     def inverse(self) -> "XiCoreInverseStep":
         return XiCoreInverseStep(self.cdata, self.word_after, self.word_before)
@@ -562,10 +694,10 @@ class XiCoreInverseStep(Step):
     word_after: DoubleWord   # = forward step's word_before
 
     def ops(self) -> tuple[Op, ...]:
-        return (("core_inverse", _core_plan(self.cdata, self.word_after)),)
+        return (("core_inverse", _core_ops(self.cdata, self.word_after)),)
 
     def apply(self, values: Assignment) -> Assignment:
-        return _SCALARS.run(self.ops(), values)
+        return Step.apply(self, values)
 
     def inverse(self) -> XiCoreStep:
         return XiCoreStep(self.cdata, self.word_after)
@@ -577,33 +709,31 @@ class XiCoreInverseStep(Step):
 
 
 # ---------------------------------------------------------------------------
-# Programs: a map lowered once, run by one interpreter on the scalars or on
-# pairs over Q or F_p
+# Programs: a map's steps' ops joined once, run by one interpreter on
+# registers of the scalars or of pairs over Q or F_p
 # ---------------------------------------------------------------------------
 
-def _interpret(ar, program: Sequence[Op], values: dict) -> dict:
+def _interpret(ar, program: Sequence[Op], registers):
     """The one dispatch loop: each op of the program in the arithmetic
-    ``ar``, on an assignment the loop owns (mutations update it in place)."""
+    ``ar``, on registers the loop owns (mutations update them in place)."""
     mutate = ar.mutate
     for op in program:
         kind = op[0]
         if kind == "relabel":
-            sigma = op[1]
-            values = {sigma.get(ix, ix): val for ix, val in values.items()}
+            registers = ar.gather(registers, op[1])
         elif kind == "core":
-            values = _core_forward(ar, op[1], values)
+            registers = _core_forward(ar, op[1], registers)
         elif kind == "core_inverse":
-            values = _core_inverse(ar, op[1], values)
+            registers = _core_inverse(ar, op[1], registers)
         else:
-            mutate(values, op)
-    return values
+            mutate(registers, op)
+    return registers
 
 
-def _scale(v: list, c: int, f: int) -> None:
-    """v = [a, b] times c/f in place, both in lowest terms with b > 0 and f
-    nonzero: the two cross-gcds of ``Fraction``'s product, then the sign
-    moved to the numerator, so v stays in lowest terms."""
-    a, b = v
+def _scale(a: int, b: int, c: int, f: int) -> tuple[int, int]:
+    """a/b times c/f, both in lowest terms with b > 0 and f nonzero: the two
+    cross-gcds of ``Fraction``'s product, then the sign moved to the
+    numerator, so the pair stays in lowest terms."""
     g = gcd(a, f)
     if g > 1:
         a //= g
@@ -613,119 +743,142 @@ def _scale(v: list, c: int, f: int) -> None:
         c //= g
         b //= g
     if f < 0:
-        v[0], v[1] = -a * c, -b * f
-    else:
-        v[0], v[1] = a * c, b * f
+        return -a * c, -b * f
+    return a * c, b * f
 
 
 class _Pairs:
-    """Map evaluation on pairs: a coordinate is a list [num, den] standing
-    for num/den, so no op inverts.  Over Q (p None) the pair is of ints in
-    lowest terms with den > 0, and each product is ``_scale``; over F_p (p
-    a prime) it is of residues mod p with den nonzero.  Ops update the
-    lists in place, so every list belongs to one slot of one assignment;
-    the core steps copy a value that lands in two."""
+    """Map evaluation on pairs: the registers are two int lists (nums,
+    dens), coordinate i standing for nums[i]/dens[i], so no op inverts and
+    a copy holds no object twice.  Over Q (p None) each pair is in lowest
+    terms with den > 0, and each product is ``_scale``; over F_p (p a
+    prime) it is of residues mod p with den nonzero."""
 
     __slots__ = ("p",)
-    copy = list
 
     def __init__(self, p: Optional[int]):
         self.p = p
 
-    def mutate(self, pairs: dict, mutation: Mutation) -> None:
+    def mutate(self, regs: tuple[list, list], mutation: Mutation) -> None:
         p = self.p
+        nums, dens = regs
         kind, k, exponents = mutation
-        xk = pairs[k]
-        n, d = xk
+        n = nums[k]
+        d = dens[k]
         if not n:
             raise SingularPoint(f"zero coordinate at {kind} mutation index")
-        # the factors (num, den) of a positive and of a negative unit exponent,
-        # each in lowest terms over Q: x_k = n/d for a tropical mutation,
-        # x_k/(1 + x_k) = n/s and 1 + x_k = s/d for a regular one
+        # a positive unit exponent multiplies by n/s and a negative one by
+        # s/c, each in lowest terms over Q: by x_k = n/d and 1/x_k = d/n for
+        # a tropical mutation (s = d, c = n), by x_k/(1 + x_k) = n/s and
+        # 1 + x_k = s/d for a regular one (s = n + d, c = d)
         if kind == "tropical":
-            up, down = (n, d), (d, n)
-        elif exponents:
-            s = n + d if p is None else (n + d) % p
-            if not s:
-                raise SingularPoint("1 + x_k vanishes with a nonzero exponent")
-            up, down = (n, s), (s, d)
-        # the sign moves to the numerator; a residue is never negative
-        if n > 0:
-            xk[0], xk[1] = d, n
+            s, c = d, n
         else:
-            xk[0], xk[1] = -d, -n
+            s, c = (n + d if p is None else (n + d) % p), d
+            if not s and exponents:
+                raise SingularPoint("1 + x_k vanishes with a nonzero exponent")
         # the field is picked once per mutation, not once per exponent
         if p is None:
+            # the sign moves to the numerator
+            if n > 0:
+                nums[k], dens[k] = d, n
+            else:
+                nums[k], dens[k] = -d, -n
             for ix, e in exponents:
-                c, f = up if e > 0 else down
+                a, b = (n, s) if e > 0 else (s, c)
                 if e != 1 and e != -1:
-                    c, f = pow(c, abs(e), p), pow(f, abs(e), p)
-                _scale(pairs[ix], c, f)
+                    a, b = a ** abs(e), b ** abs(e)
+                nums[ix], dens[ix] = _scale(nums[ix], dens[ix], a, b)
             return
+        # a residue is never negative: no sign to move
+        nums[k] = d
+        dens[k] = n
         for ix, e in exponents:
-            c, f = up if e > 0 else down
-            if e != 1 and e != -1:
-                c, f = pow(c, abs(e), p), pow(f, abs(e), p)
-            v = pairs[ix]
-            v[0] = v[0] * c % p
-            v[1] = v[1] * f % p
+            if e == 1:
+                nums[ix] = nums[ix] * n % p
+                dens[ix] = dens[ix] * s % p
+            elif e == -1:
+                nums[ix] = nums[ix] * s % p
+                dens[ix] = dens[ix] * c % p
+            else:
+                a, b = (n, s) if e > 0 else (s, c)
+                nums[ix] = nums[ix] * pow(a, abs(e), p) % p
+                dens[ix] = dens[ix] * pow(b, abs(e), p) % p
 
-    def _times(self, v: list, c: int, f: int) -> list:
-        """v times c/f in place."""
+    @staticmethod
+    def gather(regs: tuple[list, list], order: _Gather) -> tuple[list, list]:
+        take = order.take
+        return [*take(regs[0])], [*take(regs[1])]
+
+    @staticmethod
+    def join(regs: tuple[list, list], more: tuple[list, list]) -> tuple[list, list]:
+        return regs[0] + more[0], regs[1] + more[1]
+
+    @staticmethod
+    def nonzero(regs: tuple[list, list], i: int) -> int:
+        return regs[0][i]  # a pair is nonzero with its numerator
+
+    def mul(self, regs: tuple[list, list], i: int, j: int) -> None:
+        """Entry i times entry j, in place."""
         p = self.p
+        nums, dens = regs
         if p is None:
-            _scale(v, c, f)
+            nums[i], dens[i] = _scale(nums[i], dens[i], nums[j], dens[j])
         else:
-            v[0] = v[0] * c % p
-            v[1] = v[1] * f % p
-        return v
+            nums[i] = nums[i] * nums[j] % p
+            dens[i] = dens[i] * dens[j] % p
 
-    def mul(self, a: list, b: list) -> list:
-        return self._times(a, b[0], b[1])
+    def div(self, regs: tuple[list, list], i: int, j: int) -> None:
+        """Entry i over the nonzero entry j, in place."""
+        p = self.p
+        nums, dens = regs
+        if p is None:
+            nums[i], dens[i] = _scale(nums[i], dens[i], dens[j], nums[j])
+        else:
+            nums[i] = nums[i] * dens[j] % p
+            dens[i] = dens[i] * nums[j] % p
 
-    def div(self, a: list, b: list) -> list:
-        return self._times(a, b[1], b[0])
+    @staticmethod
+    def one(regs: tuple[list, list], i: int, like: int) -> None:
+        regs[0][i] = regs[1][i] = 1
 
-    one = staticmethod(lambda x: [1, 1])
-    nonzero = operator.itemgetter(0)  # a pair is nonzero with its numerator
-
-    def run(self, program: Sequence[Op], values: Assignment) -> Assignment:
-        """The program on pairs.  Over Q an int n enters as [n, 1], and one
-        Fraction per coordinate ends the run; over F_p every coordinate is
-        divided out with one modular inversion of the product of the
+    def run(self, program: Sequence[Op], values: Assignment,
+            source: Sequence[SeedIndex], target: Sequence[SeedIndex]) -> Assignment:
+        """The program on pairs, at a point read in the ``source`` layout,
+        its image keyed by ``target``.  Over Q an int n enters as n/1, and
+        one Fraction per coordinate ends the run; over F_p every coordinate
+        is divided out with one modular inversion of the product of the
         denominators (Montgomery's trick)."""
         p = self.p
+        xs = [values[ix] for ix in source]
         if p is None:
-            pairs = _interpret(self, program,
-                               {ix: [x.numerator, x.denominator] for ix, x in values.items()})
-            return {ix: Fraction(n, d) for ix, (n, d) in pairs.items()}
-        pairs = _interpret(self, program, {ix: [x.value, 1] for ix, x in values.items()})
-        entries = list(pairs.items())
-        prefix = []
-        product = 1
-        for _, (_, d) in entries:
-            product = product * d % p
-            prefix.append(product)
-        inv = arith._inverse_mod(product, p)  # 1 / (d_0 ... d_i), i from the last
-        out = [None] * len(entries)
-        for i in range(len(entries) - 1, -1, -1):
-            ix, (n, d) = entries[i]
-            out[i] = (ix, Fp(n * (inv * prefix[i - 1] if i else inv), p))
-            inv = inv * d % p
-        return dict(out)
+            nums, dens = _interpret(self, program, ([x.numerator for x in xs],
+                                                    [x.denominator for x in xs]))
+            return dict(zip(target, map(Fraction, nums, dens)))
+        nums, dens = _interpret(self, program, ([x.value for x in xs], [1] * len(xs)))
+        prefix = [1]
+        for d in dens:
+            prefix.append(prefix[-1] * d % p)
+        inv = arith._inverse_mod(prefix.pop(), p)  # 1 / (d_0 ... d_i), i from the last
+        out = [None] * len(nums)
+        for i in range(len(nums) - 1, -1, -1):
+            out[i] = Fp(nums[i] * inv * prefix[i], p)
+            inv = inv * dens[i] % p
+        return dict(zip(target, out))
 
 
-def run_program(program: Sequence[Op], values: Assignment) -> Assignment:
-    """A program at a point, on a copy of it: on residue pairs when every
-    coordinate is an Fp of one prime, on rational pairs when every
-    coordinate's type is exactly int or Fraction, else on the scalars
-    themselves (jets, mixed points)."""
+def run_program(program: Sequence[Op], values: Assignment,
+                source: Sequence[SeedIndex], target: Sequence[SeedIndex]) -> Assignment:
+    """A program at a point read in the ``source`` layout, its image keyed
+    by ``target``: on residue pairs when every coordinate is an Fp of one
+    prime, on rational pairs when every coordinate's type is exactly int or
+    Fraction, else on the scalars themselves (jets, mixed points)."""
     if not program:
-        return _SCALARS.run(program, values)
+        return _SCALARS.run(program, values, source, target)
     p = arith._fp_prime(values.values())
     if p is not None or all(type(x) is Fraction or type(x) is int for x in values.values()):
-        return _Pairs(p).run(program, values)
-    return _SCALARS.run(program, values)
+        return _Pairs(p).run(program, values, source, target)
+    return _SCALARS.run(program, values, source, target)
 
 
 @dataclass(frozen=True)
@@ -740,15 +893,24 @@ class RationalMap:
 
     @functools.cached_property
     def program(self) -> tuple[Op, ...]:
-        """The map lowered once, on its first evaluation: each move step's
-        mutations and relabeling, read from ``_move_plan`` here rather than
-        at every point (a move step with neither leaves no op), and each
-        saltation core step with its ``_CorePlan``."""
+        """The map's ops, joined on its first evaluation and kept: the
+        concatenation of its steps' ops, each step lowered once per distinct
+        step to positions (``_move_ops``, ``_core_ops``) and read from that
+        cache here, with no pass over the map.  A move step with neither
+        mutations nor a relabeling leaves no op."""
         return tuple(op for step in self.steps for op in step.ops())
 
+    @functools.cached_property
+    def _layouts(self) -> tuple[list[SeedIndex], list[SeedIndex]]:
+        """The ``seed_indices`` of the source and target words."""
+        rank = self.cdata.rank
+        return (wordmod.seed_indices(self.source_word, rank),
+                wordmod.seed_indices(self.target_word, rank))
+
     def apply(self, values: Assignment) -> Assignment:
-        """The program at a point (see ``run_program``)."""
-        return run_program(self.program, values)
+        """The program at a point (see ``run_program``), the image keyed in
+        the target word's ``seed_indices`` order."""
+        return run_program(self.program, values, *self._layouts)
 
     def __call__(self, values: Assignment) -> Assignment:
         return self.apply(values)
@@ -773,9 +935,9 @@ class RationalMap:
         return [s.describe() for s in self.steps]
 
     def apply_tuple(self, point: tuple) -> tuple:
-        ixs = wordmod.seed_indices(self.source_word, self.cdata.rank)
-        out = self.apply(dict(zip(ixs, point)))
-        return tuple(out[ix] for ix in wordmod.seed_indices(self.target_word, self.cdata.rank))
+        source, target = self._layouts
+        out = self.apply(dict(zip(source, point)))
+        return tuple(out[ix] for ix in target)
 
 
 def identity_map(w: DoubleWord, cdata: CartanData, restricted: bool = False) -> RationalMap:

@@ -323,6 +323,58 @@ def test_checks_see_a_fault_in_each_residue_jet_kernel(monkeypatch, kernel, wher
                    for move in moves))
 
 
+def _plant_register_fault(monkeypatch, op):
+    """Plant a fault in the pairs form of one kind of register op: 1 added
+    mod p to a mutation's first exponent target, to the forward core's
+    divided boundary slot or to the inverse core's solved slot, or two
+    entries of a relabeling's gather swapped."""
+    def plus_one(regs, i, p):
+        regs[0][i] = (regs[0][i] + 1) % p
+
+    if op == "exponent":
+        real_mutate = maps._Pairs.mutate
+
+        def mutate(self, regs, mutation):
+            real_mutate(self, regs, mutation)
+            if self.p is not None and mutation[2]:
+                plus_one(regs, mutation[2][0][0], self.p)
+
+        monkeypatch.setattr(maps._Pairs, "mutate", mutate)
+    elif op == "relabel":
+        real_gather = maps._Pairs.gather
+
+        def gather(regs, order):
+            out = real_gather(regs, order)
+            # of the gathers, only a relabeling's permutes the slots
+            if sorted(order) == list(range(len(order))):
+                for half in out:
+                    half[0], half[1] = half[1], half[0]
+            return out
+
+        monkeypatch.setattr(maps._Pairs, "gather", staticmethod(gather))
+    else:
+        name = {"core": "_core_forward", "core_inverse": "_core_inverse"}[op]
+        real_core = getattr(maps, name)
+
+        def core(ar, ops, regs):
+            out = real_core(ar, ops, regs)
+            if type(ar) is maps._Pairs and ar.p is not None:
+                plus_one(out, ops.boundary_t if op == "core" else ops.unknown, ar.p)
+            return out
+
+        monkeypatch.setattr(maps, name, core)
+
+
+@pytest.mark.parametrize("op", ["exponent", "relabel", "core", "core_inverse"])
+def test_a2_checks_see_a_fault_in_each_register_op(monkeypatch, op):
+    """A fault in the pairs form of each kind of register op a map program
+    runs fails at least one A2 identity check at 3 trials."""
+    _plant_register_fault(monkeypatch, op)
+    names = [name for name in evals.CHECK_NAMES if name in evals._INSTANCES["A2"]]
+    assert any(not evals.check_identity(evals.IdentityCheck(name, "A2", trials=3)).ok
+               for name in names)
+
+
 def test_desk_instances_are_one_table_entry_per_type(monkeypatch):
     """A type runs the matrix-level checks its entry in ``_INSTANCES``
     lists, parsed once, and no other: a check it leaves out is unsupported

@@ -21,6 +21,11 @@ from conftest import W, rank2_minimal_words, rational_point, reference_jets
 A1 = weyl.build_cartan("A1")
 A2 = weyl.build_cartan("A2")
 B2 = weyl.build_cartan("B2")
+G2 = weyl.build_cartan("G2")
+
+# (barred w0)(w0) in G2, where the Artin generators' plans carry exchange
+# exponents of absolute value 3 and order-6 d-moves.
+G2_WORD = "-1,-2,-1,-2,-1,-2,1,2,1,2,1,2"
 
 
 def test_mutate_point_formula_and_involution(rng):
@@ -482,6 +487,23 @@ def test_braid_relation_probabilistic():
         len(ixs), cfg).is_equal
 
 
+def test_g2_braid_relation_at_prime_field_points():
+    """T1T2T1T2T1T2 = T2T1T2T1T2T1 on G2, the order-6 braid relation: the
+    composites agree at F_p points, and changing the last letter of one
+    gives a counterexample, confirmed over Q.  G2 has no ``verify`` entry,
+    so nothing else runs these composites."""
+    word = W(G2_WORD)
+    dim = len(words.seed_indices(word, G2.rank))
+    lhs = maps.artin_T_word(word, (1, 2, 1, 2, 1, 2), G2)
+    cfg = TrialConfig(trials=5)
+    verdicts = {}
+    for letters in ((2, 1, 2, 1, 2, 1), (2, 1, 2, 1, 2, 2)):
+        rhs = maps.artin_T_word(word, letters, G2)
+        verdicts[letters] = arith.maps_equal_probabilistic(
+            lhs.apply_tuple, rhs.apply_tuple, dim, cfg).status
+    assert verdicts == {(2, 1, 2, 1, 2, 1): "equal", (2, 1, 2, 1, 2, 2): "counterexample"}
+
+
 def test_b2_braid_composites_agree_as_maps():
     """T1T2T1T2 = T2T1T2T1 on B2, where the symmetrizers differ: the two
     composites agree as maps at prime-field points."""
@@ -704,6 +726,53 @@ def test_is_poisson_map_one_jet_pass_per_point():
     assert Counted.plain_passes == 0
 
 
+def test_is_poisson_map_redraws_a_singular_jet_pass(monkeypatch):
+    """A draw that is singular for the map raises inside the one jet pass
+    (``maps._pullback``), and the trial engine redraws it: on the A2 1,2,1
+    3-move, a first draw with a zero at the move's mutation index counts
+    one redraw, and the verdict is still "equal"."""
+    word = W("1,2,1")
+    move = Move("positive_d", 0, 3)
+    (k, _), = maps._move_mutations(word, move, A2)
+    at = words.seed_indices(word, A2.rank).index(k)
+    draws = []
+    real_draw = arith.random_point_fp
+
+    def draw(dim, prime, rng):
+        point = real_draw(dim, prime, rng)
+        if not draws:
+            point = point[:at] + (arith.Fp(0, prime),) + point[at + 1:]
+        draws.append(point)
+        return point
+
+    raised = []
+    real_pullback = maps._pullback
+
+    def pullback(*args):
+        try:
+            return real_pullback(*args)
+        except SingularPoint as exc:
+            raised.append(str(exc))
+            raise
+
+    outcomes = []
+    real_trials = arith._trials
+
+    def trials(*args):
+        for outcome in real_trials(*args):
+            outcomes.append(outcome)
+            yield outcome
+
+    monkeypatch.setattr(arith, "random_point_fp", draw)
+    monkeypatch.setattr(maps, "_pullback", pullback)
+    monkeypatch.setattr(arith, "_trials", trials)
+    verdict = maps.is_poisson_map(maps.dmove_transform(word, move, A2), TrialConfig(trials=2))
+    assert raised == ["zero coordinate at regular mutation index"]
+    assert [(o.status, o.redraws) for o in outcomes] == [("equal", 1), ("equal", 0)]
+    assert len(draws) == 3
+    assert verdict.status == "equal"
+
+
 def test_bracket_pass_lifts_only_the_form_support():
     """fn sees jets exactly on the support of the bracket form: (1,0) and
     (1,1) on A1 -1,1, and none on A1 1, whose form is empty, where fn runs
@@ -898,7 +967,8 @@ def test_elementary_maps_are_poisson(label):
 
 def _seed_level_step(step, values):
     """What a MoveStep means: walk the word's seed alongside the point, one
-    induced mutation at a time, then relabel."""
+    induced mutation at a time, then relabel, keyed in the target word's
+    ``seed_indices`` order."""
     w, mv, cdata = step.word_before, step.move, step.cdata
     seed = seeds.seed_for_word(w, cdata)
     fixed = seed.cover_right if step.restricted else frozenset()
@@ -913,7 +983,8 @@ def _seed_level_step(step, values):
             values = maps.tropical_mutate_point(seed, values, ix, positive)
             seed = seeds.tropical_mutate_seed(seed, ix, positive)
     sigma = words.index_map(w, mv, cdata)
-    return {sigma.get(ix, ix): val for ix, val in values.items()}
+    relabeled = {sigma.get(ix, ix): val for ix, val in values.items()}
+    return {ix: relabeled[ix] for ix in words.seed_indices(step.word_after, cdata.rank)}
 
 
 def _outcome(fn, values):
@@ -1053,12 +1124,14 @@ def test_lowered_steps_keep_their_errors(monkeypatch):
     fresh = maps.MoveStep(A1, W("-1,1"), Move("mixed2", 0, 2), True)
     monkeypatch.setattr(maps, "seed_for_word", lambda w, cdata: broken)
     maps._move_plan.cache_clear()
+    maps._move_ops.cache_clear()
     try:
         with pytest.raises(InvariantViolation):
             fresh.apply(vals)
     finally:
         monkeypatch.undo()
         maps._move_plan.cache_clear()
+        maps._move_ops.cache_clear()
     assert fresh.apply(vals) == _seed_level_step(fresh, vals)
 
 
@@ -1080,6 +1153,13 @@ def test_zeta_maps_built_with_the_map(rng, monkeypatch):
     assert maps._zeta_map.cache_info().misses == 1
 
 
+def _named_program(m):
+    """A map's mutations on named indices, as ``_move_plan`` lowers its
+    move steps."""
+    return tuple(mutation for step in m.steps for mutation in maps._move_plan(
+        step.cdata, step.word_before, step.move, step.restricted)[0])
+
+
 def test_inverse_zeta_plan_is_the_lowered_inverse_zeta_map():
     """The core plan undoes its zeta plan op by op instead of lowering the
     inverse zeta map; the two agree on every reduced word of w0 in A1, A2,
@@ -1092,8 +1172,8 @@ def test_inverse_zeta_plan_is_the_lowered_inverse_zeta_map():
             zmap = maps.zeta_map(block, cdata)
             for k in range(1, cdata.rank + 1):
                 plan = maps._core_plan(cdata, words.DoubleWord(letters + (-k,)))
-                assert plan.zeta == zmap.program
-                assert plan.zeta_inverse == zmap.inverse().program, (label, letters)
+                assert plan.zeta == _named_program(zmap)
+                assert plan.zeta_inverse == _named_program(zmap.inverse()), (label, letters)
             blocks += 1
     assert blocks == 7
 
@@ -1291,7 +1371,7 @@ def test_one_modular_inversion_per_mutation(monkeypatch):
             mutation = (kind, (1, 1), exponents)
             for prime, vals in points:
                 calls.clear()
-                got = maps._Pairs(prime).run((mutation,), vals)
+                got = maps._apply_mutation(vals, mutation, maps._Pairs(prime))
                 assert len(calls) == (prime is not None), (mutation, prime)
                 want = maps._apply_mutation(vals, mutation)
                 assert list(got.items()) == list(want.items()), (mutation, vals)
@@ -1314,8 +1394,9 @@ def _image_or_error(f, values):
 
 def _interpreter_cases():
     """(cdata, source word, map) for T_j on all 160 compute-a2 pairs, both
-    A2 braid composites, the A1 and A2 saltations and the B2 composite of
-    2,1,2,1, and for the inverse of each; and the two saltations apart."""
+    A2 braid composites, the A1 and A2 saltations, the B2 composite of
+    2,1,2,1 and the two G2 generators on (barred w0)(w0), and for the
+    inverse of each; and the two saltations apart."""
     reduced = ((1, 2, 1), (2, 1, 2))
     cases = []
     for neg, pos in itertools.product(reduced, reduced):
@@ -1332,6 +1413,7 @@ def _interpreter_cases():
     cases += saltations
     b2_word = W("-1,-2,-1,-2,1,2,1,2")
     cases.append((B2, b2_word, maps.artin_T_word(b2_word, (2, 1, 2, 1), B2)))
+    cases += [(G2, W(G2_WORD), maps.artin_T(W(G2_WORD), j, G2)) for j in (1, 2)]
     cases += [(cdata, m.target_word, m.inverse()) for cdata, _, m in cases]
     return cases, saltations
 
@@ -1350,8 +1432,8 @@ def test_fp_interpreter_matches_stepwise_evaluation():
     the same image in the same key order, or the same error type.  Checked
     at p = 2^61 - 1 and p = 97, at random points and at points with one zero
     coordinate, on T_j and its inverse for all 160 compute-a2 pairs, both A2
-    braid composites, the A1 and A2 saltations and the B2 composite of
-    2,1,2,1."""
+    braid composites, the A1 and A2 saltations, the B2 composite of 2,1,2,1
+    and the two G2 generators, whose plans carry exponents +-3."""
     cases, saltations = _interpreter_cases()
     rng = random.Random("fp interpreter")
     outcomes = set()
@@ -1428,9 +1510,10 @@ def test_rational_points_run_on_pairs_and_others_on_the_scalars(monkeypatch):
         others = [{**values, ixs[-1]: arith.Fp(3, 97)},
                   dict(zip(ixs, jet_point([values[ix] for ix in ixs])))]
         # an int n is the Fraction n
-        cases.append((m, [(v, maps._SCALARS.run(m.program, {ix: F(x) for ix, x in v.items()}))
+        cases.append((m, [(v, maps._SCALARS.run(m.program, {ix: F(x) for ix, x in v.items()},
+                                                *m._layouts))
                           for v in rationals],
-                      [(v, maps._SCALARS.run(m.program, v)) for v in others]))
+                      [(v, maps._SCALARS.run(m.program, v, *m._layouts)) for v in others]))
 
     def fail(*args):
         raise AssertionError("wrong arithmetic")
@@ -1463,19 +1546,22 @@ def test_core_steps_raise_singular_point_at_a_zero_divisor(prime):
     first at a whole saltation."""
     core = next(step for step in maps.xi_saltation(W("-1,1,2,1"), A2).steps
                 if isinstance(step, maps.XiCoreStep))
-    bare = maps._core_plan(A2, core.word_before)._replace(zeta=(), zeta_inverse=())
-    copied_to = dict(bare.frozen)  # source top -> the target slot holding its value
-    cases = [("core", bare, core.word_before, bare.k_top, "zero right-frozen coordinate")]
-    cases += [("core_inverse", bare._replace(exponent=e), bare.target, copied_to[top],
-               "zero divisor in the inverse saltation core")
-              for e, top in ((1, bare.boundary), (-1, bare.boundary), (-1, bare.k_top))]
+    plan = maps._core_plan(A2, core.word_before)
+    bare = maps._core_ops(A2, core.word_before)._replace(zeta=(), zeta_inverse=())
+    copied_to = dict(plan.frozen)  # source top -> the target slot holding its value
+    cases = [("core", bare, core.word_before, plan.target, plan.k_top,
+              "zero right-frozen coordinate")]
+    cases += [("core_inverse", bare._replace(exponent=e), plan.target, core.word_before,
+               copied_to[top], "zero divisor in the inverse saltation core")
+              for e, top in ((1, plan.boundary), (-1, plan.boundary), (-1, plan.k_top))]
     pairs = maps._Pairs(prime)
-    for kind, plan, word, zero, message in cases:
+    for kind, ops, word, after, zero, message in cases:
         values = maps.random_assignment(word, A2, random.Random(kind), prime)
         values[zero] = values[zero] * 0
+        layouts = (words.seed_indices(word, A2.rank), words.seed_indices(after, A2.rank))
         for ar in (maps._SCALARS, pairs):
             with pytest.raises(SingularPoint, match=message):
-                ar.run(((kind, plan),), values)
+                ar.run(((kind, ops),), values, *layouts)
 
 
 @pytest.mark.parametrize("prime", [None, DEFAULT_PRIME])
@@ -1488,7 +1574,8 @@ def test_singular_mutations_keep_their_messages(prime):
 
     pairs = maps._Pairs(prime)
     vals = {(1, 0): scalar(2), (1, 1): scalar(3), (1, 2): scalar(5)}
-    for apply in (maps._apply_mutation, lambda v, mutation: pairs.run((mutation,), v)):
+    for apply in (maps._apply_mutation,
+                  lambda v, mutation: maps._apply_mutation(v, mutation, pairs)):
         for kind in ("regular", "tropical"):
             with pytest.raises(SingularPoint,
                                match=f"^zero coordinate at {kind} mutation index$"):
