@@ -23,7 +23,10 @@ the cross-gcd one of ``Fraction``; over F_p when every coordinate is an
 ``Fp`` of one prime, residues, and one modular inversion ends the run for
 all coordinates (Montgomery's trick).  On pairs no op inverts: x_k goes to
 den/num, 1 + x_k is (num + den)/den.  A run reads the point in the source
-word's layout and keys the image by the target word's.
+word's layout and keys the image by the target word's, except that an
+inverse saltation core writes the right-frozen tops first and the steps
+after it keep that order until a relabeling or a forward core lays the
+slots out anew.
 
 Supported steps:
 
@@ -146,6 +149,14 @@ def _place(w: DoubleWord, rank: int) -> Callable[[SeedIndex], int]:
     return lambda ix: first[ix[0]] + ix[1]
 
 
+# Bounded like ``_move_plan``: a map reads its two words' layouts here, and
+# a move step's relabeling its source word's.
+@functools.lru_cache(maxsize=4096)
+def _layout(w: DoubleWord, rank: int) -> tuple[SeedIndex, ...]:
+    """w's ``seed_indices``, kept per word."""
+    return tuple(wordmod.seed_indices(w, rank))
+
+
 class _Gather(tuple):
     """Register positions read in order: entry t of a gathered list is
     entry self[t] of the list read.  ``take`` reads them in one call; every
@@ -215,12 +226,12 @@ class _Scalars:
 _SCALARS = _Scalars()
 
 
-def _apply_mutation(values: Assignment, mutation: Mutation, ar=_SCALARS) -> Assignment:
-    """A mutation on named indices at a point, in the arithmetic ``ar`` (the
-    reference by default), laid out in the point's own key order."""
+def _apply_mutation(values: Assignment, mutation: Mutation) -> Assignment:
+    """A mutation on named indices at a point, in the reference arithmetic,
+    laid out in the point's own key order."""
     layout = list(values)
     place = {ix: n for n, ix in enumerate(layout)}.__getitem__
-    return ar.run((_at(mutation, place),), values, layout, layout)
+    return _SCALARS.run((_at(mutation, place),), values, layout, layout)
 
 
 def mutate_point(seed: Seed, values: Assignment, k: SeedIndex,
@@ -365,12 +376,13 @@ def _move_ops(cdata: CartanData, w: DoubleWord, move: Move, restricted: bool
     ops = tuple(_at(mutation, place) for mutation in mutations)
     if sigma is None:
         return ops
-    source = wordmod.seed_indices(w, cdata.rank)
-    came_from = {sigma.get(ix, ix): ix for ix in source}
-    if len(came_from) != len(source):
+    moved = [sigma.get(ix, ix) for ix in _layout(w, cdata.rank)]
+    if len(set(moved)) != len(moved):
         raise InvariantViolation(f"{move.describe()} at {w.to_string()} relabels "
                                  "two slots onto one")
-    return ops + (("relabel", _Gather(place(came_from[ix]) for ix in sorted(came_from))),)
+    # target position t reads the source slot relabeled onto the t-th
+    # smallest target slot
+    return ops + (("relabel", _Gather(sorted(range(len(moved)), key=moved.__getitem__))),)
 
 
 class Step:
@@ -386,8 +398,16 @@ class Step:
         step class keeps an ``apply`` of its own that calls this one, so
         that a wrapper can be installed per class."""
         rank = self.cdata.rank
-        return _SCALARS.run(self.ops(), values, wordmod.seed_indices(self.word_before, rank),
-                            wordmod.seed_indices(self.word_after, rank))
+        ops = self.ops()
+        out = _SCALARS.run(ops, values, _layout(self.word_before, rank),
+                           _layout(self.word_after, rank))
+        core = _image_core(ops)
+        if core is not None:
+            return {ix: out[ix] for ix in core.written}
+        if any(op[0] == "relabel" or op[0] == "core" for op in ops):
+            return out
+        # a step that lays no slot out keeps its point's key order
+        return {ix: out[ix] for ix in values if ix in out}
 
     def inverse(self) -> "Step":
         raise NotImplementedError
@@ -448,6 +468,7 @@ class _CorePlan(NamedTuple):
     # value it copies (None: it reads the zeta image)
     layout: tuple[tuple[SeedIndex, Optional[SeedIndex]], ...]
     frozen: tuple[tuple[SeedIndex, SeedIndex], ...]  # (source top, target top)
+    body: tuple[SeedIndex, ...]  # the other source slots, in output order
     boundary: SeedIndex  # the starred wire's block top
     unknown: SeedIndex   # the moved wire's block top
     k_top: SeedIndex     # the moved wire's source top
@@ -516,6 +537,9 @@ def _core_plan(cdata: CartanData, w: DoubleWord) -> _CorePlan:
         # top disappears, its source top descends
         layout.append(((wire, n_t), (wire, mid[wire] + (wire == k))))
     frozen = tuple((s, t) for t, s in layout if s is not None)
+    sources = {s for s, _ in frozen}
+    body = tuple((wire, c) for wire in wires for c in range(mid[wire] + 1)
+                 if (wire, c) not in sources)
     boundary, unknown = (ks, mid[ks]), (k, mid[k])
     power = {unknown: 1}
     for kind, ix, exponents in zeta:
@@ -526,7 +550,7 @@ def _core_plan(cdata: CartanData, w: DoubleWord) -> _CorePlan:
                 power[jx] = power.get(jx, 0) + e * old
     if abs(power.get(boundary, 0)) != 1:
         raise InvariantViolation("starred block-top exponent must be +-1")
-    return _CorePlan(target, tuple(zeta), zeta_inverse, tuple(layout), frozen,
+    return _CorePlan(target, tuple(zeta), zeta_inverse, tuple(layout), frozen, body,
                      boundary, unknown, (k, mid[k] + 1), power[boundary])
 
 
@@ -558,6 +582,11 @@ class _CoreOps(NamedTuple):
     unknown: int     # the moved wire's block top, in S
     glued: int       # the glued slot, after the copies
     exponent: int    # power of unknown in boundary after zeta
+    # the inverse image's keys in the order the inverse core writes them,
+    # the right-frozen tops it reads back, then the other source slots; and
+    # their positions in S
+    written: tuple[SeedIndex, ...]
+    write: _Gather
 
 
 # Bounded like ``_core_plan``, whose entries it lowers.
@@ -580,6 +609,7 @@ def _core_ops(cdata: CartanData, w: DoubleWord) -> _CoreOps:
     # the solve leaves X in x's glued slot, or at exponent -1 in its
     # starred block top
     place[s(plan.unknown)] = glued + 1 + (glued if plan.exponent > 0 else s(plan.boundary))
+    written = tuple(top for top, _ in plan.frozen) + plan.body
     return _CoreOps(
         tuple(_at(mutation, s) for mutation in plan.zeta),
         tuple(_at(mutation, s) for mutation in plan.zeta_inverse),
@@ -589,7 +619,7 @@ def _core_ops(cdata: CartanData, w: DoubleWord) -> _CoreOps:
         _Gather((*read_back, *range(n, glued + 1))),
         _Gather(place),
         s(plan.boundary), t(plan.boundary), s(plan.k_top), t(copied_to[plan.k_top]),
-        s(plan.unknown), glued, plan.exponent)
+        s(plan.unknown), glued, plan.exponent, written, _Gather(map(s, written)))
 
 
 def _core_forward(ar, core: _CoreOps, regs):
@@ -712,6 +742,22 @@ class XiCoreInverseStep(Step):
 # Programs: a map's steps' ops joined once, run by one interpreter on
 # registers of the scalars or of pairs over Q or F_p
 # ---------------------------------------------------------------------------
+
+def _image_core(ops: Sequence[Op]) -> Optional[_CoreOps]:
+    """The inverse saltation core whose key order the image of these ops
+    keeps: their last op that lays the slots out, when it is an inverse
+    core.  That core writes the right-frozen tops it reads back first, then
+    the other source slots (``_CoreOps.written``), and the ops after it
+    keep that order; a relabeling or a forward core keys the image in its
+    target word's ``seed_indices`` order."""
+    for op in reversed(ops):
+        kind = op[0]
+        if kind == "core_inverse":
+            return op[1]
+        if kind == "relabel" or kind == "core":
+            return None
+    return None
+
 
 def _interpret(ar, program: Sequence[Op], registers):
     """The one dispatch loop: each op of the program in the arithmetic
@@ -892,25 +938,41 @@ class RationalMap:
     restricted: bool = False
 
     @functools.cached_property
-    def program(self) -> tuple[Op, ...]:
-        """The map's ops, joined on its first evaluation and kept: the
-        concatenation of its steps' ops, each step lowered once per distinct
-        step to positions (``_move_ops``, ``_core_ops``) and read from that
-        cache here, with no pass over the map.  A move step with neither
-        mutations nor a relabeling leaves no op."""
-        return tuple(op for step in self.steps for op in step.ops())
-
-    @functools.cached_property
-    def _layouts(self) -> tuple[list[SeedIndex], list[SeedIndex]]:
-        """The ``seed_indices`` of the source and target words."""
+    def _compiled(self) -> tuple[tuple[Op, ...], tuple[SeedIndex, ...], tuple[SeedIndex, ...]]:
+        """The map's program, the source word's ``seed_indices``, which a
+        run reads the point in, and the keys of the image in order; joined
+        on the map's first evaluation and kept.  The program is the
+        concatenation of the steps' ops, each step lowered once per
+        distinct step to positions (``_move_ops``, ``_core_ops``) and read
+        from that cache here, with no pass over the map; a move step with
+        neither mutations nor a relabeling leaves no op.  The image is
+        keyed by the target word's ``seed_indices``, unless it keeps an
+        inverse saltation core's order (``_image_core``): then the program
+        ends with that core's cached gather into it."""
         rank = self.cdata.rank
-        return (wordmod.seed_indices(self.source_word, rank),
-                wordmod.seed_indices(self.target_word, rank))
+        ops = tuple(op for step in self.steps for op in step.ops())
+        target = _layout(self.target_word, rank)
+        core = _image_core(ops)
+        if core is not None:
+            ops += (("relabel", core.write),)
+            target = core.written
+        return ops, _layout(self.source_word, rank), target
+
+    @property
+    def program(self) -> tuple[Op, ...]:
+        """The map's ops (see ``_compiled``)."""
+        return self._compiled[0]
+
+    @property
+    def _layouts(self) -> tuple[tuple[SeedIndex, ...], tuple[SeedIndex, ...]]:
+        """The keys a run reads the point in and keys the image by."""
+        return self._compiled[1:]
 
     def apply(self, values: Assignment) -> Assignment:
-        """The program at a point (see ``run_program``), the image keyed in
-        the target word's ``seed_indices`` order."""
-        return run_program(self.program, values, *self._layouts)
+        """The program at a point (see ``run_program``), its image keyed as
+        ``_compiled`` gives."""
+        program, source, target = self._compiled
+        return run_program(program, values, source, target)
 
     def __call__(self, values: Assignment) -> Assignment:
         return self.apply(values)
@@ -935,9 +997,10 @@ class RationalMap:
         return [s.describe() for s in self.steps]
 
     def apply_tuple(self, point: tuple) -> tuple:
-        source, target = self._layouts
-        out = self.apply(dict(zip(source, point)))
-        return tuple(out[ix] for ix in target)
+        """The map on coordinates listed in ``seed_indices`` order, both
+        sides."""
+        out = self.apply(dict(zip(self._layouts[0], point)))
+        return tuple(out[ix] for ix in _layout(self.target_word, self.cdata.rank))
 
 
 def identity_map(w: DoubleWord, cdata: CartanData, restricted: bool = False) -> RationalMap:

@@ -173,6 +173,24 @@ def test_tau_product_runs_one_inversion_per_program_slice(monkeypatch):
     assert got == want
 
 
+def test_tau_product_stages_keep_the_word_layout():
+    """``tau_product`` runs every slice of a word's zeta program on the
+    word's own ``seed_indices`` layout.  That holds because every step of
+    the zeta map of a negative reduced word of w0 keeps each wire's count
+    and relabels nothing, checked here on every such word of A1, A2 and A3."""
+    words_seen = 0
+    for label in ("A1", "A2", "A3"):
+        cdata = weyl.build_cartan(label)
+        for letters in weyl.reduced_words(weyl.longest_element(cdata)):
+            word = DoubleWord(tuple(-x for x in letters))
+            zmap = maps._zeta_map(cdata, word)
+            assert zmap.target_word.counts() == word.counts()
+            assert all(step.word_after.counts() == word.counts() for step in zmap.steps)
+            assert all(op[0] != "relabel" for op in zmap.program), (label, letters)
+            words_seen += 1
+    assert words_seen == 1 + 2 + 16
+
+
 def test_dckp_examples(rng):
     word = W("1,1")
     ctx = evals.make_context(word, A1)

@@ -1154,10 +1154,15 @@ def test_zeta_maps_built_with_the_map(rng, monkeypatch):
 
 
 def _named_program(m):
-    """A map's mutations on named indices, as ``_move_plan`` lowers its
-    move steps."""
-    return tuple(mutation for step in m.steps for mutation in maps._move_plan(
-        step.cdata, step.word_before, step.move, step.restricted)[0])
+    """A map's ops on named indices, as ``_move_plan`` lowers its move
+    steps: each step's mutations, then ("relabel", sigma) when it relabels,
+    so a relabeling zeta step cannot equal a plan of bare mutations."""
+    ops = ()
+    for step in m.steps:
+        mutations, sigma = maps._move_plan(step.cdata, step.word_before, step.move,
+                                           step.restricted)
+        ops += mutations if sigma is None else mutations + (("relabel", sigma),)
+    return ops
 
 
 def test_inverse_zeta_plan_is_the_lowered_inverse_zeta_map():
@@ -1338,6 +1343,14 @@ def test_a_tropical_mutation_is_the_sole_mutation_of_a_tau_move():
     assert checked == set(kinds_with_mutations)
 
 
+def _pairs_mutation(prime, values, mutation):
+    """A mutation on named indices at a point, run on pairs over Q (prime
+    None) or F_prime, laid out in the point's own key order."""
+    layout = list(values)
+    op = maps._at(mutation, layout.index)
+    return maps._Pairs(prime).run((op,), values, layout, layout)
+
+
 def test_one_modular_inversion_per_mutation(monkeypatch):
     """Applying a map at an F_p point makes one modular inversion, for all
     its coordinates at once: both A2 braid composites and their inverses.
@@ -1371,7 +1384,7 @@ def test_one_modular_inversion_per_mutation(monkeypatch):
             mutation = (kind, (1, 1), exponents)
             for prime, vals in points:
                 calls.clear()
-                got = maps._apply_mutation(vals, mutation, maps._Pairs(prime))
+                got = _pairs_mutation(prime, vals, mutation)
                 assert len(calls) == (prime is not None), (mutation, prime)
                 want = maps._apply_mutation(vals, mutation)
                 assert list(got.items()) == list(want.items()), (mutation, vals)
@@ -1536,6 +1549,21 @@ def test_rational_points_run_on_pairs_and_others_on_the_scalars(monkeypatch):
     assert kinds >= {F, arith.Fp, Jet}
 
 
+def test_inverse_saltation_images_keep_the_order_the_core_writes():
+    """An inverse saltation's image lists the right-frozen tops first, as
+    its core writes them, and the mixed 2-moves after the core keep that
+    order; ``apply_tuple`` still lists the image in ``seed_indices``
+    order."""
+    back = maps.xi_saltation(W("-1,1,2,1"), A2).inverse()
+    core = next(step for step in back.steps if isinstance(step, maps.XiCoreInverseStep))
+    plan = maps._core_plan(A2, core.word_after)
+    values = maps.random_assignment(back.source_word, A2, random.Random("order"), 97)
+    image = back.apply(values)
+    target = words.seed_indices(back.target_word, A2.rank)
+    assert list(image) == [top for top, _ in plan.frozen] + list(plan.body) != target
+    assert back.apply_tuple(tuple(values.values())) == tuple(image[ix] for ix in target)
+
+
 @pytest.mark.parametrize("prime", [None, 97])
 def test_core_steps_raise_singular_point_at_a_zero_divisor(prime):
     """The forward core divides by the moved wire's frozen value; the inverse
@@ -1572,10 +1600,9 @@ def test_singular_mutations_keep_their_messages(prime):
     def scalar(n):
         return F(n) if prime is None else arith.Fp(n, prime)
 
-    pairs = maps._Pairs(prime)
     vals = {(1, 0): scalar(2), (1, 1): scalar(3), (1, 2): scalar(5)}
     for apply in (maps._apply_mutation,
-                  lambda v, mutation: maps._apply_mutation(v, mutation, pairs)):
+                  lambda v, mutation: _pairs_mutation(prime, v, mutation)):
         for kind in ("regular", "tropical"):
             with pytest.raises(SingularPoint,
                                match=f"^zero coordinate at {kind} mutation index$"):

